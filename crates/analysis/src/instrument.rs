@@ -9,7 +9,7 @@
 //! every instrument is independent, so per-instrument results stay
 //! bit-identical to a sequential pass.
 
-use cachegc_sim::{Cache, CacheConfig, GridCache, SetAssocCache};
+use cachegc_sim::{Cache, CacheConfig, SetAssocCache};
 use cachegc_trace::{Access, TraceSink};
 
 use crate::activity::{activity, Activity};
@@ -75,9 +75,6 @@ pub enum Instrument {
     Sweep(SweepPlot),
     /// The §7 cache-activity decomposition.
     Activity(ActivityTracker),
-    /// A whole direct-mapped configuration grid simulated in lockstep
-    /// (the batch replay kernel's sink).
-    Grid(GridCache),
     /// The windowed §6 cache/GC timeline sampler.
     Timeline(Timeline),
 }
@@ -91,7 +88,6 @@ impl Instrument {
             Instrument::Blocks(_) => "blocks",
             Instrument::Sweep(_) => "sweep",
             Instrument::Activity(_) => "activity",
-            Instrument::Grid(_) => "grid",
             Instrument::Timeline(_) => "timeline",
         }
     }
@@ -136,14 +132,6 @@ impl Instrument {
         }
     }
 
-    /// The wrapped [`GridCache`], if this is a grid instrument.
-    pub fn into_grid(self) -> Option<GridCache> {
-        match self {
-            Instrument::Grid(g) => Some(g),
-            _ => None,
-        }
-    }
-
     /// Finish a timeline sampler into its report, if this is one.
     pub fn into_timeline(self) -> Option<TimelineReport> {
         match self {
@@ -183,12 +171,6 @@ impl From<ActivityTracker> for Instrument {
     }
 }
 
-impl From<GridCache> for Instrument {
-    fn from(g: GridCache) -> Self {
-        Instrument::Grid(g)
-    }
-}
-
 impl From<Timeline> for Instrument {
     fn from(t: Timeline) -> Self {
         Instrument::Timeline(t)
@@ -204,7 +186,6 @@ impl TraceSink for Instrument {
             Instrument::Blocks(t) => t.access(a),
             Instrument::Sweep(p) => p.access(a),
             Instrument::Activity(t) => t.access(a),
-            Instrument::Grid(g) => g.access(a),
             Instrument::Timeline(t) => t.access(a),
         }
     }
@@ -224,11 +205,6 @@ mod tests {
             BlockTracker::new(1 << 15, 64).into(),
             SweepPlot::new(CacheConfig::direct_mapped(1 << 15, 64), 256).into(),
             ActivityTracker::new(CacheConfig::direct_mapped(1 << 15, 64)).into(),
-            GridCache::new(vec![
-                CacheConfig::direct_mapped(1 << 15, 32),
-                CacheConfig::direct_mapped(1 << 16, 64),
-            ])
-            .into(),
             Timeline::new(CacheConfig::direct_mapped(1 << 15, 64), 1000).into(),
         ]
     }
@@ -247,7 +223,7 @@ mod tests {
         let out = fan.into_sinks();
         assert_eq!(
             out.iter().map(Instrument::kind).collect::<Vec<_>>(),
-            ["cache", "assoc", "blocks", "sweep", "activity", "grid", "timeline"]
+            ["cache", "assoc", "blocks", "sweep", "activity", "timeline"]
         );
         let mut out = out.into_iter();
         let cache = out.next().unwrap().into_cache().unwrap();
@@ -260,9 +236,6 @@ mod tests {
         assert!(sweep.width() > 0);
         let act = out.next().unwrap().into_activity().unwrap();
         assert!(!act.entries.is_empty());
-        let grid = out.next().unwrap().into_grid().unwrap();
-        assert_eq!(grid.events(), 4096);
-        assert!(grid.stats(0).misses() > 0 && grid.stats(1).misses() > 0);
         let timeline = out.next().unwrap().into_timeline().unwrap();
         assert_eq!(timeline.events, 4096);
         assert_eq!(timeline.windows_sum(), timeline.totals);

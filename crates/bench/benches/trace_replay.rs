@@ -102,8 +102,7 @@ fn main() {
             Some(events),
             || {
                 let mut seen = 0u64;
-                let stats = trace.replay_batched(|b| seen += b.len() as u64);
-                assert_eq!(stats.events(), events);
+                trace.replay_batched(|b| seen += b.len() as u64);
                 assert_eq!(seen, events);
                 black_box(seen);
             },

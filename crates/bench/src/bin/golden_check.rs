@@ -8,14 +8,14 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::Arc;
 
-use cachegc_bench::cli::{replay_kernel_from_env, MetricsArg, TraceCacheArg, TraceExportArg};
+use cachegc_bench::cli::{MetricsArg, TraceCacheArg, TraceExportArg};
 use cachegc_bench::experiments::{self, Experiment};
 use cachegc_bench::golden::{
     bless_tables, check_tables_on, golden_engine, run_sweep, Tolerance, GOLDEN_DIR, GOLDEN_SCALE,
 };
 use cachegc_core::{
-    chrome_trace_json, validate_chrome_trace, validate_timeline, Manifest, ManifestConfig,
-    ReplayKernel, Runner, Telemetry,
+    chrome_trace_json, validate_chrome_trace, validate_timeline, Manifest, ManifestConfig, Runner,
+    Telemetry,
 };
 
 const USAGE: &str = "\
@@ -23,7 +23,6 @@ golden_check: diff every experiment's tables against results/expected/
 
 usage: golden_check [--bless] [--only NAME] [--dir PATH] [--rel-eps X]
                     [--trace-cache on|off|BYTES[,spill[:DIR]][,evict=on|off]]
-                    [--replay-kernel scalar|batch]
                     [--metrics off|json[:PATH]] [--manifest PATH]
                     [--trace-export off|chrome[:PATH]]
                     [--timeline PATH] [--trace PATH]
@@ -42,11 +41,6 @@ usage: golden_check [--bless] [--only NAME] [--dir PATH] [--rel-eps X]
                 next invocation; evict=off refuses over-budget captures
                 instead of evicting least-recently-hit scenarios
                 (default on; env CACHEGC_TRACE_CACHE)
-  --replay-kernel scalar|batch
-                drive stored-trace replays with the per-event scalar
-                decoder (default) or the SWAR batch decoder feeding the
-                grid-vectorized cache kernel; tables are bit-identical
-                under both (env CACHEGC_REPLAY_KERNEL)
   --metrics off|json[:PATH]
                 write this invocation's own run manifest (schema,
                 counters, store accounting) to PATH, default
@@ -85,7 +79,6 @@ struct Opts {
     dir: PathBuf,
     tol: Tolerance,
     trace_cache: TraceCacheArg,
-    replay_kernel: ReplayKernel,
     metrics: MetricsArg,
     manifest: Option<PathBuf>,
     trace_export: TraceExportArg,
@@ -100,9 +93,6 @@ fn parse_opts(argv: &[String]) -> Result<Opts, String> {
         dir: PathBuf::from(GOLDEN_DIR),
         tol: Tolerance::default(),
         trace_cache: TraceCacheArg::from_env(std::env::var("CACHEGC_TRACE_CACHE").ok().as_deref())?,
-        replay_kernel: replay_kernel_from_env(
-            std::env::var("CACHEGC_REPLAY_KERNEL").ok().as_deref(),
-        )?,
         metrics: MetricsArg::Off,
         manifest: None,
         trace_export: TraceExportArg::from_env(
@@ -139,12 +129,6 @@ fn parse_opts(argv: &[String]) -> Result<Opts, String> {
                         "--trace-cache: malformed value '{raw}' \
                          (on|off|BYTES[,spill[:DIR]][,evict=on|off])"
                     )
-                })?;
-            }
-            "--replay-kernel" => {
-                let raw = value("--replay-kernel")?;
-                opts.replay_kernel = ReplayKernel::parse(&raw).ok_or_else(|| {
-                    format!("--replay-kernel: malformed value '{raw}' (scalar or batch)")
                 })?;
             }
             "--metrics" => {
@@ -294,7 +278,7 @@ fn main() -> ExitCode {
             Telemetry::new()
         })
     });
-    let mut runner = Runner::new(golden_engine().with_replay_kernel(opts.replay_kernel));
+    let mut runner = Runner::new(golden_engine());
     if let Some(store) = &store {
         runner = runner.with_store(store);
     }

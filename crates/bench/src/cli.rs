@@ -10,7 +10,7 @@
 use std::path::{Path, PathBuf};
 
 use cachegc_core::report::{csv_table_path, Table};
-use cachegc_core::{EngineConfig, ReplayKernel, Schedule, TimelineSpec, TraceStore};
+use cachegc_core::{EngineConfig, Schedule, TimelineSpec, TraceStore};
 
 /// Byte budget the plain `--trace-cache on` spelling buys (4 GiB — the
 /// whole golden-scale scenario set encodes to ~1 GiB at the measured
@@ -367,9 +367,6 @@ pub struct ExperimentArgs {
     pub jobs_requested: usize,
     /// Engine schedule (`--schedule rr|ws`).
     pub schedule: Schedule,
-    /// Trace replay kernel (`--replay-kernel scalar|batch`, env
-    /// `CACHEGC_REPLAY_KERNEL`; default scalar).
-    pub replay_kernel: ReplayKernel,
     /// Pin crew workers to CPU cores (`--affinity`; best-effort, a no-op
     /// where the platform refuses).
     pub affinity: bool,
@@ -441,7 +438,6 @@ impl ExperimentArgs {
         let mut scale: Option<u32> = None;
         let mut jobs: Option<usize> = None;
         let mut schedule = Schedule::default();
-        let mut replay_kernel: Option<ReplayKernel> = None;
         let mut affinity = false;
         let mut csv: Option<PathBuf> = None;
         let mut trace_cache: Option<TraceCacheArg> = None;
@@ -459,12 +455,6 @@ impl ExperimentArgs {
                     let raw = it.next().ok_or("--schedule needs a value")?;
                     schedule = Schedule::parse(raw)
                         .ok_or_else(|| format!("unknown schedule '{raw}' (rr or ws)"))?;
-                }
-                "--replay-kernel" => {
-                    let raw = it.next().ok_or("--replay-kernel needs a value")?;
-                    replay_kernel = Some(ReplayKernel::parse(raw).ok_or_else(|| {
-                        format!("--replay-kernel: malformed value '{raw}' (scalar or batch)")
-                    })?);
                 }
                 "--csv" => {
                     let raw = it.next().ok_or("--csv needs a path")?;
@@ -544,16 +534,11 @@ impl ExperimentArgs {
             Some(t) => t,
             None => TraceExportArg::from_env(env("CACHEGC_TRACE_EXPORT").as_deref())?,
         };
-        let replay_kernel = match replay_kernel {
-            Some(k) => k,
-            None => replay_kernel_from_env(env("CACHEGC_REPLAY_KERNEL").as_deref())?,
-        };
         Ok(Parse::Args(ExperimentArgs {
             scale,
             jobs,
             jobs_requested,
             schedule,
-            replay_kernel,
             affinity,
             csv,
             trace_cache,
@@ -569,7 +554,6 @@ impl ExperimentArgs {
         EngineConfig::jobs(self.jobs)
             .with_schedule(self.schedule)
             .with_affinity(self.affinity)
-            .with_replay_kernel(self.replay_kernel)
     }
 
     /// True when the jobs request was clamped to the machine.
@@ -601,18 +585,6 @@ impl ExperimentArgs {
     }
 }
 
-/// Resolve a `CACHEGC_REPLAY_KERNEL` environment value: `None` (unset)
-/// means the default scalar kernel; a malformed value is an error naming
-/// the variable, same discipline as the flag.
-pub fn replay_kernel_from_env(raw: Option<&str>) -> Result<ReplayKernel, String> {
-    match raw {
-        None => Ok(ReplayKernel::default()),
-        Some(v) => ReplayKernel::parse(v).ok_or_else(|| {
-            format!("CACHEGC_REPLAY_KERNEL: malformed value '{v}' (scalar or batch)")
-        }),
-    }
-}
-
 fn value<T: std::str::FromStr>(flag: &str, raw: Option<&String>) -> Result<T, String> {
     let raw = raw.ok_or_else(|| format!("{flag} needs a value"))?;
     raw.parse()
@@ -637,7 +609,7 @@ fn usage(binary: &str, about: &str, default_scale: u32) -> String {
         "{binary} — {about}\n\
          \n\
          usage: {binary} [--scale N] [--jobs N] [--schedule rr|ws] [--affinity]\n\
-         \x20                [--replay-kernel scalar|batch] [--csv PATH]\n\
+         \x20                [--csv PATH]\n\
          \x20                [--trace-cache on|off|BYTES[,spill[:DIR]][,evict=on|off]]\n\
          \x20                [--metrics off|table|json[:PATH]]\n\
          \x20                [--timeline off|jsonl[:PATH][,window=N]]\n\
@@ -648,10 +620,6 @@ fn usage(binary: &str, about: &str, default_scale: u32) -> String {
          \x20                CACHEGC_JOBS; 1 is the sequential oracle; clamped to\n\
          \x20                the machine's core count with a warning)\n\
          \x20 --schedule S   engine schedule: round-robin (rr) or work-stealing (ws)\n\
-         \x20 --replay-kernel K  drive stored-trace replays with the per-event\n\
-         \x20                scalar decoder (default) or the SWAR batch decoder\n\
-         \x20                feeding the grid-vectorized cache kernel; results are\n\
-         \x20                bit-identical (env CACHEGC_REPLAY_KERNEL)\n\
          \x20 --affinity     pin engine workers to CPU cores (best-effort; a no-op\n\
          \x20                where the platform refuses)\n\
          \x20 --csv PATH     also write results as CSV to PATH\n\
@@ -945,42 +913,6 @@ mod tests {
     }
 
     #[test]
-    fn replay_kernel_parses_with_env_fallback_and_rejects_malformed() {
-        assert_eq!(parsed(&[]).replay_kernel, ReplayKernel::Scalar);
-        let a = parsed(&["--replay-kernel", "batch"]);
-        assert_eq!(a.replay_kernel, ReplayKernel::Batch);
-        assert_eq!(a.engine().replay_kernel, ReplayKernel::Batch);
-        assert_eq!(
-            parsed(&["--replay-kernel", "scalar"])
-                .engine()
-                .replay_kernel,
-            ReplayKernel::Scalar
-        );
-        for bad in ["swar", "Batch", "on", ""] {
-            let err = ExperimentArgs::try_parse(&argv(&["--replay-kernel", bad]), 4).unwrap_err();
-            assert!(err.contains("--replay-kernel"), "{bad:?}: {err}");
-        }
-        // Env fallback applies; the explicit flag wins; malformed env errors.
-        let env = |name: &str| (name == "CACHEGC_REPLAY_KERNEL").then(|| "batch".to_string());
-        let a = match ExperimentArgs::try_parse_env(&argv(&[]), 4, env, 8).unwrap() {
-            Parse::Args(a) => a,
-            Parse::Help => panic!("unexpected help"),
-        };
-        assert_eq!(a.replay_kernel, ReplayKernel::Batch);
-        let a =
-            match ExperimentArgs::try_parse_env(&argv(&["--replay-kernel", "scalar"]), 4, env, 8)
-                .unwrap()
-            {
-                Parse::Args(a) => a,
-                Parse::Help => panic!("unexpected help"),
-            };
-        assert_eq!(a.replay_kernel, ReplayKernel::Scalar);
-        let bad = |name: &str| (name == "CACHEGC_REPLAY_KERNEL").then(|| "vector".to_string());
-        let err = ExperimentArgs::try_parse_env(&argv(&[]), 4, bad, 8).unwrap_err();
-        assert!(err.contains("CACHEGC_REPLAY_KERNEL"), "{err}");
-    }
-
-    #[test]
     fn timeline_flag_parses_and_defaults_off() {
         assert_eq!(parsed(&[]).timeline, TimelineArg::Off);
         assert!(!parsed(&[]).timeline.enabled());
@@ -1139,8 +1071,6 @@ mod tests {
             vec!["--trace-cache", "sometimes"],
             vec!["--metrics"],
             vec!["--metrics", "json:"],
-            vec!["--replay-kernel"],
-            vec!["--replay-kernel", "swar"],
             vec!["--timeline"],
             vec!["--timeline", "jsonl:"],
             vec!["--trace-export"],
@@ -1160,7 +1090,6 @@ mod tests {
             "--scale",
             "--jobs",
             "--schedule",
-            "--replay-kernel",
             "--affinity",
             "--csv",
             "--trace-cache",

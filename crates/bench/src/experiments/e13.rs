@@ -16,11 +16,11 @@
 //! version also allocates 48 KB per generation, which write-validate
 //! makes free at the cache level.
 //!
-//! The cache grid of each variant runs through the packet engine
-//! ([`Runner::drive`], under `--jobs`/`--schedule`).
+//! The cache grid of each variant rides the packet engine as `GridCache`
+//! shards ([`Runner::drive_grid`], under `--jobs`/`--schedule`).
 
 use cachegc_core::report::{Cell, Table};
-use cachegc_core::{miss_penalty_cycles, Cache, ExperimentConfig, PacketKind, Runner, FAST, SLOW};
+use cachegc_core::{miss_penalty_cycles, ExperimentConfig, PacketKind, Runner, FAST, SLOW};
 use cachegc_gc::NoCollector;
 use cachegc_trace::Context;
 use cachegc_vm::Machine;
@@ -73,21 +73,20 @@ fn imperative(gens: u32) -> String {
 
 fn measure(name: &str, src: &str, cfg: &ExperimentConfig, runner: &Runner, table: &mut Table) {
     // One pass: the grid rides the engine; reference and instruction
-    // volumes come from the first cache's statistics and the machine.
-    let sinks: Vec<Cache> = cfg.configs().into_iter().map(Cache::new).collect();
-    let (i_prog, caches) = runner.drive(PacketKind::VmExecute, sinks, |fan| {
+    // volumes come from the first cell's statistics and the machine.
+    let (i_prog, cells) = runner.drive_grid(PacketKind::VmExecute, cfg.configs(), |fan| {
         let mut m = Machine::new(NoCollector::new(), fan);
         m.run_program(src).expect("runs");
         m.counters().program()
     });
-    let refs = caches[0].stats().refs_by(Context::Mutator);
+    let refs = cells[0].stats.refs_by(Context::Mutator);
 
     eprintln!("{name}: {refs} refs, {i_prog} instructions");
     for cpu in [&SLOW, &FAST] {
         let mut row = vec![Cell::text(name), Cell::text(cpu.name)];
-        row.extend(caches.iter().map(|cache| {
-            let p = miss_penalty_cycles(&cfg.memory, cpu, cache.config().block);
-            Cell::Pct((cache.stats().fetches() * p) as f64 / i_prog as f64)
+        row.extend(cells.iter().map(|cell| {
+            let p = miss_penalty_cycles(&cfg.memory, cpu, cell.config.block);
+            Cell::Pct((cell.stats.fetches() * p) as f64 / i_prog as f64)
         }));
         table.row(row);
     }

@@ -110,7 +110,7 @@ pub struct ReplayRun {
     /// Decode-only throughput of the scalar decoder (events into a null
     /// sink), separating codec cost from sink cost.
     pub decode_scalar_events_per_sec: f64,
-    /// Decode-only throughput of the SWAR batch decoder.
+    /// Decode-only throughput of the 64-event batch decoder.
     pub decode_batch_events_per_sec: f64,
     /// Configurations in the simulated grid the end-to-end rows drive.
     pub grid_cells: usize,
@@ -118,8 +118,8 @@ pub struct ReplayRun {
     /// scalar decode driving a `Vec<Cache>` fanout (events × cells /
     /// wall).
     pub grid_scalar_cell_events_per_sec: f64,
-    /// End-to-end cell-events per second of the batch kernel: one SWAR
-    /// batch decode driving every `GridCache` lane.
+    /// End-to-end cell-events per second of the grid kernel: one batched
+    /// decode driving every `GridCache` lane.
     pub grid_batch_cell_events_per_sec: f64,
 }
 

@@ -51,7 +51,7 @@ pub use experiment::{
 pub use overhead::{cache_overhead, gc_overhead, write_back_overhead};
 pub use runner::{default_jobs, Runner};
 pub use sched::{
-    CrewReport, EngineConfig, PacketFanout, PacketKind, ReplayKernel, Schedule, Scheduler, Stage,
+    CrewReport, EngineConfig, PacketFanout, PacketKind, Schedule, Scheduler, Stage,
     DEFAULT_CHUNK_EVENTS,
 };
 pub use store::{
@@ -76,5 +76,5 @@ pub use cachegc_sim::{
     miss_penalty_cycles, writeback_cycles, Cache, CacheConfig, CacheStats, GridCache, MainMemory,
     Processor, SetAssocCache, WriteHitPolicy, WriteMissPolicy, FAST, SLOW,
 };
-pub use cachegc_trace::{BatchDecodeStats, EventBatch, RecordedTrace, Recorder, EVENT_BATCH};
+pub use cachegc_trace::{EventBatch, RecordedTrace, Recorder, EVENT_BATCH};
 pub use cachegc_vm::RunStats;

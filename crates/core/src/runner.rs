@@ -6,12 +6,14 @@
 //! run needs (trace store, telemetry, progress), and call a terminal —
 //! [`Runner::sinks`], [`Runner::instruments`], [`Runner::control`],
 //! [`Runner::collected`], [`Runner::comparison`], [`Runner::map`], or the
-//! escape hatch [`Runner::drive`].
+//! escape hatch [`Runner::drive`] (and its grid form
+//! [`Runner::drive_grid`]).
 //!
 //! Under the hood every parallel pass is scheduled as typed work packets
 //! on a scoped crew (see [`crate::sched`]): sink shards drain as
 //! [`PacketKind::SinkDrain`]/[`PacketKind::Record`] packets, trace-store
-//! hits replay as [`PacketKind::ReplayShard`] packets, `map` items and
+//! hits replay as [`PacketKind::ReplayShard`] packets (grids as
+//! [`PacketKind::GridSimulate`]), `map` items and
 //! comparison passes ride as [`PacketKind::Task`]/[`PacketKind::VmExecute`]
 //! packets. A sequential engine (`jobs <= 1`, round-robin) takes the
 //! in-thread oracle path; per-sink results are bit-identical either way
@@ -36,19 +38,17 @@ use cachegc_analysis::Instrument;
 use cachegc_gc::{
     CheneyCollector, GenerationalCollector, ImmixCollector, MarkSweepCollector, NoCollector,
 };
-use cachegc_sim::{Cache, CacheConfig, GridCache};
+use cachegc_sim::{CacheConfig, GridCache};
 use cachegc_telemetry::{probe, Counter, EngineReport, Telemetry, WorkerStats};
-use cachegc_trace::{BatchDecodeStats, Fanout, RefCounter, TraceSink};
+use cachegc_trace::{Fanout, RecordedTrace, RefCounter, TraceSink};
 use cachegc_vm::{RunStats, VmError};
 use cachegc_workloads::WorkloadInstance;
 
 use crate::experiment::{
-    cache_cells, collected_run, control_report, CacheCell, CollectedRun, CollectorSpec,
-    ControlReport, ExperimentConfig, GcComparison,
+    collected_run, control_report, CacheCell, CollectedRun, CollectorSpec, ControlReport,
+    ExperimentConfig, GcComparison,
 };
-use crate::sched::{
-    CrewReport, EngineConfig, PacketFanout, PacketKind, ReplayKernel, Scheduler, Stage,
-};
+use crate::sched::{CrewReport, EngineConfig, PacketFanout, PacketKind, Scheduler, Stage};
 use crate::store::{
     scenario_label, Acquired, HitSource, OfferOutcome, RunCtx, StoredTrace, TraceStore,
 };
@@ -135,14 +135,42 @@ fn record_flat_engine(
     });
 }
 
-/// Round-robin shard `configs` across `jobs` grid workers, remembering
-/// each configuration's input position so cells reassemble in order.
-fn shard_configs(configs: Vec<CacheConfig>, jobs: usize) -> Vec<Vec<(usize, CacheConfig)>> {
-    let mut shards: Vec<Vec<(usize, CacheConfig)>> = (0..jobs).map(|_| Vec::new()).collect();
-    for (i, cfg) in configs.into_iter().enumerate() {
-        shards[i % jobs].push((i, cfg));
+/// Deal `items` round-robin into `jobs` shards, each item tagged with
+/// its input position so [`undeal`] can restore the order.
+fn deal<T>(items: Vec<T>, jobs: usize) -> Vec<Vec<(usize, T)>> {
+    let mut shards: Vec<Vec<(usize, T)>> = (0..jobs).map(|_| Vec::new()).collect();
+    for (i, item) in items.into_iter().enumerate() {
+        shards[i % jobs].push((i, item));
     }
     shards
+}
+
+/// The `n` items of a [`deal`], back in input order.
+fn undeal<T>(dealt: impl IntoIterator<Item = (usize, T)>, n: usize) -> Vec<T> {
+    let mut out: Vec<Option<T>> = (0..n).map(|_| None).collect();
+    for (i, item) in dealt {
+        out[i] = Some(item);
+    }
+    out.into_iter()
+        .map(|item| item.expect("every dealt item returned"))
+        .collect()
+}
+
+/// A direct-mapped configuration grid as one [`GridCache`] shard per
+/// worker (at most one per configuration), plus each shard's input
+/// positions for [`Runner::grid_cells`]. The shards are allocated here,
+/// on the calling thread, before any packet runs: grid state first
+/// allocated inside a crew worker lands in that worker's malloc arena
+/// and stays resident after the pass.
+fn grid_shards(configs: Vec<CacheConfig>, jobs: usize) -> (Vec<Vec<usize>>, Vec<GridCache>) {
+    let jobs = jobs.clamp(1, configs.len().max(1));
+    deal(configs, jobs)
+        .into_iter()
+        .map(|shard| {
+            let (order, configs): (Vec<usize>, Vec<CacheConfig>) = shard.into_iter().unzip();
+            (order, GridCache::new(configs))
+        })
+        .unzip()
 }
 
 /// The unified experiment driver: a [`RunCtx`] (engine configuration,
@@ -290,9 +318,26 @@ impl<'a> Runner<'a> {
     where
         S: TraceSink + Send + 'static,
     {
+        self.pass(instance, spec, sinks, |stored, sinks| {
+            self.replay_pass(stored, sinks)
+        })
+    }
+
+    /// The body of [`Runner::sinks`] and [`Runner::grid`]: `replay`
+    /// drives the sinks from the recorded trace on a store hit.
+    fn pass<S>(
+        &self,
+        instance: WorkloadInstance,
+        spec: Option<CollectorSpec>,
+        sinks: Vec<S>,
+        replay: impl FnOnce(&Arc<StoredTrace>, Vec<S>) -> Vec<S>,
+    ) -> Result<(RunStats, Vec<S>), VmError>
+    where
+        S: TraceSink + Send + 'static,
+    {
         let _shard = self.ctx.telemetry.map(|t| t.attach());
         let pass_start = Instant::now();
-        let (stats, sinks, events) = self.sinks_inner(instance, spec, sinks)?;
+        let (stats, sinks, events) = self.sinks_inner(instance, spec, sinks, replay)?;
         if let Some(progress) = self.ctx.progress {
             progress.pass(self.ctx.store, events, pass_start.elapsed().as_secs_f64());
         }
@@ -335,6 +380,7 @@ impl<'a> Runner<'a> {
         instance: WorkloadInstance,
         spec: Option<CollectorSpec>,
         sinks: Vec<S>,
+        replay: impl FnOnce(&Arc<StoredTrace>, Vec<S>) -> Vec<S>,
     ) -> Result<(RunStats, Vec<S>, u64), VmError>
     where
         S: TraceSink + Send + 'static,
@@ -373,9 +419,11 @@ impl<'a> Runner<'a> {
                     HitSource::Coalesced => probe!(Counter::StoreCoalesced),
                 }
                 self.timeline_tap_replay(instance, spec, &trace);
-                let events = trace.trace.events();
-                let (stats, sinks) = self.replay_pass(&trace, sinks);
-                return Ok((stats, sinks, events));
+                let sinks = {
+                    let _replay = probe::phase("replay");
+                    replay(&trace, sinks)
+                };
+                return Ok((trace.stats, sinks, trace.trace.events()));
             }
             Acquired::Miss(ticket) => ticket,
         };
@@ -487,71 +535,82 @@ impl<'a> Runner<'a> {
     }
 
     /// A store hit: drive the sinks by sharded replay, one
-    /// [`PacketKind::ReplayShard`] packet per worker (in-thread when the
-    /// engine budget is one worker). Cannot fail — the trace is already
-    /// decoded-validated by construction.
-    #[allow(clippy::type_complexity)]
-    fn replay_pass<S>(&self, stored: &Arc<StoredTrace>, sinks: Vec<S>) -> (RunStats, Vec<S>)
+    /// [`PacketKind::ReplayShard`] packet per worker (in-thread, through
+    /// one [`Fanout`], when the engine budget is one worker).
+    fn replay_pass<S>(&self, stored: &Arc<StoredTrace>, sinks: Vec<S>) -> Vec<S>
     where
         S: TraceSink + Send + 'static,
     {
-        let ctx = &self.ctx;
         let n_sinks = sinks.len();
-        let events = stored.trace.events();
-        let jobs = ctx.engine.jobs.clamp(1, n_sinks.max(1));
-        let sinks = {
-            let _replay = probe::phase("replay");
-            if jobs <= 1 {
-                let mut fan = Fanout::new(sinks);
-                stored.trace.replay(&mut fan);
-                fan.into_sinks()
-            } else {
-                // Static shards: sink `i` on packet `i % jobs`, pinned to
-                // worker `i % jobs`'s deque.
-                let mut shards: Vec<Vec<(usize, S)>> = (0..jobs).map(|_| Vec::new()).collect();
-                for (i, sink) in sinks.into_iter().enumerate() {
-                    shards[i % jobs].push((i, sink));
-                }
-                let slots: Vec<Mutex<Option<Vec<(usize, S)>>>> =
-                    (0..jobs).map(|_| Mutex::new(None)).collect();
-                let ((), report) = self.sched.run(jobs, |crew| {
-                    for (j, shard) in shards.into_iter().enumerate() {
-                        let trace = Arc::clone(stored);
-                        let slot = &slots[j];
-                        crew.submit(
-                            Stage::Simulate,
-                            PacketKind::ReplayShard,
-                            Some(j),
-                            move |stats| {
-                                let mut shard = shard;
-                                for (_, sink) in &mut shard {
-                                    trace.trace.replay(sink);
-                                }
-                                stats.events += events * shard.len() as u64;
-                                *slot.lock().expect("replay slot poisoned") = Some(shard);
-                            },
-                        );
+        let jobs = self.ctx.engine.jobs.clamp(1, n_sinks.max(1));
+        let sinks = if jobs <= 1 {
+            let mut fan = Fanout::new(sinks);
+            stored.trace.replay(&mut fan);
+            fan.into_sinks()
+        } else {
+            // Static shards: sink `i` on packet `i % jobs`, pinned to
+            // worker `i % jobs`'s deque.
+            let shards = self.replay_shards(
+                stored,
+                PacketKind::ReplayShard,
+                deal(sinks, jobs),
+                |trace, shard| {
+                    for (_, sink) in shard.iter_mut() {
+                        trace.replay(sink);
                     }
-                    crew.wait_idle();
-                });
-                self.flush_crew(&report);
-                let mut out: Vec<Option<S>> = (0..n_sinks).map(|_| None).collect();
-                for slot in slots {
-                    let shard = slot
-                        .into_inner()
-                        .expect("replay slot poisoned")
-                        .expect("replay packet ran");
-                    for (i, sink) in shard {
-                        out[i] = Some(sink);
-                    }
-                }
-                out.into_iter()
-                    .map(|s| s.expect("every sink accounted for"))
-                    .collect()
-            }
+                    shard.len()
+                },
+            );
+            undeal(shards.into_iter().flatten(), n_sinks)
         };
-        record_flat_engine(ctx, "replay", jobs, n_sinks, events);
-        (stored.stats, sinks)
+        record_flat_engine(&self.ctx, "replay", jobs, n_sinks, stored.trace.events());
+        sinks
+    }
+
+    /// Replay `stored` into every shard: one `kind` packet per shard,
+    /// pinned to worker `j`'s deque (in-thread for a single shard).
+    /// Shards come back in order. `replay` returns how many sinks it
+    /// drove, for the per-worker event accounting.
+    fn replay_shards<T, F>(
+        &self,
+        stored: &Arc<StoredTrace>,
+        kind: PacketKind,
+        mut shards: Vec<T>,
+        replay: F,
+    ) -> Vec<T>
+    where
+        T: Send,
+        F: Fn(&RecordedTrace, &mut T) -> usize + Sync,
+    {
+        if shards.len() <= 1 {
+            for shard in &mut shards {
+                replay(&stored.trace, shard);
+            }
+            return shards;
+        }
+        let events = stored.trace.events();
+        let slots: Vec<Mutex<Option<T>>> = shards.iter().map(|_| Mutex::new(None)).collect();
+        let ((), report) = self.sched.run(shards.len(), |crew| {
+            for (j, (shard, slot)) in shards.into_iter().zip(&slots).enumerate() {
+                let replay = &replay;
+                crew.submit(Stage::Simulate, kind, Some(j), move |stats| {
+                    let mut shard = shard;
+                    let sinks = replay(&stored.trace, &mut shard);
+                    stats.events += events * sinks as u64;
+                    *slot.lock().expect("replay slot poisoned") = Some(shard);
+                });
+            }
+            crew.wait_idle();
+        });
+        self.flush_crew(&report);
+        slots
+            .into_iter()
+            .map(|slot| {
+                slot.into_inner()
+                    .expect("replay slot poisoned")
+                    .expect("replay packet ran")
+            })
+            .collect()
     }
 
     /// [`Runner::sinks`] for the closed heterogeneous [`Instrument`] set —
@@ -571,17 +630,16 @@ impl<'a> Runner<'a> {
     }
 
     /// Drive a direct-mapped configuration grid over one pass of
-    /// `instance` — the kernel-selecting terminal behind
-    /// [`Runner::control`] and [`Runner::collected`].
+    /// `instance` — the terminal behind [`Runner::control`] and
+    /// [`Runner::collected`].
     ///
-    /// Under [`ReplayKernel::Scalar`] (the default) the grid runs as
-    /// independent [`Cache`] sinks through [`Runner::sinks`] — the
-    /// bit-identity oracle. Under [`ReplayKernel::Batch`] the grid rides
-    /// as [`GridCache`] shards: a store hit is driven by the SWAR batch
-    /// decoder (one decode pass per worker for the whole grid, as
-    /// [`PacketKind::GridSimulate`] packets when sharded), and a live or
-    /// recording pass fans the stream into the grid shards. Cells come
-    /// back in input order with bit-identical statistics either way.
+    /// The grid rides the pass as [`GridCache`] shards, one per worker.
+    /// A live or recording pass fans the event stream into the shards
+    /// like any sink set (see [`Runner::sinks`]); a store hit replays the
+    /// recorded trace through the batch decoder, one decode pass per
+    /// shard ([`PacketKind::GridSimulate`] packets when sharded). Cells
+    /// come back in input order, each bit-identical to an independent
+    /// [`Cache`](cachegc_sim::Cache) over the same stream.
     ///
     /// # Errors
     ///
@@ -592,170 +650,48 @@ impl<'a> Runner<'a> {
         spec: Option<CollectorSpec>,
         configs: Vec<CacheConfig>,
     ) -> Result<(RunStats, Vec<CacheCell>), VmError> {
-        let ctx = &self.ctx;
-        if ctx.engine.replay_kernel == ReplayKernel::Scalar {
-            let sinks: Vec<Cache> = configs.into_iter().map(Cache::new).collect();
-            let (stats, caches) = self.sinks(instance, spec, sinks)?;
-            return Ok((stats, cache_cells(caches)));
-        }
-        // Batch kernel. A recorded scenario replays through the batch
-        // decoder; otherwise the pass runs live (recording on a store
-        // miss) with the grid riding the stream as GridCache shards.
-        if let Some(store) = ctx.store {
-            let hit = {
-                let _shard = ctx.telemetry.map(|t| t.attach());
-                if store.contains(instance, spec) {
-                    match store.acquire(instance, spec) {
-                        Acquired::Hit { trace, source } => {
-                            match source {
-                                HitSource::Resident => {}
-                                HitSource::SpillLoad => probe!(Counter::StoreSpillLoads),
-                                HitSource::Coalesced => probe!(Counter::StoreCoalesced),
-                            }
-                            Some(trace)
-                        }
-                        // Evicted between `contains` and `acquire`:
-                        // dropping the ticket cancels the recording
-                        // flight; the live path below re-acquires.
-                        Acquired::Miss(_ticket) => None,
-                    }
-                } else {
-                    None
-                }
-            };
-            if let Some(stored) = hit {
-                let _shard = ctx.telemetry.map(|t| t.attach());
-                let pass_start = Instant::now();
-                self.timeline_tap_replay(instance, spec, &stored);
-                let out = self.grid_replay(&stored, configs);
-                if let Some(progress) = ctx.progress {
-                    progress.pass(
-                        ctx.store,
-                        stored.trace.events(),
-                        pass_start.elapsed().as_secs_f64(),
-                    );
-                }
-                return Ok(out);
-            }
-        }
-        let n = configs.len();
-        let jobs = ctx.engine.jobs.clamp(1, n.max(1));
-        let shards = shard_configs(configs, jobs);
-        let order: Vec<Vec<usize>> = shards
-            .iter()
-            .map(|s| s.iter().map(|&(i, _)| i).collect())
-            .collect();
-        let sinks: Vec<GridCache> = shards
-            .into_iter()
-            .map(|s| GridCache::new(s.into_iter().map(|(_, c)| c).collect()))
-            .collect();
-        let (stats, grids) = self.sinks(instance, spec, sinks)?;
-        let mut cells: Vec<Option<CacheCell>> = (0..n).map(|_| None).collect();
-        let mut grid_cells = 0u64;
-        for (indices, grid) in order.into_iter().zip(grids) {
-            grid_cells += grid.cells_simulated();
-            for (i, (config, stats)) in indices.into_iter().zip(grid.into_cells()) {
-                cells[i] = Some(CacheCell { config, stats });
-            }
-        }
-        let _shard = ctx.telemetry.map(|t| t.attach());
-        probe!(Counter::GridCellsSimulated, grid_cells);
-        let cells = cells
-            .into_iter()
-            .map(|c| c.expect("every grid cell accounted for"))
-            .collect();
-        Ok((stats, cells))
+        let (order, grids) = grid_shards(configs, self.ctx.engine.jobs);
+        let (stats, grids) = self.pass(instance, spec, grids, |stored, grids| {
+            self.grid_replay(stored, grids)
+        })?;
+        Ok((stats, self.grid_cells(order, grids)))
     }
 
-    /// A store hit under the batch kernel: one SWAR decode pass per
-    /// worker drives that worker's [`GridCache`] shard of the
-    /// configuration grid (in-thread when the engine budget is one
-    /// worker; [`PacketKind::GridSimulate`] packets otherwise). Cannot
-    /// fail — replay never re-runs the VM.
-    fn grid_replay(
-        &self,
-        stored: &Arc<StoredTrace>,
-        configs: Vec<CacheConfig>,
-    ) -> (RunStats, Vec<CacheCell>) {
-        let ctx = &self.ctx;
-        let n = configs.len();
-        let events = stored.trace.events();
-        let jobs = ctx.engine.jobs.clamp(1, n.max(1));
-        let (cells, decode) = {
-            let _replay = probe::phase("replay");
-            if jobs <= 1 {
-                let mut grid = GridCache::new(configs);
-                let decode = stored.trace.replay_batched(|b| grid.consume(b));
-                let cells = grid
-                    .into_cells()
+    /// A store hit for a grid: one batched decode pass drives each
+    /// [`GridCache`] shard. As on the live paths, the engine report
+    /// counts each shard as one sink; `grid_cells_simulated` counts the
+    /// per-cell work.
+    fn grid_replay(&self, stored: &Arc<StoredTrace>, grids: Vec<GridCache>) -> Vec<GridCache> {
+        let jobs = grids.len();
+        let grids = self.replay_shards(stored, PacketKind::GridSimulate, grids, |trace, grid| {
+            trace.replay_batched(|b| grid.consume(b));
+            1
+        });
+        record_flat_engine(&self.ctx, "replay", jobs, jobs, stored.trace.events());
+        grids
+    }
+
+    /// Finished [`grid_shards`] back as cells in input order; counts the
+    /// simulated `(configuration, event)` cell updates.
+    fn grid_cells(&self, order: Vec<Vec<usize>>, grids: Vec<GridCache>) -> Vec<CacheCell> {
+        let _shard = self.ctx.telemetry.map(|t| t.attach());
+        let n = order.iter().map(Vec::len).sum();
+        let mut cells = Vec::with_capacity(n);
+        for (indices, grid) in order.into_iter().zip(grids) {
+            probe!(Counter::GridCellsSimulated, grid.cells_simulated());
+            let shard = grid.into_cells().into_iter();
+            cells.extend(
+                indices
                     .into_iter()
-                    .map(|(config, stats)| CacheCell { config, stats })
-                    .collect::<Vec<_>>();
-                (cells, decode)
-            } else {
-                let shards = shard_configs(configs, jobs);
-                type GridSlot = Mutex<
-                    Option<(
-                        Vec<usize>,
-                        Vec<(CacheConfig, cachegc_sim::CacheStats)>,
-                        BatchDecodeStats,
-                    )>,
-                >;
-                let slots: Vec<GridSlot> = (0..jobs).map(|_| Mutex::new(None)).collect();
-                let ((), report) = self.sched.run(jobs, |crew| {
-                    for (j, shard) in shards.into_iter().enumerate() {
-                        let trace = Arc::clone(stored);
-                        let slot = &slots[j];
-                        crew.submit(
-                            Stage::Simulate,
-                            PacketKind::GridSimulate,
-                            Some(j),
-                            move |stats| {
-                                let (indices, cfgs): (Vec<usize>, Vec<CacheConfig>) =
-                                    shard.into_iter().unzip();
-                                let mut grid = GridCache::new(cfgs);
-                                let decode = trace.trace.replay_batched(|b| grid.consume(b));
-                                stats.events += events * indices.len() as u64;
-                                *slot.lock().expect("grid slot poisoned") =
-                                    Some((indices, grid.into_cells(), decode));
-                            },
-                        );
-                    }
-                    crew.wait_idle();
-                });
-                self.flush_crew(&report);
-                let mut out: Vec<Option<CacheCell>> = (0..n).map(|_| None).collect();
-                let mut decode = BatchDecodeStats::default();
-                for slot in slots {
-                    let (indices, shard_cells, d) = slot
-                        .into_inner()
-                        .expect("grid slot poisoned")
-                        .expect("grid packet ran");
-                    decode.batches += d.batches;
-                    decode.swar_events += d.swar_events;
-                    decode.scalar_events += d.scalar_events;
-                    for (i, (config, stats)) in indices.into_iter().zip(shard_cells) {
-                        out[i] = Some(CacheCell { config, stats });
-                    }
-                }
-                let cells = out
-                    .into_iter()
-                    .map(|c| c.expect("every grid cell accounted for"))
-                    .collect::<Vec<_>>();
-                (cells, decode)
-            }
-        };
-        probe!(Counter::ReplayBatches, decode.batches);
-        probe!(Counter::ReplayScalarEvents, decode.scalar_events);
-        probe!(Counter::GridCellsSimulated, events * n as u64);
-        record_flat_engine(ctx, "replay", jobs, n, events);
-        (stored.stats, cells)
+                    .zip(shard.map(|(config, stats)| CacheCell { config, stats })),
+            );
+        }
+        undeal(cells, n)
     }
 
     /// The §5 control experiment: run `instance` with collection disabled
     /// against `cfg`'s cache grid in one trace pass (replayed from the
-    /// store when the scenario is recorded), through the engine's
-    /// configured replay kernel.
+    /// store when the scenario is recorded), via [`Runner::grid`].
     ///
     /// # Errors
     ///
@@ -771,8 +707,8 @@ impl<'a> Runner<'a> {
 
     /// The §6 experiment: `instance` under `spec`'s collector against
     /// `cfg`'s cache grid, attributing misses and instructions to program
-    /// vs collector (replayed from the store when recorded), through the
-    /// engine's configured replay kernel.
+    /// vs collector (replayed from the store when recorded), via
+    /// [`Runner::grid`].
     ///
     /// # Errors
     ///
@@ -977,15 +913,33 @@ impl<'a> Runner<'a> {
         commit(tap);
         (out, sinks)
     }
+
+    /// [`Runner::drive`] over a direct-mapped configuration grid: the
+    /// grid rides the pass as [`GridCache`] shards, dealt and reassembled
+    /// exactly as in [`Runner::grid`], and the cells come back in input
+    /// order along with `f`'s result.
+    pub fn drive_grid<T, F>(
+        &self,
+        kind: PacketKind,
+        configs: Vec<CacheConfig>,
+        f: F,
+    ) -> (T, Vec<CacheCell>)
+    where
+        F: FnOnce(&mut dyn TraceSink) -> T,
+    {
+        let (order, grids) = grid_shards(configs, self.ctx.engine.jobs);
+        let (out, grids) = self.drive(kind, grids, f);
+        (out, self.grid_cells(order, grids))
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::experiment::{run_collected, run_control};
-    use crate::sched::{ReplayKernel, Schedule};
+    use crate::sched::Schedule;
     use cachegc_analysis::{ActivityTracker, BlockTracker, SweepPlot};
-    use cachegc_sim::{CacheConfig, SetAssocCache};
+    use cachegc_sim::{Cache, CacheConfig, SetAssocCache};
     use cachegc_workloads::Workload;
 
     fn grids_equal(a: &[crate::CacheCell], b: &[crate::CacheCell]) {
@@ -994,29 +948,6 @@ mod tests {
             assert_eq!(x.config, y.config, "same grid order");
             assert_eq!(x.stats, y.stats, "{}: stats bit-identical", x.config);
         }
-    }
-
-    #[test]
-    fn parallel_control_matches_sequential() {
-        let cfg = ExperimentConfig::quick();
-        let w = Workload::Rewrite.scaled(1);
-        let seq = run_control(w, &cfg).unwrap();
-        let par = Runner::new(EngineConfig::jobs(4)).control(w, &cfg).unwrap();
-        assert_eq!(seq.refs, par.refs);
-        assert_eq!(seq.i_prog, par.i_prog);
-        assert_eq!(seq.allocated, par.allocated);
-        grids_equal(&seq.cells, &par.cells);
-    }
-
-    #[test]
-    fn work_stealing_control_matches_sequential() {
-        let cfg = ExperimentConfig::quick();
-        let w = Workload::Rewrite.scaled(1);
-        let seq = run_control(w, &cfg).unwrap();
-        let engine = EngineConfig::jobs(3).with_schedule(Schedule::WorkStealing);
-        let par = Runner::new(engine).control(w, &cfg).unwrap();
-        assert_eq!(seq.refs, par.refs);
-        grids_equal(&seq.cells, &par.cells);
     }
 
     #[test]
@@ -1141,46 +1072,68 @@ mod tests {
         assert_eq!(store.stats().misses, 1, "VM ran exactly once");
     }
 
+    /// `Runner::grid` against the `Vec<Cache>` oracle (`run_control` /
+    /// `run_collected`) on every path a grid can take: live sequential,
+    /// live crews, store misses (recording), store hits on one to three
+    /// workers, and hits re-materialized from spill files. Full
+    /// `CacheStats`, per-block counters included, must match.
     #[test]
-    fn batch_kernel_matches_scalar_on_every_path() {
-        let cfg = ExperimentConfig::quick();
+    fn grid_matches_the_cache_oracle_on_every_path() {
+        let mut cfg = ExperimentConfig::quick();
+        cfg.block_sizes = vec![32, 64];
         let w = Workload::Rewrite.scaled(1);
         let spec = CollectorSpec::Cheney {
             semispace_bytes: 512 << 10,
         };
-        let store = crate::TraceStore::unbounded();
-        let ws = EngineConfig::jobs(2).with_schedule(Schedule::WorkStealing);
-        let scalar = Runner::new(ws).with_store(&store);
-        let batch = scalar
-            .clone()
-            .with_engine(ws.with_replay_kernel(ReplayKernel::Batch));
-        // Scalar pass records; the batch pass replays through the SWAR
-        // decoder into sharded GridCache lanes.
-        let a = scalar.control(w, &cfg).unwrap();
-        let b = batch.control(w, &cfg).unwrap();
-        assert_eq!(a.refs, b.refs);
-        assert_eq!(a.i_prog, b.i_prog);
-        grids_equal(&a.cells, &b.cells);
-        // Live-and-recording under the batch kernel (miss path): the grid
-        // rides the stream as GridCache shards and the capture is stored.
-        let c = batch.collected(w, &cfg, spec).unwrap();
-        let d = scalar.collected(w, &cfg, spec).unwrap(); // hit: scalar replay
-        assert_eq!(c.i_gc, d.i_gc);
-        for (x, y) in c.cells.iter().zip(&d.cells) {
-            assert_eq!(x.config, y.config);
-            assert_eq!((x.m_prog, x.m_gc), (y.m_prog, y.m_gc));
-            assert_eq!(x.stats, y.stats);
+        let control = run_control(w, &cfg).unwrap();
+        let collected = run_collected(w, &cfg, spec).unwrap();
+        assert!(collected.gc.collections > 0, "heap small enough to collect");
+        let check = |tag: &str, runner: &Runner| {
+            let c = runner.control(w, &cfg).unwrap();
+            assert_eq!(
+                (c.refs, c.i_prog, c.allocated),
+                (control.refs, control.i_prog, control.allocated),
+                "{tag}"
+            );
+            grids_equal(&control.cells, &c.cells);
+            let g = runner.collected(w, &cfg, spec).unwrap();
+            assert_eq!((g.i_prog, g.i_gc), (collected.i_prog, collected.i_gc));
+            for (x, y) in collected.cells.iter().zip(&g.cells) {
+                assert_eq!(x.config, y.config, "{tag}: same grid order");
+                assert_eq!((x.m_prog, x.m_gc), (y.m_prog, y.m_gc), "{tag}");
+                assert_eq!(x.stats, y.stats, "{tag}: {}", x.config);
+            }
+        };
+        check("live sequential", &Runner::sequential());
+        for jobs in [2, 3] {
+            for schedule in [Schedule::RoundRobin, Schedule::WorkStealing] {
+                let engine = EngineConfig::jobs(jobs).with_schedule(schedule);
+                let tag = format!("live jobs {jobs} {}", schedule.name());
+                check(&tag, &Runner::new(engine));
+            }
         }
-        // Sequential batch replay (one grid, one decode pass).
-        let seq = Runner::new(EngineConfig::default().with_replay_kernel(ReplayKernel::Batch))
-            .with_store(&store);
-        let e = seq.control(w, &cfg).unwrap();
-        grids_equal(&a.cells, &e.cells);
-        // No store: the batch kernel's live path needs no recording.
-        let f = Runner::new(ws.with_replay_kernel(ReplayKernel::Batch))
-            .control(w, &cfg)
-            .unwrap();
-        grids_equal(&a.cells, &f.cells);
+        let ws = |jobs| EngineConfig::jobs(jobs).with_schedule(Schedule::WorkStealing);
+        let store = crate::TraceStore::unbounded();
+        check(
+            "sequential store miss",
+            &Runner::sequential().with_store(&store),
+        );
+        let dir = std::env::temp_dir().join(format!("cachegc-grid-paths-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = crate::TraceStore::unbounded().with_spill(dir.clone());
+        check("crew store miss", &Runner::new(ws(2)).with_store(&store));
+        for jobs in [1, 2, 3] {
+            let tag = format!("store hit jobs {jobs}");
+            check(&tag, &Runner::new(ws(jobs)).with_store(&store));
+        }
+        let s = store.stats();
+        assert_eq!((s.misses, s.hits, s.spills), (2, 6, 2));
+        // A restarted store loads both scenarios from their spill files.
+        let warm = crate::TraceStore::unbounded().with_spill(dir.clone());
+        check("spill-load hit", &Runner::new(ws(2)).with_store(&warm));
+        let s = warm.stats();
+        assert_eq!((s.misses, s.spill_loads), (0, 2));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1311,8 +1264,8 @@ mod tests {
             report.totals,
             "window sums reconstruct the aggregate"
         );
-        // Packet crews, the recording pass, the sharded replay, and the
-        // batch grid kernel all commit the same report.
+        // Packet crews, the recording pass, and the sharded replay all
+        // commit the same report.
         let store = crate::TraceStore::unbounded();
         for (tag, runner) in [
             (
@@ -1326,11 +1279,6 @@ mod tests {
             (
                 "replay",
                 Runner::new(EngineConfig::jobs(2)).with_store(&store),
-            ),
-            (
-                "grid",
-                Runner::new(EngineConfig::jobs(2).with_replay_kernel(ReplayKernel::Batch))
-                    .with_store(&store),
             ),
         ] {
             let rec = TimelineRecorder::new(spec);

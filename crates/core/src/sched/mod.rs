@@ -86,38 +86,6 @@ impl Schedule {
     }
 }
 
-/// Which trace-replay kernel a stored trace is driven through.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ReplayKernel {
-    /// The per-event LEB128 decoder feeding each sink independently —
-    /// the bit-identity oracle and the default.
-    #[default]
-    Scalar,
-    /// The SWAR batch decoder feeding the grid-vectorized `GridCache`
-    /// kernel: one decode pass per trace drives every direct-mapped
-    /// configuration at once.
-    Batch,
-}
-
-impl ReplayKernel {
-    /// Short name used in reports and CLI flags.
-    pub fn name(self) -> &'static str {
-        match self {
-            ReplayKernel::Scalar => "scalar",
-            ReplayKernel::Batch => "batch",
-        }
-    }
-
-    /// Parse a CLI spelling (`scalar`, `batch`).
-    pub fn parse(s: &str) -> Option<ReplayKernel> {
-        match s {
-            "scalar" => Some(ReplayKernel::Scalar),
-            "batch" => Some(ReplayKernel::Batch),
-            _ => None,
-        }
-    }
-}
-
 /// Configuration of the packet-scheduled experiment engine: worker count,
 /// chunk granularity, bucket policy, and affinity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -132,8 +100,6 @@ pub struct EngineConfig {
     /// Pin crew workers to CPU cores (best-effort; no-op where the
     /// platform refuses).
     pub affinity: bool,
-    /// Which decode/simulate kernel replays stored traces.
-    pub replay_kernel: ReplayKernel,
 }
 
 impl Default for EngineConfig {
@@ -143,7 +109,6 @@ impl Default for EngineConfig {
             chunk_events: DEFAULT_CHUNK_EVENTS,
             schedule: Schedule::RoundRobin,
             affinity: false,
-            replay_kernel: ReplayKernel::Scalar,
         }
     }
 }
@@ -172,12 +137,6 @@ impl EngineConfig {
     /// Same configuration with affinity pinning toggled.
     pub fn with_affinity(mut self, affinity: bool) -> Self {
         self.affinity = affinity;
-        self
-    }
-
-    /// Same configuration with a different replay kernel.
-    pub fn with_replay_kernel(mut self, kernel: ReplayKernel) -> Self {
-        self.replay_kernel = kernel;
         self
     }
 
@@ -247,8 +206,8 @@ pub enum PacketKind {
     Task,
     /// Diffing one produced table against its golden counterpart.
     GoldenDiff,
-    /// One batched decode pass driving a shard of the configuration grid
-    /// (`GridCache` lanes under the batch replay kernel).
+    /// One batched decode pass of a stored trace driving a `GridCache`
+    /// shard of a direct-mapped configuration grid.
     GridSimulate,
 }
 
@@ -668,12 +627,6 @@ mod tests {
         assert!(!EngineConfig::jobs(1)
             .with_schedule(Schedule::WorkStealing)
             .is_sequential());
-        assert_eq!(ReplayKernel::parse("batch"), Some(ReplayKernel::Batch));
-        assert_eq!(ReplayKernel::parse("scalar"), Some(ReplayKernel::Scalar));
-        assert_eq!(ReplayKernel::parse("swar"), None);
-        assert_eq!(ReplayKernel::default().name(), "scalar");
-        let e = EngineConfig::jobs(2).with_replay_kernel(ReplayKernel::Batch);
-        assert_eq!(e.replay_kernel, ReplayKernel::Batch);
     }
 
     #[cfg(not(cachegc_probes_off))]

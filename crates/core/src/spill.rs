@@ -28,9 +28,10 @@
 //! Files are written to a temporary sibling and renamed into place, so a
 //! crash mid-write never leaves a half-segment under the real name. Any
 //! validation failure on read — wrong magic (old format), wrong label
-//! (hash collision or renamed scenario), wrong length, wrong checksum —
-//! rejects the file and the scenario falls back to live recording; a
-//! spill file is never a correctness dependency.
+//! (hash collision or renamed scenario), wrong length, wrong checksum, or
+//! a payload that does not decode to exactly `events` events — rejects
+//! the file and the scenario falls back to live recording; a spill file
+//! is never a correctness dependency.
 
 use std::fs::{self, File};
 use std::io::{self, Read, Write};
@@ -38,7 +39,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use cachegc_gc::GcStats;
-use cachegc_trace::{Counters, RecordedTrace, TraceImage};
+use cachegc_trace::{payload_events, Counters, RecordedTrace, TraceImage};
 use cachegc_vm::RunStats;
 
 const MAGIC: &[u8; 8] = b"CGTSEG1\n";
@@ -111,7 +112,8 @@ pub(crate) enum SpillReject {
     /// I/O failure mid-read (not a missing file).
     Io(io::Error),
     /// Structural failure: bad magic/version, label mismatch, truncated
-    /// or oversized body, or checksum mismatch.
+    /// or oversized body, checksum mismatch, or a payload that does not
+    /// decode to the header's event count.
     Invalid(&'static str),
 }
 
@@ -224,6 +226,12 @@ impl SpillDir {
         let stored_checksum = u64::from_le_bytes(bytes[bytes.len() - 8..].try_into().unwrap());
         if fnv1a(&bytes[..bytes.len() - 8]) != stored_checksum {
             return fail("checksum mismatch");
+        }
+        // A checksum only proves the file is the one written; the payload
+        // must also decode to exactly the recorded event count, or a replay
+        // would panic on a cut-off token or report wrong event totals.
+        if payload_events(&bytes[at..at + payload_len]) != Some(events) {
+            return fail("payload does not decode to the recorded event count");
         }
         let payload_at = at;
         Ok(Some(LoadedSegment {
@@ -480,6 +488,62 @@ mod tests {
                 "label mismatch (stale or colliding file)"
             ))
         ));
+    }
+
+    /// Rewrite the file at `path` with `edit` applied to its payload and
+    /// header, then re-seal it with a valid checksum.
+    fn reseal(path: &Path, label: &str, edit: impl FnOnce(&mut u64, &mut Vec<u8>)) {
+        let full = fs::read(path).unwrap();
+        let mut at = MAGIC.len() + 4 + label.len();
+        let mut events = read_u64(&full, &mut at);
+        at += STATS_WORDS * 8;
+        let header = full[..at - STATS_WORDS * 8 - 8].to_vec();
+        let stats = full[at - STATS_WORDS * 8..at].to_vec();
+        let len = read_u64(&full, &mut at) as usize;
+        let mut payload = full[at..at + len].to_vec();
+        edit(&mut events, &mut payload);
+        let mut body = header;
+        body.extend_from_slice(&events.to_le_bytes());
+        body.extend_from_slice(&stats);
+        body.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        body.extend_from_slice(&payload);
+        let checksum = fnv1a(&body);
+        body.extend_from_slice(&checksum.to_le_bytes());
+        fs::write(path, body).unwrap();
+    }
+
+    #[test]
+    fn checksum_valid_files_that_do_not_decode_are_rejected() {
+        let spill = SpillDir::new(tempdir("undecodable"));
+        // Large strides: multi-byte tokens, so cutting the last byte
+        // leaves a token with its continuation bit set.
+        let mut rec = Recorder::new();
+        for i in 0..100u32 {
+            rec.access(Access::read(i.wrapping_mul(0x0123_4567), Context::Mutator));
+        }
+        let trace = rec.finish().unwrap();
+        spill.write("w@1", &trace, &RunStats::default()).unwrap();
+        let path = spill.path_for("w@1");
+        assert!(spill.read("w@1").unwrap().is_some(), "intact file loads");
+        let expect_reject = |why: &str| match spill.read("w@1") {
+            Err(SpillReject::Invalid(msg)) => assert!(msg.contains("decode"), "{why}: {msg}"),
+            Err(e) => panic!("{why}: {e}"),
+            Ok(_) => panic!("{why}: accepted"),
+        };
+
+        // The last token cut off, header event count lowered to match.
+        let full = fs::read(&path).unwrap();
+        reseal(&path, "w@1", |events, payload| {
+            assert!(payload.len() >= 2 && payload[payload.len() - 2] & 0x80 != 0);
+            payload.pop();
+            *events -= 1;
+        });
+        expect_reject("cut-off last token");
+
+        // An intact payload under an inflated event count.
+        fs::write(&path, &full).unwrap();
+        reseal(&path, "w@1", |events, _| *events += 1);
+        expect_reject("inflated event count");
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! re-exports the primitives, so `cachegc_core::telemetry::Telemetry` is
 //! the one path experiment code needs, and adds:
 //!
-//! * [`Manifest`] — a versioned (`cachegc-manifest-v5`), machine-readable
+//! * [`Manifest`] — a versioned (`cachegc-manifest-v6`), machine-readable
 //!   record of one experiment run: configuration, merged counters, phase
 //!   timings with pause histograms, engine/worker totals, and trace-store
 //!   accounting. Serialized by [`Manifest::to_json`] (hand-rolled, like
@@ -40,8 +40,10 @@ use crate::store::{ScenarioGauges, StoreStats, TraceStore};
 /// The manifest schema identifier this crate writes and validates.
 ///
 /// v5 added the timeline/span counters (`timeline_windows`,
-/// `timeline_collections`, `trace_spans`, `trace_spans_dropped`).
-pub const MANIFEST_SCHEMA: &str = "cachegc-manifest-v5";
+/// `timeline_collections`, `trace_spans`, `trace_spans_dropped`); v6
+/// removed the batch-decoder counters (`replay_batches`,
+/// `replay_scalar_events`) along with the decoder's fast paths.
+pub const MANIFEST_SCHEMA: &str = "cachegc-manifest-v6";
 
 // ---------------------------------------------------------------------
 // Progress
@@ -496,6 +498,12 @@ pub fn validate_manifest(text: &str) -> Result<(), String> {
         .get("counters")
         .and_then(Json::as_obj)
         .ok_or("manifest: missing counters object")?;
+    if let Some(name) = counters
+        .keys()
+        .find(|k| !Counter::ALL.iter().any(|c| c.name() == k.as_str()))
+    {
+        return Err(format!("manifest: unknown counter '{name}'"));
+    }
     for c in Counter::ALL {
         counters
             .get(c.name())
@@ -819,7 +827,7 @@ mod tests {
         let m = Manifest::gather(sample_config(), &telemetry.snapshot(), None);
         let json = m.to_json();
         validate_manifest(&json).unwrap();
-        assert!(json.contains("\"schema\": \"cachegc-manifest-v5\""));
+        assert!(json.contains("\"schema\": \"cachegc-manifest-v6\""));
         assert!(json.contains("\"jobs_requested\": 2"));
         assert!(json.contains("\"store\": null"));
     }
@@ -891,7 +899,7 @@ mod tests {
         let err = validate_manifest(&good).unwrap_err();
         assert!(err.contains("gc_minor"), "{err}");
         // Wrong schema.
-        let bad = good.replace("cachegc-manifest-v5", "cachegc-manifest-v0");
+        let bad = good.replace("cachegc-manifest-v6", "cachegc-manifest-v5");
         assert!(validate_manifest(&bad).unwrap_err().contains("schema"));
         // Not JSON at all.
         assert!(validate_manifest("{nope").is_err());
@@ -906,6 +914,13 @@ mod tests {
         // A missing counter key.
         let bad = m2.to_json().replace("\"vm_runs\": 0,", "");
         assert!(validate_manifest(&bad).unwrap_err().contains("vm_runs"));
+        // A counter v6 removed.
+        let bad = m2
+            .to_json()
+            .replace("\"vm_runs\": 0,", "\"vm_runs\": 0, \"replay_batches\": 0,");
+        assert!(validate_manifest(&bad)
+            .unwrap_err()
+            .contains("unknown counter 'replay_batches'"));
     }
 
     #[test]

@@ -89,11 +89,6 @@ pub enum Counter {
     AffinityFallbacks,
     /// `--jobs` requests clamped down to the machine's available parallelism.
     JobsClamped,
-    /// Event batches produced by the SWAR batch trace decoder.
-    ReplayBatches,
-    /// Events the batch decoder fell back to the scalar path for (token
-    /// with a flags change, multi-byte tail, or an unclassifiable window).
-    ReplayScalarEvents,
     /// `(configuration, event)` cell updates performed by the grid
     /// simulation kernel.
     GridCellsSimulated,
@@ -111,7 +106,7 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in manifest order.
-    pub const ALL: [Counter; 29] = [
+    pub const ALL: [Counter; 27] = [
         Counter::VmRuns,
         Counter::VmAllocs,
         Counter::VmGcTriggers,
@@ -133,8 +128,6 @@ impl Counter {
         Counter::AffinityPinned,
         Counter::AffinityFallbacks,
         Counter::JobsClamped,
-        Counter::ReplayBatches,
-        Counter::ReplayScalarEvents,
         Counter::GridCellsSimulated,
         Counter::TimelineWindows,
         Counter::TimelineCollections,
@@ -167,8 +160,6 @@ impl Counter {
             Counter::AffinityPinned => "affinity_pinned",
             Counter::AffinityFallbacks => "affinity_fallbacks",
             Counter::JobsClamped => "jobs_clamped",
-            Counter::ReplayBatches => "replay_batches",
-            Counter::ReplayScalarEvents => "replay_scalar_events",
             Counter::GridCellsSimulated => "grid_cells_simulated",
             Counter::TimelineWindows => "timeline_windows",
             Counter::TimelineCollections => "timeline_collections",

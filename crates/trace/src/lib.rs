@@ -35,7 +35,7 @@ mod sink;
 pub use counters::{Counters, InstrClass};
 pub use event::{Access, AccessKind, Context};
 pub use recorded::{
-    BatchDecodeStats, EventBatch, PayloadChunks, RecordBudget, RecordedTrace, Recorder, TraceImage,
+    payload_events, EventBatch, PayloadChunks, RecordBudget, RecordedTrace, Recorder, TraceImage,
     CHARGE_CHUNK_BYTES, DEFAULT_SEGMENT_BYTES, EVENT_BATCH,
 };
 pub use region::{Region, DYNAMIC_BASE, DYNAMIC_SECOND_BASE, STACK_BASE, STATIC_BASE, WORD_BYTES};

@@ -33,7 +33,7 @@
 use std::sync::Arc;
 
 use crate::event::{Access, AccessKind, Context};
-use crate::sink::{Fanout, TraceSink};
+use crate::sink::TraceSink;
 
 /// Default sealed-segment size in bytes (segments are sealed at the first
 /// event boundary at or past this many bytes).
@@ -114,10 +114,11 @@ fn unzigzag32(z: u32) -> i32 {
     ((z >> 1) as i32) ^ -((z & 1) as i32)
 }
 
-/// Decode one event the byte-at-a-time way: the scalar fallback of the
-/// batch decoder, and byte-for-byte the loop [`RecordedTrace::replay`]
-/// runs. Advances `i` past the token (and flags byte, when present) and
-/// leaves `(addr, flags)` describing the decoded event.
+/// Decode one event: the loop body of both [`RecordedTrace::replay`] and
+/// [`RecordedTrace::replay_batched`]. Advances `i` past the token (and
+/// flags byte, when present) and leaves `(addr, flags)` describing the
+/// decoded event. Panics on a truncated payload, so payloads read from
+/// outside the process are walked by [`payload_events`] first.
 #[inline]
 fn decode_one(bytes: &[u8], i: &mut usize, addr: &mut u32, flags: &mut u8) {
     let mut token: u64 = 0;
@@ -136,6 +137,44 @@ fn decode_one(bytes: &[u8], i: &mut usize, addr: &mut u32, flags: &mut u8) {
         *i += 1;
     }
     *addr = addr.wrapping_add(unzigzag32((token >> 1) as u32) as u32);
+}
+
+/// Longest token the encoder writes: `zigzag32(delta) << 1 | changed` is
+/// at most 33 bits, five 7-bit varint groups.
+const MAX_TOKEN_BYTES: usize = 5;
+
+/// The number of events an encoded payload decodes to, or `None` when it
+/// is not a whole number of well-formed events: a token or flags byte cut
+/// off at the end, or a token longer than any the encoder writes. Every
+/// read is bounds-checked, so this never panics, and a payload it accepts
+/// replays through [`RecordedTrace::replay`] without panicking. Meant for
+/// payloads read back from outside the process (spill files), once at
+/// load, so the replay loops need no validation of their own.
+pub fn payload_events(bytes: &[u8]) -> Option<u64> {
+    let mut events = 0u64;
+    let mut i = 0;
+    while i < bytes.len() {
+        // Bit 0 of the token, the flags-changed bit, is bit 0 of its
+        // first varint byte.
+        let changed = bytes[i] & 1 != 0;
+        let mut len = 0;
+        loop {
+            let b = *bytes.get(i + len)?;
+            len += 1;
+            if b & 0x80 == 0 {
+                break;
+            }
+            if len == MAX_TOKEN_BYTES {
+                return None;
+            }
+        }
+        i += len + usize::from(changed);
+        if i > bytes.len() {
+            return None;
+        }
+        events += 1;
+    }
+    Some(events)
 }
 
 /// Capacity of one decoded [`EventBatch`].
@@ -196,28 +235,6 @@ impl EventBatch {
     /// The batch's valid events, in stream order.
     pub fn accesses(&self) -> impl Iterator<Item = Access> + '_ {
         (0..self.len).map(move |i| access_from(self.addrs[i], self.flags[i]))
-    }
-}
-
-/// What [`RecordedTrace::replay_batched`] did: how many batches reached
-/// the consumer and how the events split between the SWAR fast paths and
-/// the scalar fallback. `swar_events + scalar_events` always equals the
-/// trace's event count.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct BatchDecodeStats {
-    /// Batches handed to the consumer.
-    pub batches: u64,
-    /// Events decoded by the 8×1-byte and 4×2-byte SWAR word paths.
-    pub swar_events: u64,
-    /// Events decoded by the scalar fallback: long tokens, flag-changing
-    /// tokens, and segment tails shorter than one 8-byte word.
-    pub scalar_events: u64,
-}
-
-impl BatchDecodeStats {
-    /// Total events decoded.
-    pub fn events(&self) -> u64 {
-        self.swar_events + self.scalar_events
     }
 }
 
@@ -567,151 +584,29 @@ impl RecordedTrace {
         }
     }
 
-    /// Decode the stream into [`EventBatch`] slices — the same events, in
-    /// the same order, as [`RecordedTrace::replay`], but amortizing decode
-    /// control flow over whole batches so one decode pass can drive many
-    /// simulated configurations.
-    ///
-    /// The decoder is SWAR (SIMD-within-a-register): at each token
-    /// boundary it loads the next 8 payload bytes as one little-endian
-    /// `u64` and classifies continuation and flags-changed bits with byte
-    /// masks. Two word shapes decode without any per-byte branching:
-    ///
-    /// * **8×1-byte**: no continuation bits, no flags-changed bits — eight
-    ///   single-byte tokens whose zigzag deltas prefix-sum into eight
-    ///   addresses under the current flags.
-    /// * **4×2-byte**: continuation bits exactly on bytes 0/2/4/6 and no
-    ///   flags-changed bits — four two-byte tokens whose 14-bit values are
-    ///   extracted with shift-and-mask lane arithmetic.
-    ///
-    /// Any other shape (a token of 3+ bytes, a flags change, or a segment
-    /// tail shorter than a word) falls back to the scalar loop for exactly
-    /// one token and re-classifies. A flags byte can look like a terminal
-    /// one-byte token (its high bits are always zero), so the fast paths
-    /// demand *no* flags-changed bits in the word: every byte they touch
-    /// is then provably a token start.
-    ///
-    /// Decoder state `(prev_addr, flags)` carries across segment
-    /// boundaries exactly as in [`RecordedTrace::replay`] — tokens never
-    /// straddle segments (the recorder seals at event boundaries), so
-    /// per-segment decoding with carried state is bit-identical to
-    /// decoding the concatenated payload.
-    pub fn replay_batched<F: FnMut(&EventBatch)>(&self, mut consume: F) -> BatchDecodeStats {
-        // Byte masks over the 8-byte window: continuation bits (bit 7 of
-        // every byte), flags-changed bits (bit 0 of every byte), and the
-        // 4×2-byte shape (continuation on bytes 0/2/4/6 only, with the
-        // changed bit of each token — bit 0 of its first byte — clear).
-        const CONT: u64 = 0x8080_8080_8080_8080;
-        const CHANGED: u64 = 0x0101_0101_0101_0101;
-        const CONT_2B: u64 = 0x0080_0080_0080_0080;
-        const CHANGED_2B: u64 = 0x0001_0001_0001_0001;
-        const LO7_2B: u64 = 0x007f_007f_007f_007f;
-        let mut stats = BatchDecodeStats::default();
+    /// Decode the stream into [`EventBatch`] slices of up to
+    /// [`EVENT_BATCH`] events — the same events, in the same order, as
+    /// [`RecordedTrace::replay`], through the same decoder — so a batch
+    /// consumer such as a grid kernel can run its per-lane loop over a
+    /// whole batch instead of being called once per event.
+    pub fn replay_batched<F: FnMut(&EventBatch)>(&self, mut consume: F) {
         let mut batch = EventBatch::empty();
-        let mut flush = |batch: &mut EventBatch, batches: &mut u64| {
-            if batch.len > 0 {
-                *batches += 1;
-                consume(batch);
-                batch.len = 0;
-            }
-        };
         let mut addr: u32 = 0;
         let mut flags: u8 = 0;
         for bytes in self.payload_chunks() {
             let mut i = 0;
-            while i + 8 <= bytes.len() {
-                let word = u64::from_le_bytes(bytes[i..i + 8].try_into().expect("8-byte window"));
-                if word & (CONT | CHANGED) == 0 {
-                    // Eight 1-byte tokens, no flag changes.
-                    if batch.len + 8 > EVENT_BATCH {
-                        flush(&mut batch, &mut stats.batches);
-                    }
-                    for lane in 0..8 {
-                        let z = u32::from((word >> (8 * lane)) as u8) >> 1;
-                        addr = addr.wrapping_add(unzigzag32(z) as u32);
-                        batch.push(addr, flags);
-                    }
-                    stats.swar_events += 8;
-                    i += 8;
-                } else if word & CONT == CONT_2B && word & CHANGED_2B == 0 {
-                    // Four 2-byte tokens, no flag changes: each 16-bit
-                    // lane holds `lo7 | hi7 << 7`.
-                    if batch.len + 4 > EVENT_BATCH {
-                        flush(&mut batch, &mut stats.batches);
-                    }
-                    let lo = word & LO7_2B;
-                    let hi = (word >> 8) & LO7_2B;
-                    let lanes = lo | (hi << 7);
-                    for lane in 0..4 {
-                        let z = ((lanes >> (16 * lane)) & 0xffff) as u32 >> 1;
-                        addr = addr.wrapping_add(unzigzag32(z) as u32);
-                        batch.push(addr, flags);
-                    }
-                    stats.swar_events += 4;
-                    i += 8;
-                } else {
-                    // A long token or a flags change: one scalar event,
-                    // then re-classify from the new boundary.
-                    if batch.len == EVENT_BATCH {
-                        flush(&mut batch, &mut stats.batches);
-                    }
-                    decode_one(bytes, &mut i, &mut addr, &mut flags);
-                    batch.push(addr, flags);
-                    stats.scalar_events += 1;
-                }
-            }
-            // Segment tail shorter than one SWAR word.
             while i < bytes.len() {
-                if batch.len == EVENT_BATCH {
-                    flush(&mut batch, &mut stats.batches);
-                }
                 decode_one(bytes, &mut i, &mut addr, &mut flags);
                 batch.push(addr, flags);
-                stats.scalar_events += 1;
+                if batch.len == EVENT_BATCH {
+                    consume(&batch);
+                    batch.len = 0;
+                }
             }
         }
-        flush(&mut batch, &mut stats.batches);
-        stats
-    }
-
-    /// Replay into many sinks at once on up to `jobs` threads, each worker
-    /// independently decoding the shared segments into its own sink
-    /// subset — no broadcast channel, embarrassingly parallel. Sinks come
-    /// back in input order; per-sink results are bit-identical to a
-    /// sequential [`Fanout`] replay (each sink sees the exact event
-    /// stream either way).
-    pub fn replay_sharded<S: TraceSink + Send>(&self, sinks: Vec<S>, jobs: usize) -> Vec<S> {
-        let jobs = jobs.max(1).min(sinks.len().max(1));
-        if jobs <= 1 {
-            let mut fan = Fanout::new(sinks);
-            self.replay(&mut fan);
-            return fan.into_sinks();
+        if batch.len > 0 {
+            consume(&batch);
         }
-        let n = sinks.len();
-        let mut shards: Vec<Vec<S>> = (0..jobs).map(|_| Vec::new()).collect();
-        for (i, sink) in sinks.into_iter().enumerate() {
-            shards[i % jobs].push(sink);
-        }
-        let done: Vec<Vec<S>> = std::thread::scope(|s| {
-            let handles: Vec<_> = shards
-                .into_iter()
-                .map(|shard| {
-                    s.spawn(move || {
-                        let mut fan = Fanout::new(shard);
-                        self.replay(&mut fan);
-                        fan.into_sinks()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("replay worker panicked"))
-                .collect()
-        });
-        let mut shards: Vec<_> = done.into_iter().map(Vec::into_iter).collect();
-        (0..n)
-            .map(|i| shards[i % jobs].next().expect("shards cover all sinks"))
-            .collect()
     }
 }
 
@@ -740,7 +635,6 @@ impl<'a> Iterator for PayloadChunks<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sink::RefCounter;
 
     #[derive(Default)]
     struct VecSink(Vec<Access>);
@@ -948,19 +842,15 @@ mod tests {
         let mut out = VecSink::default();
         mapped.replay(&mut out);
         assert_eq!(out.0, events, "image replay is event-for-event identical");
-        // The image flattens the 32-byte segments into one contiguous
-        // window, so the batch decoder's SWAR words now span the former
-        // seal points — and must still decode the identical stream.
         let mut batched = Vec::new();
-        let stats = mapped.replay_batched(|b| batched.extend(b.accesses()));
+        mapped.replay_batched(|b| batched.extend(b.accesses()));
         assert_eq!(batched, events, "image batched replay identical");
-        assert_eq!(stats.events(), mapped.events());
     }
 
     /// Record `events` at `segment_bytes`, then demand the batched decode
-    /// yields exactly the scalar replay's stream, batch boundaries and
-    /// decode-stat accounting included.
-    fn assert_batched_matches_scalar(events: &[Access], segment_bytes: usize) -> BatchDecodeStats {
+    /// yields exactly the scalar replay's stream in full batches; returns
+    /// the number of batches.
+    fn assert_batched_matches_scalar(events: &[Access], segment_bytes: usize) -> usize {
         let mut rec = Recorder::new().with_segment_bytes(segment_bytes);
         for &a in events {
             rec.access(a);
@@ -969,17 +859,22 @@ mod tests {
         let mut scalar = VecSink::default();
         trace.replay(&mut scalar);
         let mut batched = Vec::new();
-        let stats = trace.replay_batched(|b| {
+        let mut batches = 0;
+        trace.replay_batched(|b| {
             assert!(!b.is_empty() && b.len() <= EVENT_BATCH);
+            assert!(
+                batched.len() % EVENT_BATCH == 0,
+                "only the last batch may be short"
+            );
             batched.extend(b.accesses());
+            batches += 1;
         });
         assert_eq!(
             batched, scalar.0,
             "batched decode diverged at segment size {segment_bytes}"
         );
         assert_eq!(scalar.0, events, "scalar oracle round-trips");
-        assert_eq!(stats.events(), events.len() as u64, "every event accounted");
-        stats
+        batches
     }
 
     /// SplitMix64, inlined: the trace crate cannot depend on the root
@@ -1030,56 +925,9 @@ mod tests {
     }
 
     #[test]
-    fn monotone_run_decodes_on_the_one_byte_swar_path() {
-        let events: Vec<Access> = (0..10_000)
-            .map(|i| Access::read(0x1000_0000 + 4 * i, Context::Mutator))
-            .collect();
-        let stats = assert_batched_matches_scalar(&events, DEFAULT_SEGMENT_BYTES);
-        assert!(
-            stats.swar_events > 9_900,
-            "a monotone word walk is 1-byte tokens: {stats:?}"
-        );
-    }
-
-    #[test]
-    fn strided_run_decodes_on_the_two_byte_swar_path() {
-        // A 256-byte stride zigzags to a two-byte token; the whole stream
-        // should ride the 4-wide lane path.
-        let events: Vec<Access> = (1..=4_000u32)
-            .map(|i| Access::read(256 * i, Context::Mutator))
-            .collect();
-        let stats = assert_batched_matches_scalar(&events, DEFAULT_SEGMENT_BYTES);
-        assert!(
-            stats.swar_events > 3_900,
-            "a 256-byte stride is 2-byte tokens: {stats:?}"
-        );
-    }
-
-    #[test]
-    fn dense_flag_flips_fall_back_to_the_scalar_path() {
-        // Every event changes flags, so every token carries the changed
-        // bit and a flags byte — no SWAR word shape may claim it (a flags
-        // byte is indistinguishable from a terminal token byte by
-        // continuation bits alone).
-        let events: Vec<Access> = (0..300u32)
-            .map(|i| {
-                if i % 2 == 0 {
-                    Access::read(4 * i, Context::Mutator)
-                } else {
-                    Access::write(4 * i, Context::Collector)
-                }
-            })
-            .collect();
-        let stats = assert_batched_matches_scalar(&events, DEFAULT_SEGMENT_BYTES);
-        assert_eq!(stats.swar_events, 0, "{stats:?}");
-        assert_eq!(stats.scalar_events, 300);
-    }
-
-    #[test]
     fn batched_state_carries_across_tiny_segments() {
-        // 16-byte segments: every segment tail is shorter than one SWAR
-        // word, so the decoder constantly re-enters the scalar tail with
-        // carried (prev_addr, flags) state.
+        // 16-byte segments: batches span many seal points, so decoder
+        // state (prev_addr, flags) must carry across every one of them.
         let mut events = Vec::new();
         for i in 0..800u32 {
             let ctx = if i % 7 == 0 {
@@ -1089,30 +937,28 @@ mod tests {
             };
             events.push(Access::write(i.wrapping_mul(0x9e37_79b9), ctx));
         }
-        let stats = assert_batched_matches_scalar(&events, 16);
-        assert!(stats.batches >= 800 / EVENT_BATCH as u64);
+        let batches = assert_batched_matches_scalar(&events, 16);
+        assert_eq!(batches, 800usize.div_ceil(EVENT_BATCH));
     }
 
     #[test]
-    fn sharded_replay_matches_sequential_fanout() {
-        let events: Vec<Access> = (0..2_000u32)
-            .map(|i| {
-                if i % 7 == 0 {
-                    Access::alloc_write(0x4000_0000 + 4 * i, Context::Collector)
-                } else {
-                    Access::read(0x1000_0000 + 8 * i, Context::Mutator)
-                }
-            })
+    fn payload_walk_counts_whole_events_and_rejects_cut_or_overlong_tokens() {
+        let events = vec![
+            Access::read(0x10, Context::Mutator),
+            Access::write(0x8000_0010, Context::Collector), // 5-byte token + flags
+            Access::read(0x14, Context::Collector),
+        ];
+        let trace = roundtrip(&events, 4096);
+        let payload: Vec<u8> = trace.payload_chunks().flatten().copied().collect();
+        assert_eq!(payload_events(&payload), Some(3));
+        assert_eq!(payload_events(&[]), Some(0));
+        // Every cut that is not an event boundary is rejected.
+        let boundaries: Vec<usize> = (0..=payload.len())
+            .filter(|&n| payload_events(&payload[..n]).is_some())
             .collect();
-        let trace = roundtrip(&events, 256);
-        let oracle = {
-            let mut fan = Fanout::new(vec![RefCounter::new(); 5]);
-            trace.replay(&mut fan);
-            fan.into_sinks()
-        };
-        for jobs in [1, 2, 3, 5, 8] {
-            let out = trace.replay_sharded(vec![RefCounter::new(); 5], jobs);
-            assert_eq!(out, oracle, "jobs={jobs}: sharded replay bit-identical");
-        }
+        assert_eq!(boundaries.len(), events.len() + 1, "{boundaries:?}");
+        assert_eq!(boundaries.last(), Some(&payload.len()));
+        // Six continuation groups are longer than any encoded token.
+        assert_eq!(payload_events(&[0x80, 0x80, 0x80, 0x80, 0x80, 0x00]), None);
     }
 }
