@@ -5,9 +5,9 @@
 //! the paper's 40-cell grid). [`Instrument`] makes that set *heterogeneous*:
 //! one `Vec<Instrument>` can mix cache simulators of different geometries
 //! and organizations with the §7 behavioral analyzers, and the whole set
-//! rides through the packet-scheduled fanout under either bucket policy —
-//! every instrument is independent, so per-instrument results stay
-//! bit-identical to a sequential pass.
+//! rides one pass, sharded across a crew's replay readers when the engine
+//! has several workers — every instrument is independent, so
+//! per-instrument results stay bit-identical to a sequential pass.
 
 use cachegc_sim::{Cache, CacheConfig, SetAssocCache};
 use cachegc_trace::{Access, TraceSink};
@@ -57,11 +57,10 @@ impl TraceSink for ActivityTracker {
 /// Any of the repo's trace instruments, as one sink type.
 ///
 /// This is the closed set the experiment engine drives: direct-mapped and
-/// set-associative cache simulators plus the §7 analyzers. The packet
-/// fanout broadcasts one trace into a mixed `Vec<Instrument>` with
-/// bit-identical per-instrument results (property-tested in the workspace
-/// root); the work-stealing policy is the natural fit since these
-/// instruments have very different per-event costs.
+/// set-associative cache simulators plus the §7 analyzers. One trace pass
+/// drives a mixed `Vec<Instrument>` with bit-identical per-instrument
+/// results whether the set rides one thread or is dealt across replay
+/// readers (property-tested in the workspace root).
 #[derive(Debug, Clone, PartialEq)]
 #[allow(clippy::large_enum_variant)]
 pub enum Instrument {

@@ -1,10 +1,11 @@
-//! The tentpole benchmark: sequential `Fanout` vs the packet-scheduled
-//! crew on the paper's full 40-cell cache grid (8 sizes × 5 block sizes),
-//! both over a raw synthetic reference stream (isolates the sink) and
-//! over a real VM trace pass (a full control sweep end to end).
+//! The tentpole benchmark: sequential `Fanout` vs a crew of replay
+//! readers on the paper's full 40-cell cache grid (8 sizes × 5 block
+//! sizes), both over a raw synthetic reference stream (isolates the
+//! sinks, recorded into the feed the readers decode) and over a real VM
+//! trace pass (a full control sweep end to end).
 //!
-//! The packet scheduler is measured at 2 and 4 workers against the
-//! sequential oracle; this prints the measured speedups. (On a one-core
+//! Crews of 2 and 4 workers are measured against the sequential oracle;
+//! this prints the measured speedups. (On a one-core
 //! container the interesting number is the overhead, not the speedup —
 //! bit-identity of the results is enforced by the property tests.)
 //!
@@ -19,9 +20,7 @@ use std::time::Instant;
 
 use cachegc_bench::harness::{bench_with_setup, Summary};
 use cachegc_bench::{GridReport, GridRun};
-use cachegc_core::{
-    run_control, Cache, EngineConfig, ExperimentConfig, PacketKind, Runner, Schedule,
-};
+use cachegc_core::{run_control, Cache, EngineConfig, ExperimentConfig, PacketKind, Runner};
 use cachegc_trace::Fanout;
 use cachegc_workloads::{synthetic, Workload};
 
@@ -36,12 +35,6 @@ fn grid() -> Vec<Cache> {
         .into_iter()
         .map(Cache::new)
         .collect()
-}
-
-/// The engine a `jobs=N` configuration runs under: the work-stealing
-/// bucket policy, the same one the goldens are pinned to.
-fn engine(jobs: usize) -> EngineConfig {
-    EngineConfig::jobs(jobs).with_schedule(Schedule::WorkStealing)
 }
 
 /// One measured configuration, as a trajectory record: `events` is the
@@ -72,9 +65,9 @@ fn bench_synthetic(runs: &mut Vec<GridRun>) {
         let par = bench_with_setup(
             &format!("paper_grid/synthetic/jobs={jobs}"),
             Some(STREAM_EVENTS * cells),
-            move || Runner::new(engine(jobs)),
+            move || Runner::new(EngineConfig::jobs(jobs)),
             |runner| {
-                let ((), caches) = runner.drive(PacketKind::SinkDrain, grid(), |mut fan| {
+                let ((), caches) = runner.drive(PacketKind::Task, grid(), |mut fan| {
                     synthetic::one_cycle_sweep(&mut fan, STREAM_OBJECTS, 2);
                 });
                 black_box(caches.len());
@@ -110,7 +103,7 @@ fn bench_vm_pass(runs: &mut Vec<GridRun>) {
         let par = bench_with_setup(
             &format!("paper_grid/run_control/jobs={jobs}"),
             None,
-            move || Runner::new(engine(jobs)),
+            move || Runner::new(EngineConfig::jobs(jobs)),
             |runner| {
                 black_box(runner.control(w, &cfg).unwrap().refs);
             },

@@ -56,7 +56,6 @@ fn main() {
                 scale: GOLDEN_SCALE,
                 jobs: engine.jobs,
                 jobs_requested: engine.jobs,
-                schedule: engine.schedule.name().to_string(),
                 trace_cache: "unbounded".into(),
             },
             &telemetry.snapshot(),

@@ -48,8 +48,9 @@ usage: golden_check [--bless] [--only NAME] [--dir PATH] [--rel-eps X]
   --manifest PATH
                 validate a run manifest written by an experiment's
                 --metrics json instead of diffing tables: schema and
-                counter/phase invariants, plus nonzero vm_execute and
-                hit-backed replay spans; exits 0 valid, 1 invalid
+                counter/phase invariants, nonzero vm_execute and
+                hit-backed replay spans, and engine runs when jobs > 1;
+                exits 0 valid, 1 invalid
   --trace-export off|chrome[:PATH]
                 capture timestamped scheduler spans during this
                 invocation's sweeps and write them as Chrome
@@ -67,9 +68,9 @@ usage: golden_check [--bless] [--only NAME] [--dir PATH] [--rel-eps X]
                 events, named thread rows, and at least one complete
                 span; exits 0 valid, 1 invalid
 
-The sweeps always run at --scale 1 --jobs 2 --schedule ws: goldens are
-defined at that configuration, and the parallel engine is bit-identical
-to the sequential one, so results do not depend on the machine. Replay
+The sweeps always run at --scale 1 --jobs 2: goldens are defined at that
+configuration, and the parallel engine is bit-identical to the
+sequential one, so results do not depend on the machine. Replay
 from the trace cache is bit-identical to the live VM, so --trace-cache
 never changes a table — with any budget, with or without spill.";
 
@@ -345,7 +346,6 @@ fn main() -> ExitCode {
                 scale: GOLDEN_SCALE,
                 jobs: golden_engine().jobs,
                 jobs_requested: golden_engine().jobs,
-                schedule: golden_engine().schedule.name().to_string(),
                 trace_cache: opts.trace_cache.describe(),
             },
             &telemetry.snapshot(),

@@ -10,7 +10,7 @@
 use std::path::{Path, PathBuf};
 
 use cachegc_core::report::{csv_table_path, Table};
-use cachegc_core::{EngineConfig, Schedule, TimelineSpec, TraceStore};
+use cachegc_core::{EngineConfig, TimelineSpec, TraceStore};
 
 /// Byte budget the plain `--trace-cache on` spelling buys (4 GiB — the
 /// whole golden-scale scenario set encodes to ~1 GiB at the measured
@@ -365,11 +365,6 @@ pub struct ExperimentArgs {
     /// before clamping. The driver warns (and counts) when this exceeds
     /// `jobs`; both land in the run manifest.
     pub jobs_requested: usize,
-    /// Engine schedule (`--schedule rr|ws`).
-    pub schedule: Schedule,
-    /// Pin crew workers to CPU cores (`--affinity`; best-effort, a no-op
-    /// where the platform refuses).
-    pub affinity: bool,
     /// CSV output path (`--csv PATH`), if requested.
     pub csv: Option<PathBuf>,
     /// Trace record/replay cache (`--trace-cache
@@ -437,8 +432,6 @@ impl ExperimentArgs {
     ) -> Result<Parse, String> {
         let mut scale: Option<u32> = None;
         let mut jobs: Option<usize> = None;
-        let mut schedule = Schedule::default();
-        let mut affinity = false;
         let mut csv: Option<PathBuf> = None;
         let mut trace_cache: Option<TraceCacheArg> = None;
         let mut metrics: Option<MetricsArg> = None;
@@ -451,11 +444,6 @@ impl ExperimentArgs {
                 "--help" | "-h" => return Ok(Parse::Help),
                 "--scale" => scale = Some(value(flag, it.next())?),
                 "--jobs" => jobs = Some(value(flag, it.next())?),
-                "--schedule" => {
-                    let raw = it.next().ok_or("--schedule needs a value")?;
-                    schedule = Schedule::parse(raw)
-                        .ok_or_else(|| format!("unknown schedule '{raw}' (rr or ws)"))?;
-                }
                 "--csv" => {
                     let raw = it.next().ok_or("--csv needs a path")?;
                     csv = Some(PathBuf::from(raw));
@@ -490,7 +478,6 @@ impl ExperimentArgs {
                         format!("--trace-export: malformed value '{raw}' (off or chrome[:PATH])")
                     })?);
                 }
-                "--affinity" => affinity = true,
                 "--progress" => progress = true,
                 other => return Err(format!("unknown argument '{other}'")),
             }
@@ -538,8 +525,6 @@ impl ExperimentArgs {
             scale,
             jobs,
             jobs_requested,
-            schedule,
-            affinity,
             csv,
             trace_cache,
             metrics,
@@ -552,8 +537,6 @@ impl ExperimentArgs {
     /// The engine configuration these arguments describe.
     pub fn engine(&self) -> EngineConfig {
         EngineConfig::jobs(self.jobs)
-            .with_schedule(self.schedule)
-            .with_affinity(self.affinity)
     }
 
     /// True when the jobs request was clamped to the machine.
@@ -608,8 +591,7 @@ fn usage(binary: &str, about: &str, default_scale: u32) -> String {
     format!(
         "{binary} — {about}\n\
          \n\
-         usage: {binary} [--scale N] [--jobs N] [--schedule rr|ws] [--affinity]\n\
-         \x20                [--csv PATH]\n\
+         usage: {binary} [--scale N] [--jobs N] [--csv PATH]\n\
          \x20                [--trace-cache on|off|BYTES[,spill[:DIR]][,evict=on|off]]\n\
          \x20                [--metrics off|table|json[:PATH]]\n\
          \x20                [--timeline off|jsonl[:PATH][,window=N]]\n\
@@ -619,9 +601,6 @@ fn usage(binary: &str, about: &str, default_scale: u32) -> String {
          \x20 --jobs N       worker threads (default: available parallelism; env\n\
          \x20                CACHEGC_JOBS; 1 is the sequential oracle; clamped to\n\
          \x20                the machine's core count with a warning)\n\
-         \x20 --schedule S   engine schedule: round-robin (rr) or work-stealing (ws)\n\
-         \x20 --affinity     pin engine workers to CPU cores (best-effort; a no-op\n\
-         \x20                where the platform refuses)\n\
          \x20 --csv PATH     also write results as CSV to PATH\n\
          \x20 --trace-cache  record each unique scenario's trace and replay it for\n\
          \x20                later passes: on (default, 4 GiB budget), off, or an\n\
@@ -684,33 +663,14 @@ mod tests {
 
     #[test]
     fn flags_parse() {
-        let a = parsed(&[
-            "--scale",
-            "2",
-            "--jobs",
-            "3",
-            "--schedule",
-            "ws",
-            "--csv",
-            "results/x.csv",
-        ]);
+        let a = parsed(&["--scale", "2", "--jobs", "3", "--csv", "results/x.csv"]);
         assert_eq!(a.scale, 2);
         assert_eq!(a.jobs, 3);
         assert_eq!(a.jobs_requested, 3);
         assert!(!a.jobs_clamped());
-        assert_eq!(a.schedule, Schedule::WorkStealing);
         assert_eq!(a.csv.as_deref(), Some(Path::new("results/x.csv")));
         assert_eq!(a.engine().jobs, 3);
         assert!(!a.engine().is_sequential());
-        assert!(!a.engine().affinity);
-    }
-
-    #[test]
-    fn affinity_flag_parses_and_defaults_off() {
-        assert!(!parsed(&[]).affinity);
-        let a = parsed(&["--affinity", "--jobs", "2"]);
-        assert!(a.affinity);
-        assert!(a.engine().affinity);
     }
 
     #[test]
@@ -746,7 +706,6 @@ mod tests {
         let a = parsed(&[]);
         assert_eq!(a.scale, 4);
         assert!(a.jobs >= 1);
-        assert_eq!(a.schedule, Schedule::RoundRobin);
         assert!(a.csv.is_none());
     }
 
@@ -1065,7 +1024,6 @@ mod tests {
             vec!["--scale"],
             vec!["--scale", "many"],
             vec!["--jobs", "-2"],
-            vec!["--schedule", "fifo"],
             vec!["--csv"],
             vec!["--trace-cache"],
             vec!["--trace-cache", "sometimes"],
@@ -1089,8 +1047,6 @@ mod tests {
         for flag in [
             "--scale",
             "--jobs",
-            "--schedule",
-            "--affinity",
             "--csv",
             "--trace-cache",
             "--metrics",

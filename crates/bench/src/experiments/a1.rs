@@ -4,7 +4,7 @@
 //! picture for these workloads.
 //!
 //! The nine set-associative simulators ride one engine-driven pass per
-//! workload (`--jobs`/`--schedule`); the two workloads run concurrently.
+//! workload (`--jobs`); the two workloads run concurrently.
 
 use cachegc_core::report::{Cell, Table};
 use cachegc_core::{CacheConfig, Runner, SetAssocCache};

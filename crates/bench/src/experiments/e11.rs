@@ -6,7 +6,7 @@
 //! larger cache tightens everything).
 //!
 //! Both compile panels ride *one* trace pass as a heterogeneous
-//! [`Instrument`] set; `--jobs`/`--schedule` drive the engine and the
+//! [`Instrument`] set; `--jobs` drives the engine and the
 //! three workloads run concurrently.
 
 use cachegc_analysis::{Activity, ActivityTracker, Instrument};

@@ -16,8 +16,8 @@
 //! version also allocates 48 KB per generation, which write-validate
 //! makes free at the cache level.
 //!
-//! The cache grid of each variant rides the packet engine as `GridCache`
-//! shards ([`Runner::drive_grid`], under `--jobs`/`--schedule`).
+//! The cache grid of each variant rides the engine as `GridCache` shards
+//! ([`Runner::drive_grid`], under `--jobs`).
 
 use cachegc_core::report::{Cell, Table};
 use cachegc_core::{miss_penalty_cycles, ExperimentConfig, PacketKind, Runner, FAST, SLOW};

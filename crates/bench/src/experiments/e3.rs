@@ -8,8 +8,7 @@
 //!
 //! `--jobs N` splits the work two ways: the five programs run
 //! concurrently, and within each pass the 40-cell cache grid is sharded
-//! across crew workers as drain packets (under `--schedule`). `--jobs 1`
-//! is the sequential oracle; per-cell statistics are bit-identical
+//! across a crew's replay readers. `--jobs 1` is the sequential oracle; per-cell statistics are bit-identical
 //! either way.
 
 use std::time::Instant;

@@ -5,7 +5,7 @@
 //!
 //! The full-resolution plot comes back as an artifact (`e8_sweep.txt`)
 //! and a downsampled excerpt as a note. The trace pass goes through the
-//! experiment engine (`Runner::sinks`), so `--jobs`/`--schedule` apply.
+//! experiment engine (`Runner::sinks`), so `--jobs` applies.
 
 use cachegc_analysis::SweepPlot;
 use cachegc_core::report::{Cell, Table};

@@ -219,7 +219,6 @@ pub fn run_main(exp: &Experiment) {
                 scale: args.scale,
                 jobs: args.jobs,
                 jobs_requested: args.jobs_requested,
-                schedule: args.schedule.name().to_string(),
                 trace_cache: args.trace_cache.describe(),
             },
             &snapshot,

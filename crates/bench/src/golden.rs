@@ -2,7 +2,7 @@
 //!
 //! Every experiment's tables are checked into `results/expected/` as CSV
 //! (one file per table, named `<experiment>__<table>.csv`), regenerated at
-//! a fixed, cheap configuration: `--scale 1 --jobs 2 --schedule ws`. The
+//! a fixed, cheap configuration: `--scale 1 --jobs 2`. The
 //! `golden_check` binary reruns every sweep in-process through
 //! [`crate::experiments::ALL`] and diffs the live tables cell-by-cell
 //! against the goldens, so a regression in the §5 penalty tables or the
@@ -21,7 +21,7 @@ use std::fmt;
 use std::path::{Path, PathBuf};
 
 use cachegc_core::report::{Cell, Table};
-use cachegc_core::{EngineConfig, PacketKind, Runner, Schedule};
+use cachegc_core::{EngineConfig, PacketKind, Runner};
 
 use crate::experiments::Experiment;
 
@@ -30,7 +30,7 @@ pub const GOLDEN_DIR: &str = "results/expected";
 
 /// The fixed configuration goldens are defined at.
 pub fn golden_engine() -> EngineConfig {
-    EngineConfig::jobs(2).with_schedule(Schedule::WorkStealing)
+    EngineConfig::jobs(2)
 }
 
 /// The fixed `--scale` goldens are defined at.
@@ -269,9 +269,10 @@ pub fn run_sweep(exp: &Experiment, scale: u32, runner: &Runner) -> Vec<Table> {
 /// [`cachegc_core::validate_manifest`], plus the stricter demands a real
 /// sweep's manifest must meet — the VM executed at least once
 /// (`vm_execute` has spans) or the store warm-started from spill
-/// segments, the crew engine ran and reported per-worker stats, a store
-/// that reports hits replayed, and every in-flight recording reservation
-/// was resolved by the end of the run.
+/// segments, a run on more than one worker reported crew runs with
+/// per-worker stats (a one-worker run passes inline and reports none), a
+/// store that reports hits replayed, and every in-flight recording
+/// reservation was resolved by the end of the run.
 ///
 /// # Errors
 ///
@@ -299,19 +300,26 @@ pub fn check_manifest(text: &str) -> Result<(), String> {
             "manifest: no vm_execute spans and no spill loads — the sweep never ran a VM".into(),
         );
     }
+    let jobs = doc
+        .get("config")
+        .and_then(|c| c.get("jobs"))
+        .and_then(cachegc_core::json::Json::as_u64)
+        .unwrap_or(0);
     let engine = doc.get("engine");
     let engine_runs = engine
         .and_then(|e| e.get("runs"))
         .and_then(cachegc_core::json::Json::as_u64)
         .unwrap_or(0);
-    if engine_runs == 0 {
-        return Err("manifest: engine.runs is zero — no crew pass was recorded".into());
+    if jobs > 1 && engine_runs == 0 {
+        return Err(format!(
+            "manifest: engine.runs is zero at jobs {jobs} — no crew pass was recorded"
+        ));
     }
     let workers = engine
         .and_then(|e| e.get("workers"))
         .and_then(cachegc_core::json::Json::as_arr)
         .map_or(0, <[_]>::len);
-    if workers == 0 {
+    if engine_runs > 0 && workers == 0 {
         return Err("manifest: engine.workers is empty — no per-worker stats recorded".into());
     }
     let hits = store_field("hits");
@@ -445,7 +453,6 @@ mod tests {
             scale: 1,
             jobs: 2,
             jobs_requested: 2,
-            schedule: "work-stealing".into(),
             trace_cache: "off".into(),
         };
         // An empty manifest is schema-valid but strictly rejected: the
@@ -460,12 +467,20 @@ mod tests {
             let _shard = telemetry.attach();
             let _span = probe::phase("vm_execute");
         }
-        // A VM span alone is still rejected: no crew pass reported.
+        // A VM span alone is still rejected at two workers: no crew pass
+        // reported. One worker runs every pass inline, so none is due.
         let no_engine = Manifest::gather(cfg(), &telemetry.snapshot(), None).to_json();
         let err = check_manifest(&no_engine).unwrap_err();
         assert!(err.contains("engine.runs"), "{err}");
+        let one_worker = ManifestConfig {
+            jobs: 1,
+            jobs_requested: 1,
+            ..cfg()
+        };
+        check_manifest(&Manifest::gather(one_worker, &telemetry.snapshot(), None).to_json())
+            .unwrap();
         telemetry.record_engine(&EngineReport {
-            schedule: "work-stealing",
+            kind: "grid_simulate",
             jobs: 2,
             sinks: 2,
             chunks_published: 1,

@@ -4,7 +4,7 @@
 //! `src/bin/` that reruns the measurement and prints the same rows or
 //! series the paper reports (see EXPERIMENTS.md for the index). Every
 //! binary parses the same command line through
-//! [`cli::ExperimentArgs`] — `--scale`, `--jobs`, `--schedule`, `--csv` —
+//! [`cli::ExperimentArgs`] — `--scale`, `--jobs`, `--csv` —
 //! builds its rows as [`cachegc_core::report::Table`]s, and persists them
 //! as CSV when `--csv` is passed.
 //!

@@ -5,9 +5,16 @@
 //! the matching reader, just enough for `golden_check --manifest` to
 //! check structure and invariants without an external dependency.
 //! Numbers are parsed as `f64`, which is exact for every integer the
-//! manifest emits in practice (counters fit 2^53 comfortably).
+//! manifest emits in practice (counters fit 2^53 comfortably). Arrays
+//! and objects nest at most [`MAX_DEPTH`] deep: the reader recurses once
+//! per level, so deeper input is rejected as an error rather than
+//! allowed to overflow the stack.
 
 use std::collections::BTreeMap;
+
+/// Deepest array/object nesting [`parse`] accepts. The documents this
+/// workspace writes nest at most five deep.
+pub const MAX_DEPTH: usize = 128;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -85,6 +92,7 @@ pub fn parse(text: &str) -> Result<Json, String> {
     let mut p = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -98,6 +106,8 @@ pub fn parse(text: &str) -> Result<Json, String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -135,8 +145,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -144,6 +154,18 @@ impl Parser<'_> {
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(self.err("expected a value")),
         }
+    }
+
+    /// Parse an array or object one level deeper, refusing to pass
+    /// [`MAX_DEPTH`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH}")));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn object(&mut self) -> Result<Json, String> {
@@ -342,6 +364,29 @@ mod tests {
         ] {
             assert!(parse(bad).is_err(), "{bad:?} should fail");
         }
+    }
+
+    #[test]
+    fn deep_arrays_are_an_error_not_a_stack_overflow() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok(), "the cap itself parses");
+        let err = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting"), "{err}");
+        // Far past the cap, unclosed: rejected before the stack grows.
+        assert!(parse(&"[".repeat(200_000)).is_err());
+    }
+
+    #[test]
+    fn deep_objects_are_an_error_not_a_stack_overflow() {
+        let nested = |depth: usize| format!("{}1{}", "{\"a\":".repeat(depth), "}".repeat(depth));
+        let ok = parse(&nested(MAX_DEPTH)).unwrap();
+        assert!(ok.get("a").is_some());
+        let err = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting"), "{err}");
+        assert!(parse(&nested(100_000)).is_err());
+        // Mixed arrays and objects count toward the same cap.
+        let mixed = "[{\"a\":".repeat(MAX_DEPTH / 2 + 1);
+        assert!(parse(&mixed).unwrap_err().contains("nesting"));
     }
 
     #[test]

@@ -50,10 +50,7 @@ pub use experiment::{
 };
 pub use overhead::{cache_overhead, gc_overhead, write_back_overhead};
 pub use runner::{default_jobs, Runner};
-pub use sched::{
-    CrewReport, EngineConfig, PacketFanout, PacketKind, Schedule, Scheduler, Stage,
-    DEFAULT_CHUNK_EVENTS,
-};
+pub use sched::{CrewReport, EngineConfig, PacketKind, Schedule, Scheduler};
 pub use store::{
     scenario_label, Acquired, HitSource, OfferOutcome, RecordTicket, RunCtx, ScenarioGauges,
     StoreStats, StoredTrace, TraceStore,

@@ -9,23 +9,26 @@
 //! escape hatch [`Runner::drive`] (and its grid form
 //! [`Runner::drive_grid`]).
 //!
-//! Under the hood every parallel pass is scheduled as typed work packets
-//! on a scoped crew (see [`crate::sched`]): sink shards drain as
-//! [`PacketKind::SinkDrain`]/[`PacketKind::Record`] packets, trace-store
-//! hits replay as [`PacketKind::ReplayShard`] packets (grids as
-//! [`PacketKind::GridSimulate`]), `map` items and
-//! comparison passes ride as [`PacketKind::Task`]/[`PacketKind::VmExecute`]
-//! packets. A sequential engine (`jobs <= 1`, round-robin) takes the
-//! in-thread oracle path; per-sink results are bit-identical either way
-//! (property-tested in the workspace root).
+//! The worker count alone picks a pass's shape. With one worker
+//! (`jobs <= 1`) a pass runs inline: the VM drives the sinks through one
+//! [`Fanout`] on the calling thread. With more, a pass is a crew of
+//! replay readers ([`PacketKind::ReplayShard`] packets, or
+//! [`PacketKind::GridSimulate`] for grids), each decoding the encoded
+//! trace into its shard of the sinks: the stored trace on a store hit,
+//! otherwise the segment feed (see
+//! [`cachegc_trace::feed`](mod@cachegc_trace::feed)) that the VM, running
+//! on the calling thread, fills through its recorder. `map` items and
+//! comparison passes ride as [`PacketKind::Task`] /
+//! [`PacketKind::VmExecute`] packets. Per-sink results are bit-identical
+//! on every path (property-tested in the workspace root).
 //!
 //! # Example
 //!
 //! ```
-//! use cachegc_core::{EngineConfig, ExperimentConfig, Runner, Schedule};
+//! use cachegc_core::{EngineConfig, ExperimentConfig, Runner};
 //! use cachegc_workloads::Workload;
 //!
-//! let runner = Runner::new(EngineConfig::jobs(2).with_schedule(Schedule::WorkStealing));
+//! let runner = Runner::new(EngineConfig::jobs(2));
 //! let cfg = ExperimentConfig::quick();
 //! let report = runner.control(Workload::Rewrite.scaled(1), &cfg).unwrap();
 //! assert!(report.refs > 0);
@@ -34,13 +37,16 @@
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use cachegc_analysis::Instrument;
+use cachegc_analysis::{Instrument, Timeline};
 use cachegc_gc::{
     CheneyCollector, GenerationalCollector, ImmixCollector, MarkSweepCollector, NoCollector,
 };
 use cachegc_sim::{CacheConfig, GridCache};
-use cachegc_telemetry::{probe, Counter, EngineReport, Telemetry, WorkerStats};
-use cachegc_trace::{Fanout, RecordedTrace, RefCounter, TraceSink};
+use cachegc_telemetry::{probe, Counter, EngineReport, Telemetry};
+use cachegc_trace::{
+    feed, Fanout, FeedStats, RecordedTrace, Recorder, RefCounter, Segments, TraceSink,
+    DEFAULT_SEGMENT_BYTES,
+};
 use cachegc_vm::{RunStats, VmError};
 use cachegc_workloads::WorkloadInstance;
 
@@ -48,9 +54,9 @@ use crate::experiment::{
     collected_run, control_report, CacheCell, CollectedRun, CollectorSpec, ControlReport,
     ExperimentConfig, GcComparison,
 };
-use crate::sched::{CrewReport, EngineConfig, PacketFanout, PacketKind, Scheduler, Stage};
+use crate::sched::{CrewReport, EngineConfig, PacketKind, Scheduler};
 use crate::store::{
-    scenario_label, Acquired, HitSource, OfferOutcome, RunCtx, StoredTrace, TraceStore,
+    scenario_label, Acquired, HitSource, OfferOutcome, RecordTicket, RunCtx, TraceStore,
 };
 use crate::telemetry::Progress;
 
@@ -95,43 +101,46 @@ fn run_spec_sink<S: TraceSink>(
     }
 }
 
-/// Report a pass that did *not* ride a [`PacketFanout`] — a sequential
-/// fanout or a sharded replay — to the telemetry engine totals, so every
-/// pass appears in the manifest's engine block whatever path drove it.
-/// The `schedule` label distinguishes the paths (`sequential` / `replay`)
-/// from the real engine schedules. Worker `i`'s `events` counts the
-/// `(event, sink)` pairs it drove under the round-robin sink sharding
-/// both paths use.
-fn record_flat_engine(
-    ctx: &RunCtx<'_>,
-    schedule: &'static str,
-    jobs: usize,
-    n_sinks: usize,
-    events: u64,
-) {
-    let Some(telemetry) = ctx.telemetry else {
-        return;
-    };
-    let workers = (0..jobs)
-        .map(|i| {
-            let shard = (n_sinks / jobs) + usize::from(i < n_sinks % jobs);
-            WorkerStats {
-                events: events * shard as u64,
-                chunks: 0,
-                steals: 0,
-                idle_ns: 0,
-            }
-        })
-        .collect();
-    telemetry.record_engine(&EngineReport {
-        schedule,
-        jobs,
-        sinks: n_sinks,
-        chunks_published: 0,
-        events_published: events,
-        backpressure_ns: 0,
-        queue_depth_hwm: 0,
-        workers,
+/// What a live pass runs on the calling thread: the VM over a workload,
+/// or a caller's own loop ([`Runner::drive`]). Generic over the sink so
+/// the VM monomorphizes into the pass's concrete tuple sink.
+trait Producer {
+    type Out;
+    fn run<K: TraceSink>(self, sink: K) -> Result<(Self::Out, K), VmError>;
+}
+
+/// The VM over one scenario.
+struct Vm(WorkloadInstance, Option<CollectorSpec>);
+
+impl Producer for Vm {
+    type Out = RunStats;
+    fn run<K: TraceSink>(self, sink: K) -> Result<(RunStats, K), VmError> {
+        run_spec_sink(self.0, self.1, sink)
+    }
+}
+
+/// A caller's loop, for [`Runner::drive`].
+struct Drive<F>(F);
+
+impl<T, F: FnOnce(&mut dyn TraceSink) -> T> Producer for Drive<F> {
+    type Out = T;
+    fn run<K: TraceSink>(self, mut sink: K) -> Result<(T, K), VmError> {
+        let out = (self.0)(&mut sink);
+        Ok((out, sink))
+    }
+}
+
+/// The reader of a plain sink set: one decode drives the whole shard.
+fn read_sinks<T: TraceSink>(segments: &mut Segments<'_>, shard: &mut Fanout<T>) {
+    segments.replay(shard);
+}
+
+/// The reader of a grid: the batched decode drives each [`GridCache`].
+fn read_grids(segments: &mut Segments<'_>, shard: &mut Fanout<GridCache>) {
+    segments.replay_batched(|batch| {
+        for grid in shard.sinks_mut() {
+            grid.consume(batch);
+        }
     });
 }
 
@@ -156,6 +165,28 @@ fn undeal<T>(dealt: impl IntoIterator<Item = (usize, T)>, n: usize) -> Vec<T> {
         .collect()
 }
 
+/// `sinks` dealt over `readers` shards, each a [`Fanout`] over its sinks,
+/// plus each shard's input positions for [`unshard`].
+fn shard<T: TraceSink>(sinks: Vec<T>, readers: usize) -> (Vec<Vec<usize>>, Vec<Fanout<T>>) {
+    deal(sinks, readers)
+        .into_iter()
+        .map(|shard| {
+            let (order, sinks): (Vec<usize>, Vec<T>) = shard.into_iter().unzip();
+            (order, Fanout::new(sinks))
+        })
+        .unzip()
+}
+
+/// The sinks of [`shard`]'s fanouts, back in input order.
+fn unshard<T: TraceSink>(order: Vec<Vec<usize>>, shards: Vec<Fanout<T>>) -> Vec<T> {
+    let n = order.iter().map(Vec::len).sum();
+    let dealt = order
+        .into_iter()
+        .zip(shards)
+        .flat_map(|(order, fan)| order.into_iter().zip(fan.into_sinks()));
+    undeal(dealt, n)
+}
+
 /// A direct-mapped configuration grid as one [`GridCache`] shard per
 /// worker (at most one per configuration), plus each shard's input
 /// positions for [`Runner::grid_cells`]. The shards are allocated here,
@@ -173,6 +204,17 @@ fn grid_shards(configs: Vec<CacheConfig>, jobs: usize) -> (Vec<Vec<usize>>, Vec<
         .unzip()
 }
 
+/// What a live pass hands back: the producer's result, the sinks in
+/// input order, the recorder (the ticket's, on a store miss), the
+/// timeline tap, and the events the producer emitted.
+struct Live<O, T> {
+    out: O,
+    sinks: Vec<T>,
+    recorder: Option<Recorder>,
+    tap: Option<Timeline>,
+    events: u64,
+}
+
 /// The unified experiment driver: a [`RunCtx`] (engine configuration,
 /// optional trace store / telemetry / progress) plus a packet
 /// [`Scheduler`]. `Clone` is cheap; builder methods consume and return
@@ -181,15 +223,14 @@ fn grid_shards(configs: Vec<CacheConfig>, jobs: usize) -> (Vec<Vec<usize>>, Vec<
 pub struct Runner<'a> {
     ctx: RunCtx<'a>,
     sched: Scheduler,
+    /// Segment size of the recordings this runner makes.
+    segment_bytes: usize,
 }
 
 impl<'a> Runner<'a> {
     /// A runner over `engine`, with no store, telemetry, or progress.
     pub fn new(engine: EngineConfig) -> Runner<'static> {
-        Runner {
-            ctx: RunCtx::new(engine),
-            sched: Scheduler::new(engine.affinity),
-        }
+        Runner::over(RunCtx::new(engine))
     }
 
     /// The sequential-oracle runner: one worker, nothing attached.
@@ -200,11 +241,15 @@ impl<'a> Runner<'a> {
     /// A runner over an existing context (for callers that already built
     /// a [`RunCtx`]).
     pub fn over(ctx: RunCtx<'a>) -> Runner<'a> {
-        let mut sched = Scheduler::new(ctx.engine.affinity);
+        let mut sched = Scheduler::new();
         if let Some(telemetry) = ctx.telemetry {
             sched = sched.with_telemetry(Arc::clone(telemetry));
         }
-        Runner { sched, ctx }
+        Runner {
+            sched,
+            ctx,
+            segment_bytes: DEFAULT_SEGMENT_BYTES,
+        }
     }
 
     /// Attach a trace store: scenarios record on first run and replay on
@@ -244,7 +289,6 @@ impl<'a> Runner<'a> {
     /// Same attachments, different engine.
     pub fn with_engine(mut self, engine: EngineConfig) -> Runner<'a> {
         self.ctx = self.ctx.with_engine(engine);
-        self.sched = self.sched.with_affinity(engine.affinity);
         self
     }
 
@@ -254,10 +298,12 @@ impl<'a> Runner<'a> {
         self
     }
 
-    /// Same runner using `cmd` as the affinity pinning utility (test
-    /// hook: a nonexistent command exercises the graceful no-op path).
-    pub fn with_affinity_command(mut self, cmd: &str) -> Runner<'a> {
-        self.sched = self.sched.with_affinity_command(cmd);
+    /// Seal this runner's recordings every `bytes` bytes (at least 16)
+    /// instead of every [`DEFAULT_SEGMENT_BYTES`]. No result depends on
+    /// it; tests use tiny segments to land segment boundaries all over a
+    /// short stream.
+    pub fn with_segment_bytes(mut self, bytes: usize) -> Runner<'a> {
+        self.segment_bytes = bytes;
         self
     }
 
@@ -271,39 +317,58 @@ impl<'a> Runner<'a> {
         &self.ctx.engine
     }
 
-    /// Fold a finished crew's accounting into the attached telemetry (the
+    /// Fold a finished crew into the attached telemetry as one engine
+    /// run keyed by the `kind` of packets it ran: `sinks` driven over
+    /// `events` events, plus what a live pass's feed observed (the
     /// caller must hold a probe shard on this thread).
-    fn flush_crew(&self, report: &CrewReport) {
+    fn flush_crew(
+        &self,
+        kind: PacketKind,
+        report: CrewReport,
+        sinks: usize,
+        events: u64,
+        feed: FeedStats,
+    ) {
         probe!(Counter::SchedPackets, report.packets);
-        probe!(Counter::AffinityPinned, report.pinned as u64);
-        probe!(Counter::AffinityFallbacks, report.affinity_fallbacks as u64);
+        if let Some(telemetry) = self.ctx.telemetry {
+            telemetry.record_engine(&EngineReport {
+                kind: kind.name(),
+                jobs: report.workers.len(),
+                sinks,
+                chunks_published: feed.segments,
+                events_published: events,
+                backpressure_ns: feed.wait_ns,
+                queue_depth_hwm: feed.max_lag,
+                workers: report.workers,
+            });
+        }
     }
 
     /// Replay a workload into an arbitrary sink set — the general engine
     /// terminal. Three cases:
     ///
-    /// * No store attached: a live pass. Sequential engines drive the
-    ///   in-thread [`Fanout`]; otherwise the sinks shard across a
-    ///   [`PacketFanout`] whose drain packets ride a scoped crew.
-    /// * Store hit: the sinks are driven by a **sharded replay** of the
-    ///   recorded trace — no VM; each [`PacketKind::ReplayShard`] packet
-    ///   independently decodes the shared segments into its own sink
-    ///   subset. The recorded [`RunStats`] are returned.
-    /// * Store miss: the pass runs live with a
-    ///   [`Recorder`](cachegc_trace::Recorder) riding along on the tuple
-    ///   sink, and the capture is offered back to the store (which may
-    ///   decline it on budget grounds).
+    /// * No store attached: a live pass (see below).
+    /// * Store hit: the recorded trace is replayed into the sinks — no
+    ///   VM — and the recorded [`RunStats`] are returned.
+    /// * Store miss: a live pass whose recorder is the store ticket's,
+    ///   and the capture is offered back to the store (which may decline
+    ///   it on budget grounds).
     ///
-    /// Per-sink results are bit-identical across all three paths.
+    /// With one worker a live pass runs the sinks inline on the VM's
+    /// tuple sink. With more, the VM runs on the calling thread into a
+    /// recorder whose sealed segments feed `min(jobs, sinks)` reader
+    /// packets, each replaying the feed into its shard of the sinks as a
+    /// hit replays the stored trace. Per-sink results are bit-identical
+    /// on every path.
     ///
     /// When the runner carries a [`Telemetry`] registry this terminal is
     /// also the instrumentation root: it attaches a probe shard on the
     /// calling thread, times the `vm_execute` / `record` / `replay` /
     /// `sink_drain` phases (`record` wraps the live run on the miss path,
     /// so those spans overlap `vm_execute` by design), counts live VM
-    /// runs, packets, and store capture outcomes, and has the engine
-    /// report per-worker observability. A runner carrying a [`Progress`]
-    /// gets one tick per completed pass. Neither changes any result bit.
+    /// runs, packets, and store capture outcomes, and reports each crew
+    /// as an engine run. A runner carrying a [`Progress`] gets one tick
+    /// per completed pass. Neither changes any result bit.
     ///
     /// # Errors
     ///
@@ -316,100 +381,61 @@ impl<'a> Runner<'a> {
         sinks: Vec<S>,
     ) -> Result<(RunStats, Vec<S>), VmError>
     where
-        S: TraceSink + Send + 'static,
+        S: TraceSink + Send,
     {
-        self.pass(instance, spec, sinks, |stored, sinks| {
-            self.replay_pass(stored, sinks)
-        })
+        self.pass(instance, spec, sinks, PacketKind::ReplayShard, read_sinks)
     }
 
-    /// The body of [`Runner::sinks`] and [`Runner::grid`]: `replay`
-    /// drives the sinks from the recorded trace on a store hit.
-    fn pass<S>(
+    /// The body of [`Runner::sinks`] and [`Runner::grid`]: `read` drives
+    /// one reader's shard of the sinks from a replayed trace.
+    fn pass<T, R>(
         &self,
         instance: WorkloadInstance,
         spec: Option<CollectorSpec>,
-        sinks: Vec<S>,
-        replay: impl FnOnce(&Arc<StoredTrace>, Vec<S>) -> Vec<S>,
-    ) -> Result<(RunStats, Vec<S>), VmError>
+        sinks: Vec<T>,
+        kind: PacketKind,
+        read: R,
+    ) -> Result<(RunStats, Vec<T>), VmError>
     where
-        S: TraceSink + Send + 'static,
+        T: TraceSink + Send,
+        R: Fn(&mut Segments<'_>, &mut Fanout<T>) + Sync,
     {
         let _shard = self.ctx.telemetry.map(|t| t.attach());
         let pass_start = Instant::now();
-        let (stats, sinks, events) = self.sinks_inner(instance, spec, sinks, replay)?;
+        let (stats, sinks, events) = self.pass_inner(instance, spec, sinks, kind, read)?;
         if let Some(progress) = self.ctx.progress {
             progress.pass(self.ctx.store, events, pass_start.elapsed().as_secs_f64());
         }
         Ok((stats, sinks))
     }
 
-    /// Commit a live pass's timeline tap under its scenario label (no-op
-    /// when the runner carries no recorder, so taps thread through the
-    /// drivers as plain `Option` tuple elements).
-    fn commit_tap(
-        &self,
-        instance: WorkloadInstance,
-        spec: Option<CollectorSpec>,
-        tap: Option<cachegc_analysis::Timeline>,
-    ) {
+    /// Commit a live pass's timeline tap under `label` (no-op when the
+    /// runner carries no recorder, so taps thread through the drivers
+    /// as plain `Option` tuple elements).
+    fn commit_tap(&self, label: impl FnOnce() -> String, tap: Option<Timeline>) {
         if let (Some(recorder), Some(tap)) = (self.ctx.timeline, tap) {
-            recorder.commit(&scenario_label(instance, spec), tap);
+            recorder.commit(&label(), tap);
         }
     }
 
-    /// A store hit's timeline: replay the recorded trace into a fresh tap
-    /// and commit it. The hit's sink replay shards per worker, so the tap
-    /// takes its own decode pass here rather than riding a shard — the
-    /// committed windows are bit-identical to the live pass's.
-    fn timeline_tap_replay(
+    fn pass_inner<T, R>(
         &self,
         instance: WorkloadInstance,
         spec: Option<CollectorSpec>,
-        stored: &Arc<StoredTrace>,
-    ) {
-        if let Some(recorder) = self.ctx.timeline {
-            let mut tap = recorder.tap();
-            stored.trace.replay(&mut tap);
-            recorder.commit(&scenario_label(instance, spec), tap);
-        }
-    }
-
-    fn sinks_inner<S>(
-        &self,
-        instance: WorkloadInstance,
-        spec: Option<CollectorSpec>,
-        sinks: Vec<S>,
-        replay: impl FnOnce(&Arc<StoredTrace>, Vec<S>) -> Vec<S>,
-    ) -> Result<(RunStats, Vec<S>, u64), VmError>
+        sinks: Vec<T>,
+        kind: PacketKind,
+        read: R,
+    ) -> Result<(RunStats, Vec<T>, u64), VmError>
     where
-        S: TraceSink + Send + 'static,
+        T: TraceSink + Send,
+        R: Fn(&mut Segments<'_>, &mut Fanout<T>) + Sync,
     {
-        let ctx = &self.ctx;
-        let Some(store) = ctx.store else {
-            // Live pass, nothing to record.
+        let label = || scenario_label(instance, spec);
+        let Some(store) = self.ctx.store else {
             probe!(Counter::VmRuns);
-            if ctx.engine.is_sequential() {
-                // A tally rides the tuple sink so the sequential pass can
-                // report its event volume like the crews do; the optional
-                // timeline tap rides the same tuple.
-                let tap = ctx.timeline.map(|t| t.tap());
-                let (stats, (tap, (tally, fan))) = {
-                    let _vm = probe::phase_cpu("vm_execute");
-                    run_spec_sink(
-                        instance,
-                        spec,
-                        (tap, (RefCounter::new(), Fanout::new(sinks))),
-                    )?
-                };
-                let _drain = probe::phase("sink_drain");
-                let sinks = fan.into_sinks();
-                let events = tally.total();
-                record_flat_engine(ctx, "sequential", 1, sinks.len(), events);
-                self.commit_tap(instance, spec, tap);
-                return Ok((stats, sinks, events));
-            }
-            return self.packet_pass(instance, spec, sinks, PacketKind::SinkDrain);
+            let live = self.live(Vm(instance, spec), None, kind, sinks, read)?;
+            self.commit_tap(label, live.tap);
+            return Ok((live.out, live.sinks, live.events));
         };
         let ticket = match store.acquire(instance, spec) {
             Acquired::Hit { trace, source } => {
@@ -418,58 +444,56 @@ impl<'a> Runner<'a> {
                     HitSource::SpillLoad => probe!(Counter::StoreSpillLoads),
                     HitSource::Coalesced => probe!(Counter::StoreCoalesced),
                 }
-                self.timeline_tap_replay(instance, spec, &trace);
+                // The tap takes its own decode pass rather than riding a
+                // reader shard; its windows are bit-identical to a live
+                // pass's.
+                if let Some(recorder) = self.ctx.timeline {
+                    let mut tap = recorder.tap();
+                    trace.trace.replay(&mut tap);
+                    recorder.commit(&label(), tap);
+                }
                 let sinks = {
                     let _replay = probe::phase("replay");
-                    replay(&trace, sinks)
+                    self.replay(&trace.trace, kind, sinks, read)
                 };
                 return Ok((trace.stats, sinks, trace.trace.events()));
             }
             Acquired::Miss(ticket) => ticket,
         };
         // Miss: this pass holds the scenario's single recording flight.
-        // Run live with the ticket's budget-metered recorder riding
-        // along, then offer the capture back; concurrent passes of the
-        // same scenario are blocked in `acquire` meanwhile. An early
-        // error return drops the ticket, which cancels the flight and
-        // hands leadership to a waiter.
+        // Run live with the ticket's budget-metered recorder, then offer
+        // the capture back; concurrent passes of the same scenario are
+        // blocked in `acquire` meanwhile. An early error return drops the
+        // ticket, which cancels the flight and hands leadership to a
+        // waiter.
         probe!(Counter::VmRuns);
         let record_start = Instant::now();
         let _record = probe::phase("record");
-        let recorder = ticket.recorder();
-        let tap = ctx.timeline.map(|t| t.tap());
-        let (stats, recorder, sinks, tap) = if ctx.engine.is_sequential() {
-            let (stats, (tap, (rec, fan))) = {
-                let _vm = probe::phase_cpu("vm_execute");
-                run_spec_sink(instance, spec, (tap, (recorder, Fanout::new(sinks))))?
-            };
-            let _drain = probe::phase("sink_drain");
-            let sinks = fan.into_sinks();
-            record_flat_engine(ctx, "sequential", 1, sinks.len(), rec.events());
-            (stats, rec, sinks, tap)
-        } else {
-            let drain_jobs = ctx.engine.jobs.max(1).min(sinks.len().max(1));
-            let (result, report) = self.sched.run(drain_jobs, |crew| {
-                let fan = PacketFanout::new(
-                    crew,
-                    sinks,
-                    &ctx.engine,
-                    PacketKind::Record,
-                    ctx.telemetry.cloned(),
-                );
-                let (stats, (tap, (rec, fan))) = {
-                    let _vm = probe::phase_cpu("vm_execute");
-                    run_spec_sink(instance, spec, (tap, (recorder, fan)))?
-                };
-                let _drain = probe::phase("sink_drain");
-                Ok((stats, rec, fan.into_sinks(), tap))
-            });
-            self.flush_crew(&report);
-            let (stats, rec, sinks, tap) = result?;
-            (stats, rec, sinks, tap)
-        };
-        self.commit_tap(instance, spec, tap);
-        let events = recorder.events();
+        let live = self.live(
+            Vm(instance, spec),
+            Some(ticket.recorder()),
+            kind,
+            sinks,
+            read,
+        )?;
+        self.commit_tap(label, live.tap);
+        let recorder = live
+            .recorder
+            .expect("a recording pass returns its recorder");
+        self.offer(ticket, recorder, live.out, record_start, store, label);
+        Ok((live.out, live.sinks, live.events))
+    }
+
+    /// Hand a finished capture to the store and count the outcome.
+    fn offer(
+        &self,
+        ticket: RecordTicket,
+        recorder: Recorder,
+        stats: RunStats,
+        record_start: Instant,
+        store: &TraceStore,
+        label: impl FnOnce() -> String,
+    ) {
         match ticket.offer(recorder, stats, record_start.elapsed()) {
             OfferOutcome::Stored {
                 bytes,
@@ -490,127 +514,176 @@ impl<'a> Runner<'a> {
             }
             OfferOutcome::DroppedOverBudget => {
                 probe!(Counter::StoreCapturesDropped);
-                if let Some(telemetry) = ctx.telemetry {
+                if let Some(telemetry) = self.ctx.telemetry {
                     telemetry.warn(&format!(
                         "trace store dropped over-budget capture of {} \
                          (budget {} bytes); the scenario keeps running live",
-                        scenario_label(instance, spec),
+                        label(),
                         store.budget()
                     ));
                 }
             }
             OfferOutcome::Duplicate => {}
         }
-        Ok((stats, sinks, events))
     }
 
-    /// A live pass with the sinks sharded across a packet crew.
-    fn packet_pass<S>(
+    /// The one live pass: `producer` runs on the calling thread.
+    ///
+    /// With one worker the sinks ride its tuple sink inline,
+    /// `(tap, (rider, Fanout))`, the rider being `recorder` (a store
+    /// miss's) or an event tally. With more, the producer records into
+    /// `recorder` — or, without one, a recorder that keeps nothing — and
+    /// every segment it seals feeds `min(jobs, sinks)` reader packets of
+    /// `kind`, which `read` their shard of the sinks from the feed while
+    /// it grows, exactly as a store hit's readers read the stored trace.
+    fn live<P, T, R>(
         &self,
-        instance: WorkloadInstance,
-        spec: Option<CollectorSpec>,
-        sinks: Vec<S>,
+        producer: P,
+        recorder: Option<Recorder>,
         kind: PacketKind,
-    ) -> Result<(RunStats, Vec<S>, u64), VmError>
+        sinks: Vec<T>,
+        read: R,
+    ) -> Result<Live<P::Out, T>, VmError>
     where
-        S: TraceSink + Send + 'static,
+        P: Producer,
+        T: TraceSink + Send,
+        R: Fn(&mut Segments<'_>, &mut Fanout<T>) + Sync,
     {
-        let ctx = &self.ctx;
-        let tap = ctx.timeline.map(|t| t.tap());
-        let drain_jobs = ctx.engine.jobs.max(1).min(sinks.len().max(1));
-        let (result, report) = self.sched.run(drain_jobs, |crew| {
-            let fan = PacketFanout::new(crew, sinks, &ctx.engine, kind, ctx.telemetry.cloned());
-            let (stats, (tap, fan)) = {
-                let _vm = probe::phase_cpu("vm_execute");
-                run_spec_sink(instance, spec, (tap, fan))?
-            };
-            let _drain = probe::phase("sink_drain");
-            let events = fan.events_published();
-            Ok((stats, fan.into_sinks(), events, tap))
-        });
-        self.flush_crew(&report);
-        let (stats, sinks, events, tap) = result?;
-        self.commit_tap(instance, spec, tap);
-        Ok((stats, sinks, events))
-    }
-
-    /// A store hit: drive the sinks by sharded replay, one
-    /// [`PacketKind::ReplayShard`] packet per worker (in-thread, through
-    /// one [`Fanout`], when the engine budget is one worker).
-    fn replay_pass<S>(&self, stored: &Arc<StoredTrace>, sinks: Vec<S>) -> Vec<S>
-    where
-        S: TraceSink + Send + 'static,
-    {
-        let n_sinks = sinks.len();
-        let jobs = self.ctx.engine.jobs.clamp(1, n_sinks.max(1));
-        let sinks = if jobs <= 1 {
-            let mut fan = Fanout::new(sinks);
-            stored.trace.replay(&mut fan);
-            fan.into_sinks()
-        } else {
-            // Static shards: sink `i` on packet `i % jobs`, pinned to
-            // worker `i % jobs`'s deque.
-            let shards = self.replay_shards(
-                stored,
-                PacketKind::ReplayShard,
-                deal(sinks, jobs),
-                |trace, shard| {
-                    for (_, sink) in shard.iter_mut() {
-                        trace.replay(sink);
+        let tap = self.ctx.timeline.map(|t| t.tap());
+        if self.ctx.engine.is_sequential() {
+            let _vm = probe::phase_cpu("vm_execute");
+            let fan = Fanout::new(sinks);
+            return Ok(match recorder {
+                Some(rec) => {
+                    let (out, (tap, (rec, fan))) = producer.run((tap, (rec, fan)))?;
+                    Live {
+                        out,
+                        sinks: fan.into_sinks(),
+                        events: rec.events(),
+                        recorder: Some(rec),
+                        tap,
                     }
-                    shard.len()
-                },
-            );
-            undeal(shards.into_iter().flatten(), n_sinks)
+                }
+                None => {
+                    let (out, (tap, (tally, fan))) =
+                        producer.run((tap, (RefCounter::new(), fan)))?;
+                    Live {
+                        out,
+                        sinks: fan.into_sinks(),
+                        events: tally.total(),
+                        recorder: None,
+                        tap,
+                    }
+                }
+            });
+        }
+        let n = sinks.len();
+        let readers = self.ctx.engine.jobs.min(n).max(1);
+        let (order, shards) = shard(sinks, readers);
+        let (writer, feeds) = feed(readers);
+        // Without a store ticket nothing is kept: a zero limit abandons
+        // the capture at its first event, and an abandoned capture with
+        // a feed only feeds.
+        let recorder = recorder
+            .unwrap_or_else(|| Recorder::with_limit(0))
+            .with_segment_bytes(self.segment_bytes)
+            .with_feed(writer);
+        let sources = feeds.into_iter().map(Segments::Feed).collect();
+        let (produced, shards, report) = self.read_shards(kind, sources, shards, &read, || {
+            let (out, (tap, mut rec)) = {
+                let _vm = probe::phase_cpu("vm_execute");
+                producer.run((tap, recorder))?
+            };
+            let feed = rec.close_feed().expect("the live recorder has a feed");
+            Ok((out, tap, rec, feed))
+        });
+        let (out, tap, rec, feed) = match produced {
+            Ok(produced) => produced,
+            Err(e) => {
+                self.flush_crew(kind, report, n, 0, FeedStats::default());
+                return Err(e);
+            }
         };
-        record_flat_engine(&self.ctx, "replay", jobs, n_sinks, stored.trace.events());
-        sinks
+        let events = rec.events();
+        self.flush_crew(kind, report, n, events, feed);
+        Ok(Live {
+            out,
+            sinks: unshard(order, shards),
+            recorder: Some(rec),
+            tap,
+            events,
+        })
     }
 
-    /// Replay `stored` into every shard: one `kind` packet per shard,
-    /// pinned to worker `j`'s deque (in-thread for a single shard).
-    /// Shards come back in order. `replay` returns how many sinks it
-    /// drove, for the per-worker event accounting.
-    fn replay_shards<T, F>(
+    /// A store hit: replay `trace` into the sinks, dealt over
+    /// `min(jobs, sinks)` reader packets of `kind` (in-thread for one).
+    fn replay<T, R>(
         &self,
-        stored: &Arc<StoredTrace>,
+        trace: &RecordedTrace,
         kind: PacketKind,
-        mut shards: Vec<T>,
-        replay: F,
+        sinks: Vec<T>,
+        read: R,
     ) -> Vec<T>
     where
-        T: Send,
-        F: Fn(&RecordedTrace, &mut T) -> usize + Sync,
+        T: TraceSink + Send,
+        R: Fn(&mut Segments<'_>, &mut Fanout<T>) + Sync,
     {
-        if shards.len() <= 1 {
-            for shard in &mut shards {
-                replay(&stored.trace, shard);
-            }
-            return shards;
+        let n = sinks.len();
+        let readers = self.ctx.engine.jobs.min(n).max(1);
+        let (order, mut shards) = shard(sinks, readers);
+        if readers <= 1 {
+            read(&mut Segments::Trace(trace), &mut shards[0]);
+        } else {
+            let sources = (0..readers).map(|_| Segments::Trace(trace)).collect();
+            let ((), read_back, report) = self.read_shards(kind, sources, shards, &read, || ());
+            self.flush_crew(kind, report, n, trace.events(), FeedStats::default());
+            shards = read_back;
         }
-        let events = stored.trace.events();
-        let slots: Vec<Mutex<Option<T>>> = shards.iter().map(|_| Mutex::new(None)).collect();
-        let ((), report) = self.sched.run(shards.len(), |crew| {
-            for (j, (shard, slot)) in shards.into_iter().zip(&slots).enumerate() {
-                let replay = &replay;
-                crew.submit(Stage::Simulate, kind, Some(j), move |stats| {
-                    let mut shard = shard;
-                    let sinks = replay(&stored.trace, &mut shard);
-                    stats.events += events * sinks as u64;
-                    *slot.lock().expect("replay slot poisoned") = Some(shard);
+        unshard(order, shards)
+    }
+
+    /// The crew behind every replay: reader packet `j` of `kind` reads
+    /// `sources[j]` into `shards[j]`, pinned to worker `j`'s deque, while
+    /// `produce` runs on the calling thread. Waits for every reader, then
+    /// returns `produce`'s result, the shards in order, and the crew's
+    /// accounting.
+    fn read_shards<'s, T, P>(
+        &self,
+        kind: PacketKind,
+        sources: Vec<Segments<'s>>,
+        shards: Vec<Fanout<T>>,
+        read: &(impl Fn(&mut Segments<'_>, &mut Fanout<T>) + Sync),
+        produce: impl FnOnce() -> P,
+    ) -> (P, Vec<Fanout<T>>, CrewReport)
+    where
+        T: TraceSink + Send,
+    {
+        let slots: Vec<Mutex<Option<Fanout<T>>>> =
+            shards.iter().map(|_| Mutex::new(None)).collect();
+        let (produced, report) = self.sched.run(shards.len(), |crew| {
+            for (j, ((mut shard, mut source), slot)) in
+                shards.into_iter().zip(sources).zip(&slots).enumerate()
+            {
+                crew.submit(kind, Some(j), move |stats| {
+                    read(&mut source, &mut shard);
+                    stats.events += source.events() * shard.sinks().len() as u64;
+                    *slot.lock().expect("reader slot poisoned") = Some(shard);
                 });
             }
+            let produced = produce();
+            let _drain = probe::phase("sink_drain");
             crew.wait_idle();
+            produced
         });
-        self.flush_crew(&report);
-        slots
+        let shards = slots
             .into_iter()
             .map(|slot| {
                 slot.into_inner()
-                    .expect("replay slot poisoned")
-                    .expect("replay packet ran")
+                    .expect("reader slot poisoned")
+                    .expect("reader packet ran")
             })
-            .collect()
+            .collect();
+        (produced, shards, report)
     }
 
     /// [`Runner::sinks`] for the closed heterogeneous [`Instrument`] set —
@@ -633,13 +706,14 @@ impl<'a> Runner<'a> {
     /// `instance` — the terminal behind [`Runner::control`] and
     /// [`Runner::collected`].
     ///
-    /// The grid rides the pass as [`GridCache`] shards, one per worker.
-    /// A live or recording pass fans the event stream into the shards
-    /// like any sink set (see [`Runner::sinks`]); a store hit replays the
-    /// recorded trace through the batch decoder, one decode pass per
-    /// shard ([`PacketKind::GridSimulate`] packets when sharded). Cells
-    /// come back in input order, each bit-identical to an independent
-    /// [`Cache`](cachegc_sim::Cache) over the same stream.
+    /// The grid rides the pass as [`GridCache`] shards, one per worker,
+    /// allocated on the calling thread. Inline, the VM drives the one
+    /// shard event by event; on a crew, each [`PacketKind::GridSimulate`]
+    /// reader drives its shard through the batched decoder, from the
+    /// stored trace on a hit and from the live feed otherwise (see
+    /// [`Runner::sinks`]). Cells come back in input order, each
+    /// bit-identical to an independent [`Cache`](cachegc_sim::Cache) over
+    /// the same stream.
     ///
     /// # Errors
     ///
@@ -651,24 +725,9 @@ impl<'a> Runner<'a> {
         configs: Vec<CacheConfig>,
     ) -> Result<(RunStats, Vec<CacheCell>), VmError> {
         let (order, grids) = grid_shards(configs, self.ctx.engine.jobs);
-        let (stats, grids) = self.pass(instance, spec, grids, |stored, grids| {
-            self.grid_replay(stored, grids)
-        })?;
+        let (stats, grids) =
+            self.pass(instance, spec, grids, PacketKind::GridSimulate, read_grids)?;
         Ok((stats, self.grid_cells(order, grids)))
-    }
-
-    /// A store hit for a grid: one batched decode pass drives each
-    /// [`GridCache`] shard. As on the live paths, the engine report
-    /// counts each shard as one sink; `grid_cells_simulated` counts the
-    /// per-cell work.
-    fn grid_replay(&self, stored: &Arc<StoredTrace>, grids: Vec<GridCache>) -> Vec<GridCache> {
-        let jobs = grids.len();
-        let grids = self.replay_shards(stored, PacketKind::GridSimulate, grids, |trace, grid| {
-            trace.replay_batched(|b| grid.consume(b));
-            1
-        });
-        record_flat_engine(&self.ctx, "replay", jobs, jobs, stored.trace.events());
-        grids
     }
 
     /// Finished [`grid_shards`] back as cells in input order; counts the
@@ -767,19 +826,19 @@ impl<'a> Runner<'a> {
         let ((), report) = self.sched.run(2, |crew| {
             let control_runner = &control_runner;
             let control_slot = &control_slot;
-            crew.submit(Stage::Execute, PacketKind::VmExecute, Some(0), move |_| {
+            crew.submit(PacketKind::VmExecute, Some(0), move |_| {
                 *control_slot.lock().expect("control slot poisoned") =
                     Some(control_runner.control(instance, cfg));
             });
             let collected_runner = &collected_runner;
             let collected_slot = &collected_slot;
-            crew.submit(Stage::Execute, PacketKind::VmExecute, Some(1), move |_| {
+            crew.submit(PacketKind::VmExecute, Some(1), move |_| {
                 *collected_slot.lock().expect("collected slot poisoned") =
                     Some(collected_runner.collected(instance, cfg, spec));
             });
             crew.wait_idle();
         });
-        self.flush_crew(&report);
+        self.flush_crew(PacketKind::VmExecute, report, 0, 0, FeedStats::default());
         let control = control_slot
             .into_inner()
             .expect("control slot poisoned")
@@ -842,13 +901,13 @@ impl<'a> Runner<'a> {
                 let inner = &inner;
                 let f = &f;
                 let slot = &slots[i];
-                crew.submit(Stage::Execute, kind, None, move |_| {
+                crew.submit(kind, None, move |_| {
                     *slot.lock().expect("map slot poisoned") = Some(f(inner, item));
                 });
             }
             crew.wait_idle();
         });
-        self.flush_crew(&report);
+        self.flush_crew(kind, report, 0, 0, FeedStats::default());
         slots
             .into_iter()
             .map(|m| {
@@ -860,58 +919,20 @@ impl<'a> Runner<'a> {
     }
 
     /// The escape hatch for passes that drive the sink themselves (e.g. a
-    /// hand-built VM loop): `f` receives a [`TraceSink`] fanned out over
-    /// `sinks` under this runner's engine — sequential in-thread, or
-    /// sharded across a packet crew — and the sinks come back in input
-    /// order along with `f`'s result. Phases (`vm_execute`/`sink_drain`),
-    /// the VM-run counter, and engine observability are reported exactly
-    /// like [`Runner::sinks`]'s live path.
+    /// hand-built VM loop): `f` receives a [`TraceSink`] over `sinks`
+    /// under this runner's engine — inline through one [`Fanout`], or
+    /// recorded into a feed that reader packets replay into shards of
+    /// the sinks — and the sinks come back in input order along with
+    /// `f`'s result. `kind` names the pass: its timeline commits under
+    /// `drive:{kind}`. Phases, the VM-run counter, and engine
+    /// observability are reported exactly like [`Runner::sinks`]'s live
+    /// path.
     pub fn drive<S, T, F>(&self, kind: PacketKind, sinks: Vec<S>, f: F) -> (T, Vec<S>)
     where
-        S: TraceSink + Send + 'static,
+        S: TraceSink + Send,
         F: FnOnce(&mut dyn TraceSink) -> T,
     {
-        let ctx = &self.ctx;
-        let _shard = ctx.telemetry.map(|t| t.attach());
-        probe!(Counter::VmRuns);
-        let tap = ctx.timeline.map(|t| t.tap());
-        let commit = |tap: Option<cachegc_analysis::Timeline>| {
-            if let (Some(recorder), Some(tap)) = (ctx.timeline, tap) {
-                recorder.commit(&format!("drive:{}", kind.name()), tap);
-            }
-        };
-        if ctx.engine.is_sequential() {
-            // A tally rides the tuple sink so the sequential pass can
-            // report its event volume like the crews do; the optional
-            // timeline tap rides the same tuple.
-            let mut group = (tap, (RefCounter::new(), Fanout::new(sinks)));
-            let out = {
-                let _vm = probe::phase_cpu("vm_execute");
-                f(&mut group)
-            };
-            let _drain = probe::phase("sink_drain");
-            let (tap, (tally, fan)) = group;
-            let sinks = fan.into_sinks();
-            record_flat_engine(ctx, "sequential", 1, sinks.len(), tally.total());
-            commit(tap);
-            return (out, sinks);
-        }
-        let drain_jobs = ctx.engine.jobs.max(1).min(sinks.len().max(1));
-        let (result, report) = self.sched.run(drain_jobs, |crew| {
-            let fan = PacketFanout::new(crew, sinks, &ctx.engine, kind, ctx.telemetry.cloned());
-            let mut group = (tap, fan);
-            let out = {
-                let _vm = probe::phase_cpu("vm_execute");
-                f(&mut group)
-            };
-            let _drain = probe::phase("sink_drain");
-            let (tap, fan) = group;
-            (out, fan.into_sinks(), tap)
-        });
-        self.flush_crew(&report);
-        let (out, sinks, tap) = result;
-        commit(tap);
-        (out, sinks)
+        self.drive_shards(kind, sinks, PacketKind::ReplayShard, read_sinks, f)
     }
 
     /// [`Runner::drive`] over a direct-mapped configuration grid: the
@@ -928,8 +949,31 @@ impl<'a> Runner<'a> {
         F: FnOnce(&mut dyn TraceSink) -> T,
     {
         let (order, grids) = grid_shards(configs, self.ctx.engine.jobs);
-        let (out, grids) = self.drive(kind, grids, f);
+        let (out, grids) = self.drive_shards(kind, grids, PacketKind::GridSimulate, read_grids, f);
         (out, self.grid_cells(order, grids))
+    }
+
+    fn drive_shards<S, T, F, R>(
+        &self,
+        kind: PacketKind,
+        sinks: Vec<S>,
+        reader: PacketKind,
+        read: R,
+        f: F,
+    ) -> (T, Vec<S>)
+    where
+        S: TraceSink + Send,
+        F: FnOnce(&mut dyn TraceSink) -> T,
+        R: Fn(&mut Segments<'_>, &mut Fanout<S>) + Sync,
+    {
+        let _shard = self.ctx.telemetry.map(|t| t.attach());
+        probe!(Counter::VmRuns);
+        let live = match self.live(Drive(f), None, reader, sinks, read) {
+            Ok(live) => live,
+            Err(e) => unreachable!("a driven pass runs no VM that could fail: {e}"),
+        };
+        self.commit_tap(|| format!("drive:{}", kind.name()), live.tap);
+        (live.out, live.sinks)
     }
 }
 
@@ -937,7 +981,6 @@ impl<'a> Runner<'a> {
 mod tests {
     use super::*;
     use crate::experiment::{run_collected, run_control};
-    use crate::sched::Schedule;
     use cachegc_analysis::{ActivityTracker, BlockTracker, SweepPlot};
     use cachegc_sim::{Cache, CacheConfig, SetAssocCache};
     use cachegc_workloads::Workload;
@@ -1009,23 +1052,17 @@ mod tests {
     }
 
     #[test]
-    fn instruments_identical_under_every_schedule() {
+    fn instruments_identical_on_crews_of_every_width() {
         let w = Workload::Rewrite.scaled(1);
         let (stats0, oracle) = Runner::sequential()
             .instruments(w, None, mixed_instruments())
             .unwrap();
-        for schedule in [Schedule::RoundRobin, Schedule::WorkStealing] {
-            let engine = EngineConfig::jobs(3).with_schedule(schedule);
-            let (stats, out) = Runner::new(engine)
+        for jobs in [2, 3, 8] {
+            let (stats, out) = Runner::new(EngineConfig::jobs(jobs))
                 .instruments(w, None, mixed_instruments())
                 .unwrap();
             assert_eq!(stats0.instructions.program(), stats.instructions.program());
-            assert_eq!(
-                oracle,
-                out,
-                "{}: instrument set bit-identical",
-                schedule.name()
-            );
+            assert_eq!(oracle, out, "jobs {jobs}: instrument set bit-identical");
         }
     }
 
@@ -1035,7 +1072,7 @@ mod tests {
         let spec = CollectorSpec::Cheney {
             semispace_bytes: 512 << 10,
         };
-        let engine = EngineConfig::jobs(2).with_schedule(Schedule::WorkStealing);
+        let engine = EngineConfig::jobs(2);
         let sinks = vec![Cache::new(CacheConfig::direct_mapped(32 << 10, 64))];
         let (stats, out) = Runner::new(engine).sinks(w, Some(spec), sinks).unwrap();
         assert!(stats.gc.collections > 0, "heap small enough to force GC");
@@ -1050,8 +1087,7 @@ mod tests {
         let cfg = ExperimentConfig::quick();
         let w = Workload::Rewrite.scaled(1);
         let store = crate::TraceStore::unbounded();
-        let engine = EngineConfig::jobs(2).with_schedule(Schedule::WorkStealing);
-        let runner = Runner::new(engine).with_store(&store);
+        let runner = Runner::new(EngineConfig::jobs(2)).with_store(&store);
         let oracle = run_control(w, &cfg).unwrap();
         let live = runner.control(w, &cfg).unwrap(); // miss: records
         let replay = runner.control(w, &cfg).unwrap(); // hit: replays
@@ -1074,8 +1110,9 @@ mod tests {
 
     /// `Runner::grid` against the `Vec<Cache>` oracle (`run_control` /
     /// `run_collected`) on every path a grid can take: live sequential,
-    /// live crews, store misses (recording), store hits on one to three
-    /// workers, and hits re-materialized from spill files. Full
+    /// live crews (replaying the feed of an unkept recording), store
+    /// misses (replaying the feed of the kept one), store hits on one to
+    /// three workers, and hits re-materialized from spill files. Full
     /// `CacheStats`, per-block counters included, must match.
     #[test]
     fn grid_matches_the_cache_oracle_on_every_path() {
@@ -1106,13 +1143,12 @@ mod tests {
         };
         check("live sequential", &Runner::sequential());
         for jobs in [2, 3] {
-            for schedule in [Schedule::RoundRobin, Schedule::WorkStealing] {
-                let engine = EngineConfig::jobs(jobs).with_schedule(schedule);
-                let tag = format!("live jobs {jobs} {}", schedule.name());
-                check(&tag, &Runner::new(engine));
-            }
+            check(
+                &format!("live jobs {jobs}"),
+                &Runner::new(EngineConfig::jobs(jobs)),
+            );
         }
-        let ws = |jobs| EngineConfig::jobs(jobs).with_schedule(Schedule::WorkStealing);
+        let ws = EngineConfig::jobs;
         let store = crate::TraceStore::unbounded();
         check(
             "sequential store miss",
@@ -1138,15 +1174,21 @@ mod tests {
 
     #[test]
     fn over_budget_store_falls_back_to_live_runs() {
+        // Every capture outgrows a 64-byte budget, so both passes feed
+        // their readers from an abandoned capture.
         let cfg = ExperimentConfig::quick();
         let w = Workload::Rewrite.scaled(1);
+        let oracle = run_control(w, &cfg).unwrap();
         let store = crate::TraceStore::with_budget(64);
         let runner = Runner::new(EngineConfig::jobs(2)).with_store(&store);
-        let a = runner.control(w, &cfg).unwrap();
-        let b = runner.control(w, &cfg).unwrap();
-        grids_equal(&a.cells, &b.cells);
+        for _ in 0..2 {
+            let live = runner.control(w, &cfg).unwrap();
+            assert_eq!((live.refs, live.i_prog), (oracle.refs, oracle.i_prog));
+            grids_equal(&oracle.cells, &live.cells);
+        }
         let s = store.stats();
         assert_eq!((s.entries, s.misses, s.over_budget), (0, 2, 2));
+        assert_eq!(s.reserved, 0, "abandoned captures returned their budget");
     }
 
     #[test]
@@ -1223,9 +1265,9 @@ mod tests {
             oracle.access(*a);
         }
         let expected = oracle.into_sinks();
-        for schedule in [Schedule::RoundRobin, Schedule::WorkStealing] {
-            let engine = EngineConfig::jobs(2).with_schedule(schedule);
-            let (n, got) = Runner::new(engine).drive(PacketKind::VmExecute, grid(), |fan| {
+        for (jobs, segment_bytes) in [(1, 16), (2, 16), (2, 1 << 20), (3, 100)] {
+            let runner = Runner::new(EngineConfig::jobs(jobs)).with_segment_bytes(segment_bytes);
+            let (n, got) = runner.drive(PacketKind::VmExecute, grid(), |fan| {
                 for a in &stream {
                     fan.access(*a);
                 }
@@ -1233,9 +1275,53 @@ mod tests {
             });
             assert_eq!(n, stream.len());
             for (g, e) in got.iter().zip(&expected) {
-                assert_eq!(g.stats(), e.stats(), "{}", schedule.name());
+                assert_eq!(
+                    g.stats(),
+                    e.stats(),
+                    "jobs {jobs}, {segment_bytes}-byte segments"
+                );
             }
         }
+    }
+
+    /// A failing VM closes the feed: the readers end, the crew winds
+    /// down, and the pass returns the error instead of hanging.
+    #[test]
+    fn a_vm_error_on_a_crew_pass_returns_the_error() {
+        let w = Workload::Rewrite.scaled(1);
+        let spec = CollectorSpec::Cheney {
+            semispace_bytes: 4096,
+        };
+        let err = run_collected(w, &ExperimentConfig::quick(), spec).unwrap_err();
+        let store = crate::TraceStore::unbounded();
+        for runner in [
+            Runner::new(EngineConfig::jobs(2)).with_segment_bytes(64),
+            Runner::new(EngineConfig::jobs(3)).with_store(&store),
+        ] {
+            let got = runner.collected(w, &ExperimentConfig::quick(), spec);
+            assert_eq!(got.unwrap_err().to_string(), err.to_string());
+        }
+        assert_eq!(store.stats().entries, 0, "a failed capture is not kept");
+        assert_eq!(store.stats().reserved, 0);
+    }
+
+    /// A panicking sink on a reader packet reaches the caller and does
+    /// not leave the VM waiting on a reader that is gone.
+    #[test]
+    fn a_panicking_reader_propagates_instead_of_wedging_the_pass() {
+        struct Bomb(u64);
+        impl TraceSink for Bomb {
+            fn access(&mut self, _: cachegc_trace::Access) {
+                self.0 += 1;
+                assert!(self.0 < 1000, "sink gives out");
+            }
+        }
+        let outcome = std::panic::catch_unwind(|| {
+            let runner = Runner::new(EngineConfig::jobs(2)).with_segment_bytes(64);
+            let sinks = vec![Bomb(0), Bomb(0)];
+            runner.sinks(Workload::Rewrite.scaled(1), None, sinks)
+        });
+        assert!(outcome.is_err(), "the reader's panic surfaced");
     }
 
     #[test]
@@ -1264,14 +1350,11 @@ mod tests {
             report.totals,
             "window sums reconstruct the aggregate"
         );
-        // Packet crews, the recording pass, and the sharded replay all
+        // Live crews, the recording pass, and the sharded replay all
         // commit the same report.
         let store = crate::TraceStore::unbounded();
         for (tag, runner) in [
-            (
-                "packet",
-                Runner::new(EngineConfig::jobs(3).with_schedule(Schedule::WorkStealing)),
-            ),
+            ("live", Runner::new(EngineConfig::jobs(3))),
             (
                 "record",
                 Runner::new(EngineConfig::jobs(2)).with_store(&store),
@@ -1303,16 +1386,5 @@ mod tests {
         assert_eq!(runs.len(), 1);
         assert_eq!(runs[0].label, "drive:vm_execute");
         assert_eq!(runs[0].report.windows_sum(), runs[0].report.totals);
-    }
-
-    #[test]
-    fn affinity_runner_degrades_to_a_noop_with_a_missing_pinner() {
-        let cfg = ExperimentConfig::quick();
-        let w = Workload::Rewrite.scaled(1);
-        let seq = run_control(w, &cfg).unwrap();
-        let engine = EngineConfig::jobs(2).with_affinity(true);
-        let runner = Runner::new(engine).with_affinity_command("cachegc-no-such-pinner");
-        let par = runner.control(w, &cfg).unwrap();
-        grids_equal(&seq.cells, &par.cells);
     }
 }

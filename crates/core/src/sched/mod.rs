@@ -1,190 +1,83 @@
-//! The work-packet scheduler: typed packets in prioritized buckets,
-//! drained by a crew of workers with per-worker deques, work-stealing,
-//! and optional CPU affinity.
+//! The work-packet scheduler: typed packets drained by a crew of
+//! workers with per-worker deques and work-stealing.
 //!
 //! Modeled on mmtk-core's `scheduler` module: every unit of engine work —
-//! a VM execution, a trace recording, a replay shard, an instrument-cell
-//! drain, a golden-check diff — is a [`PacketKind`]-typed packet placed in
-//! a [`Stage`] bucket or pushed onto a specific worker's deque. Workers
-//! prefer their own deque, then drain the shared buckets in stage-priority
-//! order (`Prepare → Execute → Simulate → Finalize`), then steal from
-//! sibling deques; claims from shared buckets and sibling deques count as
-//! steals, so the per-worker [`WorkerStats`] that flow into the telemetry
-//! manifest distinguish static placement from dynamic balancing.
+//! a VM execution, a replay reader, a grid shard, a golden-check diff —
+//! is a [`PacketKind`]-typed packet pushed onto a specific worker's deque
+//! or onto the crew's shared queue. Workers prefer their own deque, then
+//! the shared queue, then steal from sibling deques; claims from the
+//! shared queue and sibling deques count as steals, so the per-worker
+//! [`WorkerStats`] that flow into the telemetry manifest distinguish
+//! static placement from dynamic balancing.
 //!
-//! The legacy `ParallelFanout`'s two schedules survive as *bucket
-//! policies* of [`fanout::PacketFanout`] rather than a parallel code path:
-//! round-robin pins each sink shard's drain packets to a preferred worker
-//! deque, work-stealing publishes them to the shared `Simulate` bucket.
+//! Every crew runs packets of one kind, and the engine's crews only
+//! replay: a pass whose trace is stored replays it, a live pass replays
+//! the segment feed its own recorder fills (see [`crate::Runner`]). The
+//! only knob is the worker count, [`EngineConfig::jobs`].
 //!
 //! # Crews, not a resident pool
 //!
 //! The workspace forbids `unsafe`, so worker threads cannot outlive the
 //! data their packets borrow. A [`Scheduler`] is therefore a cheap,
-//! cloneable *policy* handle; each operation spins up a scoped **crew**
+//! cloneable handle; each operation spins up a scoped **crew**
 //! ([`Scheduler::run`]) whose workers live exactly as long as the
 //! operation. Packets may borrow anything that outlives the `run` call.
-//!
-//! # Affinity
-//!
-//! When [`EngineConfig::affinity`] is set, each crew worker tries to pin
-//! itself to core `i % available_parallelism()`. Pinning is strictly
-//! best-effort: on a 1-core container, under a restrictive sandbox, or
-//! when the pinning utility is missing, the attempt degrades to a no-op
-//! and is reported as a fallback in the [`CrewReport`] — never an error.
+//! A panicking packet does not wedge its crew: the crew finishes its
+//! other packets and [`Scheduler::run`] resumes the panic on the caller.
 
-mod affinity;
-pub mod fanout;
-
+use std::any::Any;
 use std::collections::VecDeque;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use cachegc_telemetry::{probe, Telemetry, WorkerStats};
 
-pub use fanout::PacketFanout;
-
 pub(crate) fn dur_ns(d: Duration) -> u64 {
     u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
 }
 
-/// Default events buffered before a chunk is broadcast to the workers.
-///
-/// 4096 events ≈ 48 KB per chunk: large enough to amortize queue
-/// synchronization to well under a nanosecond per event, small enough to
-/// stay resident in L1/L2 while each worker replays it.
-pub const DEFAULT_CHUNK_EVENTS: usize = 4096;
-
-/// How the engine assigns sink shards to workers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// A retired scheduling policy. Crews only replay now and the worker
+/// count alone shapes a pass, so nothing reads a `Schedule`; it survives
+/// only so that callers of [`EngineConfig::with_schedule`] still build.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Schedule {
-    /// Static sharding: sink `i` lives on worker `i % jobs` for the whole
-    /// run. Lowest overhead; best when per-sink cost is uniform.
-    #[default]
+    /// Formerly static sink sharding.
     RoundRobin,
-    /// Dynamic load balancing: idle workers claim whichever sink shard has
-    /// unconsumed chunks. Best when per-sink cost is heterogeneous.
+    /// Formerly per-sink drain packets on a shared bucket.
     WorkStealing,
 }
 
-impl Schedule {
-    /// Short name used in reports and CLI flags.
-    pub fn name(self) -> &'static str {
-        match self {
-            Schedule::RoundRobin => "round-robin",
-            Schedule::WorkStealing => "work-stealing",
-        }
-    }
-
-    /// Parse a CLI spelling (`round-robin`/`rr`, `work-stealing`/`steal`/`ws`).
-    pub fn parse(s: &str) -> Option<Schedule> {
-        match s {
-            "round-robin" | "rr" => Some(Schedule::RoundRobin),
-            "work-stealing" | "steal" | "ws" => Some(Schedule::WorkStealing),
-            _ => None,
-        }
-    }
-}
-
-/// Configuration of the packet-scheduled experiment engine: worker count,
-/// chunk granularity, bucket policy, and affinity.
+/// Configuration of the packet-scheduled experiment engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EngineConfig {
-    /// Worker threads. `1` with [`Schedule::RoundRobin`] is the sequential
-    /// oracle configuration drivers may special-case.
+    /// Worker threads. `1` is the sequential configuration: passes run
+    /// inline on the calling thread.
     pub jobs: usize,
-    /// Events buffered per broadcast chunk.
-    pub chunk_events: usize,
-    /// Worker scheduling strategy.
-    pub schedule: Schedule,
-    /// Pin crew workers to CPU cores (best-effort; no-op where the
-    /// platform refuses).
-    pub affinity: bool,
 }
 
 impl Default for EngineConfig {
     fn default() -> Self {
-        EngineConfig {
-            jobs: 1,
-            chunk_events: DEFAULT_CHUNK_EVENTS,
-            schedule: Schedule::RoundRobin,
-            affinity: false,
-        }
+        EngineConfig { jobs: 1 }
     }
 }
 
 impl EngineConfig {
-    /// Round-robin over `jobs` workers with the default chunk size.
+    /// An engine with `jobs` workers.
     pub fn jobs(jobs: usize) -> Self {
-        EngineConfig {
-            jobs,
-            ..EngineConfig::default()
-        }
+        EngineConfig { jobs }
     }
 
-    /// Same configuration with a different chunk size.
-    pub fn with_chunk(mut self, chunk_events: usize) -> Self {
-        self.chunk_events = chunk_events;
+    /// The same configuration: schedules are retired (see [`Schedule`]),
+    /// so this changes nothing.
+    pub fn with_schedule(self, _schedule: Schedule) -> Self {
         self
     }
 
-    /// Same configuration with a different schedule.
-    pub fn with_schedule(mut self, schedule: Schedule) -> Self {
-        self.schedule = schedule;
-        self
-    }
-
-    /// Same configuration with affinity pinning toggled.
-    pub fn with_affinity(mut self, affinity: bool) -> Self {
-        self.affinity = affinity;
-        self
-    }
-
-    /// True if this configuration buys nothing over the sequential path,
-    /// so drivers should take their single-threaded oracle branch.
+    /// True if passes should run inline on the calling thread rather
+    /// than on a crew.
     pub fn is_sequential(&self) -> bool {
-        self.jobs <= 1 && self.schedule == Schedule::RoundRobin
-    }
-}
-
-/// The prioritized bucket a packet is scheduled under. Workers drain
-/// buckets in declaration order: all available `Prepare` work is claimed
-/// before `Execute`, and so on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-#[repr(usize)]
-pub enum Stage {
-    /// Setup work that gates everything else (building shards, opening
-    /// stores).
-    Prepare,
-    /// Producing work: VM executions and recordings.
-    Execute,
-    /// Consuming work: replaying the access stream into simulators and
-    /// instruments.
-    Simulate,
-    /// Teardown work: result assembly, diffs, reporting.
-    Finalize,
-}
-
-impl Stage {
-    /// Number of stages (bucket array width).
-    pub const COUNT: usize = 4;
-
-    /// Every stage in drain-priority order.
-    pub const ALL: [Stage; Stage::COUNT] = [
-        Stage::Prepare,
-        Stage::Execute,
-        Stage::Simulate,
-        Stage::Finalize,
-    ];
-
-    /// Stable name used in docs and debug output.
-    pub fn name(self) -> &'static str {
-        match self {
-            Stage::Prepare => "prepare",
-            Stage::Execute => "execute",
-            Stage::Simulate => "simulate",
-            Stage::Finalize => "finalize",
-        }
+        self.jobs <= 1
     }
 }
 
@@ -193,21 +86,17 @@ impl Stage {
 /// honest about what they put on the queue and gives debug output a name.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PacketKind {
-    /// A full live VM execution (a control or collected pass).
+    /// A full VM pass (a control or collected pass of a comparison).
     VmExecute,
-    /// Sink work performed while a pass is being recorded into the trace
-    /// store.
-    Record,
-    /// Replaying a shard of a stored trace into its sinks.
+    /// One reader decoding a trace — stored, or a live pass's feed —
+    /// into its shard of sinks.
     ReplayShard,
-    /// Draining published chunks into a shard of instrument/cache sinks.
-    SinkDrain,
     /// A generic driver task (one item of a `Runner::map`).
     Task,
     /// Diffing one produced table against its golden counterpart.
     GoldenDiff,
-    /// One batched decode pass of a stored trace driving a `GridCache`
-    /// shard of a direct-mapped configuration grid.
+    /// One reader's batched decode of a trace — stored, or a live pass's
+    /// feed — driving a `GridCache` shard of a direct-mapped grid.
     GridSimulate,
 }
 
@@ -216,9 +105,7 @@ impl PacketKind {
     pub fn name(self) -> &'static str {
         match self {
             PacketKind::VmExecute => "vm_execute",
-            PacketKind::Record => "record",
             PacketKind::ReplayShard => "replay_shard",
-            PacketKind::SinkDrain => "sink_drain",
             PacketKind::Task => "task",
             PacketKind::GoldenDiff => "golden_diff",
             PacketKind::GridSimulate => "grid_simulate",
@@ -226,19 +113,15 @@ impl PacketKind {
     }
 }
 
-/// End-of-crew accounting: per-worker packet statistics plus affinity
-/// outcomes. Drivers fold this into the telemetry counters and the
-/// engine block of the run manifest.
+/// End-of-crew accounting: per-worker packet statistics. Drivers fold
+/// this into the telemetry counters and the engine block of the run
+/// manifest.
 #[derive(Debug, Clone, Default)]
 pub struct CrewReport {
     /// Per-worker events/chunks/steals/idle, indexed by worker.
     pub workers: Vec<WorkerStats>,
     /// Packets executed by the crew in total.
     pub packets: u64,
-    /// Workers successfully pinned to a core.
-    pub pinned: usize,
-    /// Workers whose pin attempt degraded to an unpinned no-op.
-    pub affinity_fallbacks: usize,
 }
 
 /// A boxed work packet: the typed kind plus the closure that performs it.
@@ -253,8 +136,8 @@ struct Packet<'env> {
 struct Queues<'env> {
     /// Per-worker deques; `submit` with a preferred worker lands here.
     deques: Vec<VecDeque<Packet<'env>>>,
-    /// Shared stage buckets, drained in [`Stage`] priority order.
-    buckets: [VecDeque<Packet<'env>>; Stage::COUNT],
+    /// The shared queue any idle worker may claim from.
+    shared: VecDeque<Packet<'env>>,
     /// Packets submitted and not yet fully executed (stats merged).
     pending: usize,
     /// No further submissions; workers exit once the queues run dry.
@@ -263,8 +146,8 @@ struct Queues<'env> {
     packets_done: u64,
     /// Per-worker accounting, merged after each packet.
     workers: Vec<WorkerStats>,
-    pinned: usize,
-    affinity_fallbacks: usize,
+    /// The first packet panic, resumed once the crew has finished.
+    panic: Option<Box<dyn Any + Send>>,
 }
 
 /// A scoped worker pool executing packets for one operation. Created by
@@ -279,29 +162,22 @@ impl<'env> Crew<'env> {
         Crew {
             q: Mutex::new(Queues {
                 deques: (0..jobs).map(|_| VecDeque::new()).collect(),
-                buckets: [const { VecDeque::new() }; Stage::COUNT],
+                shared: VecDeque::new(),
                 pending: 0,
                 closed: false,
                 packets_done: 0,
                 workers: vec![WorkerStats::default(); jobs],
-                pinned: 0,
-                affinity_fallbacks: 0,
+                panic: None,
             }),
             work: Condvar::new(),
         }
     }
 
-    /// Number of workers in this crew.
-    pub fn jobs(&self) -> usize {
-        self.q.lock().expect("crew queue poisoned").deques.len()
-    }
-
     /// Submit a packet. With `preferred` it lands on that worker's deque
-    /// (modulo the crew width); otherwise it goes to the shared `stage`
-    /// bucket, where any idle worker may claim it (counted as a steal).
+    /// (modulo the crew width); otherwise it goes to the shared queue,
+    /// where any idle worker may claim it (counted as a steal).
     pub fn submit(
         &self,
-        stage: Stage,
         kind: PacketKind,
         preferred: Option<usize>,
         job: impl FnOnce(&mut WorkerStats) + Send + 'env,
@@ -317,7 +193,7 @@ impl<'env> Crew<'env> {
                 let i = i % q.deques.len();
                 q.deques[i].push_back(packet);
             }
-            None => q.buckets[stage as usize].push_back(packet),
+            None => q.shared.push_back(packet),
         }
         q.pending += 1;
         drop(q);
@@ -334,28 +210,16 @@ impl<'env> Crew<'env> {
         }
     }
 
-    /// Snapshot of per-worker statistics (merged packets only).
-    pub fn worker_stats(&self) -> Vec<WorkerStats> {
-        self.q.lock().expect("crew queue poisoned").workers.clone()
-    }
-
-    fn close(&self) {
-        self.q.lock().expect("crew queue poisoned").closed = true;
-        self.work.notify_all();
-    }
-
     /// Claim the next packet for worker `i`: own deque first (FIFO), then
-    /// the stage buckets in priority order, then steal the *newest* packet
-    /// from the longest sibling deque. Returns the packet and whether the
-    /// claim counts as a steal.
+    /// the shared queue, then steal the *newest* packet from the longest
+    /// sibling deque. Returns the packet and whether the claim counts as
+    /// a steal.
     fn take(q: &mut Queues<'env>, i: usize) -> Option<(Packet<'env>, bool)> {
         if let Some(p) = q.deques[i].pop_front() {
             return Some((p, false));
         }
-        for bucket in &mut q.buckets {
-            if let Some(p) = bucket.pop_front() {
-                return Some((p, true));
-            }
+        if let Some(p) = q.shared.pop_front() {
+            return Some((p, true));
         }
         let victim = (0..q.deques.len())
             .filter(|&j| j != i)
@@ -370,14 +234,6 @@ impl<'env> Crew<'env> {
             .telemetry
             .as_ref()
             .map(|t| t.attach_named(&format!("worker-{i}")));
-        if sched.affinity {
-            let outcome = affinity::pin_current_thread(i, &sched.affinity_cmd);
-            let mut q = self.q.lock().expect("crew queue poisoned");
-            match outcome {
-                Ok(()) => q.pinned += 1,
-                Err(_) => q.affinity_fallbacks += 1,
-            }
-        }
         let mut q = self.q.lock().expect("crew queue poisoned");
         loop {
             if let Some((packet, stolen)) = Self::take(&mut q, i) {
@@ -388,11 +244,15 @@ impl<'env> Crew<'env> {
                     probe::instant("steal", "sched");
                 }
                 let t0 = probe::spans_active().then(Instant::now);
-                (packet.job)(&mut stats);
+                let job = packet.job;
+                let outcome = panic::catch_unwind(AssertUnwindSafe(|| job(&mut stats)));
                 if let Some(t0) = t0 {
                     probe::span(packet.kind.name(), "packet", t0);
                 }
                 q = self.q.lock().expect("crew queue poisoned");
+                if let Err(payload) = outcome {
+                    q.panic.get_or_insert(payload);
+                }
                 q.workers[i].merge(&stats);
                 q.pending -= 1;
                 q.packets_done += 1;
@@ -419,59 +279,38 @@ impl<'env> Crew<'env> {
         CrewReport {
             workers: q.workers.clone(),
             packets: q.packets_done,
-            pinned: q.pinned,
-            affinity_fallbacks: q.affinity_fallbacks,
         }
     }
 }
 
-/// The scheduler handle: policy (affinity and how to achieve it), no
-/// threads. Cloning is cheap; every operation materializes its own scoped
-/// crew via [`Scheduler::run`].
-#[derive(Debug, Clone)]
+/// Closes a crew when the coordinator leaves [`Scheduler::run`], even by
+/// panicking, so its workers exit and the scope can join them.
+struct CloseOnExit<'c, 'env>(&'c Crew<'env>);
+
+impl Drop for CloseOnExit<'_, '_> {
+    fn drop(&mut self) {
+        let mut q = self.0.q.lock().unwrap_or_else(|e| e.into_inner());
+        q.closed = true;
+        drop(q);
+        self.0.work.notify_all();
+    }
+}
+
+/// The scheduler handle: no threads, just where crew workers report.
+/// Cloning is cheap; every operation materializes its own scoped crew
+/// via [`Scheduler::run`].
+#[derive(Debug, Clone, Default)]
 pub struct Scheduler {
-    affinity: bool,
-    /// External pinning utility, injectable so tests can force the
-    /// degraded path with a command that cannot exist.
-    affinity_cmd: std::sync::Arc<str>,
     /// When present, crew workers attach per-worker shards so counters,
     /// phases, and (if enabled) trace spans are attributed to
     /// `worker-{i}` timeline rows instead of vanishing unattached.
     telemetry: Option<Arc<Telemetry>>,
 }
 
-impl Default for Scheduler {
-    fn default() -> Self {
-        Scheduler::new(false)
-    }
-}
-
 impl Scheduler {
-    /// A scheduler with affinity pinning on or off.
-    pub fn new(affinity: bool) -> Scheduler {
-        Scheduler {
-            affinity,
-            affinity_cmd: std::sync::Arc::from("taskset"),
-            telemetry: None,
-        }
-    }
-
-    /// Same scheduler with affinity toggled.
-    pub fn with_affinity(mut self, affinity: bool) -> Scheduler {
-        self.affinity = affinity;
-        self
-    }
-
-    /// Same scheduler using `cmd` as the pinning utility (test hook: a
-    /// nonexistent command exercises the graceful-fallback path).
-    pub fn with_affinity_command(mut self, cmd: &str) -> Scheduler {
-        self.affinity_cmd = std::sync::Arc::from(cmd);
-        self
-    }
-
-    /// True if crews spun from this scheduler will attempt pinning.
-    pub fn affinity(&self) -> bool {
-        self.affinity
+    /// A scheduler whose crews report nowhere.
+    pub fn new() -> Scheduler {
+        Scheduler::default()
     }
 
     /// Same scheduler with crew workers attached to `telemetry`. Each
@@ -487,6 +326,10 @@ impl Scheduler {
     /// borrow anything outliving this call; the crew's workers drain them
     /// concurrently. Returns `f`'s result plus the crew's accounting once
     /// every worker has exited.
+    ///
+    /// # Panics
+    ///
+    /// Resumes the first panic of any packet once the crew has finished.
     pub fn run<'env, R>(&self, jobs: usize, f: impl FnOnce(&Crew<'env>) -> R) -> (R, CrewReport) {
         let jobs = jobs.max(1);
         let crew = Crew::new(jobs);
@@ -495,10 +338,12 @@ impl Scheduler {
                 let crew = &crew;
                 s.spawn(move || crew.worker_loop(i, self));
             }
-            let out = f(&crew);
-            crew.close();
-            out
+            let _close = CloseOnExit(&crew);
+            f(&crew)
         });
+        if let Some(payload) = crew.q.lock().expect("crew queue poisoned").panic.take() {
+            panic::resume_unwind(payload);
+        }
         let report = crew.report();
         (out, report)
     }
@@ -508,16 +353,15 @@ impl Scheduler {
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Mutex;
 
     #[test]
     fn every_packet_runs_and_is_counted() {
-        let sched = Scheduler::new(false);
+        let sched = Scheduler::new();
         let hits = AtomicUsize::new(0);
         let ((), report) = sched.run(3, |crew| {
             for i in 0..64 {
                 let hits = &hits;
-                crew.submit(Stage::Execute, PacketKind::Task, Some(i), move |_| {
+                crew.submit(PacketKind::Task, Some(i), move |_| {
                     hits.fetch_add(1, Ordering::Relaxed);
                 });
             }
@@ -526,57 +370,16 @@ mod tests {
         assert_eq!(hits.load(Ordering::Relaxed), 64);
         assert_eq!(report.packets, 64);
         assert_eq!(report.workers.len(), 3);
-        assert_eq!(report.pinned, 0);
-        assert_eq!(report.affinity_fallbacks, 0);
-    }
-
-    #[test]
-    fn bucket_packets_drain_in_stage_priority_order() {
-        // One worker, packets submitted while it is blocked on a gate
-        // packet: the finalize packet must run after prepare/execute even
-        // though it was submitted first.
-        let sched = Scheduler::new(false);
-        let order = Mutex::new(Vec::new());
-        let ((), _) = sched.run(1, |crew| {
-            let gate = std::sync::Arc::new((Mutex::new(false), Condvar::new()));
-            let g = gate.clone();
-            crew.submit(Stage::Prepare, PacketKind::Task, None, move |_| {
-                let (lock, cv) = &*g;
-                let mut open = lock.lock().unwrap();
-                while !*open {
-                    open = cv.wait(open).unwrap();
-                }
-            });
-            for (stage, tag) in [
-                (Stage::Finalize, "finalize"),
-                (Stage::Simulate, "simulate"),
-                (Stage::Execute, "execute"),
-                (Stage::Prepare, "prepare"),
-            ] {
-                let order = &order;
-                crew.submit(stage, PacketKind::Task, None, move |_| {
-                    order.lock().unwrap().push(tag);
-                });
-            }
-            let (lock, cv) = &*gate;
-            *lock.lock().unwrap() = true;
-            cv.notify_all();
-            crew.wait_idle();
-        });
-        assert_eq!(
-            *order.lock().unwrap(),
-            vec!["prepare", "execute", "simulate", "finalize"]
-        );
     }
 
     #[test]
     fn idle_workers_steal_from_loaded_deques() {
         // All packets pinned to worker 0's deque; with 4 workers the
         // others must steal to finish, and steals must be recorded.
-        let sched = Scheduler::new(false);
+        let sched = Scheduler::new();
         let ((), report) = sched.run(4, |crew| {
             for _ in 0..128 {
-                crew.submit(Stage::Simulate, PacketKind::SinkDrain, Some(0), move |_| {
+                crew.submit(PacketKind::ReplayShard, Some(0), move |_| {
                     std::hint::black_box((0..512).sum::<u64>());
                 });
             }
@@ -591,40 +394,46 @@ mod tests {
     }
 
     #[test]
-    fn affinity_with_a_missing_utility_degrades_to_a_noop() {
-        let sched = Scheduler::new(true).with_affinity_command("cachegc-no-such-pinner");
-        let hits = AtomicUsize::new(0);
-        let ((), report) = sched.run(2, |crew| {
+    fn shared_queue_packets_count_as_steals() {
+        let ((), report) = Scheduler::new().run(2, |crew| {
             for _ in 0..8 {
-                let hits = &hits;
-                crew.submit(Stage::Execute, PacketKind::Task, None, move |_| {
-                    hits.fetch_add(1, Ordering::Relaxed);
-                });
+                crew.submit(PacketKind::Task, None, |_| {});
             }
             crew.wait_idle();
         });
-        assert_eq!(hits.load(Ordering::Relaxed), 8, "work still ran");
-        assert_eq!(report.pinned + report.affinity_fallbacks, 2);
-        assert_eq!(report.pinned, 0, "bogus utility cannot pin");
-        assert_eq!(report.affinity_fallbacks, 2);
+        let steals: u64 = report.workers.iter().map(|w| w.steals).sum();
+        assert_eq!((report.packets, steals), (8, 8));
     }
 
     #[test]
-    fn schedule_and_engine_config_round_trip() {
-        assert_eq!(Schedule::parse("rr"), Some(Schedule::RoundRobin));
-        assert_eq!(Schedule::parse("ws"), Some(Schedule::WorkStealing));
-        assert_eq!(Schedule::parse("steal"), Some(Schedule::WorkStealing));
-        assert_eq!(Schedule::parse("nope"), None);
-        assert_eq!(Schedule::WorkStealing.name(), "work-stealing");
-        let e = EngineConfig::jobs(4)
-            .with_schedule(Schedule::WorkStealing)
-            .with_chunk(64)
-            .with_affinity(true);
+    fn a_panicking_packet_surfaces_instead_of_wedging_the_crew() {
+        let hits = AtomicUsize::new(0);
+        let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
+            Scheduler::new().run(2, |crew| {
+                for i in 0..16 {
+                    let hits = &hits;
+                    crew.submit(PacketKind::Task, Some(i), move |_| {
+                        assert_ne!(i, 5, "packet 5 fails");
+                        hits.fetch_add(1, Ordering::Relaxed);
+                    });
+                }
+                crew.wait_idle();
+            })
+        }));
+        assert!(outcome.is_err(), "the packet's panic reaches the caller");
+        assert_eq!(hits.load(Ordering::Relaxed), 15, "the other packets ran");
+        // A panicking coordinator still lets the workers exit.
+        let outcome = panic::catch_unwind(|| Scheduler::new().run(2, |_| panic!("coordinator")));
+        assert!(outcome.is_err());
+    }
+
+    #[test]
+    fn engine_config_is_just_the_worker_count() {
+        let e = EngineConfig::jobs(4).with_schedule(Schedule::WorkStealing);
+        assert_eq!(e, EngineConfig::jobs(4), "schedules change nothing");
         assert!(!e.is_sequential());
-        assert!(e.affinity);
-        assert_eq!(e.chunk_events, 64);
         assert!(EngineConfig::default().is_sequential());
-        assert!(!EngineConfig::jobs(1)
+        assert!(EngineConfig::jobs(1)
             .with_schedule(Schedule::WorkStealing)
             .is_sequential());
     }
@@ -633,10 +442,10 @@ mod tests {
     #[test]
     fn crews_record_packet_spans_on_worker_rows() {
         let tele = Arc::new(Telemetry::with_spans());
-        let sched = Scheduler::new(false).with_telemetry(Arc::clone(&tele));
+        let sched = Scheduler::new().with_telemetry(Arc::clone(&tele));
         let ((), report) = sched.run(2, |crew| {
             for i in 0..8 {
-                crew.submit(Stage::Execute, PacketKind::Task, Some(i), move |_| {
+                crew.submit(PacketKind::Task, Some(i), move |_| {
                     std::hint::black_box((0..256).sum::<u64>());
                 });
             }
@@ -656,22 +465,17 @@ mod tests {
     }
 
     #[test]
-    fn stage_vocabulary_is_total() {
-        assert_eq!(Stage::ALL.len(), Stage::COUNT);
-        for (i, s) in Stage::ALL.iter().enumerate() {
-            assert_eq!(*s as usize, i);
-            assert!(!s.name().is_empty());
-        }
-        for k in [
+    fn packet_kind_names_are_distinct() {
+        let names: std::collections::BTreeSet<_> = [
             PacketKind::VmExecute,
-            PacketKind::Record,
             PacketKind::ReplayShard,
-            PacketKind::SinkDrain,
             PacketKind::Task,
             PacketKind::GoldenDiff,
             PacketKind::GridSimulate,
-        ] {
-            assert!(!k.name().is_empty());
-        }
+        ]
+        .iter()
+        .map(|k| k.name())
+        .collect();
+        assert_eq!(names.len(), 5);
     }
 }

@@ -862,7 +862,7 @@ impl TraceStore {
 /// per-stage variants freely.
 #[derive(Debug, Clone, Copy)]
 pub struct RunCtx<'a> {
-    /// Worker count / chunking / schedule for the trace pass.
+    /// Worker count for the trace pass.
     pub engine: EngineConfig,
     /// Scenario-keyed trace cache; `None` runs everything live.
     pub store: Option<&'a TraceStore>,

@@ -8,7 +8,7 @@
 //! re-exports the primitives, so `cachegc_core::telemetry::Telemetry` is
 //! the one path experiment code needs, and adds:
 //!
-//! * [`Manifest`] — a versioned (`cachegc-manifest-v6`), machine-readable
+//! * [`Manifest`] — a versioned (`cachegc-manifest-v7`), machine-readable
 //!   record of one experiment run: configuration, merged counters, phase
 //!   timings with pause histograms, engine/worker totals, and trace-store
 //!   accounting. Serialized by [`Manifest::to_json`] (hand-rolled, like
@@ -42,8 +42,12 @@ use crate::store::{ScenarioGauges, StoreStats, TraceStore};
 /// v5 added the timeline/span counters (`timeline_windows`,
 /// `timeline_collections`, `trace_spans`, `trace_spans_dropped`); v6
 /// removed the batch-decoder counters (`replay_batches`,
-/// `replay_scalar_events`) along with the decoder's fast paths.
-pub const MANIFEST_SCHEMA: &str = "cachegc-manifest-v6";
+/// `replay_scalar_events`) along with the decoder's fast paths; v7
+/// removed `config.schedule`, the affinity counters (`affinity_pinned`,
+/// `affinity_fallbacks`) and the per-worker `chunks` with the knobs and
+/// the chunk broadcast behind them, and keys engine runs by crew kind
+/// (`engine.by_kind`, was `by_schedule`).
+pub const MANIFEST_SCHEMA: &str = "cachegc-manifest-v7";
 
 // ---------------------------------------------------------------------
 // Progress
@@ -172,8 +176,6 @@ pub struct ManifestConfig {
     /// clamping. Differs from `jobs` exactly when the request exceeded
     /// the machine.
     pub jobs_requested: usize,
-    /// Engine schedule name.
-    pub schedule: String,
     /// Human description of the trace-cache setting (`off`, or the byte
     /// budget).
     pub trace_cache: String,
@@ -239,7 +241,6 @@ impl Manifest {
         w.field("scale", &self.config.scale.to_string());
         w.field("jobs", &self.config.jobs.to_string());
         w.field("jobs_requested", &self.config.jobs_requested.to_string());
-        w.field("schedule", &json_str(&self.config.schedule));
         w.field("trace_cache", &json_str(&self.config.trace_cache));
         w.close('}');
         w.key("counters");
@@ -278,10 +279,10 @@ impl Manifest {
         );
         w.field("backpressure_ns", &self.engine.backpressure_ns.to_string());
         w.field("queue_depth_hwm", &self.engine.queue_depth_hwm.to_string());
-        w.key("by_schedule");
+        w.key("by_kind");
         w.open('{');
-        for (schedule, runs) in &self.engine.by_schedule {
-            w.field(schedule, &runs.to_string());
+        for (kind, runs) in &self.engine.by_kind {
+            w.field(kind, &runs.to_string());
         }
         w.close('}');
         w.key("workers");
@@ -290,7 +291,6 @@ impl Manifest {
             w.open('{');
             w.field("runs", &worker.runs.to_string());
             w.field("events", &worker.stats.events.to_string());
-            w.field("chunks", &worker.stats.chunks.to_string());
             w.field("steals", &worker.stats.steals.to_string());
             w.field("idle_ns", &worker.stats.idle_ns.to_string());
             w.close('}');
@@ -456,7 +456,7 @@ impl JsonWriter {
 /// structure, non-negative integer counters, and the cross-field
 /// invariants the instrumentation guarantees (each phase's histogram
 /// sums to its span count; the GC pause-phase counts equal the GC
-/// collection counters; per-schedule engine runs sum to total runs).
+/// collection counters; per-kind engine runs sum to total runs).
 ///
 /// # Errors
 ///
@@ -487,12 +487,10 @@ pub fn validate_manifest(text: &str) -> Result<(), String> {
             .and_then(Json::as_u64)
             .ok_or_else(|| format!("manifest: config.{key} is not a non-negative integer"))?;
     }
-    for key in ["schedule", "trace_cache"] {
-        config
-            .get(key)
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("manifest: config.{key} is not a string"))?;
-    }
+    config
+        .get("trace_cache")
+        .and_then(Json::as_str)
+        .ok_or("manifest: config.trace_cache is not a string")?;
 
     let counters = root
         .get("counters")
@@ -589,14 +587,14 @@ pub fn validate_manifest(text: &str) -> Result<(), String> {
             .ok_or_else(|| format!("manifest: engine.{key} is not a non-negative integer"))?;
     }
     let runs = engine.get("runs").and_then(Json::as_u64).unwrap();
-    let by_schedule = engine
-        .get("by_schedule")
+    let by_kind = engine
+        .get("by_kind")
         .and_then(Json::as_obj)
-        .ok_or("manifest: missing engine.by_schedule")?;
-    let schedule_runs: u64 = by_schedule.values().map(|v| v.as_u64().unwrap_or(0)).sum();
-    if schedule_runs != runs {
+        .ok_or("manifest: missing engine.by_kind")?;
+    let kind_runs: u64 = by_kind.values().map(|v| v.as_u64().unwrap_or(0)).sum();
+    if kind_runs != runs {
         return Err(format!(
-            "manifest: engine runs {runs} != per-schedule sum {schedule_runs}"
+            "manifest: engine runs {runs} != per-kind sum {kind_runs}"
         ));
     }
     let workers = engine
@@ -604,7 +602,7 @@ pub fn validate_manifest(text: &str) -> Result<(), String> {
         .and_then(Json::as_arr)
         .ok_or("manifest: missing engine.workers")?;
     for (i, worker) in workers.iter().enumerate() {
-        for key in ["runs", "events", "chunks", "steals", "idle_ns"] {
+        for key in ["runs", "events", "steals", "idle_ns"] {
             worker.get(key).and_then(Json::as_u64).ok_or_else(|| {
                 format!("manifest: engine.workers[{i}].{key} is not a non-negative integer")
             })?;
@@ -816,7 +814,6 @@ mod tests {
             scale: 1,
             jobs: 2,
             jobs_requested: 2,
-            schedule: "work-stealing".into(),
             trace_cache: "4294967296".into(),
         }
     }
@@ -827,7 +824,7 @@ mod tests {
         let m = Manifest::gather(sample_config(), &telemetry.snapshot(), None);
         let json = m.to_json();
         validate_manifest(&json).unwrap();
-        assert!(json.contains("\"schema\": \"cachegc-manifest-v6\""));
+        assert!(json.contains("\"schema\": \"cachegc-manifest-v7\""));
         assert!(json.contains("\"jobs_requested\": 2"));
         assert!(json.contains("\"store\": null"));
     }
@@ -845,7 +842,7 @@ mod tests {
             drop(probe::phase_cpu("vm_execute"));
         }
         telemetry.record_engine(&EngineReport {
-            schedule: "work-stealing",
+            kind: "replay_shard",
             jobs: 2,
             sinks: 4,
             chunks_published: 8,
@@ -899,7 +896,7 @@ mod tests {
         let err = validate_manifest(&good).unwrap_err();
         assert!(err.contains("gc_minor"), "{err}");
         // Wrong schema.
-        let bad = good.replace("cachegc-manifest-v6", "cachegc-manifest-v5");
+        let bad = good.replace("cachegc-manifest-v7", "cachegc-manifest-v6");
         assert!(validate_manifest(&bad).unwrap_err().contains("schema"));
         // Not JSON at all.
         assert!(validate_manifest("{nope").is_err());
@@ -914,13 +911,16 @@ mod tests {
         // A missing counter key.
         let bad = m2.to_json().replace("\"vm_runs\": 0,", "");
         assert!(validate_manifest(&bad).unwrap_err().contains("vm_runs"));
-        // A counter v6 removed.
-        let bad = m2
-            .to_json()
-            .replace("\"vm_runs\": 0,", "\"vm_runs\": 0, \"replay_batches\": 0,");
-        assert!(validate_manifest(&bad)
-            .unwrap_err()
-            .contains("unknown counter 'replay_batches'"));
+        // Counters v6 and v7 removed.
+        for gone in ["replay_batches", "affinity_pinned"] {
+            let bad = m2.to_json().replace(
+                "\"vm_runs\": 0,",
+                &format!("\"vm_runs\": 0, \"{gone}\": 0,"),
+            );
+            assert!(validate_manifest(&bad)
+                .unwrap_err()
+                .contains(&format!("unknown counter '{gone}'")));
+        }
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! The engine cannot use the thread-local probe shards — its workers are
 //! plain scoped threads with closures that outlive the caller — so each
 //! worker keeps a private [`WorkerStats`] and hands it back at join
-//! time. The fanout assembles one [`EngineReport`] per run and feeds
+//! time. The driver assembles one [`EngineReport`] per crew and feeds
 //! it to [`Telemetry::record_engine`](crate::Telemetry::record_engine),
 //! which folds it into bounded [`EngineTotals`] (per-worker sums, never a
 //! per-run log, so a ten-thousand-pass sweep stays O(workers)).
@@ -16,14 +16,10 @@ use std::collections::BTreeMap;
 pub struct WorkerStats {
     /// Sink-events applied: every `(event, sink)` pair this worker drove.
     pub events: u64,
-    /// Chunks replayed (per sink under work-stealing, per shard under
-    /// round-robin).
-    pub chunks: u64,
-    /// Work-stealing task claims (0 under round-robin, where assignment
-    /// is static).
+    /// Packets claimed from the shared queue or a sibling's deque rather
+    /// than the worker's own.
     pub steals: u64,
-    /// Time spent waiting for work (blocked on the channel or the steal
-    /// queue's condvar).
+    /// Time spent waiting for work on the crew's condvar.
     pub idle_ns: u64,
 }
 
@@ -31,30 +27,28 @@ impl WorkerStats {
     /// Add `other`'s counters into `self`.
     pub fn merge(&mut self, other: &WorkerStats) {
         self.events += other.events;
-        self.chunks += other.chunks;
         self.steals += other.steals;
         self.idle_ns += other.idle_ns;
     }
 }
 
-/// Everything one packet-fanout run observed about itself.
+/// Everything one crew run observed about itself.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EngineReport {
-    /// Schedule name (`round-robin` / `work-stealing`).
-    pub schedule: &'static str,
+    /// What the crew ran: its packet kind (`replay_shard`, `task`, ...).
+    pub kind: &'static str,
     /// Worker threads in the run.
     pub jobs: usize,
-    /// Sinks the run drove.
+    /// Sinks the run drove (0 for crews of whole tasks).
     pub sinks: usize,
-    /// Chunks the producer published.
+    /// Segments a live pass's recorder published to its readers.
     pub chunks_published: u64,
-    /// Events the producer published (per-stream, not per-sink).
+    /// Events the readers decoded (per stream, not per sink).
     pub events_published: u64,
-    /// Time the producer spent blocked on backpressure (full channel or
-    /// full steal window).
+    /// Time a live pass's producer waited for its slowest reader.
     pub backpressure_ns: u64,
-    /// High-water mark of unconsumed chunks queued for any one worker
-    /// (round-robin) or in the steal window (work-stealing).
+    /// Most published segments a live pass's slowest reader had yet to
+    /// decode.
     pub queue_depth_hwm: u64,
     /// Per-worker counters, indexed by worker id.
     pub workers: Vec<WorkerStats>,
@@ -82,8 +76,8 @@ pub struct EngineTotals {
     pub backpressure_ns: u64,
     /// Maximum queue depth seen in any run.
     pub queue_depth_hwm: u64,
-    /// Runs per schedule name.
-    pub by_schedule: BTreeMap<&'static str, u64>,
+    /// Runs per crew kind.
+    pub by_kind: BTreeMap<&'static str, u64>,
     /// Per-worker-slot totals; slot `i` aggregates worker `i` of every
     /// run that had at least `i + 1` workers.
     pub workers: Vec<WorkerTotals>,
@@ -97,7 +91,7 @@ impl EngineTotals {
         self.events_published += report.events_published;
         self.backpressure_ns += report.backpressure_ns;
         self.queue_depth_hwm = self.queue_depth_hwm.max(report.queue_depth_hwm);
-        *self.by_schedule.entry(report.schedule).or_insert(0) += 1;
+        *self.by_kind.entry(report.kind).or_insert(0) += 1;
         if self.workers.len() < report.workers.len() {
             self.workers
                 .resize(report.workers.len(), WorkerTotals::default());
@@ -120,7 +114,7 @@ mod tests {
 
     fn report(jobs: usize, events: u64) -> EngineReport {
         EngineReport {
-            schedule: "round-robin",
+            kind: "replay_shard",
             jobs,
             sinks: 4,
             chunks_published: 10,
@@ -130,7 +124,6 @@ mod tests {
             workers: (0..jobs)
                 .map(|i| WorkerStats {
                     events: events * (i as u64 + 1),
-                    chunks: 10,
                     steals: 0,
                     idle_ns: 1,
                 })
@@ -147,7 +140,7 @@ mod tests {
         assert_eq!(t.chunks_published, 20);
         assert_eq!(t.events_published, 110);
         assert_eq!(t.queue_depth_hwm, 3);
-        assert_eq!(t.by_schedule["round-robin"], 2);
+        assert_eq!(t.by_kind["replay_shard"], 2);
         assert_eq!(t.workers.len(), 3);
         // Slot 0 saw both runs, slot 2 only the wider one.
         assert_eq!(t.workers[0].runs, 2);

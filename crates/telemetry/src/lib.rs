@@ -83,10 +83,6 @@ pub enum Counter {
     StoreCoalesced,
     /// Work packets executed by the packet scheduler's crews.
     SchedPackets,
-    /// Worker threads successfully pinned to a CPU core.
-    AffinityPinned,
-    /// Affinity pin attempts that degraded to an unpinned no-op.
-    AffinityFallbacks,
     /// `--jobs` requests clamped down to the machine's available parallelism.
     JobsClamped,
     /// `(configuration, event)` cell updates performed by the grid
@@ -106,7 +102,7 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in manifest order.
-    pub const ALL: [Counter; 27] = [
+    pub const ALL: [Counter; 25] = [
         Counter::VmRuns,
         Counter::VmAllocs,
         Counter::VmGcTriggers,
@@ -125,8 +121,6 @@ impl Counter {
         Counter::StoreSpillLoads,
         Counter::StoreCoalesced,
         Counter::SchedPackets,
-        Counter::AffinityPinned,
-        Counter::AffinityFallbacks,
         Counter::JobsClamped,
         Counter::GridCellsSimulated,
         Counter::TimelineWindows,
@@ -157,8 +151,6 @@ impl Counter {
             Counter::StoreSpillLoads => "store_spill_loads",
             Counter::StoreCoalesced => "store_coalesced",
             Counter::SchedPackets => "sched_packets",
-            Counter::AffinityPinned => "affinity_pinned",
-            Counter::AffinityFallbacks => "affinity_fallbacks",
             Counter::JobsClamped => "jobs_clamped",
             Counter::GridCellsSimulated => "grid_cells_simulated",
             Counter::TimelineWindows => "timeline_windows",

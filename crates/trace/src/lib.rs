@@ -28,12 +28,14 @@
 
 mod counters;
 mod event;
+pub mod feed;
 mod recorded;
 mod region;
 mod sink;
 
 pub use counters::{Counters, InstrClass};
 pub use event::{Access, AccessKind, Context};
+pub use feed::{feed, FeedReader, FeedStats, FeedWriter, Segments, FEED_WINDOW};
 pub use recorded::{
     payload_events, EventBatch, PayloadChunks, RecordBudget, RecordedTrace, Recorder, TraceImage,
     CHARGE_CHUNK_BYTES, DEFAULT_SEGMENT_BYTES, EVENT_BATCH,

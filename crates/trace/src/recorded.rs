@@ -28,11 +28,14 @@
 //! [`Access`]. The encoded stream is sealed into ~1 MiB `Arc<[u8]>`
 //! segments at event boundaries; a clone of a [`RecordedTrace`] shares
 //! the segments, so concurrent replay workers decode the same bytes
-//! without copying.
+//! without copying. A recorder can also publish each segment it seals to
+//! a [`FeedWriter`], so readers decode a live run while it is recorded
+//! (see [`crate::feed`](mod@crate::feed)).
 
 use std::sync::Arc;
 
 use crate::event::{Access, AccessKind, Context};
+use crate::feed::{FeedStats, FeedWriter};
 use crate::sink::TraceSink;
 
 /// Default sealed-segment size in bytes (segments are sealed at the first
@@ -177,6 +180,53 @@ pub fn payload_events(bytes: &[u8]) -> Option<u64> {
     Some(events)
 }
 
+/// Decode a payload, given as in-order chunks, into `sink`. Decoder
+/// state carries across chunk boundaries. The one decode loop behind
+/// [`RecordedTrace::replay`] and a live feed's readers.
+pub(crate) fn replay_chunks<C, S>(chunks: impl IntoIterator<Item = C>, sink: &mut S)
+where
+    C: AsRef<[u8]>,
+    S: TraceSink + ?Sized,
+{
+    let mut addr: u32 = 0;
+    let mut flags: u8 = 0;
+    for chunk in chunks {
+        let bytes = chunk.as_ref();
+        let mut i = 0;
+        while i < bytes.len() {
+            decode_one(bytes, &mut i, &mut addr, &mut flags);
+            sink.access(access_from(addr, flags));
+        }
+    }
+}
+
+/// [`replay_chunks`] in [`EventBatch`] slices; batches span chunk
+/// boundaries, and only the last may be short.
+pub(crate) fn replay_chunks_batched<C, F>(chunks: impl IntoIterator<Item = C>, mut consume: F)
+where
+    C: AsRef<[u8]>,
+    F: FnMut(&EventBatch),
+{
+    let mut batch = EventBatch::empty();
+    let mut addr: u32 = 0;
+    let mut flags: u8 = 0;
+    for chunk in chunks {
+        let bytes = chunk.as_ref();
+        let mut i = 0;
+        while i < bytes.len() {
+            decode_one(bytes, &mut i, &mut addr, &mut flags);
+            batch.push(addr, flags);
+            if batch.len == EVENT_BATCH {
+                consume(&batch);
+                batch.len = 0;
+            }
+        }
+    }
+    if batch.len > 0 {
+        consume(&batch);
+    }
+}
+
 /// Capacity of one decoded [`EventBatch`].
 pub const EVENT_BATCH: usize = 64;
 
@@ -249,11 +299,19 @@ impl EventBatch {
 /// so far, stops encoding (subsequent events are O(1) no-ops), and
 /// `finish` returns `None`. Recording failure is thus never an error —
 /// the live sinks sharing the pass are unaffected.
+///
+/// With a feed attached ([`Recorder::with_feed`]) every sealed segment is
+/// also published to the feed's readers. A capture abandoned over its
+/// limit or budget then stops keeping segments but goes on encoding and
+/// publishing them, so the readers still receive the whole stream.
 pub struct Recorder {
     segments: Vec<Arc<[u8]>>,
     cur: Vec<u8>,
     sealed_bytes: u64,
     events: u64,
+    /// Events in the segments sealed so far.
+    sealed_events: u64,
+    feed: Option<FeedWriter>,
     prev_addr: u32,
     flags: u8,
     limit: u64,
@@ -272,6 +330,7 @@ impl std::fmt::Debug for Recorder {
             .field("overflowed", &self.overflowed)
             .field("metered", &self.budget.is_some())
             .field("charged", &self.charged)
+            .field("feed", &self.feed)
             .finish()
     }
 }
@@ -296,6 +355,8 @@ impl Recorder {
             cur: Vec::new(),
             sealed_bytes: 0,
             events: 0,
+            sealed_events: 0,
+            feed: None,
             prev_addr: 0,
             flags: 0,
             limit,
@@ -323,6 +384,23 @@ impl Recorder {
         self
     }
 
+    /// Publish every segment this recorder seals to `feed` (see the
+    /// type docs). [`Recorder::close_feed`] ends the feed's stream; a
+    /// recorder dropped before then closes it early.
+    pub fn with_feed(mut self, feed: FeedWriter) -> Self {
+        self.feed = Some(feed);
+        self
+    }
+
+    /// Seal the segment being encoded, publish it, and end the attached
+    /// feed's stream. Returns what the feed's producer observed, or
+    /// `None` without a feed.
+    pub fn close_feed(&mut self) -> Option<FeedStats> {
+        self.feed.as_ref()?;
+        self.seal();
+        self.feed.take().map(FeedWriter::finish)
+    }
+
     /// Bytes currently reserved against the attached budget (0 when
     /// unmetered). Always ≥ [`Recorder::bytes`] until overflow.
     pub fn charged(&self) -> u64 {
@@ -334,7 +412,8 @@ impl Recorder {
         self.sealed_bytes + self.cur.len() as u64
     }
 
-    /// Events captured so far.
+    /// Events seen so far, including any after the capture was
+    /// abandoned.
     pub fn events(&self) -> u64 {
         self.events
     }
@@ -348,15 +427,25 @@ impl Recorder {
         if self.cur.is_empty() {
             return;
         }
-        self.sealed_bytes += self.cur.len() as u64;
-        let seg = std::mem::take(&mut self.cur);
-        self.segments.push(Arc::from(seg.into_boxed_slice()));
+        let seg: Arc<[u8]> = Arc::from(std::mem::take(&mut self.cur).into_boxed_slice());
+        if let Some(feed) = &mut self.feed {
+            feed.publish(Arc::clone(&seg), self.events - self.sealed_events);
+        }
+        self.sealed_events = self.events;
+        if !self.overflowed {
+            self.sealed_bytes += seg.len() as u64;
+            self.segments.push(seg);
+        }
     }
 
+    /// Abandon the capture: free what it kept and return its budget. A
+    /// feed's readers still need the segment being encoded.
     fn overflow(&mut self) {
         self.overflowed = true;
         self.segments = Vec::new();
-        self.cur = Vec::new();
+        if self.feed.is_none() {
+            self.cur = Vec::new();
+        }
         self.sealed_bytes = 0;
         if let Some(budget) = &self.budget {
             budget.release(self.charged);
@@ -394,12 +483,14 @@ impl Recorder {
     }
 
     /// Consume the recorder; `Some` holds the captured stream, `None`
-    /// means the byte limit was exceeded and nothing was kept.
+    /// means the byte limit was exceeded and nothing was kept. A feed
+    /// still attached is closed as by [`Recorder::close_feed`].
     ///
     /// With a budget attached, slack (charged − encoded) is released
     /// here; the final encoded size stays charged and its ownership
     /// passes to the caller with the trace.
     pub fn finish(mut self) -> Option<RecordedTrace> {
+        self.close_feed();
         if self.overflowed {
             return None;
         }
@@ -431,7 +522,8 @@ impl Drop for Recorder {
 impl TraceSink for Recorder {
     #[inline]
     fn access(&mut self, a: Access) {
-        if self.overflowed {
+        self.events += 1;
+        if self.overflowed && self.feed.is_none() {
             return;
         }
         let flags = flag_bits(&a);
@@ -456,14 +548,16 @@ impl TraceSink for Recorder {
             buf[n] = flags;
             n += 1;
         }
-        if self.bytes() + n as u64 > self.limit || !self.charge_for(n as u64) {
+        if !self.overflowed && (self.bytes() + n as u64 > self.limit || !self.charge_for(n as u64))
+        {
             self.overflow();
-            return;
+            if self.feed.is_none() {
+                return;
+            }
         }
         self.cur.extend_from_slice(&buf[..n]);
         self.prev_addr = a.addr;
         self.flags = flags;
-        self.events += 1;
         if self.cur.len() >= self.segment_bytes {
             self.seal();
         }
@@ -573,15 +667,7 @@ impl RecordedTrace {
     /// Decode the stream into `sink`, event-for-event identical to the
     /// live run that was recorded.
     pub fn replay<S: TraceSink + ?Sized>(&self, sink: &mut S) {
-        let mut addr: u32 = 0;
-        let mut flags: u8 = 0;
-        for bytes in self.payload_chunks() {
-            let mut i = 0;
-            while i < bytes.len() {
-                decode_one(bytes, &mut i, &mut addr, &mut flags);
-                sink.access(access_from(addr, flags));
-            }
-        }
+        replay_chunks(self.payload_chunks(), sink);
     }
 
     /// Decode the stream into [`EventBatch`] slices of up to
@@ -589,24 +675,8 @@ impl RecordedTrace {
     /// [`RecordedTrace::replay`], through the same decoder — so a batch
     /// consumer such as a grid kernel can run its per-lane loop over a
     /// whole batch instead of being called once per event.
-    pub fn replay_batched<F: FnMut(&EventBatch)>(&self, mut consume: F) {
-        let mut batch = EventBatch::empty();
-        let mut addr: u32 = 0;
-        let mut flags: u8 = 0;
-        for bytes in self.payload_chunks() {
-            let mut i = 0;
-            while i < bytes.len() {
-                decode_one(bytes, &mut i, &mut addr, &mut flags);
-                batch.push(addr, flags);
-                if batch.len == EVENT_BATCH {
-                    consume(&batch);
-                    batch.len = 0;
-                }
-            }
-        }
-        if batch.len > 0 {
-            consume(&batch);
-        }
+    pub fn replay_batched<F: FnMut(&EventBatch)>(&self, consume: F) {
+        replay_chunks_batched(self.payload_chunks(), consume);
     }
 }
 
@@ -716,6 +786,7 @@ mod tests {
         }
         assert!(rec.overflowed());
         assert_eq!(rec.bytes(), 0, "overflow frees the capture");
+        assert_eq!(rec.events(), 100, "an abandoned capture still counts");
         assert!(rec.finish().is_none());
     }
 

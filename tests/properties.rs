@@ -8,7 +8,7 @@
 use std::collections::HashMap;
 
 use cachegc::analysis::{ActivityTracker, BlockTracker, Instrument, SweepPlot};
-use cachegc::core::{EngineConfig, PacketKind, Runner, Schedule};
+use cachegc::core::{EngineConfig, PacketKind, Runner};
 use cachegc::gc::{
     CheneyCollector, Collector, GenerationalCollector, ImmixCollector, MarkSweepCollector,
     NoCollector, Roots,
@@ -201,7 +201,7 @@ fn higher_associativity_never_increases_capacity_misses_for_sequential() {
 }
 
 // ---------------------------------------------------------------------
-// The packet-scheduled fanout is bit-identical to sequential Fanout
+// A crew pass replays its own recording bit-identically to Fanout
 // ---------------------------------------------------------------------
 
 /// The paper-style grid at test scale: several sizes × block sizes.
@@ -213,6 +213,22 @@ fn small_grid() -> Vec<Cache> {
         }
     }
     caches
+}
+
+/// A mixed instrument set: cache simulators of different geometries and
+/// organizations next to the §7 behavioral analyzers, as one
+/// `Vec<Instrument>`. The per-event costs differ wildly, so the crew's
+/// readers finish their shards at very different paces.
+fn mixed_instruments() -> Vec<Instrument> {
+    let cfg = CacheConfig::direct_mapped(1 << 15, 64);
+    vec![
+        Cache::new(cfg).into(),
+        Cache::new(CacheConfig::direct_mapped(1 << 16, 256)).into(),
+        SetAssocCache::new(cfg.with_assoc(2)).into(),
+        BlockTracker::new(1 << 15, 64).into(),
+        SweepPlot::new(cfg, 256).into(),
+        ActivityTracker::new(cfg).into(),
+    ]
 }
 
 fn assert_cells_identical(seq: Vec<Cache>, par: Vec<Cache>) {
@@ -228,15 +244,59 @@ fn assert_cells_identical(seq: Vec<Cache>, par: Vec<Cache>) {
     }
 }
 
-/// Drive `sinks` with `accesses` through the packet scheduler configured
-/// by `engine`, returning the sinks after the crew drains every chunk.
-fn drive_packets<S: TraceSink + Send + 'static>(
-    engine: EngineConfig,
+/// Random accesses over `span` words of the dynamic area, with mixed
+/// contexts, writes and allocation writes.
+fn random_stream(rng: &mut Rng, n: usize, span: u32) -> Vec<Access> {
+    (0..n)
+        .map(|_| {
+            let addr = DYNAMIC_BASE + rng.range_u32(0, span) * 4;
+            let ctx = if rng.bool() {
+                Context::Mutator
+            } else {
+                Context::Collector
+            };
+            match rng.range_u32(0, 3) {
+                0 => Access::read(addr, ctx),
+                1 => Access::write(addr, ctx),
+                _ => Access::alloc_write(addr, ctx),
+            }
+        })
+        .collect()
+}
+
+/// A stride pattern with conflicts and write-backs.
+fn stride_stream(n: usize) -> Vec<Access> {
+    (0..n as u32)
+        .map(|i| {
+            if i % 4 == 0 {
+                Access::alloc_write(DYNAMIC_BASE + (i % 700) * 52, Context::Mutator)
+            } else {
+                Access::read(DYNAMIC_BASE + (i % 1100) * 36, Context::Collector)
+            }
+        })
+        .collect()
+}
+
+/// The sequential oracle: every sink through one in-thread `Fanout`.
+fn fanout<S: TraceSink>(sinks: Vec<S>, accesses: &[Access]) -> Vec<S> {
+    let mut fan = Fanout::new(sinks);
+    for &a in accesses {
+        fan.access(a);
+    }
+    fan.into_sinks()
+}
+
+/// Drive `sinks` with `accesses` through `Runner::drive` on `jobs`
+/// workers: the stream is recorded into `segment_bytes`-byte segments,
+/// and the crew's readers replay them from the feed into their shards.
+fn drive_feed<S: TraceSink + Send>(
+    jobs: usize,
+    segment_bytes: usize,
     sinks: Vec<S>,
     accesses: &[Access],
 ) -> Vec<S> {
-    let runner = Runner::new(engine);
-    let ((), out) = runner.drive(PacketKind::SinkDrain, sinks, |fan| {
+    let runner = Runner::new(EngineConfig::jobs(jobs)).with_segment_bytes(segment_bytes);
+    let ((), out) = runner.drive(PacketKind::Task, sinks, |fan| {
         for &a in accesses {
             fan.access(a);
         }
@@ -245,215 +305,64 @@ fn drive_packets<S: TraceSink + Send + 'static>(
 }
 
 #[test]
-fn packet_fanout_matches_sequential_fanout() {
-    check("packet_fanout_equivalence", 48, |rng| {
-        // Mixed contexts and alloc-writes, random policy, jobs 1..=4, and
-        // chunk size, so chunk and packet boundaries land everywhere
-        // relative to the stream length.
-        let jobs = rng.range_usize(1, 5);
-        let chunk = rng.range_usize(1, 300);
+fn feed_driven_grid_matches_sequential_fanout() {
+    check("feed_grid_equivalence", 48, |rng| {
+        // Random crew width and segment size, so segment boundaries and
+        // feed backpressure land everywhere relative to the stream.
+        let jobs = rng.range_usize(2, 5);
+        let segment_bytes = rng.range_usize(16, 4097);
         let n = rng.range_usize(0, 4000);
-        let schedule = if rng.bool() {
-            Schedule::WorkStealing
-        } else {
-            Schedule::RoundRobin
-        };
-        let accesses: Vec<Access> = (0..n)
-            .map(|_| {
-                let addr = DYNAMIC_BASE + rng.range_u32(0, 1 << 16) * 4;
-                let ctx = if rng.bool() {
-                    Context::Mutator
-                } else {
-                    Context::Collector
-                };
-                match rng.range_u32(0, 3) {
-                    0 => Access::read(addr, ctx),
-                    1 => Access::write(addr, ctx),
-                    _ => Access::alloc_write(addr, ctx),
-                }
-            })
-            .collect();
-        let mut seq = Fanout::new(small_grid());
-        for &a in &accesses {
-            seq.access(a);
-        }
-        let engine = EngineConfig::jobs(jobs)
-            .with_chunk(chunk)
-            .with_schedule(schedule);
-        let par = drive_packets(engine, small_grid(), &accesses);
-        assert_cells_identical(seq.into_sinks(), par);
+        let accesses = random_stream(rng, n, 1 << 16);
+        let par = drive_feed(jobs, segment_bytes, small_grid(), &accesses);
+        assert_cells_identical(fanout(small_grid(), &accesses), par);
     });
 }
 
 #[test]
-fn packet_fanout_chunk_boundary_edges() {
-    // Deterministic boundary cases: empty stream, shorter than one chunk,
-    // exactly one chunk, exact multiples, one over a multiple.
-    const CHUNK: usize = 64;
-    for n in [
-        0usize,
-        1,
-        CHUNK - 1,
-        CHUNK,
-        CHUNK + 1,
-        3 * CHUNK,
-        3 * CHUNK + 1,
-    ] {
-        for jobs in [1usize, 2, 3, 4] {
-            let accesses: Vec<Access> = (0..n as u32)
-                .map(|i| {
-                    // A stride pattern with conflicts and write-backs.
-                    if i % 4 == 0 {
-                        Access::write(DYNAMIC_BASE + (i % 700) * 52, Context::Mutator)
-                    } else {
-                        Access::read(DYNAMIC_BASE + (i % 1100) * 36, Context::Collector)
-                    }
-                })
-                .collect();
-            let mut seq = Fanout::new(small_grid());
-            for &a in &accesses {
-                seq.access(a);
+fn feed_segment_boundary_edges() {
+    // Deterministic edges: an empty stream, streams shorter than one
+    // segment, and streams many segments long, at the smallest segment
+    // sizes.
+    for n in [0usize, 1, 2, 7, 63, 64, 65, 1000] {
+        let accesses = stride_stream(n);
+        let expected = fanout(small_grid(), &accesses);
+        for jobs in [2usize, 3, 4] {
+            for segment_bytes in [16usize, 17, 64] {
+                let par = drive_feed(jobs, segment_bytes, small_grid(), &accesses);
+                assert_cells_identical(expected.clone(), par);
             }
-            let engine = EngineConfig::jobs(jobs).with_chunk(CHUNK);
-            let par = drive_packets(engine, small_grid(), &accesses);
-            assert_cells_identical(seq.into_sinks(), par);
         }
     }
 }
 
 #[test]
-fn affinity_pinning_failure_degrades_to_a_plain_run() {
-    // Affinity is best-effort: a pinner binary that does not exist (the
-    // shape of a one-core container without `taskset`) must leave every
-    // result bit-identical to the unpinned run.
-    check("affinity_degrades_to_noop", 12, |rng| {
-        let n = rng.range_usize(1, 2000);
-        let accesses: Vec<Access> = (0..n as u32)
-            .map(|i| {
-                let addr = DYNAMIC_BASE + rng.range_u32(0, 1 << 15) * 4;
-                if i % 3 == 0 {
-                    Access::write(addr, Context::Mutator)
-                } else {
-                    Access::read(addr, Context::Collector)
-                }
-            })
-            .collect();
-        let mut seq = Fanout::new(small_grid());
-        for &a in &accesses {
-            seq.access(a);
-        }
-        let engine = EngineConfig::jobs(2)
-            .with_schedule(Schedule::WorkStealing)
-            .with_affinity(true);
-        let runner = Runner::new(engine).with_affinity_command("cachegc-no-such-pinner");
-        let ((), par) = runner.drive(PacketKind::SinkDrain, small_grid(), |fan| {
-            for &a in &accesses {
-                fan.access(a);
-            }
-        });
-        assert_cells_identical(seq.into_sinks(), par);
-    });
-}
-
-// ---------------------------------------------------------------------
-// Heterogeneous instrument sets under both schedules
-// ---------------------------------------------------------------------
-
-/// A mixed instrument set: cache simulators of different geometries and
-/// organizations next to the §7 behavioral analyzers, as one
-/// `Vec<Instrument>`. The per-event costs differ wildly, which is exactly
-/// the shape the work-stealing schedule exists for.
-fn mixed_instruments() -> Vec<Instrument> {
-    let cfg = CacheConfig::direct_mapped(1 << 15, 64);
-    vec![
-        Cache::new(cfg).into(),
-        Cache::new(CacheConfig::direct_mapped(1 << 16, 256)).into(),
-        SetAssocCache::new(cfg.with_assoc(2)).into(),
-        BlockTracker::new(1 << 15, 64).into(),
-        SweepPlot::new(cfg, 256).into(),
-        ActivityTracker::new(cfg).into(),
-    ]
-}
-
-#[test]
-fn mixed_instruments_identical_under_both_schedules() {
-    check("mixed_instruments_schedules", 24, |rng| {
-        // Random jobs/chunk and a random schedule: every instrument's
-        // final state must be bit-identical to the sequential oracle.
-        let jobs = rng.range_usize(1, 7);
-        let chunk = rng.range_usize(1, 200);
+fn feed_driven_instruments_match_sequential_fanout() {
+    check("feed_instruments_equivalence", 24, |rng| {
+        // Every instrument's final state must be bit-identical to the
+        // sequential oracle, whichever reader its shard landed on.
+        let jobs = rng.range_usize(2, 5);
+        let segment_bytes = rng.range_usize(16, 4097);
         let n = rng.range_usize(0, 2500);
-        let schedule = if rng.bool() {
-            Schedule::WorkStealing
-        } else {
-            Schedule::RoundRobin
-        };
-        let engine = EngineConfig::jobs(jobs)
-            .with_chunk(chunk)
-            .with_schedule(schedule);
-        let accesses: Vec<Access> = (0..n)
-            .map(|_| {
-                let addr = DYNAMIC_BASE + rng.range_u32(0, 1 << 14) * 4;
-                let ctx = if rng.bool() {
-                    Context::Mutator
-                } else {
-                    Context::Collector
-                };
-                match rng.range_u32(0, 3) {
-                    0 => Access::read(addr, ctx),
-                    1 => Access::write(addr, ctx),
-                    _ => Access::alloc_write(addr, ctx),
-                }
-            })
-            .collect();
-        let mut seq = Fanout::new(mixed_instruments());
-        for &a in &accesses {
-            seq.access(a);
-        }
-        let par = drive_packets(engine, mixed_instruments(), &accesses);
+        let accesses = random_stream(rng, n, 1 << 14);
+        let par = drive_feed(jobs, segment_bytes, mixed_instruments(), &accesses);
         assert_eq!(
-            seq.into_sinks(),
+            fanout(mixed_instruments(), &accesses),
             par,
-            "mixed instruments bit-identical under {schedule:?}"
+            "mixed instruments bit-identical at jobs {jobs}, {segment_bytes}-byte segments"
         );
     });
 }
 
 #[test]
-fn work_stealing_chunk_boundary_and_single_worker_edges() {
-    // Deterministic edge cases for the stealing backend: empty stream,
-    // streams around chunk multiples, a single worker (jobs = 1 with
-    // WorkStealing still routes through the stealing backend), and more
-    // workers than instruments.
-    const CHUNK: usize = 64;
-    for n in [
-        0usize,
-        1,
-        CHUNK - 1,
-        CHUNK,
-        CHUNK + 1,
-        3 * CHUNK,
-        3 * CHUNK + 1,
-    ] {
-        for jobs in [1usize, 2, 5, 16] {
-            let engine = EngineConfig::jobs(jobs)
-                .with_chunk(CHUNK)
-                .with_schedule(Schedule::WorkStealing);
-            let accesses: Vec<Access> = (0..n as u32)
-                .map(|i| {
-                    if i % 4 == 0 {
-                        Access::alloc_write(DYNAMIC_BASE + (i % 700) * 52, Context::Mutator)
-                    } else {
-                        Access::read(DYNAMIC_BASE + (i % 1100) * 36, Context::Collector)
-                    }
-                })
-                .collect();
-            let mut seq = Fanout::new(mixed_instruments());
-            for &a in &accesses {
-                seq.access(a);
-            }
-            let par = drive_packets(engine, mixed_instruments(), &accesses);
-            assert_eq!(seq.into_sinks(), par, "n={n} jobs={jobs}");
+fn feed_edges_with_more_workers_than_instruments() {
+    // Edge streams on crews narrower than, as wide as, and wider than
+    // the instrument set (a crew never runs more readers than sinks).
+    for n in [0usize, 1, 63, 64, 65, 193] {
+        let accesses = stride_stream(n);
+        let expected = fanout(mixed_instruments(), &accesses);
+        for jobs in [2usize, 6, 16] {
+            let par = drive_feed(jobs, 16, mixed_instruments(), &accesses);
+            assert_eq!(expected, par, "n={n} jobs={jobs}");
         }
     }
 }

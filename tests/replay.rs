@@ -4,7 +4,7 @@
 //! (workload, scale, collector) scenario run the VM at most once.
 
 use cachegc::core::{
-    run_control, CollectorSpec, EngineConfig, ExperimentConfig, Runner, Schedule, TraceStore,
+    run_control, CollectorSpec, EngineConfig, ExperimentConfig, Runner, TraceStore,
 };
 use cachegc::trace::{Access, AccessKind, Context, TraceSink};
 use cachegc::workloads::Workload;
@@ -71,7 +71,7 @@ fn replay_is_event_identical_to_live_for_every_workload_and_collector() {
     for w in Workload::ALL {
         for spec in specs() {
             let store = TraceStore::unbounded();
-            let engine = EngineConfig::jobs(2).with_schedule(Schedule::WorkStealing);
+            let engine = EngineConfig::jobs(2);
             let runner = Runner::new(engine).with_store(&store);
             // First pass runs the VM live and records; second replays the
             // recording through the sharded path (jobs = 2).
@@ -115,7 +115,7 @@ fn tiny_budget_with_spill_replays_event_identical_to_live() {
     let dir = std::env::temp_dir().join(format!("cachegc_replay_spill_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let scenarios = [Workload::Rewrite.scaled(1), Workload::Nbody.scaled(1)];
-    let engine = EngineConfig::jobs(2).with_schedule(Schedule::WorkStealing);
+    let engine = EngineConfig::jobs(2);
 
     // Live oracle fingerprints, plus each capture's encoded size so the
     // budget can be pinned between "holds either" and "holds both".
@@ -178,7 +178,7 @@ fn restarted_store_warm_starts_from_spilled_segments() {
     let dir = std::env::temp_dir().join(format!("cachegc_replay_restart_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let w = Workload::Compile.scaled(1);
-    let engine = EngineConfig::jobs(2).with_schedule(Schedule::WorkStealing);
+    let engine = EngineConfig::jobs(2);
 
     let first = TraceStore::unbounded().with_spill(dir.clone());
     let runner = Runner::new(engine).with_store(&first);

@@ -6,7 +6,7 @@
 use std::path::PathBuf;
 
 use cachegc::core::report::{Cell, Table};
-use cachegc::core::{EngineConfig, ExperimentConfig, Runner, Schedule, WriteMissPolicy, FAST};
+use cachegc::core::{EngineConfig, ExperimentConfig, Runner, WriteMissPolicy, FAST};
 use cachegc::workloads::Workload;
 
 /// Run the rewrite workload at tiny scale under both write-miss policies
@@ -19,10 +19,10 @@ fn e4_penalty_table() -> Table {
         .clone()
         .with_write_miss(WriteMissPolicy::FetchOnWrite);
 
-    // Drive the engine the way the sweep binaries do: parallel, with the
-    // work-stealing schedule, so the persisted numbers come off the same
-    // code path a `--jobs 2 --schedule ws --csv` invocation uses.
-    let engine = EngineConfig::jobs(2).with_schedule(Schedule::WorkStealing);
+    // Drive the engine the way the sweep binaries do: on a two-worker
+    // crew, so the persisted numbers come off the same code path a
+    // `--jobs 2 --csv` invocation uses.
+    let engine = EngineConfig::jobs(2);
     let runner = Runner::new(engine);
     let w = Workload::Rewrite.scaled(1);
     let wv = runner.control(w, &cfg_wv).expect("write-validate sweep");

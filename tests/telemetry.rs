@@ -1,7 +1,7 @@
 //! Telemetry integration tests: the instrumentation must be *invisible*
 //! to every result — identical simulator statistics with probes on or
-//! off, on every driver path (live, record, replay), both schedules, one
-//! worker and several — while the merged counters agree with the
+//! off, on every driver path (live, record, replay), one worker and
+//! several — while the merged counters agree with the
 //! [`RunStats`](cachegc::vm::RunStats) oracle the VM returns anyway.
 
 use std::io::Write;
@@ -9,7 +9,7 @@ use std::sync::{Arc, Mutex};
 
 use cachegc::core::{
     validate_manifest, CollectorSpec, EngineConfig, Manifest, ManifestConfig, Progress, Runner,
-    Schedule, Telemetry, TraceStore,
+    Telemetry, TraceStore,
 };
 use cachegc::sim::{Cache, CacheConfig};
 use cachegc::telemetry::Counter;
@@ -58,24 +58,20 @@ fn three_paths(
 fn telemetry_is_invisible_to_results() {
     let oracle = three_paths(EngineConfig::jobs(1), None);
     assert!(oracle[0].fetches() > 0, "the workload touched the caches");
-    for schedule in [Schedule::RoundRobin, Schedule::WorkStealing] {
-        for jobs in [1, 3] {
-            let engine = EngineConfig::jobs(jobs).with_schedule(schedule);
-            let telemetry = Arc::new(Telemetry::new());
-            let with = three_paths(engine, Some(&telemetry));
-            // Equality with the probe-free sequential oracle is the
-            // on/off identity and the engine determinism property at
-            // once (the engine is bit-identical to the oracle by the
-            // properties in tests/properties.rs).
-            assert_eq!(
-                with, oracle,
-                "telemetry perturbed results at jobs {jobs}, {schedule:?}"
-            );
-            // The instrumented run actually observed something.
-            let snap = telemetry.snapshot();
-            assert_eq!(snap.counter(Counter::VmRuns), 2, "live + record");
-            assert!(snap.engine.runs > 0, "engine block populated");
-        }
+    for jobs in [1, 3] {
+        let telemetry = Arc::new(Telemetry::new());
+        let with = three_paths(EngineConfig::jobs(jobs), Some(&telemetry));
+        // Equality with the probe-free sequential oracle is the on/off
+        // identity and the engine determinism property at once (the
+        // engine is bit-identical to the oracle by the properties in
+        // tests/properties.rs).
+        assert_eq!(with, oracle, "telemetry perturbed results at jobs {jobs}");
+        // The instrumented run actually observed something: three crews
+        // (live, record, replay) on three workers, none inline.
+        let snap = telemetry.snapshot();
+        assert_eq!(snap.counter(Counter::VmRuns), 2, "live + record");
+        let crews = if jobs > 1 { 3 } else { 0 };
+        assert_eq!(snap.engine.runs, crews, "one engine run per crew");
     }
 }
 
@@ -84,8 +80,7 @@ fn merged_counters_match_the_run_stats_oracle() {
     let w = Workload::Rewrite.scaled(1);
     let telemetry = Arc::new(Telemetry::new());
     let store = TraceStore::unbounded();
-    let engine = EngineConfig::jobs(3).with_schedule(Schedule::WorkStealing);
-    let runner = Runner::new(engine)
+    let runner = Runner::new(EngineConfig::jobs(3))
         .with_store(&store)
         .with_telemetry(&telemetry);
 
@@ -130,10 +125,16 @@ fn merged_counters_match_the_run_stats_oracle() {
         store.stats().bytes
     );
 
-    // Engine totals: the record pass drove 3 sinks with every event, the
-    // replay pass 1 sink — `(event, sink)` pairs sum exactly.
-    assert_eq!(snap.engine.runs, 2);
-    assert_eq!(snap.engine.events_applied(), events * 3 + events);
+    // Engine totals: the record pass's crew drove 3 sinks with every
+    // event, and `(event, sink)` pairs sum exactly. The one-sink replay
+    // ran in-thread, which reports no engine run.
+    assert_eq!(snap.engine.runs, 1);
+    assert_eq!(snap.engine.events_applied(), events * 3);
+    assert_eq!(snap.engine.events_published, events);
+    assert!(
+        snap.engine.chunks_published >= 1,
+        "the feed carried segments"
+    );
 
     // Phases: one of each driver span.
     for phase in ["vm_execute", "record", "replay", "sink_drain"] {
@@ -204,7 +205,6 @@ fn a_real_runs_manifest_validates_end_to_end() {
             scale: 1,
             jobs: 2,
             jobs_requested: 2,
-            schedule: "round-robin".into(),
             trace_cache: "unbounded".into(),
         },
         &telemetry.snapshot(),
@@ -223,7 +223,7 @@ fn spill_and_eviction_counters_flow_into_a_valid_manifest() {
     let dir = std::env::temp_dir().join(format!("cachegc_tm_spill_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let scenarios = [Workload::Rewrite.scaled(1), Workload::Nbody.scaled(1)];
-    let engine = EngineConfig::jobs(2).with_schedule(Schedule::WorkStealing);
+    let engine = EngineConfig::jobs(2);
 
     // Size the budget between "holds either capture" and "holds both".
     let sizing = TraceStore::unbounded();
@@ -263,7 +263,6 @@ fn spill_and_eviction_counters_flow_into_a_valid_manifest() {
             scale: 1,
             jobs: 2,
             jobs_requested: 2,
-            schedule: "work-stealing".into(),
             trace_cache: format!("{budget} bytes, spill {}", dir.display()),
         },
         &telemetry.snapshot(),
@@ -289,7 +288,6 @@ fn spill_and_eviction_counters_flow_into_a_valid_manifest() {
             scale: 1,
             jobs: 2,
             jobs_requested: 2,
-            schedule: "work-stealing".into(),
             trace_cache: format!("{budget} bytes, spill {}", dir.display()),
         },
         &warm_telemetry.snapshot(),

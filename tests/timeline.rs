@@ -14,7 +14,7 @@ use std::sync::Arc;
 
 use cachegc::core::{
     chrome_trace_json, validate_chrome_trace, validate_timeline, CollectorSpec, EngineConfig,
-    Runner, Schedule, Telemetry, TimelineRecorder, TimelineSpec, TraceStore, TIMELINE_SCHEMA,
+    Runner, Telemetry, TimelineRecorder, TimelineSpec, TraceStore, TIMELINE_SCHEMA,
 };
 use cachegc::sim::{Cache, CacheConfig, CacheStats};
 use cachegc::workloads::Workload;
@@ -49,7 +49,7 @@ fn window_sums_reconstruct_the_aggregate_on_every_path() {
     let w = Workload::Rewrite.scaled(1);
     let mut oracle: Option<CacheStats> = None;
     for jobs in [1, 2, 3] {
-        let engine = EngineConfig::jobs(jobs).with_schedule(Schedule::WorkStealing);
+        let engine = EngineConfig::jobs(jobs);
         let store = TraceStore::unbounded();
         let recorder = TimelineRecorder::new(tl_spec());
         let runner = Runner::new(engine)
@@ -140,8 +140,7 @@ fn observability_is_invisible_to_results() {
 fn a_two_worker_chrome_trace_validates_with_worker_rows() {
     let w = Workload::Rewrite.scaled(1);
     let telemetry = Arc::new(Telemetry::with_spans());
-    let runner = Runner::new(EngineConfig::jobs(2).with_schedule(Schedule::WorkStealing))
-        .with_telemetry(&telemetry);
+    let runner = Runner::new(EngineConfig::jobs(2)).with_telemetry(&telemetry);
     let _shard = telemetry.attach();
     runner.sinks(w, spec(), grid()).unwrap();
     drop(_shard);
