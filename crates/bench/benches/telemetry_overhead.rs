@@ -9,21 +9,19 @@
 //! (baseline, instrumented) pairs, alternating — instead of running one
 //! variant to completion first: a sweep sample is ~20 s, so back-to-back
 //! blocks would let slow drift on a shared host (other tenants, thermal)
-//! masquerade as overhead. Pairing cancels drift; the medians of each
-//! column are what [`TelemetryReport`] records.
+//! masquerade as overhead. Pairing cancels drift; the bench prints the
+//! median of each column and the overhead between them.
 //!
-//! The probes' budget is <2 % enabled overhead (DESIGN.md §6c); the
-//! measured fraction lands in `BENCH_telemetry.json`
-//! (`cachegc-bench-telemetry-v1`). On a noisy machine the difference can
-//! still drown in run-to-run variance — the bench reports what it saw
-//! either way and only flags a budget miss, it does not fail.
+//! The probes' budget is <2 % enabled overhead (DESIGN.md §6c). On a
+//! noisy machine the difference can still drown in run-to-run variance,
+//! so the bench prints every pair and the spread of each column next to
+//! the medians; it flags a budget miss but does not fail.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use cachegc_bench::experiments;
 use cachegc_bench::golden::{golden_engine, GOLDEN_SCALE};
-use cachegc_bench::TelemetryReport;
 use cachegc_core::{Manifest, ManifestConfig, Runner, Telemetry, TraceStore};
 
 const SAMPLES: usize = 5;
@@ -82,23 +80,13 @@ fn main() {
         instrumented.push(t);
     }
 
-    let report = TelemetryReport {
-        experiment: e4.name.to_string(),
-        scale: GOLDEN_SCALE,
-        jobs: engine.jobs,
-        samples: SAMPLES,
-        baseline: median(&mut baseline),
-        telemetry: median(&mut instrumented),
-    };
     println!(
-        "{:40} median {:>10.3?}  ({} samples)",
-        "e4 sweep, telemetry off", report.baseline, report.samples
+        "e4 sweep at scale {GOLDEN_SCALE}, jobs {}, {SAMPLES} pairs",
+        engine.jobs
     );
-    println!(
-        "{:40} median {:>10.3?}  ({} samples)",
-        "e4 sweep, telemetry on + manifest", report.telemetry, report.samples
-    );
-    let overhead = report.overhead_fraction();
+    let off = summarize("telemetry off", &mut baseline);
+    let on = summarize("telemetry on + manifest", &mut instrumented);
+    let overhead = on.as_secs_f64() / off.as_secs_f64().max(1e-9) - 1.0;
     println!(
         "telemetry enabled overhead: {:+.2}% (budget <2%){}",
         100.0 * overhead,
@@ -108,10 +96,16 @@ fn main() {
             "  ** OVER BUDGET **"
         }
     );
-    report.write();
 }
 
-fn median(samples: &mut [Duration]) -> Duration {
+/// Print one column's median and range; return the median.
+fn summarize(label: &str, samples: &mut [Duration]) -> Duration {
     samples.sort_unstable();
-    samples[samples.len() / 2]
+    let median = samples[samples.len() / 2];
+    println!(
+        "{label:28} median {median:>10.3?}  (range {:.3?} .. {:.3?})",
+        samples[0],
+        samples[samples.len() - 1]
+    );
+    median
 }

@@ -22,7 +22,7 @@ const USAGE: &str = "\
 golden_check: diff every experiment's tables against results/expected/
 
 usage: golden_check [--bless] [--only NAME] [--dir PATH] [--rel-eps X]
-                    [--trace-cache on|off|BYTES[,spill[:DIR]][,evict=on|off]]
+                    [--trace-cache on|off|BYTES[,spill[:DIR]]]
                     [--metrics off|json[:PATH]] [--manifest PATH]
                     [--trace-export off|chrome[:PATH]]
                     [--timeline PATH] [--trace PATH]
@@ -32,15 +32,13 @@ usage: golden_check [--bless] [--only NAME] [--dir PATH] [--rel-eps X]
   --dir PATH    golden directory (default results/expected)
   --rel-eps X   relative epsilon for float/pct cells (default 1e-9;
                 0 means exact)
-  --trace-cache on|off|BYTES[,spill[:DIR]][,evict=on|off]
+  --trace-cache on|off|BYTES[,spill[:DIR]]
                 share one trace store across all experiments so each
                 unique (workload, scale, collector) scenario's VM runs
                 at most once; BYTES caps resident trace memory; spill
                 writes captures through to disk segments (default DIR
                 results/tracestore) and warm-starts from them on the
-                next invocation; evict=off refuses over-budget captures
-                instead of evicting least-recently-hit scenarios
-                (default on; env CACHEGC_TRACE_CACHE)
+                next invocation (default on; env CACHEGC_TRACE_CACHE)
   --metrics off|json[:PATH]
                 write this invocation's own run manifest (schema,
                 counters, store accounting) to PATH, default
@@ -128,7 +126,7 @@ fn parse_opts(argv: &[String]) -> Result<Opts, String> {
                 opts.trace_cache = TraceCacheArg::parse(&raw).ok_or_else(|| {
                     format!(
                         "--trace-cache: malformed value '{raw}' \
-                         (on|off|BYTES[,spill[:DIR]][,evict=on|off])"
+                         (on|off|BYTES[,spill[:DIR]])"
                     )
                 })?;
             }

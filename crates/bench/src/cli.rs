@@ -32,8 +32,8 @@ pub enum TraceCacheMode {
     Budget(u64),
 }
 
-/// The `--trace-cache` knob: the store mode plus its eviction and disk
-/// spill options, spelled `on|off|BYTES[,spill[:DIR]][,evict=on|off]`.
+/// The `--trace-cache` knob: the store mode plus its disk spill option,
+/// spelled `on|off|BYTES[,spill[:DIR]]`.
 /// `off` takes no options (a spill directory for a store that does not
 /// exist is a contradiction worth rejecting, not ignoring).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -42,19 +42,14 @@ pub struct TraceCacheArg {
     pub mode: TraceCacheMode,
     /// Spill directory for write-through segment files, when enabled.
     pub spill: Option<PathBuf>,
-    /// Whether the store evicts least-recently-hit entries to fit a new
-    /// capture (default) or refuses over-budget captures outright.
-    pub evict: bool,
 }
 
 impl TraceCacheArg {
-    /// The default setting: a store with the default budget, eviction
-    /// on, no spill.
+    /// The default setting: a store with the default budget, no spill.
     pub fn on() -> TraceCacheArg {
         TraceCacheArg {
             mode: TraceCacheMode::On,
             spill: None,
-            evict: true,
         }
     }
 
@@ -63,21 +58,18 @@ impl TraceCacheArg {
         TraceCacheArg {
             mode: TraceCacheMode::Off,
             spill: None,
-            evict: true,
         }
     }
 
-    /// A store with an explicit byte budget, eviction on, no spill.
+    /// A store with an explicit byte budget, no spill.
     pub fn budget(bytes: u64) -> TraceCacheArg {
         TraceCacheArg {
             mode: TraceCacheMode::Budget(bytes),
             spill: None,
-            evict: true,
         }
     }
 
-    /// Parse a `--trace-cache` value:
-    /// `on|off|BYTES[,spill[:DIR]][,evict=on|off]`.
+    /// Parse a `--trace-cache` value: `on|off|BYTES[,spill[:DIR]]`.
     pub fn parse(raw: &str) -> Option<TraceCacheArg> {
         let mut parts = raw.split(',');
         let mode = match parts.next()? {
@@ -86,7 +78,6 @@ impl TraceCacheArg {
             n => TraceCacheMode::Budget(n.parse().ok()?),
         };
         let mut spill = None;
-        let mut evict = true;
         let mut options = 0usize;
         for opt in parts {
             options += 1;
@@ -97,12 +88,6 @@ impl TraceCacheArg {
                     return None;
                 }
                 spill = Some(PathBuf::from(dir));
-            } else if let Some(v) = opt.strip_prefix("evict=") {
-                evict = match v {
-                    "on" => true,
-                    "off" => false,
-                    _ => return None,
-                };
             } else {
                 return None;
             }
@@ -110,7 +95,7 @@ impl TraceCacheArg {
         if mode == TraceCacheMode::Off && options > 0 {
             return None;
         }
-        Some(TraceCacheArg { mode, spill, evict })
+        Some(TraceCacheArg { mode, spill })
     }
 
     /// Resolve a `CACHEGC_TRACE_CACHE` environment value: `None` (unset)
@@ -122,7 +107,7 @@ impl TraceCacheArg {
             Some(v) => TraceCacheArg::parse(v).ok_or_else(|| {
                 format!(
                     "CACHEGC_TRACE_CACHE: malformed value '{v}' \
-                     (on|off|BYTES[,spill[:DIR]][,evict=on|off])"
+                     (on|off|BYTES[,spill[:DIR]])"
                 )
             }),
         }
@@ -135,7 +120,7 @@ impl TraceCacheArg {
             TraceCacheMode::On => DEFAULT_TRACE_CACHE_BYTES,
             TraceCacheMode::Budget(bytes) => bytes,
         };
-        let mut store = TraceStore::with_budget(bytes).with_evict(self.evict);
+        let mut store = TraceStore::with_budget(bytes);
         if let Some(dir) = &self.spill {
             store = store.with_spill(dir.clone());
         }
@@ -151,9 +136,6 @@ impl TraceCacheArg {
         };
         if let Some(dir) = &self.spill {
             out.push_str(&format!(", spill {}", dir.display()));
-        }
-        if !self.evict {
-            out.push_str(", evict off");
         }
         out
     }
@@ -367,9 +349,8 @@ pub struct ExperimentArgs {
     pub jobs_requested: usize,
     /// CSV output path (`--csv PATH`), if requested.
     pub csv: Option<PathBuf>,
-    /// Trace record/replay cache (`--trace-cache
-    /// on|off|BYTES[,spill[:DIR]][,evict=on|off]`, env
-    /// `CACHEGC_TRACE_CACHE`; default on).
+    /// Trace record/replay cache (`--trace-cache on|off|BYTES[,spill[:DIR]]`,
+    /// env `CACHEGC_TRACE_CACHE`; default on).
     pub trace_cache: TraceCacheArg,
     /// Telemetry sink (`--metrics off|table|json[:PATH]`, env
     /// `CACHEGC_METRICS`; default off).
@@ -453,7 +434,7 @@ impl ExperimentArgs {
                     trace_cache = Some(TraceCacheArg::parse(raw).ok_or_else(|| {
                         format!(
                             "--trace-cache: malformed value '{raw}' \
-                             (on|off|BYTES[,spill[:DIR]][,evict=on|off])"
+                             (on|off|BYTES[,spill[:DIR]])"
                         )
                     })?);
                 }
@@ -545,9 +526,8 @@ impl ExperimentArgs {
     }
 
     /// The trace store these arguments ask for (`None` under
-    /// `--trace-cache off`). The caller owns it and threads a reference
-    /// through a [`cachegc_core::RunCtx`], so one store can span many
-    /// sweeps.
+    /// `--trace-cache off`). The caller owns it and attaches a reference
+    /// to a [`cachegc_core::Runner`], so one store can span many sweeps.
     pub fn trace_store(&self) -> Option<TraceStore> {
         self.trace_cache.store()
     }
@@ -592,7 +572,7 @@ fn usage(binary: &str, about: &str, default_scale: u32) -> String {
         "{binary} — {about}\n\
          \n\
          usage: {binary} [--scale N] [--jobs N] [--csv PATH]\n\
-         \x20                [--trace-cache on|off|BYTES[,spill[:DIR]][,evict=on|off]]\n\
+         \x20                [--trace-cache on|off|BYTES[,spill[:DIR]]]\n\
          \x20                [--metrics off|table|json[:PATH]]\n\
          \x20                [--timeline off|jsonl[:PATH][,window=N]]\n\
          \x20                [--trace-export off|chrome[:PATH]] [--progress]\n\
@@ -606,9 +586,7 @@ fn usage(binary: &str, about: &str, default_scale: u32) -> String {
          \x20                later passes: on (default, 4 GiB budget), off, or an\n\
          \x20                explicit byte budget; append ,spill[:DIR] to write\n\
          \x20                captures through to disk segments (default DIR\n\
-         \x20                {DEFAULT_SPILL_DIR}) and warm-start from them, and\n\
-         \x20                ,evict=off to refuse over-budget captures instead of\n\
-         \x20                evicting least-recently-hit scenarios\n\
+         \x20                {DEFAULT_SPILL_DIR}) and warm-start from them\n\
          \x20                (env CACHEGC_TRACE_CACHE)\n\
          \x20 --metrics M    gather run telemetry: off (default), table (print a\n\
          \x20                timing table), or json[:PATH] (write a run manifest,\n\
@@ -765,31 +743,24 @@ mod tests {
     }
 
     #[test]
-    fn trace_cache_spill_and_evict_options_parse() {
+    fn trace_cache_spill_options_parse() {
         // Bare `spill` selects the default directory; `spill:DIR` an
-        // explicit one; `evict=off` disables eviction. Order is free.
+        // explicit one.
         let a = parsed(&["--trace-cache", "on,spill"]);
         assert_eq!(
             a.trace_cache.spill.as_deref(),
             Some(Path::new(DEFAULT_SPILL_DIR))
         );
-        assert!(a.trace_cache.evict);
-        let a = parsed(&["--trace-cache", "1048576,spill:/tmp/ts,evict=off"]);
+        let a = parsed(&["--trace-cache", "1048576,spill:/tmp/ts"]);
         assert_eq!(a.trace_cache.mode, TraceCacheMode::Budget(1048576));
         assert_eq!(a.trace_cache.spill.as_deref(), Some(Path::new("/tmp/ts")));
-        assert!(!a.trace_cache.evict);
-        let a = parsed(&["--trace-cache", "on,evict=off,spill:/tmp/ts"]);
-        assert!(!a.trace_cache.evict);
-        assert!(a.trace_cache.spill.is_some());
         // The options shape the store the argument builds.
-        let store = parsed(&["--trace-cache", "64,spill:/tmp/ts,evict=off"])
+        let store = parsed(&["--trace-cache", "64,spill:/tmp/ts"])
             .trace_store()
             .unwrap();
         assert_eq!(store.budget(), 64);
-        assert!(!store.evict());
         assert_eq!(store.spill_dir(), Some(Path::new("/tmp/ts")));
         let store = parsed(&[]).trace_store().unwrap();
-        assert!(store.evict(), "eviction is the default");
         assert_eq!(store.spill_dir(), None, "no spill unless asked");
     }
 
@@ -801,11 +772,10 @@ mod tests {
             "1g",
             "",
             "on,spill:",
-            "on,evict=maybe",
+            "on,evict=off",
             "on,frob",
             "on,",
             "off,spill",
-            "off,evict=on",
         ] {
             let err = ExperimentArgs::try_parse(&argv(&["--trace-cache", bad]), 4).unwrap_err();
             assert!(err.contains("--trace-cache"), "{bad:?}: {err}");
@@ -998,10 +968,8 @@ mod tests {
             format!("{DEFAULT_TRACE_CACHE_BYTES} bytes")
         );
         assert_eq!(
-            TraceCacheArg::parse("64,spill:/tmp/ts,evict=off")
-                .unwrap()
-                .describe(),
-            "64 bytes, spill /tmp/ts, evict off"
+            TraceCacheArg::parse("64,spill:/tmp/ts").unwrap().describe(),
+            "64 bytes, spill /tmp/ts"
         );
     }
 

@@ -4,15 +4,12 @@
 //! The five programs are independent trace passes, so `--jobs N` runs up
 //! to N of them concurrently (`--jobs 1` is the sequential oracle).
 
-use std::time::Instant;
-
 use cachegc_core::report::{Cell, Table};
 use cachegc_core::Runner;
 use cachegc_trace::RefCounter;
 use cachegc_workloads::Workload;
 
 use super::{Experiment, Sweep};
-use crate::{GridReport, GridRun};
 
 pub static EXPERIMENT: Experiment = Experiment {
     name: "e1_programs",
@@ -24,16 +21,13 @@ pub static EXPERIMENT: Experiment = Experiment {
 };
 
 fn sweep(scale: u32, runner: &Runner) -> Sweep {
-    let t0 = Instant::now();
     let outs = runner.map(&Workload::ALL, |inner, w| {
-        let t = Instant::now();
         let (stats, sinks) = inner
             .sinks(w.scaled(scale), None, vec![RefCounter::new()])
             .unwrap_or_else(|e| panic!("{}: {e}", w.name()));
         let counter = sinks.into_iter().next().expect("one counter");
-        (stats, counter, t.elapsed())
+        (stats, counter)
     });
-    let total_wall = t0.elapsed();
 
     let mut table = Table::new(
         "programs",
@@ -47,8 +41,7 @@ fn sweep(scale: u32, runner: &Runner) -> Sweep {
             "refs_per_insn",
         ],
     );
-    let mut runs = Vec::new();
-    for (w, (stats, counter, wall)) in Workload::ALL.iter().zip(&outs) {
+    for (w, (stats, counter)) in Workload::ALL.iter().zip(&outs) {
         let insns = stats.instructions.program();
         let refs = counter.total();
         table.row(vec![
@@ -60,13 +53,6 @@ fn sweep(scale: u32, runner: &Runner) -> Sweep {
             refs.into(),
             Cell::Float(refs as f64 / insns as f64, 3),
         ]);
-        runs.push(GridRun {
-            workload: w.name().into(),
-            scale,
-            events: refs,
-            cells: 1,
-            wall: *wall,
-        });
     }
     Sweep {
         tables: vec![table],
@@ -74,12 +60,6 @@ fn sweep(scale: u32, runner: &Runner) -> Sweep {
             "paper: orbit 15k lines/263mb, imps 42k/1.8gb, lp 2.5k/216mb,".into(),
             "       nbody .6k/747mb, gambit 15k/527mb; refs/insns ≈ 0.26-0.29".into(),
         ],
-        grid: Some(GridReport {
-            binary: "e1_programs".into(),
-            jobs: runner.engine().jobs,
-            runs,
-            total_wall,
-        }),
         ..Sweep::default()
     }
 }

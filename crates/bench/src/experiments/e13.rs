@@ -108,13 +108,9 @@ fn sweep(scale: u32, runner: &Runner) -> Sweep {
     // progress is ticked by hand — one tick per variant, matching
     // `cells: 2`.
     measure("functional", &functional(gens), &cfg, runner, &mut table);
-    if let Some(progress) = runner.ctx().progress {
-        progress.tick(runner.ctx().store);
-    }
+    runner.tick();
     measure("imperative", &imperative(gens), &cfg, runner, &mut table);
-    if let Some(progress) = runner.ctx().progress {
-        progress.tick(runner.ctx().store);
-    }
+    runner.tick();
     Sweep {
         tables: vec![table],
         notes: vec![

@@ -11,14 +11,12 @@
 //! across a crew's replay readers. `--jobs 1` is the sequential oracle; per-cell statistics are bit-identical
 //! either way.
 
-use std::time::Instant;
-
 use cachegc_core::report::{Cell, Table};
 use cachegc_core::{ExperimentConfig, Processor, Runner, FAST, SLOW};
 use cachegc_workloads::Workload;
 
 use super::{Experiment, Sweep};
-use crate::{human_bytes, GridReport, GridRun};
+use crate::human_bytes;
 
 pub static EXPERIMENT: Experiment = Experiment {
     name: "e3_overhead_sweep",
@@ -49,17 +47,12 @@ fn cpu_table(cpu: &Processor, cfg: &ExperimentConfig, f: impl Fn(u32, u32) -> f6
 fn sweep(scale: u32, runner: &Runner) -> Sweep {
     let cfg = ExperimentConfig::paper();
     // Outer parallelism over programs, inner over grid cells.
-    let t0 = Instant::now();
-    let timed: Vec<_> = runner.map(&Workload::ALL, |inner, w| {
+    let reports = runner.map(&Workload::ALL, |inner, w| {
         eprintln!("running {} ...", w.name());
-        let t = Instant::now();
-        let r = inner
+        inner
             .control(w.scaled(scale), &cfg)
-            .unwrap_or_else(|e| panic!("{}: {e}", w.name()));
-        (r, t.elapsed())
+            .unwrap_or_else(|e| panic!("{}: {e}", w.name()))
     });
-    let total_wall = t0.elapsed();
-    let reports: Vec<_> = timed.iter().map(|(r, _)| r).collect();
 
     let mut tables = Vec::new();
     for cpu in [&SLOW, &FAST] {
@@ -74,30 +67,12 @@ fn sweep(scale: u32, runner: &Runner) -> Sweep {
                 / reports.len() as f64
         }));
     }
-
-    let runs = Workload::ALL
-        .iter()
-        .zip(&timed)
-        .map(|(w, (r, wall))| GridRun {
-            workload: w.name().into(),
-            scale,
-            events: r.refs,
-            cells: r.cells.len(),
-            wall: *wall,
-        })
-        .collect();
     Sweep {
         tables,
         notes: vec![
             "paper shape: monotone improvement with cache size; smaller blocks better;".into(),
             "slow/32k/16b < 5%; fast needs ~1m for < 5%.".into(),
         ],
-        grid: Some(GridReport {
-            binary: "e3_overhead_sweep".into(),
-            jobs: runner.engine().jobs,
-            runs,
-            total_wall,
-        }),
         ..Sweep::default()
     }
 }

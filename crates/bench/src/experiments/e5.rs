@@ -9,22 +9,20 @@
 //! monotonically and Cheney recopies it at every collection.
 //!
 //! Scaling substitution: the paper's 16 MB semispaces serve programs that
-//! allocate hundreds of MB; we default to 2 MB semispaces against tens of
+//! allocate hundreds of MB; we use 2 MB semispaces against tens of
 //! MB of allocation, preserving the collections-per-byte-allocated regime.
-//! Override with `CACHEGC_SEMISPACE` (bytes).
+//! A2 (`a2_semispace_sweep`) sweeps the semispace size itself.
 //!
 //! `--jobs N` runs workloads concurrently and, inside each comparison,
 //! the control and collected passes on separate threads with the 8-cell
 //! grid sharded across workers. `--jobs 1` is the sequential oracle.
-
-use std::time::Instant;
 
 use cachegc_core::report::{Cell, Table};
 use cachegc_core::{CollectorSpec, ExperimentConfig, Runner, FAST, SLOW};
 use cachegc_workloads::Workload;
 
 use super::{Experiment, Sweep};
-use crate::{human_bytes, GridReport, GridRun};
+use crate::human_bytes;
 
 pub static EXPERIMENT: Experiment = Experiment {
     name: "e5_gc_overhead",
@@ -35,26 +33,21 @@ pub static EXPERIMENT: Experiment = Experiment {
     sweep,
 };
 
+/// Semispace size: 2 MiB against tens of MB of allocation.
+const SEMISPACE: u32 = 2 << 20;
+
 fn sweep(scale: u32, runner: &Runner) -> Sweep {
-    let semispace: u32 = std::env::var("CACHEGC_SEMISPACE")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(2 << 20);
     let mut cfg = ExperimentConfig::paper();
     cfg.block_sizes = vec![64];
-    eprintln!("Cheney semispaces: {}", human_bytes(semispace));
+    eprintln!("Cheney semispaces: {}", human_bytes(SEMISPACE));
 
     let spec = CollectorSpec::Cheney {
-        semispace_bytes: semispace,
+        semispace_bytes: SEMISPACE,
     };
-    let t0 = Instant::now();
     let results = runner.map(&Workload::ALL, |inner, w| {
         eprintln!("running {} (control + collected) ...", w.name());
-        let t = Instant::now();
-        let r = inner.comparison(w.scaled(scale), &cfg, spec);
-        (r, t.elapsed())
+        inner.comparison(w.scaled(scale), &cfg, spec)
     });
-    let total_wall = t0.elapsed();
 
     let mut gc_table = Table::new(
         "collections",
@@ -73,8 +66,7 @@ fn sweep(scale: u32, runner: &Runner) -> Sweep {
     let mut ogc_table = Table::new("ogc", &cols);
 
     let mut notes = Vec::new();
-    let mut runs = Vec::new();
-    for (w, (result, wall)) in Workload::ALL.iter().zip(&results) {
+    for (w, result) in Workload::ALL.iter().zip(&results) {
         let cmp = match result {
             Ok(c) => c,
             Err(e) => {
@@ -102,13 +94,6 @@ fn sweep(scale: u32, runner: &Runner) -> Sweep {
             );
             ogc_table.row(row);
         }
-        runs.push(GridRun {
-            workload: w.name().into(),
-            scale,
-            events: cmp.control.refs,
-            cells: cmp.control.cells.len() + cmp.collected.cells.len(),
-            wall: *wall,
-        });
     }
     notes.push(
         "paper shape: orbit/nbody/gambit ≤4% slow, ≤7.7% fast; nbody negative at 64-128k;".into(),
@@ -117,12 +102,6 @@ fn sweep(scale: u32, runner: &Runner) -> Sweep {
     Sweep {
         tables: vec![gc_table, ogc_table],
         notes,
-        grid: Some(GridReport {
-            binary: "e5_gc_overhead".into(),
-            jobs: runner.engine().jobs,
-            runs,
-            total_wall,
-        }),
         ..Sweep::default()
     }
 }

@@ -75,6 +75,5 @@ fn sweep(scale: u32, runner: &Runner) -> Sweep {
                 .into(),
         ],
         artifacts: vec![("e8_sweep.txt".into(), full)],
-        ..Sweep::default()
     }
 }

@@ -6,8 +6,8 @@
 //! binary is a thin shim over [`run_main`]. A sweep is a pure function of
 //! `(scale, ctx)` — progress goes to stderr, everything user-visible
 //! comes back in the [`Sweep`]: the typed tables, the paper-shape notes
-//! printed after them, side-channel artifacts (e.g. E8's full-resolution
-//! plot), and the optional `BENCH_grid.json` performance record.
+//! printed after them, and side-channel artifacts (e.g. E8's
+//! full-resolution plot).
 //!
 //! The [`Runner`] carries the engine configuration and, optionally, a
 //! shared [`TraceStore`](cachegc_core::TraceStore): sweeps drive their
@@ -28,7 +28,7 @@ use cachegc_core::{
 };
 
 use crate::cli::MetricsArg;
-use crate::{header, ExperimentArgs, GridReport};
+use crate::{header, ExperimentArgs};
 
 mod a1;
 mod a2;
@@ -57,9 +57,6 @@ pub struct Sweep {
     /// Side-channel files `(path, contents)` the CLI shim writes (the
     /// golden harness ignores them).
     pub artifacts: Vec<(String, String)>,
-    /// Performance-trajectory record for `BENCH_grid.json`, if this sweep
-    /// measures one.
-    pub grid: Option<GridReport>,
 }
 
 /// One registered experiment: identity, CLI text, and its sweep function.
@@ -107,9 +104,8 @@ pub fn find(name: &str) -> Option<&'static Experiment> {
 }
 
 /// The whole CLI shim: parse the uniform arguments, run the sweep, render
-/// the tables, print the notes, write artifacts and `--csv` output, and
-/// append the grid record. Every `src/bin/` main calls this and nothing
-/// else.
+/// the tables, print the notes, and write artifacts and `--csv` output.
+/// Every `src/bin/` main calls this and nothing else.
 pub fn run_main(exp: &Experiment) {
     let args = ExperimentArgs::parse(exp.name, exp.about, exp.default_scale);
     header(&format!(
@@ -181,9 +177,6 @@ pub fn run_main(exp: &Experiment) {
         }
     }
     args.write_csv(&sweep.tables.iter().collect::<Vec<_>>());
-    if let Some(grid) = &sweep.grid {
-        grid.write();
-    }
     if let Some(store) = &store {
         eprintln!("trace cache: {}", store.stats());
     }
@@ -300,11 +293,6 @@ mod tests {
         assert_eq!(Runner::new(EngineConfig::jobs(8)).split_jobs(5), (5, 1));
         assert_eq!(Runner::new(EngineConfig::jobs(8)).split_jobs(2), (2, 4));
         assert_eq!(Runner::new(EngineConfig::jobs(1)).split_jobs(5), (1, 1));
-        // The runner a `map` task receives keeps the store reference.
-        let store = cachegc_core::TraceStore::unbounded();
-        let runner = Runner::new(EngineConfig::jobs(4)).with_store(&store);
-        let seen = runner.map(&[0u8, 1], |inner, _| inner.ctx().store.is_some());
-        assert_eq!(seen, vec![true, true]);
     }
 
     #[test]

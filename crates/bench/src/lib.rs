@@ -19,12 +19,8 @@
 pub mod cli;
 pub mod experiments;
 pub mod golden;
-pub mod harness;
-mod report;
-pub mod trend;
 
 pub use cli::ExperimentArgs;
-pub use report::{GridReport, GridRun, ReplayBaseline, ReplayReport, ReplayRun, TelemetryReport};
 
 /// Format a fraction as a signed percentage with two decimals.
 pub fn pct(x: f64) -> String {

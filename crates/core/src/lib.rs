@@ -52,8 +52,8 @@ pub use overhead::{cache_overhead, gc_overhead, write_back_overhead};
 pub use runner::{default_jobs, Runner};
 pub use sched::{CrewReport, EngineConfig, PacketKind, Schedule, Scheduler};
 pub use store::{
-    scenario_label, Acquired, HitSource, OfferOutcome, RecordTicket, RunCtx, ScenarioGauges,
-    StoreStats, StoredTrace, TraceStore,
+    scenario_label, Acquired, HitSource, OfferOutcome, RecordTicket, ScenarioGauges, StoreStats,
+    StoredTrace, TraceStore,
 };
 pub use telemetry::{
     chrome_trace_json, validate_chrome_trace, validate_manifest, ChromeTraceSummary, Manifest,

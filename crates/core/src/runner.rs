@@ -55,10 +55,9 @@ use crate::experiment::{
     ExperimentConfig, GcComparison,
 };
 use crate::sched::{CrewReport, EngineConfig, PacketKind, Scheduler};
-use crate::store::{
-    scenario_label, Acquired, HitSource, OfferOutcome, RecordTicket, RunCtx, TraceStore,
-};
+use crate::store::{scenario_label, Acquired, HitSource, OfferOutcome, RecordTicket, TraceStore};
 use crate::telemetry::Progress;
+use crate::timeline::TimelineRecorder;
 
 /// Degree of parallelism this machine supports (a sensible `--jobs`
 /// default). Falls back to 1 if the platform cannot say.
@@ -215,13 +214,24 @@ struct Live<O, T> {
     events: u64,
 }
 
-/// The unified experiment driver: a [`RunCtx`] (engine configuration,
-/// optional trace store / telemetry / progress) plus a packet
-/// [`Scheduler`]. `Clone` is cheap; builder methods consume and return
-/// `self` so runners for sub-budgets derive freely.
+/// The unified experiment driver: an engine configuration, the optional
+/// attachments a pass reports into (trace store, telemetry, timeline,
+/// progress), and a packet [`Scheduler`]. `Clone` is cheap; builder
+/// methods consume and return `self` so runners for sub-budgets derive
+/// freely.
 #[derive(Debug, Clone)]
 pub struct Runner<'a> {
-    ctx: RunCtx<'a>,
+    /// Worker count for each pass.
+    engine: EngineConfig,
+    /// Scenario-keyed trace cache; `None` runs every pass live.
+    store: Option<&'a TraceStore>,
+    /// Registry the passes attach probe shards to and report phases,
+    /// counters and engine runs into; `None` costs nothing.
+    telemetry: Option<&'a Arc<Telemetry>>,
+    /// Ticked once per completed pass; `None` is silent.
+    progress: Option<&'a Progress>,
+    /// Windowed cache/GC timeline every pass taps its stream into.
+    timeline: Option<&'a TimelineRecorder>,
     sched: Scheduler,
     /// Segment size of the recordings this runner makes.
     segment_bytes: usize,
@@ -230,7 +240,15 @@ pub struct Runner<'a> {
 impl<'a> Runner<'a> {
     /// A runner over `engine`, with no store, telemetry, or progress.
     pub fn new(engine: EngineConfig) -> Runner<'static> {
-        Runner::over(RunCtx::new(engine))
+        Runner {
+            engine,
+            store: None,
+            telemetry: None,
+            progress: None,
+            timeline: None,
+            sched: Scheduler::new(),
+            segment_bytes: DEFAULT_SEGMENT_BYTES,
+        }
     }
 
     /// The sequential-oracle runner: one worker, nothing attached.
@@ -238,24 +256,10 @@ impl<'a> Runner<'a> {
         Runner::new(EngineConfig::default())
     }
 
-    /// A runner over an existing context (for callers that already built
-    /// a [`RunCtx`]).
-    pub fn over(ctx: RunCtx<'a>) -> Runner<'a> {
-        let mut sched = Scheduler::new();
-        if let Some(telemetry) = ctx.telemetry {
-            sched = sched.with_telemetry(Arc::clone(telemetry));
-        }
-        Runner {
-            sched,
-            ctx,
-            segment_bytes: DEFAULT_SEGMENT_BYTES,
-        }
-    }
-
     /// Attach a trace store: scenarios record on first run and replay on
     /// every later one.
     pub fn with_store(mut self, store: &'a TraceStore) -> Runner<'a> {
-        self.ctx = self.ctx.with_store(store);
+        self.store = Some(store);
         self
     }
 
@@ -265,7 +269,7 @@ impl<'a> Runner<'a> {
     /// spans (packet execute, idle, steal, backpressure) land on stable
     /// timeline rows when the registry captures spans.
     pub fn with_telemetry(mut self, telemetry: &'a Arc<Telemetry>) -> Runner<'a> {
-        self.ctx = self.ctx.with_telemetry(telemetry);
+        self.telemetry = Some(telemetry);
         self.sched = self.sched.with_telemetry(Arc::clone(telemetry));
         self
     }
@@ -275,26 +279,26 @@ impl<'a> Runner<'a> {
     /// windowed report under the pass's scenario label. The tap rides the
     /// same access stream as the result sinks, so it never changes any
     /// result bit; store hits replay the recorded trace into the tap.
-    pub fn with_timeline(mut self, timeline: &'a crate::TimelineRecorder) -> Runner<'a> {
-        self.ctx = self.ctx.with_timeline(timeline);
+    pub fn with_timeline(mut self, timeline: &'a TimelineRecorder) -> Runner<'a> {
+        self.timeline = Some(timeline);
         self
     }
 
     /// Attach a progress reporter, ticked once per completed pass.
     pub fn with_progress(mut self, progress: &'a Progress) -> Runner<'a> {
-        self.ctx = self.ctx.with_progress(progress);
+        self.progress = Some(progress);
         self
     }
 
     /// Same attachments, different engine.
     pub fn with_engine(mut self, engine: EngineConfig) -> Runner<'a> {
-        self.ctx = self.ctx.with_engine(engine);
+        self.engine = engine;
         self
     }
 
     /// Same attachments, engine rebudgeted to `jobs` workers.
     pub fn with_jobs(mut self, jobs: usize) -> Runner<'a> {
-        self.ctx = self.ctx.with_jobs(jobs);
+        self.engine.jobs = jobs.max(1);
         self
     }
 
@@ -307,14 +311,17 @@ impl<'a> Runner<'a> {
         self
     }
 
-    /// The underlying context (engine, store, telemetry, progress).
-    pub fn ctx(&self) -> &RunCtx<'a> {
-        &self.ctx
-    }
-
     /// The engine configuration this runner drives passes with.
     pub fn engine(&self) -> &EngineConfig {
-        &self.ctx.engine
+        &self.engine
+    }
+
+    /// Tick the attached progress reporter for a pass the caller drove
+    /// outside the store-keyed terminals (those tick on their own).
+    pub fn tick(&self) {
+        if let Some(progress) = self.progress {
+            progress.tick(self.store);
+        }
     }
 
     /// Fold a finished crew into the attached telemetry as one engine
@@ -330,7 +337,7 @@ impl<'a> Runner<'a> {
         feed: FeedStats,
     ) {
         probe!(Counter::SchedPackets, report.packets);
-        if let Some(telemetry) = self.ctx.telemetry {
+        if let Some(telemetry) = self.telemetry {
             telemetry.record_engine(&EngineReport {
                 kind: kind.name(),
                 jobs: report.workers.len(),
@@ -400,11 +407,11 @@ impl<'a> Runner<'a> {
         T: TraceSink + Send,
         R: Fn(&mut Segments<'_>, &mut Fanout<T>) + Sync,
     {
-        let _shard = self.ctx.telemetry.map(|t| t.attach());
+        let _shard = self.telemetry.map(|t| t.attach());
         let pass_start = Instant::now();
         let (stats, sinks, events) = self.pass_inner(instance, spec, sinks, kind, read)?;
-        if let Some(progress) = self.ctx.progress {
-            progress.pass(self.ctx.store, events, pass_start.elapsed().as_secs_f64());
+        if let Some(progress) = self.progress {
+            progress.pass(self.store, events, pass_start.elapsed().as_secs_f64());
         }
         Ok((stats, sinks))
     }
@@ -413,7 +420,7 @@ impl<'a> Runner<'a> {
     /// runner carries no recorder, so taps thread through the drivers
     /// as plain `Option` tuple elements).
     fn commit_tap(&self, label: impl FnOnce() -> String, tap: Option<Timeline>) {
-        if let (Some(recorder), Some(tap)) = (self.ctx.timeline, tap) {
+        if let (Some(recorder), Some(tap)) = (self.timeline, tap) {
             recorder.commit(&label(), tap);
         }
     }
@@ -431,7 +438,7 @@ impl<'a> Runner<'a> {
         R: Fn(&mut Segments<'_>, &mut Fanout<T>) + Sync,
     {
         let label = || scenario_label(instance, spec);
-        let Some(store) = self.ctx.store else {
+        let Some(store) = self.store else {
             probe!(Counter::VmRuns);
             let live = self.live(Vm(instance, spec), None, kind, sinks, read)?;
             self.commit_tap(label, live.tap);
@@ -447,7 +454,7 @@ impl<'a> Runner<'a> {
                 // The tap takes its own decode pass rather than riding a
                 // reader shard; its windows are bit-identical to a live
                 // pass's.
-                if let Some(recorder) = self.ctx.timeline {
+                if let Some(recorder) = self.timeline {
                     let mut tap = recorder.tap();
                     trace.trace.replay(&mut tap);
                     recorder.commit(&label(), tap);
@@ -514,7 +521,7 @@ impl<'a> Runner<'a> {
             }
             OfferOutcome::DroppedOverBudget => {
                 probe!(Counter::StoreCapturesDropped);
-                if let Some(telemetry) = self.ctx.telemetry {
+                if let Some(telemetry) = self.telemetry {
                     telemetry.warn(&format!(
                         "trace store dropped over-budget capture of {} \
                          (budget {} bytes); the scenario keeps running live",
@@ -549,8 +556,8 @@ impl<'a> Runner<'a> {
         T: TraceSink + Send,
         R: Fn(&mut Segments<'_>, &mut Fanout<T>) + Sync,
     {
-        let tap = self.ctx.timeline.map(|t| t.tap());
-        if self.ctx.engine.is_sequential() {
+        let tap = self.timeline.map(|t| t.tap());
+        if self.engine.is_sequential() {
             let _vm = probe::phase_cpu("vm_execute");
             let fan = Fanout::new(sinks);
             return Ok(match recorder {
@@ -578,7 +585,7 @@ impl<'a> Runner<'a> {
             });
         }
         let n = sinks.len();
-        let readers = self.ctx.engine.jobs.min(n).max(1);
+        let readers = self.engine.jobs.min(n).max(1);
         let (order, shards) = shard(sinks, readers);
         let (writer, feeds) = feed(readers);
         // Without a store ticket nothing is kept: a zero limit abandons
@@ -629,7 +636,7 @@ impl<'a> Runner<'a> {
         R: Fn(&mut Segments<'_>, &mut Fanout<T>) + Sync,
     {
         let n = sinks.len();
-        let readers = self.ctx.engine.jobs.min(n).max(1);
+        let readers = self.engine.jobs.min(n).max(1);
         let (order, mut shards) = shard(sinks, readers);
         if readers <= 1 {
             read(&mut Segments::Trace(trace), &mut shards[0]);
@@ -724,7 +731,7 @@ impl<'a> Runner<'a> {
         spec: Option<CollectorSpec>,
         configs: Vec<CacheConfig>,
     ) -> Result<(RunStats, Vec<CacheCell>), VmError> {
-        let (order, grids) = grid_shards(configs, self.ctx.engine.jobs);
+        let (order, grids) = grid_shards(configs, self.engine.jobs);
         let (stats, grids) =
             self.pass(instance, spec, grids, PacketKind::GridSimulate, read_grids)?;
         Ok((stats, self.grid_cells(order, grids)))
@@ -733,7 +740,7 @@ impl<'a> Runner<'a> {
     /// Finished [`grid_shards`] back as cells in input order; counts the
     /// simulated `(configuration, event)` cell updates.
     fn grid_cells(&self, order: Vec<Vec<usize>>, grids: Vec<GridCache>) -> Vec<CacheCell> {
-        let _shard = self.ctx.telemetry.map(|t| t.attach());
+        let _shard = self.telemetry.map(|t| t.attach());
         let n = order.iter().map(Vec::len).sum();
         let mut cells = Vec::with_capacity(n);
         for (indices, grid) in order.into_iter().zip(grids) {
@@ -801,7 +808,7 @@ impl<'a> Runner<'a> {
         cfg: &ExperimentConfig,
         spec: CollectorSpec,
     ) -> Result<GcComparison, VmError> {
-        if self.ctx.engine.is_sequential() {
+        if self.engine.is_sequential() {
             // Even store-less sequential runs go through `sinks`, so
             // telemetry and progress behave uniformly.
             return Ok(GcComparison {
@@ -809,10 +816,9 @@ impl<'a> Runner<'a> {
                 collected: self.collected(instance, cfg, spec)?,
             });
         }
-        let ctx = &self.ctx;
-        let jobs = ctx.engine.jobs.max(1);
-        let control_replays = ctx.store.is_some_and(|s| s.contains(instance, None));
-        let collected_replays = ctx.store.is_some_and(|s| s.contains(instance, Some(spec)));
+        let jobs = self.engine.jobs.max(1);
+        let control_replays = self.store.is_some_and(|s| s.contains(instance, None));
+        let collected_replays = self.store.is_some_and(|s| s.contains(instance, Some(spec)));
         let (control_jobs, collected_jobs) = match (control_replays, collected_replays) {
             (true, false) => (1, jobs.saturating_sub(1).max(1)),
             (false, true) => (jobs.saturating_sub(1).max(1), 1),
@@ -822,7 +828,7 @@ impl<'a> Runner<'a> {
         let collected_runner = self.clone().with_jobs(collected_jobs);
         let control_slot: Mutex<Option<Result<ControlReport, VmError>>> = Mutex::new(None);
         let collected_slot: Mutex<Option<Result<CollectedRun, VmError>>> = Mutex::new(None);
-        let _shard = ctx.telemetry.map(|t| t.attach());
+        let _shard = self.telemetry.map(|t| t.attach());
         let ((), report) = self.sched.run(2, |crew| {
             let control_runner = &control_runner;
             let control_slot = &control_slot;
@@ -855,8 +861,8 @@ impl<'a> Runner<'a> {
     /// parallelism, per-task inner jobs)`. This is what [`Runner::map`]
     /// applies to its item list.
     pub fn split_jobs(&self, n: usize) -> (usize, usize) {
-        let outer = self.ctx.engine.jobs.clamp(1, n.max(1));
-        (outer, (self.ctx.engine.jobs / outer).max(1))
+        let outer = self.engine.jobs.clamp(1, n.max(1));
+        (outer, (self.engine.jobs / outer).max(1))
     }
 
     /// Apply `f` to every item as [`PacketKind::Task`] packets, preserving
@@ -895,7 +901,7 @@ impl<'a> Runner<'a> {
             return items.iter().map(|item| f(&inner, item)).collect();
         }
         let slots: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
-        let _shard = self.ctx.telemetry.map(|t| t.attach());
+        let _shard = self.telemetry.map(|t| t.attach());
         let ((), report) = self.sched.run(outer, |crew| {
             for (i, item) in items.iter().enumerate() {
                 let inner = &inner;
@@ -948,7 +954,7 @@ impl<'a> Runner<'a> {
     where
         F: FnOnce(&mut dyn TraceSink) -> T,
     {
-        let (order, grids) = grid_shards(configs, self.ctx.engine.jobs);
+        let (order, grids) = grid_shards(configs, self.engine.jobs);
         let (out, grids) = self.drive_shards(kind, grids, PacketKind::GridSimulate, read_grids, f);
         (out, self.grid_cells(order, grids))
     }
@@ -966,7 +972,7 @@ impl<'a> Runner<'a> {
         F: FnOnce(&mut dyn TraceSink) -> T,
         R: Fn(&mut Segments<'_>, &mut Fanout<S>) + Sync,
     {
-        let _shard = self.ctx.telemetry.map(|t| t.attach());
+        let _shard = self.telemetry.map(|t| t.attach());
         probe!(Counter::VmRuns);
         let live = match self.live(Drive(f), None, reader, sinks, read) {
             Ok(live) => live,
@@ -1244,7 +1250,7 @@ mod tests {
         // The derived runner inside `map` keeps the store attachment.
         let store = crate::TraceStore::unbounded();
         let r = Runner::new(EngineConfig::jobs(4)).with_store(&store);
-        let stores = r.map(&[0u8, 1], |inner, _| inner.ctx().store.is_some());
+        let stores = r.map(&[0u8, 1], |inner, _| inner.store.is_some());
         assert_eq!(stores, vec![true, true]);
     }
 

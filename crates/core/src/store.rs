@@ -34,11 +34,6 @@
 //!   shared budget *while recording* (see
 //!   [`cachegc_trace::RecordBudget`]), so the combined footprint of
 //!   resident and in-flight bytes never exceeds the budget.
-//!
-//! [`RunCtx`] bundles an [`EngineConfig`] with an optional store
-//! reference; the engine drivers in [`crate::parallel`] take it to
-//! decide, per scenario, between a live (recording) pass and a sharded
-//! replay.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
@@ -47,15 +42,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
-use cachegc_telemetry::Telemetry;
 use cachegc_trace::{RecordBudget, RecordedTrace, Recorder};
 use cachegc_vm::RunStats;
 use cachegc_workloads::WorkloadInstance;
 
 use crate::experiment::CollectorSpec;
-use crate::sched::EngineConfig;
 use crate::spill::SpillDir;
-use crate::telemetry::Progress;
 
 /// A store key: one unique VM execution scenario.
 type ScenarioKey = (WorkloadInstance, Option<CollectorSpec>);
@@ -272,15 +264,12 @@ impl Inner {
     }
 
     /// Make room for `n` more bytes under `budget`, evicting
-    /// least-recently-used unpinned heap entries if allowed. Returns
-    /// whether the bytes now fit, plus the evictions performed.
-    fn make_room(&mut self, budget: u64, evict: bool, n: u64) -> (bool, u64, u64) {
+    /// least-recently-used unpinned heap entries. Returns whether the
+    /// bytes now fit, plus the evictions performed.
+    fn make_room(&mut self, budget: u64, n: u64) -> (bool, u64, u64) {
         let mut evictions = 0u64;
         let mut bytes_evicted = 0u64;
         while self.footprint().saturating_add(n) > budget {
-            if !evict {
-                return (false, evictions, bytes_evicted);
-            }
             // Mapped entries charge nothing (evicting them frees no
             // heap) and entries with a live replay borrow are pinned.
             let Some(key) = self
@@ -348,7 +337,6 @@ impl Inner {
 #[derive(Debug)]
 struct Shared {
     budget: u64,
-    evict: bool,
     spill: Option<SpillDir>,
     inner: Mutex<Inner>,
     /// Signalled whenever an in-flight recording resolves (offer lands
@@ -440,8 +428,7 @@ struct FlightCharge {
 impl RecordBudget for FlightCharge {
     fn try_charge(&self, n: u64) -> bool {
         let mut inner = self.shared.lock();
-        let (fits, evictions, bytes_evicted) =
-            inner.make_room(self.shared.budget, self.shared.evict, n);
+        let (fits, evictions, bytes_evicted) = inner.make_room(self.shared.budget, n);
         self.evictions.fetch_add(evictions, Ordering::Relaxed);
         self.bytes_evicted
             .fetch_add(bytes_evicted, Ordering::Relaxed);
@@ -542,7 +529,7 @@ impl RecordTicket {
                 } else {
                     let bytes = trace.bytes();
                     let events = trace.events();
-                    let (fits, ev, bev) = inner.make_room(shared.budget, shared.evict, bytes);
+                    let (fits, ev, bev) = inner.make_room(shared.budget, bytes);
                     evictions += ev;
                     bytes_evicted += bev;
                     if !fits {
@@ -604,9 +591,9 @@ impl Drop for RecordTicket {
 
 /// A thread-safe scenario-keyed cache of recorded traces.
 ///
-/// Shared by reference ([`RunCtx::with_store`]) across every experiment
-/// in a process, so one `golden_check` invocation executes each unique
-/// scenario's VM exactly once.
+/// Shared by reference ([`Runner::with_store`](crate::Runner::with_store))
+/// across every experiment in a process, so one `golden_check`
+/// invocation executes each unique scenario's VM exactly once.
 #[derive(Debug)]
 pub struct TraceStore {
     shared: Arc<Shared>,
@@ -619,28 +606,16 @@ impl TraceStore {
     }
 
     /// A store bounded to `bytes` of resident + in-flight encoded bytes,
-    /// evicting least-recently-hit scenarios to stay under it (disable
-    /// with [`TraceStore::with_evict`]).
+    /// evicting least-recently-hit scenarios to stay under it.
     pub fn with_budget(bytes: u64) -> Self {
         TraceStore {
             shared: Arc::new(Shared {
                 budget: bytes,
-                evict: true,
                 spill: None,
                 inner: Mutex::new(Inner::default()),
                 flights: Condvar::new(),
             }),
         }
-    }
-
-    /// Enable or disable LRU eviction (enabled by default). With
-    /// eviction off a bounded store refuses captures at its budget, the
-    /// pre-eviction behavior.
-    pub fn with_evict(mut self, evict: bool) -> Self {
-        Arc::get_mut(&mut self.shared)
-            .expect("with_evict before sharing the store")
-            .evict = evict;
-        self
     }
 
     /// Attach a spill directory: stored captures write through to
@@ -657,11 +632,6 @@ impl TraceStore {
     /// The byte budget.
     pub fn budget(&self) -> u64 {
         self.shared.budget
-    }
-
-    /// Whether LRU eviction is enabled.
-    pub fn evict(&self) -> bool {
-        self.shared.evict
     }
 
     /// The spill directory, if one is attached.
@@ -793,8 +763,8 @@ impl TraceStore {
     /// scenario that was stored since the caller's miss is always
     /// counted [`OfferOutcome::Duplicate`] — never misclassified as an
     /// over-budget drop, no matter how full the store is. Otherwise the
-    /// capture is kept if room can be made (evicting LRU entries when
-    /// enabled), and written through to the spill directory if one is
+    /// capture is kept if room can be made (evicting LRU entries), and
+    /// written through to the spill directory if one is
     /// attached.
     pub fn offer(
         &self,
@@ -821,8 +791,7 @@ impl TraceStore {
         }
         let bytes = trace.bytes();
         let events = trace.events();
-        let (fits, evictions, bytes_evicted) =
-            inner.make_room(self.shared.budget, self.shared.evict, bytes);
+        let (fits, evictions, bytes_evicted) = inner.make_room(self.shared.budget, bytes);
         if !fits {
             inner.stats.over_budget += 1;
             return OfferOutcome::DroppedOverBudget;
@@ -852,94 +821,6 @@ impl TraceStore {
             .iter()
             .map(|(k, v)| (k.clone(), *v))
             .collect()
-    }
-}
-
-/// Everything an experiment driver needs to run a scenario: how to
-/// parallelize ([`EngineConfig`]), optionally where to memoize traces,
-/// and optionally where to report what happened ([`Telemetry`]) and that
-/// it happened at all ([`Progress`]). `Copy`, so sweeps can derive
-/// per-stage variants freely.
-#[derive(Debug, Clone, Copy)]
-pub struct RunCtx<'a> {
-    /// Worker count for the trace pass.
-    pub engine: EngineConfig,
-    /// Scenario-keyed trace cache; `None` runs everything live.
-    pub store: Option<&'a TraceStore>,
-    /// Instrumentation registry the engine drivers attach probe shards
-    /// to and report phases/counters into; `None` costs nothing.
-    pub telemetry: Option<&'a Arc<Telemetry>>,
-    /// Per-pass progress reporting (one stderr line per completed pass);
-    /// `None` is silent.
-    pub progress: Option<&'a Progress>,
-    /// Windowed cache/GC timeline recorder: every pass additionally taps
-    /// its reference stream into a timeline sampler; `None` costs one
-    /// predictable branch per event.
-    pub timeline: Option<&'a crate::timeline::TimelineRecorder>,
-}
-
-impl<'a> RunCtx<'a> {
-    /// A context with no trace store (always-live passes).
-    pub fn new(engine: EngineConfig) -> RunCtx<'static> {
-        RunCtx {
-            engine,
-            store: None,
-            telemetry: None,
-            progress: None,
-            timeline: None,
-        }
-    }
-
-    /// The sequential-oracle context: one worker, no store.
-    pub fn sequential() -> RunCtx<'static> {
-        RunCtx::new(EngineConfig::default())
-    }
-
-    /// Attach a trace store.
-    pub fn with_store(self, store: &'a TraceStore) -> RunCtx<'a> {
-        RunCtx {
-            store: Some(store),
-            ..self
-        }
-    }
-
-    /// Attach a telemetry registry: every pass through the `_ctx` engine
-    /// drivers attaches a probe shard on its thread and reports phases,
-    /// counters, and engine observability into it.
-    pub fn with_telemetry(self, telemetry: &'a Arc<Telemetry>) -> RunCtx<'a> {
-        RunCtx {
-            telemetry: Some(telemetry),
-            ..self
-        }
-    }
-
-    /// Attach a progress reporter, ticked once per completed pass.
-    pub fn with_progress(self, progress: &'a Progress) -> RunCtx<'a> {
-        RunCtx {
-            progress: Some(progress),
-            ..self
-        }
-    }
-
-    /// Attach a timeline recorder: every pass commits a windowed
-    /// cache/GC timeline of its reference stream.
-    pub fn with_timeline(self, timeline: &'a crate::timeline::TimelineRecorder) -> RunCtx<'a> {
-        RunCtx {
-            timeline: Some(timeline),
-            ..self
-        }
-    }
-
-    /// Same store, different engine.
-    pub fn with_engine(self, engine: EngineConfig) -> RunCtx<'a> {
-        RunCtx { engine, ..self }
-    }
-
-    /// Same store, engine rebudgeted to `jobs` workers.
-    pub fn with_jobs(self, jobs: usize) -> RunCtx<'a> {
-        let mut engine = self.engine;
-        engine.jobs = jobs.max(1);
-        RunCtx { engine, ..self }
     }
 }
 
@@ -1041,28 +922,6 @@ mod tests {
     }
 
     #[test]
-    fn offer_rejects_when_resident_bytes_fill_budget_without_eviction() {
-        let probe_bytes = capture_bytes(64);
-        let store = TraceStore::with_budget(probe_bytes + probe_bytes / 2).with_evict(false);
-        let (rec, stats) = record(64);
-        store.offer(
-            Workload::Rewrite.scaled(1),
-            None,
-            rec,
-            stats,
-            Duration::ZERO,
-        );
-        assert_eq!(store.stats().entries, 1);
-        // Second capture individually fits, but with eviction disabled
-        // the resident bytes leave no room.
-        let (rec, stats) = record(64);
-        let outcome = store.offer(Workload::Nbody.scaled(1), None, rec, stats, Duration::ZERO);
-        assert_eq!(outcome, OfferOutcome::DroppedOverBudget);
-        let s = store.stats();
-        assert_eq!((s.entries, s.over_budget, s.evictions), (1, 1, 0));
-    }
-
-    #[test]
     fn duplicate_offer_is_distinguished_from_a_drop() {
         let store = TraceStore::unbounded();
         let w = Workload::Rewrite.scaled(1);
@@ -1090,7 +949,7 @@ mod tests {
         let w = Workload::Rewrite.scaled(1);
         let budget = capture_bytes(64);
         for _ in 0..32 {
-            let store = TraceStore::with_budget(budget).with_evict(false);
+            let store = TraceStore::with_budget(budget);
             let outcomes: Vec<OfferOutcome> = std::thread::scope(|s| {
                 let handles: Vec<_> = (0..2)
                     .map(|_| {
@@ -1117,7 +976,7 @@ mod tests {
             );
             let s = store.stats();
             assert_eq!(s.over_budget, 0, "no offer may be misclassified: {s}");
-            assert_eq!((s.entries, s.duplicates), (1, 1));
+            assert_eq!((s.entries, s.duplicates, s.evictions), (1, 1, 0));
         }
     }
 
@@ -1127,10 +986,10 @@ mod tests {
         // N concurrent captures each got the full remaining budget and
         // could collectively balloon. With in-flight reservations the
         // peak of resident + reserved stays under the budget no matter
-        // the interleaving.
+        // the interleaving, evictions included.
         let one = capture_bytes(256);
         let budget = one + one / 2; // room for one capture, not two
-        let store = TraceStore::with_budget(budget).with_evict(false);
+        let store = TraceStore::with_budget(budget);
         let scenarios = [
             Workload::Rewrite.scaled(1),
             Workload::Nbody.scaled(1),
@@ -1168,8 +1027,11 @@ mod tests {
             .filter(|o| matches!(o, OfferOutcome::Stored { .. }))
             .count();
         assert!(stored >= 1, "the budget fits one capture: {outcomes:?}");
-        assert_eq!(stored as u64, s.entries);
-        assert_eq!(s.misses, s.entries + s.over_budget + s.duplicates);
+        assert_eq!(stored as u64, s.entries + s.evictions);
+        assert_eq!(
+            s.misses,
+            s.entries + s.over_budget + s.duplicates + s.evictions
+        );
     }
 
     #[test]
@@ -1177,7 +1039,7 @@ mod tests {
         // Measure the capture size, then set the budget to exactly that:
         // the boundary is inclusive at the recorder's reservation.
         let budget = capture_bytes(64);
-        let store = TraceStore::with_budget(budget).with_evict(false);
+        let store = TraceStore::with_budget(budget);
         let w = Workload::Rewrite.scaled(1);
         let Acquired::Miss(ticket) = store.acquire(w, None) else {
             panic!("empty store must miss");
@@ -1195,8 +1057,9 @@ mod tests {
             panic!("exact-budget capture must be Stored, got {outcome:?}");
         };
         assert_eq!(bytes, budget, "stored capture fills the budget exactly");
-        // The budget is now exhausted and eviction is off: one more byte
-        // of capture drops.
+        // The budget is now exhausted and a held hit pins the resident
+        // entry: one more byte of capture drops.
+        let _pin = store.lookup(w, None).expect("stored");
         let (rec, stats) = record(1);
         assert_eq!(
             store.offer(Workload::Nbody.scaled(1), None, rec, stats, Duration::ZERO),

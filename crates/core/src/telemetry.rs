@@ -14,9 +14,9 @@
 //!   accounting. Serialized by [`Manifest::to_json`] (hand-rolled, like
 //!   every JSON writer in this workspace) and checked by
 //!   [`validate_manifest`], which `golden_check --manifest` calls.
-//! * [`Progress`] — a thread-safe per-pass progress reporter the `_ctx`
-//!   engine drivers tick; one line per completed pass, to stderr (or an
-//!   injected writer in tests), never stdout.
+//! * [`Progress`] — a thread-safe per-pass progress reporter the
+//!   [`Runner`](crate::Runner) terminals tick; one line per completed
+//!   pass, to stderr (or an injected writer in tests), never stdout.
 //! * [`chrome_trace_json`] — exports a snapshot's captured span records
 //!   (packet execute, steal, idle, backpressure, spill load, GC phases)
 //!   as Chrome trace-event JSON, loadable in Perfetto; checked by
@@ -55,7 +55,7 @@ pub const MANIFEST_SCHEMA: &str = "cachegc-manifest-v7";
 
 /// Per-pass progress reporting: one line per completed engine pass,
 /// written to stderr by default so stdout stays byte-identical with and
-/// without it. Ticked by the `_ctx` drivers when a [`crate::RunCtx`]
+/// without it. Ticked by the [`crate::Runner`] terminals when the runner
 /// carries one.
 pub struct Progress {
     experiment: String,
@@ -112,8 +112,8 @@ impl Progress {
 
     /// As [`tick`](Progress::tick), with the pass's measured event count
     /// and wall time, so the line carries a live events/s rate. The
-    /// `_ctx` drivers use this form; hand-tickers without a measured
-    /// pass keep `tick`.
+    /// [`Runner`](crate::Runner) terminals use this form; hand-tickers
+    /// without a measured pass keep `tick`.
     pub fn pass(&self, store: Option<&TraceStore>, events: u64, pass_secs: f64) {
         let done = self.done.fetch_add(1, Ordering::Relaxed) + 1;
         let elapsed = self.start.elapsed().as_secs_f64();
@@ -542,9 +542,12 @@ pub fn validate_manifest(text: &str) -> Result<(), String> {
                     "manifest: phase '{name}' hist bucket {b} out of range"
                 ));
             }
-            sum += v.as_u64().ok_or_else(|| {
+            let v = v.as_u64().ok_or_else(|| {
                 format!("manifest: phase '{name}' hist value for bucket {bucket}")
             })?;
+            sum = sum
+                .checked_add(v)
+                .ok_or_else(|| format!("manifest: phase '{name}' hist sum overflows u64"))?;
         }
         if sum != count {
             return Err(format!(
@@ -591,7 +594,15 @@ pub fn validate_manifest(text: &str) -> Result<(), String> {
         .get("by_kind")
         .and_then(Json::as_obj)
         .ok_or("manifest: missing engine.by_kind")?;
-    let kind_runs: u64 = by_kind.values().map(|v| v.as_u64().unwrap_or(0)).sum();
+    let mut kind_runs = 0u64;
+    for (kind, v) in by_kind {
+        let v = v.as_u64().ok_or_else(|| {
+            format!("manifest: engine.by_kind.{kind} is not a non-negative integer")
+        })?;
+        kind_runs = kind_runs
+            .checked_add(v)
+            .ok_or("manifest: engine.by_kind sum overflows u64")?;
+    }
     if kind_runs != runs {
         return Err(format!(
             "manifest: engine runs {runs} != per-kind sum {kind_runs}"
@@ -636,11 +647,15 @@ pub fn validate_manifest(text: &str) -> Result<(), String> {
             // since evicted) got there either from a live run — a miss
             // whose offer stored it, was dropped over budget, or lost a
             // duplicate race — or by re-materializing a spill file.
-            let arrivals = field("misses")? + field("spill_loads")?;
-            let accounted = field("entries")?
-                + field("evictions")?
-                + field("over_budget")?
-                + field("duplicates")?;
+            let sum = |keys: &[&str]| {
+                keys.iter().try_fold(0u64, |acc, key| {
+                    acc.checked_add(field(key)?).ok_or_else(|| {
+                        format!("manifest: store {} overflows u64", keys.join(" + "))
+                    })
+                })
+            };
+            let arrivals = sum(&["misses", "spill_loads"])?;
+            let accounted = sum(&["entries", "evictions", "over_budget", "duplicates"])?;
             if arrivals != accounted {
                 return Err(format!(
                     "manifest: store offers unbalanced: misses + spill_loads = {arrivals} but \
@@ -921,6 +936,75 @@ mod tests {
                 .unwrap_err()
                 .contains(&format!("unknown counter '{gone}'")));
         }
+    }
+
+    /// Replace the body of the first `"key": {...}` object after `after`.
+    fn splice_object(json: &str, after: &str, key: &str, body: &str) -> String {
+        let from = json.find(after).expect("anchor") + after.len();
+        let open =
+            from + json[from..].find(&format!("\"{key}\": {{")).expect("key") + key.len() + 5;
+        let close = open + json[open..].find('}').expect("flat object");
+        format!("{}{body}{}", &json[..open], &json[close..])
+    }
+
+    #[test]
+    fn sums_that_overflow_u64_are_errors_not_panics() {
+        let telemetry = Arc::new(Telemetry::new());
+        {
+            let _guard = telemetry.attach();
+            drop(probe::phase_cpu("vm_execute"));
+        }
+        telemetry.record_engine(&EngineReport {
+            kind: "replay_shard",
+            jobs: 1,
+            sinks: 1,
+            chunks_published: 0,
+            events_published: 0,
+            backpressure_ns: 0,
+            queue_depth_hwm: 0,
+            workers: vec![WorkerStats::default()],
+        });
+        let store = TraceStore::unbounded();
+        let w = cachegc_workloads::Workload::Rewrite.scaled(1);
+        store.lookup(w, None);
+        store.offer(
+            w,
+            None,
+            cachegc_trace::Recorder::new(),
+            cachegc_vm::RunStats::default(),
+            std::time::Duration::ZERO,
+        );
+        let good = Manifest::gather(sample_config(), &telemetry.snapshot(), Some(&store)).to_json();
+        validate_manifest(&good).unwrap();
+        const MAX: &str = "18446744073709551615";
+
+        // A one-span phase whose hist wraps to 1 in release arithmetic.
+        let bad = splice_object(
+            &good,
+            "\"vm_execute\"",
+            "hist",
+            &format!("\"0\": {MAX}, \"1\": 2"),
+        );
+        let err = validate_manifest(&bad).unwrap_err();
+        assert!(err.contains("hist sum overflows"), "{err}");
+
+        // Per-kind engine runs.
+        let bad = splice_object(
+            &good,
+            "\"engine\"",
+            "by_kind",
+            &format!("\"a\": {MAX}, \"b\": 2"),
+        );
+        let err = validate_manifest(&bad).unwrap_err();
+        assert!(err.contains("by_kind sum overflows"), "{err}");
+
+        // The store's offer balance.
+        let bad = good.replace("\"spill_loads\": 0", &format!("\"spill_loads\": {MAX}"));
+        let err = validate_manifest(&bad).unwrap_err();
+        assert!(err.contains("misses + spill_loads overflows"), "{err}");
+        let bad = good.replace("\"evictions\": 0", &format!("\"evictions\": {MAX}"));
+        let err = validate_manifest(&bad).unwrap_err();
+        assert!(err.contains("overflows"), "{err}");
     }
 
     #[test]

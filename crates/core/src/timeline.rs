@@ -60,7 +60,7 @@ pub struct TimelineRun {
 /// Drivers call [`tap`](TimelineRecorder::tap) for a fresh sampler,
 /// thread it through the pass as an optional sink, and
 /// [`commit`](TimelineRecorder::commit) it afterwards. The recorder is
-/// shared behind a [`crate::RunCtx`] reference, so commits lock briefly;
+/// shared behind a [`crate::Runner`]'s reference, so commits lock briefly;
 /// sampling itself is lock-free.
 #[derive(Debug, Default)]
 pub struct TimelineRecorder {
@@ -370,7 +370,9 @@ pub fn validate_timeline(text: &str) -> Result<(), String> {
                     return Err(format!("timeline: line {n}: empty window"));
                 }
                 for (slot, key) in sums.iter_mut().zip(SUMMED) {
-                    *slot += field(key)?;
+                    *slot = slot.checked_add(field(key)?).ok_or_else(|| {
+                        format!("timeline: line {n}: run '{label}' {key} sum overflows u64")
+                    })?;
                 }
             }
             "collection" => {
@@ -525,6 +527,34 @@ mod tests {
 
         assert!(validate_timeline("").is_err());
         assert!(validate_timeline("{nope").is_err());
+    }
+
+    #[test]
+    fn window_sums_that_overflow_u64_are_errors_not_panics() {
+        let rec = recorded(&["rewrite@1"]);
+        let good = rec.to_jsonl("e1_cache_grid");
+        let mut windows = 0;
+        let bad: String = good
+            .lines()
+            .map(|l| {
+                let mut l = l.to_string();
+                if l.contains("\"type\": \"window\"") && windows < 2 {
+                    let events = l.split("\"events\": ").nth(1).unwrap();
+                    let events = events.split(',').next().unwrap().to_string();
+                    let forged = ["18446744073709551615", "2"][windows];
+                    l = l.replacen(
+                        &format!("\"events\": {events},"),
+                        &format!("\"events\": {forged},"),
+                        1,
+                    );
+                    windows += 1;
+                }
+                l + "\n"
+            })
+            .collect();
+        assert_eq!(windows, 2, "the run has at least two windows");
+        let err = validate_timeline(&bad).unwrap_err();
+        assert!(err.contains("events sum overflows"), "{err}");
     }
 
     #[test]

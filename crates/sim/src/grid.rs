@@ -18,6 +18,7 @@
 
 use cachegc_trace::{Access, EventBatch, TraceSink};
 
+#[cfg(doc)]
 use crate::cache::Cache;
 use crate::config::{CacheConfig, WriteHitPolicy, WriteMissPolicy};
 use crate::stats::CacheStats;
@@ -258,16 +259,17 @@ impl TraceSink for GridCache {
     }
 }
 
-/// A `Vec<Cache>` built over the same configurations — the sequential
-/// oracle the grid is differentially tested (and golden-checked) against.
-pub fn grid_oracle(configs: &[CacheConfig]) -> Vec<Cache> {
-    configs.iter().map(|&c| Cache::new(c)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::Cache;
     use cachegc_trace::Context;
+
+    /// A `Vec<Cache>` built over the same configurations: the sequential
+    /// oracle the grid is differentially tested against.
+    fn grid_oracle(configs: &[CacheConfig]) -> Vec<Cache> {
+        configs.iter().map(|&c| Cache::new(c)).collect()
+    }
 
     /// SplitMix64, inlined (no registry deps in this workspace).
     fn splitmix(state: &mut u64) -> u64 {

@@ -38,6 +38,6 @@ mod timing;
 pub use assoc::SetAssocCache;
 pub use cache::{Cache, Outcome};
 pub use config::{CacheConfig, WriteHitPolicy, WriteMissPolicy};
-pub use grid::{grid_oracle, GridCache};
+pub use grid::GridCache;
 pub use stats::{BlockStats, CacheStats, CacheTotals};
 pub use timing::{miss_penalty_cycles, writeback_cycles, MainMemory, Processor, FAST, SLOW};

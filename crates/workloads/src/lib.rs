@@ -20,9 +20,9 @@
 //! the paper's run lengths.
 //!
 //! The [`synthetic`] module provides native reference-stream generators
-//! (no VM) for fast unit tests and microbenchmarks of cache behaviors the
-//! paper describes: one-cycle allocation sweeps, thrashing busy blocks,
-//! and monotonic live growth.
+//! (no VM) for quick experiments on cache behaviors the paper describes:
+//! one-cycle allocation sweeps, thrashing busy blocks, and monotonic live
+//! growth.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -824,3 +824,140 @@ fn vm_results_are_gc_invariant() {
         assert_eq!(va.as_fixnum(), vb.as_fixnum());
     });
 }
+
+// ---------------------------------------------------------------------
+// Readers of the files the program writes: error on bad input, never panic
+// ---------------------------------------------------------------------
+
+/// One valid document per reader: a run manifest, a timeline JSONL
+/// stream, a Chrome trace and a checked-in golden CSV.
+fn valid_documents() -> (String, String, String, String) {
+    use cachegc::core::{
+        chrome_trace_json, Manifest, ManifestConfig, Telemetry, TimelineRecorder, TimelineSpec,
+        TraceStore,
+    };
+    use cachegc::telemetry::{probe, Counter, EngineReport, WorkerStats};
+    use cachegc::workloads::Workload;
+    use std::sync::Arc;
+    use std::time::{Duration, Instant};
+
+    let telemetry = Arc::new(Telemetry::with_spans());
+    {
+        let _worker = telemetry.attach_named("worker-0");
+        probe::count(Counter::VmRuns, 1);
+        probe::count(Counter::GcMinorCollections, 1);
+        drop(probe::phase("gc_minor"));
+        drop(probe::phase_cpu("vm_execute"));
+        probe::span("replay_shard", "packet", Instant::now());
+    }
+    telemetry.record_engine(&EngineReport {
+        kind: "replay_shard",
+        jobs: 2,
+        sinks: 3,
+        chunks_published: 4,
+        events_published: 400,
+        backpressure_ns: 5,
+        queue_depth_hwm: 2,
+        workers: vec![WorkerStats::default(); 2],
+    });
+    let store = TraceStore::unbounded();
+    let w = Workload::Rewrite.scaled(1);
+    store.lookup(w, None);
+    let mut rec = Recorder::new();
+    rec.access(Access::read(DYNAMIC_BASE, Context::Mutator));
+    store.offer(w, None, rec, Default::default(), Duration::ZERO);
+    let snapshot = telemetry.snapshot();
+    let manifest = Manifest::gather(
+        ManifestConfig {
+            experiment: "e4_write_policy".into(),
+            scale: 1,
+            jobs: 2,
+            jobs_requested: 2,
+            trace_cache: "on".into(),
+        },
+        &snapshot,
+        Some(&store),
+    )
+    .to_json();
+
+    let timeline = TimelineRecorder::new(TimelineSpec {
+        cache: CacheConfig::direct_mapped(1 << 14, 32),
+        window_events: 64,
+    });
+    let mut tap = timeline.tap();
+    for i in 0..400u32 {
+        let ctx = if i % 200 >= 180 {
+            Context::Collector
+        } else {
+            Context::Mutator
+        };
+        tap.access(Access::read(DYNAMIC_BASE + (i % 150) * 44, ctx));
+    }
+    timeline.commit("rewrite@1", tap);
+
+    (
+        manifest,
+        timeline.to_jsonl("e4_write_policy"),
+        chrome_trace_json(&snapshot),
+        include_str!("../results/expected/e5_gc_overhead__ogc.csv").to_string(),
+    )
+}
+
+/// A random corruption of `doc`: up to three byte edits (overwrite,
+/// delete, insert, truncate, duplicate a span), then up to three
+/// numbers replaced by `u64::MAX`, so sums of forged fields overflow.
+fn mutate(rng: &mut Rng, doc: &str) -> String {
+    const BYTES: &[u8] = b"{}[]\",:-.0123456789eE \n";
+    let mut bytes = doc.as_bytes().to_vec();
+    for _ in 0..rng.range_usize(0, 4) {
+        let at = rng.range_usize(0, bytes.len() + 1);
+        match rng.range_u32(0, 5) {
+            0 if at < bytes.len() => bytes[at] = *rng.choose(BYTES),
+            1 if at < bytes.len() => {
+                bytes.remove(at);
+            }
+            2 => bytes.insert(at, *rng.choose(BYTES)),
+            3 => bytes.truncate(at),
+            _ => {
+                let end = (at + rng.range_usize(1, 64)).min(bytes.len());
+                let span = bytes[at..end].to_vec();
+                bytes.splice(at..at, span);
+            }
+        }
+    }
+    for _ in 0..rng.range_usize(0, 4) {
+        let starts: Vec<usize> = (0..bytes.len())
+            .filter(|&i| bytes[i].is_ascii_digit() && (i == 0 || !bytes[i - 1].is_ascii_digit()))
+            .collect();
+        if starts.is_empty() {
+            break;
+        }
+        let start = *rng.choose(&starts);
+        let end = (start..bytes.len())
+            .find(|&i| !bytes[i].is_ascii_digit())
+            .unwrap_or(bytes.len());
+        bytes.splice(start..end, b"18446744073709551615".iter().copied());
+    }
+    String::from_utf8_lossy(&bytes).into_owned()
+}
+
+#[test]
+fn readers_reject_corrupt_documents_without_panicking() {
+    use cachegc::core::report::Table;
+    use cachegc::core::{validate_chrome_trace, validate_manifest, validate_timeline};
+    use cachegc_bench::golden::check_manifest;
+
+    let (manifest, timeline, chrome, csv) = valid_documents();
+    validate_manifest(&manifest).unwrap();
+    validate_timeline(&timeline).unwrap();
+    validate_chrome_trace(&chrome).unwrap();
+    Table::from_csv("ogc", &csv).unwrap();
+    check("readers_never_panic", 256, |rng| {
+        // A panic inside `check` fails the property with its seed.
+        let _ = validate_manifest(&mutate(rng, &manifest));
+        let _ = check_manifest(&mutate(rng, &manifest));
+        let _ = validate_timeline(&mutate(rng, &timeline));
+        let _ = validate_chrome_trace(&mutate(rng, &chrome));
+        let _ = Table::from_csv("ogc", &mutate(rng, &csv));
+    });
+}
