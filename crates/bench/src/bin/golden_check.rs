@@ -38,7 +38,7 @@ usage: golden_check [--bless] [--only NAME] [--dir PATH] [--rel-eps X]
                 at most once; BYTES caps resident trace memory; spill
                 writes captures through to disk segments (default DIR
                 results/tracestore) and warm-starts from them on the
-                next invocation (default on; env CACHEGC_TRACE_CACHE)
+                next invocation (default on)
   --metrics off|json[:PATH]
                 write this invocation's own run manifest (schema,
                 counters, store accounting) to PATH, default
@@ -54,7 +54,7 @@ usage: golden_check [--bless] [--only NAME] [--dir PATH] [--rel-eps X]
                 invocation's sweeps and write them as Chrome
                 trace-event JSON (loadable in Perfetto), default PATH
                 results/trace/golden_check.json; spans never change a
-                table (env CACHEGC_TRACE_EXPORT)
+                table
   --timeline PATH
                 validate a cachegc-timeline-v1 JSONL stream written by
                 an experiment's --timeline jsonl instead of diffing
@@ -91,12 +91,10 @@ fn parse_opts(argv: &[String]) -> Result<Opts, String> {
         only: None,
         dir: PathBuf::from(GOLDEN_DIR),
         tol: Tolerance::default(),
-        trace_cache: TraceCacheArg::from_env(std::env::var("CACHEGC_TRACE_CACHE").ok().as_deref())?,
+        trace_cache: TraceCacheArg::on(),
         metrics: MetricsArg::Off,
         manifest: None,
-        trace_export: TraceExportArg::from_env(
-            std::env::var("CACHEGC_TRACE_EXPORT").ok().as_deref(),
-        )?,
+        trace_export: TraceExportArg::Off,
         timeline: None,
         trace: None,
     };

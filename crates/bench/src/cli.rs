@@ -2,10 +2,10 @@
 //!
 //! [`ExperimentArgs::parse`] replaces the per-binary ad-hoc argument
 //! scans: every regenerator accepts the same flags with the same
-//! spellings, the same environment fallbacks, and the same exit-code
-//! discipline (`--help` exits 0; a bad flag prints usage to stderr and
-//! exits 2). Binaries with no use for a knob still accept it, so a sweep
-//! over all binaries can pass one uniform argument vector.
+//! spellings and the same exit-code discipline (`--help` exits 0; a bad
+//! flag prints usage to stderr and exits 2). Binaries with no use for a
+//! knob still accept it, so a sweep over all binaries can pass one
+//! uniform argument vector.
 
 use std::path::{Path, PathBuf};
 
@@ -98,21 +98,6 @@ impl TraceCacheArg {
         Some(TraceCacheArg { mode, spill })
     }
 
-    /// Resolve a `CACHEGC_TRACE_CACHE` environment value: `None` (unset)
-    /// means the default `on`; a malformed value is an error naming the
-    /// variable, same discipline as the flag.
-    pub fn from_env(raw: Option<&str>) -> Result<TraceCacheArg, String> {
-        match raw {
-            None => Ok(TraceCacheArg::on()),
-            Some(v) => TraceCacheArg::parse(v).ok_or_else(|| {
-                format!(
-                    "CACHEGC_TRACE_CACHE: malformed value '{v}' \
-                     (on|off|BYTES[,spill[:DIR]])"
-                )
-            }),
-        }
-    }
-
     /// The store this argument asks for (`None` for `off`).
     pub fn store(&self) -> Option<TraceStore> {
         let bytes = match self.mode {
@@ -168,18 +153,6 @@ impl MetricsArg {
         }
     }
 
-    /// Resolve a `CACHEGC_METRICS` environment value: `None` (unset)
-    /// means the default `off`; a malformed value is an error naming the
-    /// variable, same discipline as the flag.
-    pub fn from_env(raw: Option<&str>) -> Result<MetricsArg, String> {
-        match raw {
-            None => Ok(MetricsArg::Off),
-            Some(v) => MetricsArg::parse(v).ok_or_else(|| {
-                format!("CACHEGC_METRICS: malformed value '{v}' (off, table, or json[:PATH])")
-            }),
-        }
-    }
-
     /// True when telemetry should be gathered at all.
     pub fn enabled(&self) -> bool {
         *self != MetricsArg::Off
@@ -231,21 +204,6 @@ impl TimelineArg {
             window = Some(n);
         }
         Some(TimelineArg::Jsonl { path, window })
-    }
-
-    /// Resolve a `CACHEGC_TIMELINE` environment value: `None` (unset)
-    /// means the default `off`; a malformed value is an error naming the
-    /// variable, same discipline as the flag.
-    pub fn from_env(raw: Option<&str>) -> Result<TimelineArg, String> {
-        match raw {
-            None => Ok(TimelineArg::Off),
-            Some(v) => TimelineArg::parse(v).ok_or_else(|| {
-                format!(
-                    "CACHEGC_TIMELINE: malformed value '{v}' \
-                     (off or jsonl[:PATH][,window=N])"
-                )
-            }),
-        }
     }
 
     /// True when passes should carry a timeline tap.
@@ -306,18 +264,6 @@ impl TraceExportArg {
         }
     }
 
-    /// Resolve a `CACHEGC_TRACE_EXPORT` environment value: `None` (unset)
-    /// means the default `off`; a malformed value is an error naming the
-    /// variable, same discipline as the flag.
-    pub fn from_env(raw: Option<&str>) -> Result<TraceExportArg, String> {
-        match raw {
-            None => Ok(TraceExportArg::Off),
-            Some(v) => TraceExportArg::parse(v).ok_or_else(|| {
-                format!("CACHEGC_TRACE_EXPORT: malformed value '{v}' (off or chrome[:PATH])")
-            }),
-        }
-    }
-
     /// True when spans should be captured (forces a span-enabled
     /// telemetry registry even under `--metrics off`).
     pub fn enabled(&self) -> bool {
@@ -338,28 +284,27 @@ impl TraceExportArg {
 /// Parsed common arguments of an experiment binary.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExperimentArgs {
-    /// Workload scale (`--scale N`, env `CACHEGC_SCALE`).
+    /// Workload scale (`--scale N`).
     pub scale: u32,
     /// Effective worker threads: the request clamped to the machine's
     /// available parallelism. 1 is the sequential oracle.
     pub jobs: usize,
-    /// Worker threads as requested (`--jobs N`, env `CACHEGC_JOBS`),
-    /// before clamping. The driver warns (and counts) when this exceeds
-    /// `jobs`; both land in the run manifest.
+    /// Worker threads as requested (`--jobs N`), before clamping. The
+    /// driver warns (and counts) when this exceeds `jobs`; both land in
+    /// the run manifest.
     pub jobs_requested: usize,
     /// CSV output path (`--csv PATH`), if requested.
     pub csv: Option<PathBuf>,
-    /// Trace record/replay cache (`--trace-cache on|off|BYTES[,spill[:DIR]]`,
-    /// env `CACHEGC_TRACE_CACHE`; default on).
+    /// Trace record/replay cache (`--trace-cache on|off|BYTES[,spill[:DIR]]`;
+    /// default on).
     pub trace_cache: TraceCacheArg,
-    /// Telemetry sink (`--metrics off|table|json[:PATH]`, env
-    /// `CACHEGC_METRICS`; default off).
+    /// Telemetry sink (`--metrics off|table|json[:PATH]`; default off).
     pub metrics: MetricsArg,
     /// Windowed cache/GC timeline export (`--timeline
-    /// off|jsonl[:PATH][,window=N]`, env `CACHEGC_TIMELINE`; default off).
+    /// off|jsonl[:PATH][,window=N]`; default off).
     pub timeline: TimelineArg,
-    /// Scheduler trace export (`--trace-export off|chrome[:PATH]`, env
-    /// `CACHEGC_TRACE_EXPORT`; default off).
+    /// Scheduler trace export (`--trace-export off|chrome[:PATH]`;
+    /// default off).
     pub trace_export: TraceExportArg,
     /// Report sweep progress on stderr (`--progress`).
     pub progress: bool,
@@ -393,92 +338,73 @@ impl ExperimentArgs {
     }
 
     fn try_parse(argv: &[String], default_scale: u32) -> Result<Parse, String> {
-        Self::try_parse_env(
-            argv,
-            default_scale,
-            |name| std::env::var(name).ok(),
-            cachegc_core::default_jobs(),
-        )
+        Self::try_parse_with_cores(argv, default_scale, cachegc_core::default_jobs())
     }
 
-    /// The parse itself, with the environment and the machine's available
-    /// parallelism injected so tests can drive the `CACHEGC_*` fallbacks
-    /// and the jobs clamp without process-global state or a dependency on
+    /// The parse itself, with the machine's available parallelism
+    /// injected so tests can drive the jobs clamp without a dependency on
     /// the test machine's core count.
-    fn try_parse_env(
+    fn try_parse_with_cores(
         argv: &[String],
         default_scale: u32,
-        env: impl Fn(&str) -> Option<String>,
         available: usize,
     ) -> Result<Parse, String> {
-        let mut scale: Option<u32> = None;
-        let mut jobs: Option<usize> = None;
+        let mut scale = default_scale;
+        let mut jobs = cachegc_core::default_jobs();
         let mut csv: Option<PathBuf> = None;
-        let mut trace_cache: Option<TraceCacheArg> = None;
-        let mut metrics: Option<MetricsArg> = None;
-        let mut timeline: Option<TimelineArg> = None;
-        let mut trace_export: Option<TraceExportArg> = None;
+        let mut trace_cache = TraceCacheArg::on();
+        let mut metrics = MetricsArg::Off;
+        let mut timeline = TimelineArg::Off;
+        let mut trace_export = TraceExportArg::Off;
         let mut progress = false;
         let mut it = argv.iter();
         while let Some(flag) = it.next() {
             match flag.as_str() {
                 "--help" | "-h" => return Ok(Parse::Help),
-                "--scale" => scale = Some(value(flag, it.next())?),
-                "--jobs" => jobs = Some(value(flag, it.next())?),
+                "--scale" => scale = value(flag, it.next())?,
+                "--jobs" => jobs = value(flag, it.next())?,
                 "--csv" => {
                     let raw = it.next().ok_or("--csv needs a path")?;
                     csv = Some(PathBuf::from(raw));
                 }
                 "--trace-cache" => {
                     let raw = it.next().ok_or("--trace-cache needs a value")?;
-                    trace_cache = Some(TraceCacheArg::parse(raw).ok_or_else(|| {
+                    trace_cache = TraceCacheArg::parse(raw).ok_or_else(|| {
                         format!(
                             "--trace-cache: malformed value '{raw}' \
                              (on|off|BYTES[,spill[:DIR]])"
                         )
-                    })?);
+                    })?;
                 }
                 "--metrics" => {
                     let raw = it.next().ok_or("--metrics needs a value")?;
-                    metrics = Some(MetricsArg::parse(raw).ok_or_else(|| {
+                    metrics = MetricsArg::parse(raw).ok_or_else(|| {
                         format!("--metrics: malformed value '{raw}' (off, table, or json[:PATH])")
-                    })?);
+                    })?;
                 }
                 "--timeline" => {
                     let raw = it.next().ok_or("--timeline needs a value")?;
-                    timeline = Some(TimelineArg::parse(raw).ok_or_else(|| {
+                    timeline = TimelineArg::parse(raw).ok_or_else(|| {
                         format!(
                             "--timeline: malformed value '{raw}' \
                              (off or jsonl[:PATH][,window=N])"
                         )
-                    })?);
+                    })?;
                 }
                 "--trace-export" => {
                     let raw = it.next().ok_or("--trace-export needs a value")?;
-                    trace_export = Some(TraceExportArg::parse(raw).ok_or_else(|| {
+                    trace_export = TraceExportArg::parse(raw).ok_or_else(|| {
                         format!("--trace-export: malformed value '{raw}' (off or chrome[:PATH])")
-                    })?);
+                    })?;
                 }
                 "--progress" => progress = true,
                 other => return Err(format!("unknown argument '{other}'")),
             }
         }
-        let scale = match scale {
-            Some(s) => s,
-            None => env_or(&env, "CACHEGC_SCALE", default_scale)?,
-        };
         // Zero jobs is malformed, not "as sequential as possible": `--jobs
-        // -2` already exits 2, and a silent clamp would hide the typo. The
-        // same discipline applies to the env fallback.
-        let (jobs, jobs_source) = match jobs {
-            Some(j) => (j, "--jobs"),
-            None => (
-                env_or(&env, "CACHEGC_JOBS", cachegc_core::default_jobs())?,
-                "CACHEGC_JOBS",
-            ),
-        };
+        // -2` already exits 2, and a silent clamp would hide the typo.
         if jobs == 0 {
-            return Err(format!("{jobs_source}: jobs must be at least 1, got 0"));
+            return Err("--jobs: jobs must be at least 1, got 0".into());
         }
         // More workers than the machine has cores buys nothing but
         // contention (and on a 1-core container, pure overhead): clamp to
@@ -486,22 +412,6 @@ impl ExperimentArgs {
         // can warn and the manifest can record both.
         let jobs_requested = jobs;
         let jobs = jobs.min(available.max(1));
-        let trace_cache = match trace_cache {
-            Some(tc) => tc,
-            None => TraceCacheArg::from_env(env("CACHEGC_TRACE_CACHE").as_deref())?,
-        };
-        let metrics = match metrics {
-            Some(m) => m,
-            None => MetricsArg::from_env(env("CACHEGC_METRICS").as_deref())?,
-        };
-        let timeline = match timeline {
-            Some(t) => t,
-            None => TimelineArg::from_env(env("CACHEGC_TIMELINE").as_deref())?,
-        };
-        let trace_export = match trace_export {
-            Some(t) => t,
-            None => TraceExportArg::from_env(env("CACHEGC_TRACE_EXPORT").as_deref())?,
-        };
         Ok(Parse::Args(ExperimentArgs {
             scale,
             jobs,
@@ -554,19 +464,6 @@ fn value<T: std::str::FromStr>(flag: &str, raw: Option<&String>) -> Result<T, St
         .map_err(|_| format!("{flag}: malformed value '{raw}'"))
 }
 
-fn env_or<T: std::str::FromStr>(
-    env: &impl Fn(&str) -> Option<String>,
-    name: &str,
-    default: T,
-) -> Result<T, String> {
-    match env(name) {
-        Some(v) => v
-            .parse()
-            .map_err(|_| format!("{name}: malformed value '{v}'")),
-        None => Ok(default),
-    }
-}
-
 fn usage(binary: &str, about: &str, default_scale: u32) -> String {
     format!(
         "{binary} — {about}\n\
@@ -577,32 +474,29 @@ fn usage(binary: &str, about: &str, default_scale: u32) -> String {
          \x20                [--timeline off|jsonl[:PATH][,window=N]]\n\
          \x20                [--trace-export off|chrome[:PATH]] [--progress]\n\
          \n\
-         \x20 --scale N      workload scale (default {default_scale}; env CACHEGC_SCALE)\n\
-         \x20 --jobs N       worker threads (default: available parallelism; env\n\
-         \x20                CACHEGC_JOBS; 1 is the sequential oracle; clamped to\n\
-         \x20                the machine's core count with a warning)\n\
+         \x20 --scale N      workload scale (default {default_scale})\n\
+         \x20 --jobs N       worker threads (default: available parallelism; 1 is\n\
+         \x20                the sequential oracle; clamped to the machine's core\n\
+         \x20                count with a warning)\n\
          \x20 --csv PATH     also write results as CSV to PATH\n\
          \x20 --trace-cache  record each unique scenario's trace and replay it for\n\
          \x20                later passes: on (default, 4 GiB budget), off, or an\n\
          \x20                explicit byte budget; append ,spill[:DIR] to write\n\
          \x20                captures through to disk segments (default DIR\n\
          \x20                {DEFAULT_SPILL_DIR}) and warm-start from them\n\
-         \x20                (env CACHEGC_TRACE_CACHE)\n\
          \x20 --metrics M    gather run telemetry: off (default), table (print a\n\
          \x20                timing table), or json[:PATH] (write a run manifest,\n\
-         \x20                default results/manifest/{binary}.json; env\n\
-         \x20                CACHEGC_METRICS)\n\
+         \x20                default results/manifest/{binary}.json)\n\
          \x20 --timeline T   sample every pass with a windowed cache/GC timeline\n\
          \x20                (64 KB/32 B geometry, 1 M-event windows; ,window=N\n\
          \x20                overrides) and write a cachegc-timeline-v1 JSONL\n\
          \x20                stream, default results/timeline/{binary}.jsonl, plus\n\
          \x20                a summary table on stderr; results stay bit-identical\n\
-         \x20                (env CACHEGC_TIMELINE)\n\
          \x20 --trace-export E  capture timestamped scheduler spans (packets,\n\
          \x20                steals, idle, backpressure, GC and store phases) and\n\
          \x20                export Chrome trace-event JSON loadable in Perfetto,\n\
          \x20                default results/trace/{binary}.json; works with\n\
-         \x20                --metrics off (env CACHEGC_TRACE_EXPORT)\n\
+         \x20                --metrics off\n\
          \x20 --progress     report each completed sweep pass on stderr\n\
          \x20 --help         show this help\n"
     )
@@ -630,13 +524,18 @@ mod tests {
         args.iter().map(|s| s.to_string()).collect()
     }
 
-    // Parse with 8 cores injected, so assertions about multi-worker jobs
-    // hold on any test machine (the growth container has one core).
-    fn parsed(args: &[&str]) -> ExperimentArgs {
-        match ExperimentArgs::try_parse_env(&argv(args), 4, |_| None, 8).unwrap() {
+    /// Parse on a machine with `cores` available cores.
+    fn parsed_on(args: &[&str], cores: usize) -> ExperimentArgs {
+        match ExperimentArgs::try_parse_with_cores(&argv(args), 4, cores).unwrap() {
             Parse::Args(a) => a,
             Parse::Help => panic!("unexpected help"),
         }
+    }
+
+    // Parse with 8 cores injected, so assertions about multi-worker jobs
+    // hold on any test machine, single-core ones included.
+    fn parsed(args: &[&str]) -> ExperimentArgs {
+        parsed_on(args, 8)
     }
 
     #[test]
@@ -653,30 +552,13 @@ mod tests {
 
     #[test]
     fn jobs_beyond_the_machine_clamp_with_the_request_preserved() {
-        let over = match ExperimentArgs::try_parse_env(&argv(&["--jobs", "16"]), 4, |_| None, 2)
-            .unwrap()
-        {
-            Parse::Args(a) => a,
-            Parse::Help => panic!("unexpected help"),
-        };
+        let over = parsed_on(&["--jobs", "16"], 2);
         assert_eq!((over.jobs, over.jobs_requested), (2, 16));
         assert!(over.jobs_clamped());
         assert_eq!(over.engine().jobs, 2, "engine gets the effective budget");
-        // The env fallback clamps the same way.
-        let env = |name: &str| (name == "CACHEGC_JOBS").then(|| "16".to_string());
-        let from_env = match ExperimentArgs::try_parse_env(&argv(&[]), 4, env, 2).unwrap() {
-            Parse::Args(a) => a,
-            Parse::Help => panic!("unexpected help"),
-        };
-        assert_eq!((from_env.jobs, from_env.jobs_requested), (2, 16));
         // A request within the machine is untouched, even on one core the
         // explicit sequential request is not a clamp.
-        let seq =
-            match ExperimentArgs::try_parse_env(&argv(&["--jobs", "1"]), 4, |_| None, 1).unwrap() {
-                Parse::Args(a) => a,
-                Parse::Help => panic!("unexpected help"),
-            };
-        assert!(!seq.jobs_clamped());
+        assert!(!parsed_on(&["--jobs", "1"], 1).jobs_clamped());
     }
 
     #[test]
@@ -694,31 +576,6 @@ mod tests {
         let err = ExperimentArgs::try_parse(&argv(&["--jobs", "0"]), 4).unwrap_err();
         assert!(err.contains("--jobs"), "{err}");
         assert!(parsed(&["--jobs", "1"]).engine().is_sequential());
-    }
-
-    #[test]
-    fn env_fallbacks_apply_and_reject_zero_jobs() {
-        let env = |name: &str| match name {
-            "CACHEGC_SCALE" => Some("7".to_string()),
-            "CACHEGC_JOBS" => Some("3".to_string()),
-            _ => None,
-        };
-        let a = match ExperimentArgs::try_parse_env(&argv(&[]), 4, env, 8).unwrap() {
-            Parse::Args(a) => a,
-            Parse::Help => panic!("unexpected help"),
-        };
-        assert_eq!((a.scale, a.jobs), (7, 3));
-        // Explicit flags win over the environment.
-        let a = match ExperimentArgs::try_parse_env(&argv(&["--jobs", "2"]), 4, env, 8).unwrap() {
-            Parse::Args(a) => a,
-            Parse::Help => panic!("unexpected help"),
-        };
-        assert_eq!(a.jobs, 2);
-        let zero = |name: &str| (name == "CACHEGC_JOBS").then(|| "0".to_string());
-        let err = ExperimentArgs::try_parse_env(&argv(&[]), 4, zero, 8).unwrap_err();
-        assert!(err.contains("CACHEGC_JOBS"), "{err}");
-        let bad = |name: &str| (name == "CACHEGC_JOBS").then(|| "many".to_string());
-        assert!(ExperimentArgs::try_parse_env(&argv(&[]), 4, bad, 8).is_err());
     }
 
     #[test]
@@ -765,7 +622,7 @@ mod tests {
     }
 
     #[test]
-    fn trace_cache_rejects_malformed_values_for_flag_and_env() {
+    fn trace_cache_rejects_malformed_values() {
         for bad in [
             "auto",
             "-1",
@@ -780,23 +637,6 @@ mod tests {
             let err = ExperimentArgs::try_parse(&argv(&["--trace-cache", bad]), 4).unwrap_err();
             assert!(err.contains("--trace-cache"), "{bad:?}: {err}");
         }
-        let env = |name: &str| (name == "CACHEGC_TRACE_CACHE").then(|| "tiny".to_string());
-        let err = ExperimentArgs::try_parse_env(&argv(&[]), 4, env, 8).unwrap_err();
-        assert!(err.contains("CACHEGC_TRACE_CACHE"), "{err}");
-        // A well-formed env value applies; the explicit flag wins over it.
-        let env = |name: &str| (name == "CACHEGC_TRACE_CACHE").then(|| "off".to_string());
-        let a = match ExperimentArgs::try_parse_env(&argv(&[]), 4, env, 8).unwrap() {
-            Parse::Args(a) => a,
-            Parse::Help => panic!("unexpected help"),
-        };
-        assert_eq!(a.trace_cache, TraceCacheArg::off());
-        let a = match ExperimentArgs::try_parse_env(&argv(&["--trace-cache", "64"]), 4, env, 8)
-            .unwrap()
-        {
-            Parse::Args(a) => a,
-            Parse::Help => panic!("unexpected help"),
-        };
-        assert_eq!(a.trace_cache, TraceCacheArg::budget(64));
     }
 
     #[test]
@@ -818,27 +658,11 @@ mod tests {
     }
 
     #[test]
-    fn metrics_rejects_malformed_values_for_flag_and_env() {
+    fn metrics_rejects_malformed_values() {
         for bad in ["json:", "csv", "on", ""] {
             let err = ExperimentArgs::try_parse(&argv(&["--metrics", bad]), 4).unwrap_err();
             assert!(err.contains("--metrics"), "{bad:?}: {err}");
         }
-        let env = |name: &str| (name == "CACHEGC_METRICS").then(|| "sometimes".to_string());
-        let err = ExperimentArgs::try_parse_env(&argv(&[]), 4, env, 8).unwrap_err();
-        assert!(err.contains("CACHEGC_METRICS"), "{err}");
-        // A well-formed env value applies; the explicit flag wins over it.
-        let env = |name: &str| (name == "CACHEGC_METRICS").then(|| "table".to_string());
-        let a = match ExperimentArgs::try_parse_env(&argv(&[]), 4, env, 8).unwrap() {
-            Parse::Args(a) => a,
-            Parse::Help => panic!("unexpected help"),
-        };
-        assert_eq!(a.metrics, MetricsArg::Table);
-        let a =
-            match ExperimentArgs::try_parse_env(&argv(&["--metrics", "off"]), 4, env, 8).unwrap() {
-                Parse::Args(a) => a,
-                Parse::Help => panic!("unexpected help"),
-            };
-        assert_eq!(a.metrics, MetricsArg::Off);
     }
 
     #[test]
@@ -878,23 +702,7 @@ mod tests {
             "window override keeps the paper geometry"
         );
         assert_eq!(TimelineArg::Off.path("e4"), None);
-        // Env fallback applies; the explicit flag wins; malformed errors.
-        let env = |name: &str| (name == "CACHEGC_TIMELINE").then(|| "jsonl".to_string());
-        let a = match ExperimentArgs::try_parse_env(&argv(&[]), 4, env, 8).unwrap() {
-            Parse::Args(a) => a,
-            Parse::Help => panic!("unexpected help"),
-        };
-        assert!(a.timeline.enabled());
-        let a = match ExperimentArgs::try_parse_env(&argv(&["--timeline", "off"]), 4, env, 8)
-            .unwrap()
-        {
-            Parse::Args(a) => a,
-            Parse::Help => panic!("unexpected help"),
-        };
-        assert_eq!(a.timeline, TimelineArg::Off);
-        let bad = |name: &str| (name == "CACHEGC_TIMELINE").then(|| "csv".to_string());
-        let err = ExperimentArgs::try_parse_env(&argv(&[]), 4, bad, 8).unwrap_err();
-        assert!(err.contains("CACHEGC_TIMELINE"), "{err}");
+        // Malformed values are errors.
         for bad in [
             "csv",
             "jsonl:",
@@ -929,23 +737,7 @@ mod tests {
             Some(Path::new("/tmp/trace.json"))
         );
         assert_eq!(TraceExportArg::Off.path("e4"), None);
-        // Env fallback applies; the explicit flag wins; malformed errors.
-        let env = |name: &str| (name == "CACHEGC_TRACE_EXPORT").then(|| "chrome".to_string());
-        let a = match ExperimentArgs::try_parse_env(&argv(&[]), 4, env, 8).unwrap() {
-            Parse::Args(a) => a,
-            Parse::Help => panic!("unexpected help"),
-        };
-        assert!(a.trace_export.enabled());
-        let a = match ExperimentArgs::try_parse_env(&argv(&["--trace-export", "off"]), 4, env, 8)
-            .unwrap()
-        {
-            Parse::Args(a) => a,
-            Parse::Help => panic!("unexpected help"),
-        };
-        assert_eq!(a.trace_export, TraceExportArg::Off);
-        let bad = |name: &str| (name == "CACHEGC_TRACE_EXPORT").then(|| "pprof".to_string());
-        let err = ExperimentArgs::try_parse_env(&argv(&[]), 4, bad, 8).unwrap_err();
-        assert!(err.contains("CACHEGC_TRACE_EXPORT"), "{err}");
+        // Malformed values are errors.
         for bad in ["pprof", "chrome:", "on", ""] {
             let err = ExperimentArgs::try_parse(&argv(&["--trace-export", bad]), 4).unwrap_err();
             assert!(err.contains("--trace-export"), "{bad:?}: {err}");

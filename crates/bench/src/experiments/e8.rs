@@ -3,9 +3,10 @@
 //! workload without collection. The allocation pointer appears as broken
 //! diagonal lines sweeping the cache.
 //!
-//! The full-resolution plot comes back as an artifact (`e8_sweep.txt`)
-//! and a downsampled excerpt as a note. The trace pass goes through the
-//! experiment engine (`Runner::sinks`), so `--jobs` applies.
+//! The full-resolution plot comes back as an artifact (`e8_sweep.txt`,
+//! written next to the `--csv` output) and a downsampled excerpt as a
+//! note. The trace pass goes through the experiment engine
+//! (`Runner::sinks`), so `--jobs` applies.
 
 use cachegc_analysis::SweepPlot;
 use cachegc_core::report::{Cell, Table};
@@ -51,7 +52,8 @@ fn sweep(scale: u32, runner: &Runner) -> Sweep {
     let (w, h) = (plot.width(), plot.height());
     let (cols, rows) = (100.min(w), 32.min(h));
     let mut excerpt = format!(
-        "full plot in e8_sweep.txt\n\ndownsampled excerpt ({cols}x{rows}); '*' = >=1 miss; block 0 at the bottom:"
+        "full plot: e8_sweep.txt next to the --csv output (written only with --csv)\n\n\
+         downsampled excerpt ({cols}x{rows}); '*' = >=1 miss; block 0 at the bottom:"
     );
     for ry in (0..rows).rev() {
         excerpt.push('\n');

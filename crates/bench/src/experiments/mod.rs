@@ -18,7 +18,7 @@
 //!
 //! [`ALL`] is the registry the `golden_check` binary iterates.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use cachegc_core::report::{Cell, Table};
@@ -54,8 +54,9 @@ pub struct Sweep {
     pub tables: Vec<Table>,
     /// Paper-shape commentary printed after the tables.
     pub notes: Vec<String>,
-    /// Side-channel files `(path, contents)` the CLI shim writes (the
-    /// golden harness ignores them).
+    /// Side-channel files `(name, contents)` the CLI shim writes next to
+    /// its `--csv` output, and only under `--csv` (the golden harness
+    /// ignores them).
     pub artifacts: Vec<(String, String)>,
 }
 
@@ -170,13 +171,18 @@ pub fn run_main(exp: &Experiment) {
             println!("{n}");
         }
     }
-    for (path, contents) in &sweep.artifacts {
-        match std::fs::write(path, contents) {
-            Ok(()) => eprintln!("wrote {path}"),
-            Err(e) => eprintln!("warning: could not write {path}: {e}"),
+    args.write_csv(&sweep.tables.iter().collect::<Vec<_>>());
+    // Artifacts follow the CSV (whose writer made its directory): a run
+    // without `--csv` writes nothing into the working directory.
+    if let Some(dir) = args.csv.as_deref().and_then(Path::parent) {
+        for (name, contents) in &sweep.artifacts {
+            let path = dir.join(name);
+            match std::fs::write(&path, contents) {
+                Ok(()) => eprintln!("wrote {}", path.display()),
+                Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
+            }
         }
     }
-    args.write_csv(&sweep.tables.iter().collect::<Vec<_>>());
     if let Some(store) = &store {
         eprintln!("trace cache: {}", store.stats());
     }

@@ -4,8 +4,8 @@
 //! [`crate::report`] and the manifest in [`crate::telemetry`]); this is
 //! the matching reader, just enough for `golden_check --manifest` to
 //! check structure and invariants without an external dependency.
-//! Numbers are parsed as `f64`, which is exact for every integer the
-//! manifest emits in practice (counters fit 2^53 comfortably). Arrays
+//! Integer literals that fit a `u64` (every counter the manifest emits)
+//! are kept exact; every other number is parsed as `f64`. Arrays
 //! and objects nest at most [`MAX_DEPTH`] deep: the reader recurses once
 //! per level, so deeper input is rejected as an error rather than
 //! allowed to overflow the stack.
@@ -23,7 +23,9 @@ pub enum Json {
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// Any number.
+    /// A non-negative integer literal that fits a `u64`, kept exact.
+    UInt(u64),
+    /// Any other number.
     Num(f64),
     /// A string.
     Str(String),
@@ -59,19 +61,24 @@ impl Json {
         }
     }
 
-    /// The value as a non-negative integer, if it is one.
+    /// The value as a non-negative integer, if it is one that fits a
+    /// `u64`.
     pub fn as_u64(&self) -> Option<u64> {
+        // 2^64 is exactly representable, and every f64 below it that has
+        // no fraction converts exactly.
+        const TWO_POW_64: f64 = 18_446_744_073_709_551_616.0;
         match self {
-            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= u64::MAX as f64 => {
-                Some(*n as u64)
-            }
+            Json::UInt(n) => Some(*n),
+            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n < TWO_POW_64 => Some(*n as u64),
             _ => None,
         }
     }
 
-    /// The numeric value, if this is a number.
+    /// The numeric value, if this is a number (integers above 2^53
+    /// round to the nearest `f64`).
     pub fn as_f64(&self) -> Option<f64> {
         match self {
+            Json::UInt(n) => Some(*n as f64),
             Json::Num(n) => Some(*n),
             _ => None,
         }
@@ -296,6 +303,9 @@ impl Parser<'_> {
             self.pos += 1;
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
+        if let Ok(n) = text.parse::<u64>() {
+            return Ok(Json::UInt(n));
+        }
         text.parse::<f64>()
             .map(Json::Num)
             .map_err(|_| self.err("malformed number"))
@@ -395,5 +405,36 @@ mod tests {
         assert_eq!(parse("-3").unwrap().as_u64(), None);
         assert_eq!(parse("0").unwrap().as_u64(), Some(0));
         assert_eq!(parse("9007199254740992").unwrap().as_u64(), Some(1 << 53));
+        assert_eq!(parse("4.0").unwrap().as_u64(), Some(4));
+    }
+
+    #[test]
+    fn u64_is_exact_up_to_its_max_and_rejects_anything_larger() {
+        // Above 2^53 an f64 parse would round these to even neighbours.
+        for n in [(1u64 << 53) + 1, u64::MAX - 1, u64::MAX] {
+            assert_eq!(parse(&n.to_string()).unwrap().as_u64(), Some(n));
+        }
+        // 2^64 and beyond do not fit, however they are spelled.
+        for big in [
+            "18446744073709551616",
+            "18446744073709551617",
+            "100000000000000000000",
+            "18446744073709551616.0",
+            "1.8446744073709552e19",
+            "1e300",
+        ] {
+            assert_eq!(parse(big).unwrap().as_u64(), None, "{big}");
+        }
+        // Every number still reads as an f64, exact integers included.
+        assert_eq!(
+            parse("18446744073709551615").unwrap().as_f64(),
+            Some(u64::MAX as f64)
+        );
+        assert_eq!(
+            parse("18446744073709551616").unwrap().as_f64(),
+            Some(u64::MAX as f64)
+        );
+        assert_eq!(parse("-1.5").unwrap().as_f64(), Some(-1.5));
+        assert_eq!(parse("7").unwrap().as_f64(), Some(7.0));
     }
 }

@@ -28,9 +28,7 @@
 //! assert!(o >= 0.0);
 //! ```
 
-// `deny` rather than `forbid`: the spill module's mmap readback is the
-// one scoped `#[allow(unsafe_code)]` exception in the workspace.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod experiment;

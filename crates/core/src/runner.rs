@@ -505,16 +505,10 @@ impl<'a> Runner<'a> {
             OfferOutcome::Stored {
                 bytes,
                 events,
-                evictions,
-                bytes_evicted,
                 spilled,
             } => {
                 probe!(Counter::StoreRecordedBytes, bytes);
                 probe!(Counter::StoreRecordedEvents, events);
-                if evictions > 0 {
-                    probe!(Counter::StoreEvictions, evictions);
-                    probe!(Counter::StoreBytesEvicted, bytes_evicted);
-                }
                 if spilled {
                     probe!(Counter::StoreSpills);
                 }
@@ -530,7 +524,6 @@ impl<'a> Runner<'a> {
                     ));
                 }
             }
-            OfferOutcome::Duplicate => {}
         }
     }
 

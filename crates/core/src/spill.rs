@@ -1,12 +1,13 @@
-//! Disk spill for the trace store: versioned segment files with mmap
-//! readback.
+//! Disk spill for the trace store: versioned segment files, read back
+//! into the heap.
 //!
 //! A stored scenario writes through to `<dir>/<scenario>.seg` the moment
-//! it is captured, so eviction is a cheap drop (the bytes survive on
-//! disk) and a restarted process warm-starts from the spill directory
-//! instead of re-running the VM. Readback maps the file and hands the
-//! payload window to [`RecordedTrace::from_image`], so a re-materialized
-//! scenario costs address space, not heap.
+//! it is captured, so an evicted scenario reloads from disk instead of
+//! re-running the VM, and a restarted process warm-starts from the spill
+//! directory. A read streams the file once: the header into a small
+//! buffer, the payload straight into the single heap segment of the
+//! [`RecordedTrace`] it returns, which the store then charges against its
+//! budget like any capture.
 //!
 //! # Segment file format (version 1, little-endian)
 //!
@@ -34,12 +35,12 @@
 //! is never a correctness dependency.
 
 use std::fs::{self, File};
-use std::io::{self, Read, Write};
+use std::io::{self, BufReader, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use cachegc_gc::GcStats;
-use cachegc_trace::{payload_events, Counters, RecordedTrace, TraceImage};
+use cachegc_trace::{Counters, RecordedTrace};
 use cachegc_vm::RunStats;
 
 const MAGIC: &[u8; 8] = b"CGTSEG1\n";
@@ -48,10 +49,15 @@ const STATS_WORDS: usize = 13;
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
+/// Fold `bytes` into the running FNV-1a 64 hash `h`.
+fn fnv1a_extend(h: u64, bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(FNV_PRIME))
+}
+
 fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(FNV_OFFSET, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(FNV_PRIME)
-    })
+    fnv1a_extend(FNV_OFFSET, bytes)
 }
 
 fn stats_words(stats: &RunStats) -> [u64; STATS_WORDS] {
@@ -115,6 +121,12 @@ pub(crate) enum SpillReject {
     /// or oversized body, checksum mismatch, or a payload that does not
     /// decode to the header's event count.
     Invalid(&'static str),
+}
+
+impl From<io::Error> for SpillReject {
+    fn from(e: io::Error) -> Self {
+        SpillReject::Io(e)
+    }
 }
 
 impl std::fmt::Display for SpillReject {
@@ -182,195 +194,93 @@ impl SpillDir {
     /// (an ordinary cold miss); `Err` means a file exists but failed
     /// validation and must be ignored.
     pub fn read(&self, label: &str) -> Result<Option<LoadedSegment>, SpillReject> {
-        let path = self.path_for(label);
-        let image: Arc<dyn TraceImage> = match map_file(&path) {
-            Ok(Some(image)) => image,
-            Ok(None) => return Ok(None),
-            Err(e) => return Err(SpillReject::Io(e)),
+        let file = match File::open(self.path_for(label)) {
+            Ok(f) => f,
+            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
+            Err(e) => return Err(e.into()),
         };
-        let bytes = image.bytes();
+        // Every length the header claims is checked against the file's
+        // before anything of that length is read or allocated.
+        let len = file.metadata()?.len();
+        let mut r = Hashed {
+            inner: BufReader::new(file),
+            hash: FNV_OFFSET,
+        };
         let fail = |why| Err(SpillReject::Invalid(why));
-        // Fixed prefix: magic + label_len.
-        if bytes.len() < MAGIC.len() + 4 {
+        let mut at = (MAGIC.len() + 4) as u64;
+        if len < at {
             return fail("shorter than the fixed header");
         }
-        if &bytes[..MAGIC.len()] != MAGIC {
+        if r.array::<8>()? != *MAGIC {
             return fail("magic/version mismatch");
         }
-        let mut at = MAGIC.len();
-        let label_len = read_u32(bytes, &mut at) as usize;
-        if bytes.len() < at + label_len {
+        let label_len = u32::from_le_bytes(r.array()?);
+        at += u64::from(label_len);
+        if len < at {
             return fail("truncated label");
         }
-        if &bytes[at..at + label_len] != label.as_bytes() {
+        let mut stored_label = vec![0; label_len as usize];
+        r.fill(&mut stored_label)?;
+        if stored_label != label.as_bytes() {
             return fail("label mismatch (stale or colliding file)");
         }
-        at += label_len;
-        // events + stats + payload_len + payload + checksum must fit.
-        let fixed_tail = 8 + STATS_WORDS * 8 + 8;
-        if bytes.len() < at + fixed_tail + 8 {
+        // events + stats + payload_len + checksum must fit.
+        at += (8 + STATS_WORDS * 8 + 8) as u64;
+        if len < at + 8 {
             return fail("truncated header");
         }
-        let events = read_u64(bytes, &mut at);
+        let events = r.u64()?;
         let mut words = [0u64; STATS_WORDS];
         for word in &mut words {
-            *word = read_u64(bytes, &mut at);
+            *word = r.u64()?;
         }
-        let payload_len = read_u64(bytes, &mut at);
+        let payload_len = r.u64()?;
+        if at.checked_add(payload_len).and_then(|n| n.checked_add(8)) != Some(len) {
+            return fail("length mismatch (truncated or trailing bytes)");
+        }
         let Ok(payload_len) = usize::try_from(payload_len) else {
             return fail("payload length overflows");
         };
-        if bytes.len() != at + payload_len + 8 {
-            return fail("length mismatch (truncated or trailing bytes)");
-        }
-        let stored_checksum = u64::from_le_bytes(bytes[bytes.len() - 8..].try_into().unwrap());
-        if fnv1a(&bytes[..bytes.len() - 8]) != stored_checksum {
+        let mut payload: Arc<[u8]> = std::iter::repeat_n(0, payload_len).collect();
+        r.fill(Arc::get_mut(&mut payload).expect("a fresh payload is unshared"))?;
+        let computed = r.hash;
+        if u64::from_le_bytes(r.array()?) != computed {
             return fail("checksum mismatch");
         }
         // A checksum only proves the file is the one written; the payload
         // must also decode to exactly the recorded event count, or a replay
         // would panic on a cut-off token or report wrong event totals.
-        if payload_events(&bytes[at..at + payload_len]) != Some(events) {
+        let Some(trace) = RecordedTrace::from_payload(payload, events) else {
             return fail("payload does not decode to the recorded event count");
-        }
-        let payload_at = at;
+        };
         Ok(Some(LoadedSegment {
-            trace: RecordedTrace::from_image(image, payload_at, payload_len, events),
+            trace,
             stats: stats_from_words(&words),
         }))
     }
 }
 
-fn read_u32(bytes: &[u8], at: &mut usize) -> u32 {
-    let v = u32::from_le_bytes(bytes[*at..*at + 4].try_into().unwrap());
-    *at += 4;
-    v
+/// A reader that folds every byte it reads into a running FNV-1a hash.
+struct Hashed<R> {
+    inner: R,
+    hash: u64,
 }
 
-fn read_u64(bytes: &[u8], at: &mut usize) -> u64 {
-    let v = u64::from_le_bytes(bytes[*at..*at + 8].try_into().unwrap());
-    *at += 8;
-    v
-}
-
-/// Open and map a spill file read-only. `Ok(None)` for a missing file.
-/// Uses `mmap` where available so the payload costs address space, not
-/// heap; falls back to an ordinary heap read elsewhere (and for empty
-/// files, which `mmap` refuses).
-fn map_file(path: &Path) -> io::Result<Option<Arc<dyn TraceImage>>> {
-    let file = match File::open(path) {
-        Ok(f) => f,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
-        Err(e) => return Err(e),
-    };
-    let len = file.metadata()?.len();
-    let Ok(len) = usize::try_from(len) else {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "spill file too large to map",
-        ));
-    };
-    #[cfg(all(target_os = "linux", target_pointer_width = "64"))]
-    if len > 0 {
-        return Ok(Some(Arc::new(mapped::Mmap::map(&file, len)?)));
-    }
-    let mut buf = Vec::with_capacity(len);
-    let mut file = file;
-    file.read_to_end(&mut buf)?;
-    Ok(Some(Arc::new(HeapImage(buf))))
-}
-
-/// Heap-backed image fallback (non-Linux targets and empty files).
-struct HeapImage(Vec<u8>);
-
-impl TraceImage for HeapImage {
-    fn bytes(&self) -> &[u8] {
-        &self.0
-    }
-}
-
-/// A raw read-only `mmap` of a whole file. The libc wrappers are
-/// declared directly (the workspace takes no external dependencies), so
-/// this is the one module in the crate allowed to use `unsafe`.
-#[cfg(all(target_os = "linux", target_pointer_width = "64"))]
-#[allow(unsafe_code)]
-mod mapped {
-    use std::ffi::c_void;
-    use std::fs::File;
-    use std::io;
-    use std::os::fd::AsRawFd;
-
-    use cachegc_trace::TraceImage;
-
-    const PROT_READ: i32 = 1;
-    const MAP_PRIVATE: i32 = 2;
-
-    extern "C" {
-        fn mmap(
-            addr: *mut c_void,
-            length: usize,
-            prot: i32,
-            flags: i32,
-            fd: i32,
-            offset: i64,
-        ) -> *mut c_void;
-        fn munmap(addr: *mut c_void, length: usize) -> i32;
+impl<R: Read> Hashed<R> {
+    fn fill(&mut self, buf: &mut [u8]) -> io::Result<()> {
+        self.inner.read_exact(buf)?;
+        self.hash = fnv1a_extend(self.hash, buf);
+        Ok(())
     }
 
-    /// A read-only private mapping of `len` bytes of a file, unmapped on
-    /// drop. Safe to share across threads: the mapping is immutable for
-    /// its whole lifetime (`PROT_READ`, `MAP_PRIVATE`).
-    pub(super) struct Mmap {
-        ptr: *const u8,
-        len: usize,
+    fn array<const N: usize>(&mut self) -> io::Result<[u8; N]> {
+        let mut buf = [0; N];
+        self.fill(&mut buf)?;
+        Ok(buf)
     }
 
-    // SAFETY: the mapping is created PROT_READ|MAP_PRIVATE and never
-    // remapped, so concurrent reads from any thread are safe.
-    unsafe impl Send for Mmap {}
-    unsafe impl Sync for Mmap {}
-
-    impl Mmap {
-        pub(super) fn map(file: &File, len: usize) -> io::Result<Mmap> {
-            debug_assert!(len > 0, "mmap refuses zero-length mappings");
-            // SAFETY: a fresh anonymous address (addr = null), a length
-            // validated against the file's metadata, and a read-only
-            // private mapping; the fd outlives the call.
-            let ptr = unsafe {
-                mmap(
-                    std::ptr::null_mut(),
-                    len,
-                    PROT_READ,
-                    MAP_PRIVATE,
-                    file.as_raw_fd(),
-                    0,
-                )
-            };
-            if ptr as isize == -1 {
-                return Err(io::Error::last_os_error());
-            }
-            Ok(Mmap {
-                ptr: ptr as *const u8,
-                len,
-            })
-        }
-    }
-
-    impl Drop for Mmap {
-        fn drop(&mut self) {
-            // SAFETY: exactly the pointer and length mmap returned.
-            unsafe {
-                munmap(self.ptr as *mut c_void, self.len);
-            }
-        }
-    }
-
-    impl TraceImage for Mmap {
-        fn bytes(&self) -> &[u8] {
-            // SAFETY: the mapping is live for &self's lifetime and
-            // immutable (see the Send/Sync justification).
-            unsafe { std::slice::from_raw_parts(self.ptr, self.len) }
-        }
+    fn u64(&mut self) -> io::Result<u64> {
+        self.array().map(u64::from_le_bytes)
     }
 }
 
@@ -428,15 +338,17 @@ mod tests {
             .expect("file exists");
         assert_eq!(loaded.trace.events(), trace.events());
         assert_eq!(loaded.trace.bytes(), trace.bytes());
-        assert!(loaded.trace.is_mapped() || cfg!(not(target_os = "linux")));
         assert_eq!(loaded.stats.allocated_bytes, 12_345);
         assert_eq!(loaded.stats.gc.collections, 7);
         assert_eq!(loaded.stats.gc.lines_reclaimed, 99);
         assert_eq!(loaded.stats.instructions.gc_induced(), 3);
-        let (mut live, mut mapped) = (VecSink::default(), VecSink::default());
+        let (mut live, mut reloaded) = (VecSink::default(), VecSink::default());
         trace.replay(&mut live);
-        loaded.trace.replay(&mut mapped);
-        assert_eq!(live, mapped, "mapped replay is event-for-event identical");
+        loaded.trace.replay(&mut reloaded);
+        assert_eq!(
+            live, reloaded,
+            "reloaded replay is event-for-event identical"
+        );
     }
 
     #[test]
@@ -467,6 +379,18 @@ mod tests {
             Err(SpillReject::Invalid("checksum mismatch"))
         ));
 
+        // A payload length of u64::MAX: rejected, not an overflow.
+        let mut huge = full.clone();
+        let len_at = MAGIC.len() + 4 + "w@1".len() + 8 + STATS_WORDS * 8;
+        huge[len_at..len_at + 8].fill(0xff);
+        fs::write(&path, &huge).unwrap();
+        assert!(matches!(
+            spill.read("w@1"),
+            Err(SpillReject::Invalid(
+                "length mismatch (truncated or trailing bytes)"
+            ))
+        ));
+
         // Stale format: wrong magic.
         let mut stale = full.clone();
         stale[6] = b'0'; // CGTSEG1 -> CGTSE01
@@ -494,13 +418,15 @@ mod tests {
     /// header, then re-seal it with a valid checksum.
     fn reseal(path: &Path, label: &str, edit: impl FnOnce(&mut u64, &mut Vec<u8>)) {
         let full = fs::read(path).unwrap();
-        let mut at = MAGIC.len() + 4 + label.len();
-        let mut events = read_u64(&full, &mut at);
-        at += STATS_WORDS * 8;
-        let header = full[..at - STATS_WORDS * 8 - 8].to_vec();
-        let stats = full[at - STATS_WORDS * 8..at].to_vec();
-        let len = read_u64(&full, &mut at) as usize;
-        let mut payload = full[at..at + len].to_vec();
+        let word = |at: usize| u64::from_le_bytes(full[at..at + 8].try_into().unwrap());
+        let events_at = MAGIC.len() + 4 + label.len();
+        let stats_at = events_at + 8;
+        let payload_at = stats_at + STATS_WORDS * 8 + 8;
+        let mut events = word(events_at);
+        let header = full[..events_at].to_vec();
+        let stats = full[stats_at..payload_at - 8].to_vec();
+        let len = word(payload_at - 8) as usize;
+        let mut payload = full[payload_at..payload_at + len].to_vec();
         edit(&mut events, &mut payload);
         let mut body = header;
         body.extend_from_slice(&events.to_le_bytes());

@@ -21,17 +21,18 @@
 //! * **Disk spill.** With a spill directory attached, every stored
 //!   capture writes through to a checksummed segment file
 //!   (`<dir>/<scenario>.seg`, see [`crate::spill`]), so eviction is a
-//!   cheap drop and a cold [`TraceStore::acquire`] re-materializes the
-//!   scenario from disk through a memory-mapped image — charged zero
-//!   against the byte budget — instead of re-running the VM. Corrupt or
-//!   stale files are rejected and the scenario records live; never an
-//!   error.
-//! * **Single-flight recording.** [`TraceStore::acquire`] registers a
-//!   miss as an in-flight recording (a [`RecordTicket`]); concurrent
-//!   acquires of the same scenario block until the leader's offer lands
-//!   and then replay it, so the same VM run is never executed twice
-//!   concurrently. The ticket's recorder charges its bytes against the
-//!   shared budget *while recording* (see
+//!   cheap drop and a cold [`TraceStore::acquire`] reads the scenario
+//!   back into the heap instead of re-running the VM. A spill load is
+//!   charged against the byte budget and makes room by eviction exactly
+//!   as a capture does; one that cannot fit still serves its hit, unkept.
+//!   Corrupt or stale files are rejected and the scenario records live;
+//!   never an error.
+//! * **Single-flight recording.** [`TraceStore::acquire`], the store's
+//!   one way in, registers a miss as an in-flight recording (a
+//!   [`RecordTicket`]); concurrent acquires of the same scenario block
+//!   until the leader's offer lands and then replay it, so the same VM
+//!   run is never executed twice. The ticket's recorder charges its
+//!   bytes against the shared budget *while recording* (see
 //!   [`cachegc_trace::RecordBudget`]), so the combined footprint of
 //!   resident and in-flight bytes never exceeds the budget.
 
@@ -42,6 +43,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
+use cachegc_telemetry::{probe, Counter};
 use cachegc_trace::{RecordBudget, RecordedTrace, Recorder};
 use cachegc_vm::RunStats;
 use cachegc_workloads::WorkloadInstance;
@@ -86,20 +88,15 @@ pub struct StoreStats {
     pub hits: u64,
     /// Lookups that found nothing (each miss triggers one live VM run).
     pub misses: u64,
-    /// Captures dropped because they would exceed the byte budget with
-    /// nothing left to evict.
+    /// Captures and spill loads not kept because they would exceed the
+    /// byte budget with nothing left to evict. Every miss runs live and
+    /// offers its recording back, and every spill load is kept or counted
+    /// here, so `misses + spill_loads == entries + evictions +
+    /// over_budget` once all offers have landed.
     pub over_budget: u64,
-    /// Captures dropped because a concurrent capture of the same
-    /// scenario was stored first. Zero under single-flight
-    /// ([`TraceStore::acquire`]); the raw [`TraceStore::offer`] protocol
-    /// can still produce them. Every miss runs live and offers its
-    /// recording back, so `misses + spill_loads == entries + evictions +
-    /// over_budget + duplicates` once all offers have landed.
-    pub duplicates: u64,
     /// Scenarios currently stored.
     pub entries: u64,
-    /// Encoded bytes currently resident on the heap (mapped entries
-    /// charge zero).
+    /// Encoded bytes currently resident.
     pub bytes: u64,
     /// Events currently stored.
     pub events: u64,
@@ -110,7 +107,7 @@ pub struct StoreStats {
     /// Captures written through to spill segment files.
     pub spills: u64,
     /// Scenarios re-materialized from spill files (each counts a hit and
-    /// an entry, but no miss — no VM ran).
+    /// an entry or an over-budget drop, but no miss — no VM ran).
     pub spill_loads: u64,
     /// Spill files ignored because they failed validation (bad magic,
     /// label, length, or checksum); the scenario recorded live instead.
@@ -124,23 +121,19 @@ pub struct StoreStats {
     /// High-water mark of resident + reserved bytes; never exceeds the
     /// budget of a bounded store.
     pub peak_bytes: u64,
-    /// Encoded bytes resident via spill-file images (outside the heap
-    /// budget).
-    pub mapped_bytes: u64,
 }
 
 impl fmt::Display for StoreStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{} hits, {} misses, {} entries ({:.1} MiB, {:.1} M events), {} over budget, {} duplicates, {} evictions ({:.1} MiB), {} spills, {} spill loads, {} coalesced",
+            "{} hits, {} misses, {} entries ({:.1} MiB, {:.1} M events), {} over budget, {} evictions ({:.1} MiB), {} spills, {} spill loads, {} coalesced",
             self.hits,
             self.misses,
             self.entries,
             self.bytes as f64 / (1 << 20) as f64,
             self.events as f64 / 1e6,
             self.over_budget,
-            self.duplicates,
             self.evictions,
             self.bytes_evicted as f64 / (1 << 20) as f64,
             self.spills,
@@ -182,18 +175,12 @@ pub enum OfferOutcome {
         bytes: u64,
         /// Events now resident for the scenario.
         events: u64,
-        /// Scenarios evicted to make room (recording charge included).
-        evictions: u64,
-        /// Heap bytes those evictions freed.
-        bytes_evicted: u64,
         /// True when the capture also wrote through to its spill file.
         spilled: bool,
     },
     /// Dropped: the recorder overflowed its limit / budget, or keeping
     /// the capture would exceed the byte budget with nothing evictable.
     DroppedOverBudget,
-    /// Dropped silently: a concurrent capture of the same scenario won.
-    Duplicate,
 }
 
 /// How a [`TraceStore::acquire`] hit found its trace.
@@ -224,17 +211,13 @@ pub enum Acquired {
     Miss(RecordTicket),
 }
 
-/// One resident scenario plus its cache metadata.
+/// One resident scenario plus its cache metadata. Its budget charge is
+/// the trace's encoded bytes.
 #[derive(Debug)]
 struct Resident {
     stored: Arc<StoredTrace>,
-    /// Budget charge (0 for image-backed entries).
-    heap_bytes: u64,
-    events: u64,
     /// Logical-clock timestamp of the last hit (or the insert).
     last_use: u64,
-    /// A valid spill file exists for this entry.
-    on_disk: bool,
     label: String,
 }
 
@@ -264,58 +247,56 @@ impl Inner {
     }
 
     /// Make room for `n` more bytes under `budget`, evicting
-    /// least-recently-used unpinned heap entries. Returns whether the
-    /// bytes now fit, plus the evictions performed.
-    fn make_room(&mut self, budget: u64, n: u64) -> (bool, u64, u64) {
-        let mut evictions = 0u64;
-        let mut bytes_evicted = 0u64;
+    /// least-recently-used unpinned entries (an entry with a live replay
+    /// borrow is pinned). Returns whether the bytes now fit. Evictions
+    /// are counted here, on the thread whose charge forced them.
+    fn make_room(&mut self, budget: u64, n: u64) -> bool {
         while self.footprint().saturating_add(n) > budget {
-            // Mapped entries charge nothing (evicting them frees no
-            // heap) and entries with a live replay borrow are pinned.
             let Some(key) = self
                 .map
                 .iter()
-                .filter(|(_, r)| r.heap_bytes > 0 && Arc::strong_count(&r.stored) == 1)
+                .filter(|(_, r)| Arc::strong_count(&r.stored) == 1)
                 .min_by_key(|(_, r)| r.last_use)
                 .map(|(k, _)| *k)
             else {
-                return (false, evictions, bytes_evicted);
+                return false;
             };
             let victim = self.map.remove(&key).expect("victim is resident");
+            let bytes = victim.stored.trace.bytes();
             self.stats.entries -= 1;
-            self.stats.bytes -= victim.heap_bytes;
-            self.stats.events -= victim.events;
+            self.stats.bytes -= bytes;
+            self.stats.events -= victim.stored.trace.events();
             self.stats.evictions += 1;
-            self.stats.bytes_evicted += victim.heap_bytes;
-            evictions += 1;
-            bytes_evicted += victim.heap_bytes;
+            self.stats.bytes_evicted += bytes;
+            probe!(Counter::StoreEvictions);
+            probe!(Counter::StoreBytesEvicted, bytes);
             let gauge = self.gauges.entry(victim.label).or_default();
             gauge.bytes = 0;
             gauge.events = 0;
             gauge.evictions += 1;
         }
-        (true, evictions, bytes_evicted)
+        true
     }
 
-    /// Insert a scenario; the caller has already made room for (and
-    /// accounted) its budget charge. `mapped` entries charge zero.
-    fn insert_resident(
+    /// Keep `stored` resident if room can be made for it; otherwise count
+    /// it over budget. Returns whether it was kept.
+    fn admit(
         &mut self,
+        budget: u64,
         key: ScenarioKey,
         label: &str,
-        stored: Arc<StoredTrace>,
-        bytes: u64,
-        events: u64,
-        mapped: bool,
-    ) {
-        self.clock += 1;
-        let heap_bytes = if mapped { 0 } else { bytes };
-        self.stats.entries += 1;
-        self.stats.bytes += heap_bytes;
-        self.stats.events += events;
-        if mapped {
-            self.stats.mapped_bytes += bytes;
+        stored: &Arc<StoredTrace>,
+    ) -> bool {
+        let bytes = stored.trace.bytes();
+        let events = stored.trace.events();
+        if !self.make_room(budget, bytes) {
+            self.stats.over_budget += 1;
+            return false;
         }
+        self.clock += 1;
+        self.stats.entries += 1;
+        self.stats.bytes += bytes;
+        self.stats.events += events;
         self.note_peak();
         let gauge = self.gauges.entry(label.to_string()).or_default();
         gauge.bytes = bytes;
@@ -323,14 +304,12 @@ impl Inner {
         self.map.insert(
             key,
             Resident {
-                stored,
-                heap_bytes,
-                events,
+                stored: Arc::clone(stored),
                 last_use: self.clock,
-                on_disk: mapped,
                 label: label.to_string(),
             },
         );
+        true
     }
 }
 
@@ -352,38 +331,33 @@ impl Shared {
     /// Write a stored scenario through to its spill file; returns
     /// whether the write landed (failures leave the entry heap-only —
     /// the store is a cache, a failed spill is not an error).
-    fn write_through(&self, key: &ScenarioKey, label: &str, stored: &StoredTrace) -> bool {
+    fn write_through(&self, label: &str, stored: &StoredTrace) -> bool {
         let Some(spill) = &self.spill else {
             return false;
         };
         if spill.write(label, &stored.trace, &stored.stats).is_err() {
             return false;
         }
-        let mut inner = self.lock();
-        inner.stats.spills += 1;
-        if let Some(resident) = inner.map.get_mut(key) {
-            resident.on_disk = true;
-        }
+        self.lock().stats.spills += 1;
         true
     }
 
     /// Try to re-materialize a scenario from its spill file; the caller
     /// already holds the flight for `key`. `Some` resolves the flight as
-    /// a hit; `None` (missing or rejected file) leaves the flight open
-    /// for a live recording.
+    /// a hit, kept resident if the budget can make room for it; `None`
+    /// (missing or rejected file) leaves the flight open for a live
+    /// recording.
     fn load_spilled(&self, key: ScenarioKey, label: &str) -> Option<Arc<StoredTrace>> {
         let spill = self.spill.as_ref()?;
-        let _span = cachegc_telemetry::probe::phase("spill_load");
+        let _span = probe::phase("spill_load");
         match spill.read(label) {
             Ok(Some(segment)) => {
-                let bytes = segment.trace.bytes();
-                let events = segment.trace.events();
                 let stored = Arc::new(StoredTrace {
                     trace: segment.trace,
                     stats: segment.stats,
                 });
                 let mut inner = self.lock();
-                inner.insert_resident(key, label, stored.clone(), bytes, events, true);
+                inner.admit(self.budget, key, label, &stored);
                 inner.stats.spill_loads += 1;
                 inner.stats.hits += 1;
                 let gauge = inner.gauges.entry(label.to_string()).or_default();
@@ -419,20 +393,12 @@ struct FlightCharge {
     /// This flight's currently reserved bytes (mirror of its share of
     /// `Inner::reserved`).
     outstanding: AtomicU64,
-    /// Evictions this flight's charges performed, attributed to the
-    /// eventual [`OfferOutcome::Stored`].
-    evictions: AtomicU64,
-    bytes_evicted: AtomicU64,
 }
 
 impl RecordBudget for FlightCharge {
     fn try_charge(&self, n: u64) -> bool {
         let mut inner = self.shared.lock();
-        let (fits, evictions, bytes_evicted) = inner.make_room(self.shared.budget, n);
-        self.evictions.fetch_add(evictions, Ordering::Relaxed);
-        self.bytes_evicted
-            .fetch_add(bytes_evicted, Ordering::Relaxed);
-        if !fits {
+        if !inner.make_room(self.shared.budget, n) {
             return false;
         }
         inner.reserved += n;
@@ -502,8 +468,6 @@ impl RecordTicket {
         // still holds is returned below and re-charged under the same
         // lock, so the space cannot be stolen in between.
         let finished = recorder.finish();
-        let mut evictions = self.charge.evictions.swap(0, Ordering::Relaxed);
-        let mut bytes_evicted = self.charge.bytes_evicted.swap(0, Ordering::Relaxed);
         let mut inner = shared.lock();
         inner
             .gauges
@@ -513,64 +477,32 @@ impl RecordTicket {
         let still_reserved = self.charge.outstanding.swap(0, Ordering::Relaxed);
         inner.reserved = inner.reserved.saturating_sub(still_reserved);
         inner.stats.reserved = inner.reserved;
-        let mut to_spill = None;
-        let mut outcome = match finished {
+        // The flight is single: nothing else can have stored the
+        // scenario while this ticket held it.
+        debug_assert!(!inner.map.contains_key(&self.key));
+        let kept = match finished {
             None => {
                 inner.stats.over_budget += 1;
-                OfferOutcome::DroppedOverBudget
+                None
             }
             Some(trace) => {
-                // Duplicate check strictly before any budget decision: a
-                // resident scenario must never be misclassified as an
-                // over-budget drop.
-                if inner.map.contains_key(&self.key) {
-                    inner.stats.duplicates += 1;
-                    OfferOutcome::Duplicate
-                } else {
-                    let bytes = trace.bytes();
-                    let events = trace.events();
-                    let (fits, ev, bev) = inner.make_room(shared.budget, bytes);
-                    evictions += ev;
-                    bytes_evicted += bev;
-                    if !fits {
-                        inner.stats.over_budget += 1;
-                        OfferOutcome::DroppedOverBudget
-                    } else {
-                        let stored = Arc::new(StoredTrace { trace, stats });
-                        inner.insert_resident(
-                            self.key,
-                            &self.label,
-                            stored.clone(),
-                            bytes,
-                            events,
-                            false,
-                        );
-                        to_spill = Some(stored);
-                        OfferOutcome::Stored {
-                            bytes,
-                            events,
-                            evictions,
-                            bytes_evicted,
-                            spilled: false,
-                        }
-                    }
-                }
+                let stored = Arc::new(StoredTrace { trace, stats });
+                inner
+                    .admit(shared.budget, self.key, &self.label, &stored)
+                    .then_some(stored)
             }
         };
         inner.inflight.remove(&self.key);
         drop(inner);
         shared.flights.notify_all();
-        if let Some(stored) = to_spill {
-            let spilled = shared.write_through(&self.key, &self.label, &stored);
-            if let OfferOutcome::Stored {
-                spilled: ref mut flag,
-                ..
-            } = outcome
-            {
-                *flag = spilled;
-            }
+        match kept {
+            None => OfferOutcome::DroppedOverBudget,
+            Some(stored) => OfferOutcome::Stored {
+                bytes: stored.trace.bytes(),
+                events: stored.trace.events(),
+                spilled: shared.write_through(&self.label, &stored),
+            },
         }
-        outcome
     }
 }
 
@@ -619,9 +551,9 @@ impl TraceStore {
     }
 
     /// Attach a spill directory: stored captures write through to
-    /// versioned segment files there, and cold acquires re-materialize
-    /// from them (memory-mapped, charged zero against the budget)
-    /// instead of re-running the VM.
+    /// versioned segment files there, and cold acquires read them back
+    /// (charged against the budget like a capture) instead of re-running
+    /// the VM.
     pub fn with_spill(mut self, dir: PathBuf) -> Self {
         Arc::get_mut(&mut self.shared)
             .expect("with_spill before sharing the store")
@@ -643,8 +575,8 @@ impl TraceStore {
         self.shared.lock()
     }
 
-    /// Acquire a scenario under the single-flight protocol — the one
-    /// entry point the experiment drivers use.
+    /// Acquire a scenario under the single-flight protocol — the store's
+    /// one way in.
     ///
     /// * Resident (or spilled-to-disk) scenario: a [`Acquired::Hit`],
     ///   bumping its LRU timestamp.
@@ -712,101 +644,15 @@ impl TraceStore {
             charge: Arc::new(FlightCharge {
                 shared: Arc::clone(shared),
                 outstanding: AtomicU64::new(0),
-                evictions: AtomicU64::new(0),
-                bytes_evicted: AtomicU64::new(0),
             }),
             done: false,
         })
-    }
-
-    /// Look up a scenario, counting a hit or a miss — the raw,
-    /// non-coalescing probe. Unlike [`TraceStore::acquire`] this never
-    /// blocks and never claims a flight; racing callers may all miss and
-    /// redundantly record (their offers dedupe as
-    /// [`OfferOutcome::Duplicate`]). Kept for tests and simple callers;
-    /// the experiment drivers use `acquire`.
-    pub fn lookup(
-        &self,
-        instance: WorkloadInstance,
-        spec: Option<CollectorSpec>,
-    ) -> Option<Arc<StoredTrace>> {
-        let mut inner = self.lock();
-        let label = scenario_label(instance, spec);
-        inner.clock += 1;
-        let now = inner.clock;
-        match inner.map.get_mut(&(instance, spec)) {
-            Some(resident) => {
-                resident.last_use = now;
-                let trace = resident.stored.clone();
-                inner.stats.hits += 1;
-                inner.gauges.entry(label).or_default().hits += 1;
-                Some(trace)
-            }
-            None => {
-                inner.stats.misses += 1;
-                inner.gauges.entry(label).or_default().misses += 1;
-                None
-            }
-        }
     }
 
     /// Non-counting peek: is this scenario recorded? (Used for worker
     /// budgeting decisions, which should not skew hit/miss stats.)
     pub fn contains(&self, instance: WorkloadInstance, spec: Option<CollectorSpec>) -> bool {
         self.lock().map.contains_key(&(instance, spec))
-    }
-
-    /// Offer a finished recording for a scenario directly (the raw
-    /// companion to [`TraceStore::lookup`]; ticket holders use
-    /// [`RecordTicket::offer`]). The duplicate check runs strictly
-    /// before any budget accounting, so a concurrent capture of a
-    /// scenario that was stored since the caller's miss is always
-    /// counted [`OfferOutcome::Duplicate`] — never misclassified as an
-    /// over-budget drop, no matter how full the store is. Otherwise the
-    /// capture is kept if room can be made (evicting LRU entries), and
-    /// written through to the spill directory if one is
-    /// attached.
-    pub fn offer(
-        &self,
-        instance: WorkloadInstance,
-        spec: Option<CollectorSpec>,
-        recorder: Recorder,
-        stats: RunStats,
-        record_wall: Duration,
-    ) -> OfferOutcome {
-        let key = (instance, spec);
-        let record_ns = u64::try_from(record_wall.as_nanos()).unwrap_or(u64::MAX);
-        let label = scenario_label(instance, spec);
-        let Some(trace) = recorder.finish() else {
-            let mut inner = self.lock();
-            inner.stats.over_budget += 1;
-            inner.gauges.entry(label).or_default().record_ns += record_ns;
-            return OfferOutcome::DroppedOverBudget;
-        };
-        let mut inner = self.lock();
-        inner.gauges.entry(label.clone()).or_default().record_ns += record_ns;
-        if inner.map.contains_key(&key) {
-            inner.stats.duplicates += 1;
-            return OfferOutcome::Duplicate;
-        }
-        let bytes = trace.bytes();
-        let events = trace.events();
-        let (fits, evictions, bytes_evicted) = inner.make_room(self.shared.budget, bytes);
-        if !fits {
-            inner.stats.over_budget += 1;
-            return OfferOutcome::DroppedOverBudget;
-        }
-        let stored = Arc::new(StoredTrace { trace, stats });
-        inner.insert_resident(key, &label, stored.clone(), bytes, events, false);
-        drop(inner);
-        let spilled = self.shared.write_through(&key, &label, &stored);
-        OfferOutcome::Stored {
-            bytes,
-            events,
-            evictions,
-            bytes_evicted,
-            spilled,
-        }
     }
 
     /// A snapshot of the accounting counters.
@@ -844,6 +690,24 @@ mod tests {
         probe.bytes()
     }
 
+    /// Acquire `w`, which must miss, and offer an unmetered `record(n)`
+    /// capture through its ticket: the offer alone makes room for it.
+    fn capture(store: &TraceStore, w: WorkloadInstance, n: u32) -> OfferOutcome {
+        let Acquired::Miss(ticket) = store.acquire(w, None) else {
+            panic!("{w:?} must miss");
+        };
+        let (rec, stats) = record(n);
+        ticket.offer(rec, stats, Duration::ZERO)
+    }
+
+    /// Acquire `w`, which must hit; holding the result pins the entry.
+    fn hit(store: &TraceStore, w: WorkloadInstance) -> Arc<StoredTrace> {
+        match store.acquire(w, None) {
+            Acquired::Hit { trace, .. } => trace,
+            Acquired::Miss(_) => panic!("{w:?} must hit"),
+        }
+    }
+
     fn tempdir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
             "cachegc-store-{tag}-{}-{:?}",
@@ -855,24 +719,25 @@ mod tests {
     }
 
     #[test]
-    fn lookup_miss_then_offer_then_hit() {
+    fn acquire_miss_then_offer_then_hit() {
         let store = TraceStore::unbounded();
         let w = Workload::Rewrite.scaled(1);
-        assert!(store.lookup(w, None).is_none());
+        let Acquired::Miss(ticket) = store.acquire(w, None) else {
+            panic!("empty store must miss");
+        };
         let (rec, stats) = record(100);
-        let outcome = store.offer(w, None, rec, stats, Duration::from_micros(3));
+        let outcome = ticket.offer(rec, stats, Duration::from_micros(3));
         let OfferOutcome::Stored { bytes, events, .. } = outcome else {
             panic!("expected Stored, got {outcome:?}");
         };
         assert_eq!(events, 100);
-        let hit = store.lookup(w, None).expect("stored");
-        assert_eq!(hit.trace.events(), 100);
+        assert_eq!(hit(&store, w).trace.events(), 100);
         let s = store.stats();
         assert_eq!((s.hits, s.misses, s.entries, s.over_budget), (1, 1, 1, 0));
         assert_eq!(s.events, 100);
         assert!(s.bytes > 0 && s.bytes == bytes);
         assert_eq!(s.peak_bytes, bytes);
-        // The per-scenario gauge tracked both lookups and the capture.
+        // The per-scenario gauge tracked both acquires and the capture.
         let gauges = store.scenario_gauges();
         assert_eq!(gauges.len(), 1);
         let (label, g) = &gauges[0];
@@ -888,13 +753,16 @@ mod tests {
         let spec = CollectorSpec::Cheney {
             semispace_bytes: 2 << 20,
         };
+        let Acquired::Miss(ticket) = store.acquire(w.scaled(1), Some(spec)) else {
+            panic!("empty store must miss");
+        };
         let (rec, stats) = record(10);
-        store.offer(w.scaled(1), Some(spec), rec, stats, Duration::ZERO);
+        ticket.offer(rec, stats, Duration::ZERO);
         assert!(store.contains(w.scaled(1), Some(spec)));
         assert!(!store.contains(w.scaled(2), Some(spec)));
         assert!(!store.contains(w.scaled(1), None));
         // `contains` does not touch hit/miss accounting.
-        assert_eq!(store.stats().hits + store.stats().misses, 0);
+        assert_eq!(store.stats().hits + store.stats().misses, 1);
     }
 
     #[test]
@@ -922,40 +790,23 @@ mod tests {
     }
 
     #[test]
-    fn duplicate_offer_is_distinguished_from_a_drop() {
-        let store = TraceStore::unbounded();
-        let w = Workload::Rewrite.scaled(1);
-        let (rec, stats) = record(8);
-        assert!(matches!(
-            store.offer(w, None, rec, stats, Duration::ZERO),
-            OfferOutcome::Stored { .. }
-        ));
-        let (rec, stats) = record(8);
-        assert_eq!(
-            store.offer(w, None, rec, stats, Duration::ZERO),
-            OfferOutcome::Duplicate
-        );
-        let s = store.stats();
-        assert_eq!((s.entries, s.over_budget), (1, 0));
-    }
-
-    #[test]
-    fn racing_duplicate_offers_near_a_full_budget_never_count_over_budget() {
-        // Regression: `offer` used to check the byte budget before the
-        // duplicate check, so with the budget sized for exactly one
-        // capture, the losing offer of a *resident* scenario was
-        // misclassified as an over-budget drop (and could warn). The
-        // duplicate check must win in every interleaving.
+    fn racing_acquires_near_a_full_budget_store_once_and_never_drop() {
+        // With the budget sized for exactly one capture, two threads race
+        // to acquire the same scenario: one leads and stores, the other
+        // waits for it and hits. Neither may be counted over budget.
         let w = Workload::Rewrite.scaled(1);
         let budget = capture_bytes(64);
         for _ in 0..32 {
             let store = TraceStore::with_budget(budget);
-            let outcomes: Vec<OfferOutcome> = std::thread::scope(|s| {
+            let outcomes: Vec<Option<OfferOutcome>> = std::thread::scope(|s| {
                 let handles: Vec<_> = (0..2)
                     .map(|_| {
-                        s.spawn(|| {
-                            let (rec, stats) = record(64);
-                            store.offer(w, None, rec, stats, Duration::ZERO)
+                        s.spawn(|| match store.acquire(w, None) {
+                            Acquired::Hit { .. } => None,
+                            Acquired::Miss(ticket) => {
+                                let (rec, stats) = record(64);
+                                Some(ticket.offer(rec, stats, Duration::ZERO))
+                            }
                         })
                     })
                     .collect();
@@ -963,20 +814,15 @@ mod tests {
             });
             let stored = outcomes
                 .iter()
-                .filter(|o| matches!(o, OfferOutcome::Stored { .. }))
-                .count();
-            let duplicates = outcomes
-                .iter()
-                .filter(|o| matches!(o, OfferOutcome::Duplicate))
+                .filter(|o| matches!(o, Some(OfferOutcome::Stored { .. })))
                 .count();
             assert_eq!(
-                (stored, duplicates),
-                (1, 1),
-                "exactly one capture wins, the loser is a duplicate: {outcomes:?}"
+                stored, 1,
+                "exactly one capture, the other hits: {outcomes:?}"
             );
             let s = store.stats();
-            assert_eq!(s.over_budget, 0, "no offer may be misclassified: {s}");
-            assert_eq!((s.entries, s.duplicates, s.evictions), (1, 1, 0));
+            assert_eq!(s.over_budget, 0, "no acquire may drop: {s}");
+            assert_eq!((s.misses, s.hits, s.entries, s.evictions), (1, 1, 1, 0));
         }
     }
 
@@ -1028,10 +874,7 @@ mod tests {
             .count();
         assert!(stored >= 1, "the budget fits one capture: {outcomes:?}");
         assert_eq!(stored as u64, s.entries + s.evictions);
-        assert_eq!(
-            s.misses,
-            s.entries + s.over_budget + s.duplicates + s.evictions
-        );
+        assert_eq!(s.misses, s.entries + s.over_budget + s.evictions);
     }
 
     #[test]
@@ -1059,10 +902,9 @@ mod tests {
         assert_eq!(bytes, budget, "stored capture fills the budget exactly");
         // The budget is now exhausted and a held hit pins the resident
         // entry: one more byte of capture drops.
-        let _pin = store.lookup(w, None).expect("stored");
-        let (rec, stats) = record(1);
+        let _pin = hit(&store, w);
         assert_eq!(
-            store.offer(Workload::Nbody.scaled(1), None, rec, stats, Duration::ZERO),
+            capture(&store, Workload::Nbody.scaled(1), 1),
             OfferOutcome::DroppedOverBudget
         );
     }
@@ -1071,43 +913,34 @@ mod tests {
     fn lru_evicts_the_least_recently_hit_scenario_first() {
         // Budget for two captures; A and B stored, A hit, C offered:
         // the un-hit B must evict first, and the accounting rebalances
-        // as misses == entries + over_budget + duplicates + evictions.
+        // as misses == entries + over_budget + evictions.
         let one = capture_bytes(64);
         let store = TraceStore::with_budget(2 * one + one / 2);
         let a = Workload::Rewrite.scaled(1);
         let b = Workload::Nbody.scaled(1);
         let c = Workload::Compile.scaled(1);
         for w in [a, b] {
-            assert!(store.lookup(w, None).is_none());
-            let (rec, stats) = record(64);
             assert!(matches!(
-                store.offer(w, None, rec, stats, Duration::ZERO),
+                capture(&store, w, 64),
                 OfferOutcome::Stored { .. }
             ));
         }
-        assert!(store.lookup(a, None).is_some(), "hit A to refresh it");
-        assert!(store.lookup(c, None).is_none());
-        let (rec, stats) = record(64);
-        let outcome = store.offer(c, None, rec, stats, Duration::ZERO);
-        let OfferOutcome::Stored {
-            evictions,
-            bytes_evicted,
-            ..
-        } = outcome
-        else {
-            panic!("C must be stored by evicting, got {outcome:?}");
-        };
-        assert_eq!((evictions, bytes_evicted), (1, one));
+        hit(&store, a);
+        assert!(
+            matches!(capture(&store, c, 64), OfferOutcome::Stored { .. }),
+            "C must be stored by evicting"
+        );
         assert!(store.contains(a, None), "recently hit A survives");
         assert!(!store.contains(b, None), "un-hit B evicted first");
         assert!(store.contains(c, None));
         let s = store.stats();
+        assert_eq!((s.evictions, s.bytes_evicted), (1, one));
         assert_eq!(
             s.misses,
-            s.entries + s.over_budget + s.duplicates + s.evictions,
+            s.entries + s.over_budget + s.evictions,
             "eviction rebalances the offer accounting: {s}"
         );
-        assert_eq!((s.entries, s.evictions, s.bytes), (2, 1, 2 * one));
+        assert_eq!((s.entries, s.bytes), (2, 2 * one));
         let gauges = store.scenario_gauges();
         let (_, gb) = gauges
             .iter()
@@ -1123,27 +956,24 @@ mod tests {
         let a = Workload::Rewrite.scaled(1);
         let b = Workload::Nbody.scaled(1);
         for w in [a, b] {
-            let (rec, stats) = record(64);
-            store.offer(w, None, rec, stats, Duration::ZERO);
+            capture(&store, w, 64);
         }
         // Pin A (an in-flight replay holds the Arc), then hit B so A is
         // the LRU choice: eviction must skip pinned A and take B anyway.
-        let pin = store.lookup(a, None).expect("A resident");
-        assert!(store.lookup(b, None).is_some(), "B is now most recent");
-        let (rec, stats) = record(64);
+        let pin = hit(&store, a);
+        hit(&store, b);
         let c = Workload::Compile.scaled(1);
         assert!(matches!(
-            store.offer(c, None, rec, stats, Duration::ZERO),
+            capture(&store, c, 64),
             OfferOutcome::Stored { .. }
         ));
         assert!(store.contains(a, None), "pinned A survives");
         assert!(!store.contains(b, None), "unpinned B evicted instead");
         drop(pin);
         // With the pin gone A is evictable again.
-        let (rec, stats) = record(64);
         let d = Workload::Prove.scaled(1);
         assert!(matches!(
-            store.offer(d, None, rec, stats, Duration::ZERO),
+            capture(&store, d, 64),
             OfferOutcome::Stored { .. }
         ));
         assert!(!store.contains(a, None), "unpinned A evicts by LRU");
@@ -1157,24 +987,21 @@ mod tests {
         let one = capture_bytes(64);
         let store = TraceStore::with_budget(one + one / 2);
         let a = Workload::Rewrite.scaled(1);
-        let (rec, stats) = record(64);
-        store.offer(a, None, rec, stats, Duration::ZERO);
-        let _pin = store.lookup(a, None).expect("A resident");
-        let (rec, stats) = record(64);
+        capture(&store, a, 64);
+        let _pin = hit(&store, a);
         assert_eq!(
-            store.offer(Workload::Nbody.scaled(1), None, rec, stats, Duration::ZERO),
+            capture(&store, Workload::Nbody.scaled(1), 64),
             OfferOutcome::DroppedOverBudget
         );
         assert!(store.contains(a, None));
     }
 
     #[test]
-    fn concurrent_acquires_single_flight_with_zero_duplicates() {
-        // The PR 6 race: many threads race the miss -> record -> offer
-        // protocol on a handful of scenarios. Under single-flight, one
-        // thread leads each scenario and everyone else coalesces:
-        // duplicates must be exactly 0 and each scenario runs "live"
-        // exactly once.
+    fn concurrent_acquires_run_each_scenario_live_once() {
+        // Many threads race the miss -> record -> offer protocol on a
+        // handful of scenarios. Under single-flight, one thread leads
+        // each scenario and everyone else coalesces: each scenario runs
+        // "live" exactly once.
         let store = TraceStore::unbounded();
         let scenarios = [
             Workload::Rewrite.scaled(1),
@@ -1202,13 +1029,12 @@ mod tests {
             }
         });
         let st = store.stats();
-        assert_eq!(st.duplicates, 0, "single-flight leaves no duplicates: {st}");
         assert_eq!(st.misses, scenarios.len() as u64, "one live run each");
         assert_eq!(st.entries, scenarios.len() as u64);
         assert_eq!(st.over_budget, 0);
         assert_eq!(
             st.misses,
-            st.entries + st.over_budget + st.duplicates + st.evictions,
+            st.entries + st.over_budget + st.evictions,
             "offer outcomes must account for every miss: {st}"
         );
         assert_eq!(st.hits + st.misses, (4 * scenarios.len()) as u64);
@@ -1249,7 +1075,7 @@ mod tests {
             assert_eq!(source, HitSource::Coalesced);
         }
         let s = store.stats();
-        assert_eq!((s.misses, s.hits, s.coalesced, s.duplicates), (1, 2, 2, 0));
+        assert_eq!((s.misses, s.hits, s.coalesced), (1, 2, 2));
     }
 
     #[test]
@@ -1279,7 +1105,7 @@ mod tests {
             OfferOutcome::Stored { .. }
         ));
         let s = store.stats();
-        assert_eq!((s.misses, s.entries, s.duplicates), (2, 1, 0));
+        assert_eq!((s.misses, s.entries), (2, 1));
         assert!(store.contains(w, None));
     }
 
@@ -1314,8 +1140,8 @@ mod tests {
             assert_eq!(trace.trace.events(), 200);
             let s = store.stats();
             assert_eq!((s.hits, s.misses, s.spill_loads, s.entries), (1, 0, 1, 1));
-            assert_eq!(s.bytes, 0, "mapped entries charge zero heap");
-            assert!(s.mapped_bytes > 0);
+            assert_eq!(s.bytes, trace.trace.bytes(), "the load is charged");
+            assert_eq!(s.peak_bytes, s.bytes);
             // Second acquire is an ordinary resident hit.
             assert!(matches!(
                 store.acquire(w, None),
@@ -1349,39 +1175,66 @@ mod tests {
     #[test]
     fn eviction_is_a_cheap_drop_when_the_entry_is_on_disk() {
         // With spill attached, an evicted scenario re-materializes from
-        // its segment file on the next acquire instead of re-recording.
+        // its segment file on the next acquire instead of re-recording,
+        // and the reload makes room by eviction like a capture.
         let dir = tempdir("evict-reload");
         let one = capture_bytes(64);
         let store = TraceStore::with_budget(one + one / 2).with_spill(dir.clone());
         let a = Workload::Rewrite.scaled(1);
         let b = Workload::Nbody.scaled(1);
         for w in [a, b] {
-            let Acquired::Miss(ticket) = store.acquire(w, None) else {
-                panic!("cold miss");
-            };
-            let mut rec = ticket.recorder();
-            for i in 0..64u32 {
-                rec.access(Access::read(0x1000 + 4 * i, Context::Mutator));
-            }
             assert!(matches!(
-                ticket.offer(rec, RunStats::default(), Duration::ZERO),
-                OfferOutcome::Stored { .. }
+                capture(&store, w, 64),
+                OfferOutcome::Stored { spilled: true, .. }
             ));
         }
         // B's capture evicted A (budget fits one); A now reloads from
-        // disk as a mapped hit, not a miss.
+        // disk as a hit, not a miss, and evicts B in turn.
         assert!(!store.contains(a, None));
         let Acquired::Hit { source, .. } = store.acquire(a, None) else {
             panic!("A must reload from its spill file");
         };
         assert_eq!(source, HitSource::SpillLoad);
+        assert!(store.contains(a, None) && !store.contains(b, None));
         let s = store.stats();
-        assert_eq!((s.evictions, s.spill_loads, s.spills), (1, 1, 2));
+        assert_eq!((s.evictions, s.spill_loads, s.spills), (2, 1, 2));
+        assert_eq!((s.entries, s.bytes, s.over_budget), (1, one, 0));
+        assert!(s.peak_bytes <= store.budget(), "{s}");
         assert_eq!(
             s.misses + s.spill_loads,
-            s.entries + s.evictions + s.over_budget + s.duplicates,
+            s.entries + s.evictions + s.over_budget,
             "generalized balance holds with spill loads: {s}"
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_spill_load_that_cannot_fit_still_hits_and_counts_over_budget() {
+        let dir = tempdir("load-over-budget");
+        let one = capture_bytes(64);
+        let store = TraceStore::with_budget(one + one / 2).with_spill(dir.clone());
+        let a = Workload::Rewrite.scaled(1);
+        let b = Workload::Nbody.scaled(1);
+        capture(&store, a, 64);
+        capture(&store, b, 64);
+        // B is pinned by a replay, so A's reload has nowhere to go: it
+        // serves its hit but is not kept, and the next acquire reloads.
+        let _pin = hit(&store, b);
+        for round in 1..=2 {
+            let Acquired::Hit { trace, source } = store.acquire(a, None) else {
+                panic!("A must reload from its spill file");
+            };
+            assert_eq!(source, HitSource::SpillLoad);
+            assert_eq!(trace.trace.events(), 64);
+            let s = store.stats();
+            assert_eq!((s.spill_loads, s.over_budget, s.entries), (round, round, 1));
+            assert_eq!(
+                s.misses + s.spill_loads,
+                s.entries + s.evictions + s.over_budget,
+                "{s}"
+            );
+        }
+        assert!(!store.contains(a, None) && store.contains(b, None));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -8,7 +8,7 @@
 //! re-exports the primitives, so `cachegc_core::telemetry::Telemetry` is
 //! the one path experiment code needs, and adds:
 //!
-//! * [`Manifest`] — a versioned (`cachegc-manifest-v7`), machine-readable
+//! * [`Manifest`] — a versioned (`cachegc-manifest-v8`), machine-readable
 //!   record of one experiment run: configuration, merged counters, phase
 //!   timings with pause histograms, engine/worker totals, and trace-store
 //!   accounting. Serialized by [`Manifest::to_json`] (hand-rolled, like
@@ -47,7 +47,7 @@ use crate::store::{ScenarioGauges, StoreStats, TraceStore};
 /// `affinity_fallbacks`) and the per-worker `chunks` with the knobs and
 /// the chunk broadcast behind them, and keys engine runs by crew kind
 /// (`engine.by_kind`, was `by_schedule`).
-pub const MANIFEST_SCHEMA: &str = "cachegc-manifest-v7";
+pub const MANIFEST_SCHEMA: &str = "cachegc-manifest-v8";
 
 // ---------------------------------------------------------------------
 // Progress
@@ -306,7 +306,6 @@ impl Manifest {
                 w.field("misses", &store.stats.misses.to_string());
                 w.field("coalesced", &store.stats.coalesced.to_string());
                 w.field("over_budget", &store.stats.over_budget.to_string());
-                w.field("duplicates", &store.stats.duplicates.to_string());
                 w.field("entries", &store.stats.entries.to_string());
                 w.field("evictions", &store.stats.evictions.to_string());
                 w.field("bytes_evicted", &store.stats.bytes_evicted.to_string());
@@ -314,7 +313,6 @@ impl Manifest {
                 w.field("spill_loads", &store.stats.spill_loads.to_string());
                 w.field("spill_rejects", &store.stats.spill_rejects.to_string());
                 w.field("bytes", &store.stats.bytes.to_string());
-                w.field("mapped_bytes", &store.stats.mapped_bytes.to_string());
                 w.field("reserved", &store.stats.reserved.to_string());
                 w.field("peak_bytes", &store.stats.peak_bytes.to_string());
                 w.field("events", &store.stats.events.to_string());
@@ -636,17 +634,15 @@ pub fn validate_manifest(text: &str) -> Result<(), String> {
                 "spills",
                 "spill_rejects",
                 "bytes",
-                "mapped_bytes",
                 "reserved",
                 "peak_bytes",
                 "events",
             ] {
                 field(key)?;
             }
-            // Offer accounting must balance: every entry now resident (or
-            // since evicted) got there either from a live run — a miss
-            // whose offer stored it, was dropped over budget, or lost a
-            // duplicate race — or by re-materializing a spill file.
+            // Store arrivals must balance: every live run (a miss) and
+            // every spill load was kept — and is resident or since
+            // evicted — or was dropped over budget.
             let sum = |keys: &[&str]| {
                 keys.iter().try_fold(0u64, |acc, key| {
                     acc.checked_add(field(key)?).ok_or_else(|| {
@@ -655,11 +651,11 @@ pub fn validate_manifest(text: &str) -> Result<(), String> {
                 })
             };
             let arrivals = sum(&["misses", "spill_loads"])?;
-            let accounted = sum(&["entries", "evictions", "over_budget", "duplicates"])?;
+            let accounted = sum(&["entries", "evictions", "over_budget"])?;
             if arrivals != accounted {
                 return Err(format!(
                     "manifest: store offers unbalanced: misses + spill_loads = {arrivals} but \
-                     entries + evictions + over_budget + duplicates = {accounted}"
+                     entries + evictions + over_budget = {accounted}"
                 ));
             }
             let scenarios = store
@@ -839,7 +835,7 @@ mod tests {
         let m = Manifest::gather(sample_config(), &telemetry.snapshot(), None);
         let json = m.to_json();
         validate_manifest(&json).unwrap();
-        assert!(json.contains("\"schema\": \"cachegc-manifest-v7\""));
+        assert!(json.contains("\"schema\": \"cachegc-manifest-v8\""));
         assert!(json.contains("\"jobs_requested\": 2"));
         assert!(json.contains("\"store\": null"));
     }
@@ -870,16 +866,16 @@ mod tests {
         let w = cachegc_workloads::Workload::Rewrite.scaled(1);
         // A full miss -> live run -> offer cycle, so the store's offer
         // accounting balances (validation checks the invariant).
-        store.lookup(w, None);
+        let crate::Acquired::Miss(ticket) = store.acquire(w, None) else {
+            panic!("an empty store misses");
+        };
         use cachegc_trace::TraceSink as _;
-        let mut rec = cachegc_trace::Recorder::new();
+        let mut rec = ticket.recorder();
         rec.access(cachegc_trace::Access::read(
             0x1000,
             cachegc_trace::Context::Mutator,
         ));
-        store.offer(
-            w,
-            None,
+        ticket.offer(
             rec,
             cachegc_vm::RunStats::default(),
             std::time::Duration::ZERO,
@@ -891,7 +887,6 @@ mod tests {
         assert!(json.contains("\"gc_minor\""));
         assert!(json.contains("\"events_published\": 640"));
         assert!(json.contains("\"rewrite@1\""));
-        assert!(json.contains("\"duplicates\": 0"));
         // An unbalanced store (a miss whose offer never landed) is
         // rejected.
         let bad = json.replace("\"misses\": 1", "\"misses\": 2");
@@ -911,7 +906,7 @@ mod tests {
         let err = validate_manifest(&good).unwrap_err();
         assert!(err.contains("gc_minor"), "{err}");
         // Wrong schema.
-        let bad = good.replace("cachegc-manifest-v7", "cachegc-manifest-v6");
+        let bad = good.replace("cachegc-manifest-v8", "cachegc-manifest-v7");
         assert!(validate_manifest(&bad).unwrap_err().contains("schema"));
         // Not JSON at all.
         assert!(validate_manifest("{nope").is_err());
@@ -966,10 +961,10 @@ mod tests {
         });
         let store = TraceStore::unbounded();
         let w = cachegc_workloads::Workload::Rewrite.scaled(1);
-        store.lookup(w, None);
-        store.offer(
-            w,
-            None,
+        let crate::Acquired::Miss(ticket) = store.acquire(w, None) else {
+            panic!("an empty store misses");
+        };
+        ticket.offer(
             cachegc_trace::Recorder::new(),
             cachegc_vm::RunStats::default(),
             std::time::Duration::ZERO,

@@ -37,8 +37,8 @@ pub use counters::{Counters, InstrClass};
 pub use event::{Access, AccessKind, Context};
 pub use feed::{feed, FeedReader, FeedStats, FeedWriter, Segments, FEED_WINDOW};
 pub use recorded::{
-    payload_events, EventBatch, PayloadChunks, RecordBudget, RecordedTrace, Recorder, TraceImage,
-    CHARGE_CHUNK_BYTES, DEFAULT_SEGMENT_BYTES, EVENT_BATCH,
+    EventBatch, RecordBudget, RecordedTrace, Recorder, CHARGE_CHUNK_BYTES, DEFAULT_SEGMENT_BYTES,
+    EVENT_BATCH,
 };
 pub use region::{Region, DYNAMIC_BASE, DYNAMIC_SECOND_BASE, STACK_BASE, STATIC_BASE, WORD_BYTES};
 pub use sink::{Fanout, NullSink, RefCounter, TraceSink};

@@ -70,14 +70,6 @@ pub trait RecordBudget: Send + Sync {
     fn release(&self, n: u64);
 }
 
-/// A read-only byte image that can back a [`RecordedTrace`] without the
-/// encoded payload living on the heap — e.g. a memory-mapped spill file.
-/// The image must stay valid (and immutable) for its whole lifetime.
-pub trait TraceImage: Send + Sync + 'static {
-    /// The full image contents.
-    fn bytes(&self) -> &[u8];
-}
-
 const FLAG_WRITE: u8 = 1 << 0;
 const FLAG_COLLECTOR: u8 = 1 << 1;
 const FLAG_ALLOC_INIT: u8 = 1 << 2;
@@ -121,7 +113,7 @@ fn unzigzag32(z: u32) -> i32 {
 /// [`RecordedTrace::replay_batched`]. Advances `i` past the token (and
 /// flags byte, when present) and leaves `(addr, flags)` describing the
 /// decoded event. Panics on a truncated payload, so payloads read from
-/// outside the process are walked by [`payload_events`] first.
+/// outside the process go through [`RecordedTrace::from_payload`].
 #[inline]
 fn decode_one(bytes: &[u8], i: &mut usize, addr: &mut u32, flags: &mut u8) {
     let mut token: u64 = 0;
@@ -150,10 +142,11 @@ const MAX_TOKEN_BYTES: usize = 5;
 /// is not a whole number of well-formed events: a token or flags byte cut
 /// off at the end, or a token longer than any the encoder writes. Every
 /// read is bounds-checked, so this never panics, and a payload it accepts
-/// replays through [`RecordedTrace::replay`] without panicking. Meant for
-/// payloads read back from outside the process (spill files), once at
-/// load, so the replay loops need no validation of their own.
-pub fn payload_events(bytes: &[u8]) -> Option<u64> {
+/// replays through [`RecordedTrace::replay`] without panicking. Run once
+/// per payload read back from outside the process (spill files), by
+/// [`RecordedTrace::from_payload`], so the replay loops need no
+/// validation of their own.
+fn payload_events(bytes: &[u8]) -> Option<u64> {
     let mut events = 0u64;
     let mut i = 0;
     while i < bytes.len() {
@@ -502,7 +495,7 @@ impl Recorder {
         self.charged = 0;
         let segments = std::mem::take(&mut self.segments);
         Some(RecordedTrace {
-            backing: Backing::Heap(Arc::from(segments.into_boxed_slice())),
+            segments: Arc::from(segments.into_boxed_slice()),
             events: self.events,
             bytes,
         })
@@ -564,85 +557,50 @@ impl TraceSink for Recorder {
     }
 }
 
-/// Where a [`RecordedTrace`]'s encoded payload lives.
+/// A captured trace: sealed heap segments, cheaply cloneable (clones
+/// share the segments) and replayable into any [`TraceSink`] any number
+/// of times.
 #[derive(Clone)]
-enum Backing {
-    /// Sealed heap segments, as produced by a [`Recorder`].
-    Heap(Arc<[Arc<[u8]>]>),
-    /// A window into a shared read-only [`TraceImage`] (e.g. a
-    /// memory-mapped spill file): no heap copy of the payload exists.
-    Image {
-        image: Arc<dyn TraceImage>,
-        offset: usize,
-        len: usize,
-    },
-}
-
-impl std::fmt::Debug for Backing {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Backing::Heap(segs) => f.debug_tuple("Heap").field(&segs.len()).finish(),
-            Backing::Image { offset, len, .. } => f
-                .debug_struct("Image")
-                .field("offset", offset)
-                .field("len", len)
-                .finish(),
-        }
-    }
-}
-
-/// A captured trace: cheaply cloneable (clones share the encoded
-/// segments) and replayable into any [`TraceSink`] any number of times.
-#[derive(Debug, Clone)]
 pub struct RecordedTrace {
-    backing: Backing,
+    segments: Arc<[Arc<[u8]>]>,
     events: u64,
     bytes: u64,
 }
 
+impl std::fmt::Debug for RecordedTrace {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("RecordedTrace")
+            .field("segments", &self.segments.len())
+            .field("events", &self.events)
+            .field("bytes", &self.bytes)
+            .finish()
+    }
+}
+
 impl RecordedTrace {
-    /// A trace whose payload is a window of `len` bytes at `offset` into
-    /// a shared read-only [`TraceImage`] — typically a memory-mapped
-    /// spill file. The window must hold exactly the concatenated sealed
-    /// segments of a recorded stream (the decoder carries its state
-    /// across segment boundaries, so concatenation decodes identically);
-    /// `events` must be the recorded event count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the window falls outside the image.
-    pub fn from_image(image: Arc<dyn TraceImage>, offset: usize, len: usize, events: u64) -> Self {
-        let total = image.bytes().len();
-        assert!(
-            offset.checked_add(len).is_some_and(|end| end <= total),
-            "trace window {offset}+{len} exceeds image of {total} bytes"
-        );
-        RecordedTrace {
-            backing: Backing::Image { image, offset, len },
+    /// A one-segment trace over an encoded payload read back from outside
+    /// the process (a spill file): the concatenated sealed segments of a
+    /// recorded stream, which decode identically to the segments
+    /// themselves because the decoder carries its state across segment
+    /// boundaries. One bounds-checked walk over `payload` checks that it
+    /// is a whole number of well-formed events, exactly `events` of them;
+    /// `None` rejects it. A trace this returns replays without panicking.
+    pub fn from_payload(payload: Arc<[u8]>, events: u64) -> Option<RecordedTrace> {
+        if payload_events(&payload)? != events {
+            return None;
+        }
+        Some(RecordedTrace {
+            bytes: payload.len() as u64,
+            segments: Arc::from([payload]),
             events,
-            bytes: len as u64,
-        }
+        })
     }
 
-    /// True when the payload is backed by a [`TraceImage`] rather than
-    /// heap segments.
-    pub fn is_mapped(&self) -> bool {
-        matches!(self.backing, Backing::Image { .. })
-    }
-
-    /// The encoded payload as in-order byte chunks (sealed segments for
-    /// a heap-backed trace, one contiguous slice for an image-backed
-    /// one). Concatenating the chunks yields the canonical payload — the
-    /// exact bytes a spill file stores.
-    pub fn payload_chunks(&self) -> PayloadChunks<'_> {
-        PayloadChunks {
-            inner: match &self.backing {
-                Backing::Heap(segs) => ChunksInner::Heap(segs.iter()),
-                Backing::Image { image, offset, len } => {
-                    ChunksInner::Image(Some(&image.bytes()[*offset..*offset + *len]))
-                }
-            },
-        }
+    /// The encoded payload as its in-order sealed segments. Concatenating
+    /// them yields the canonical payload — the exact bytes a spill file
+    /// stores.
+    pub fn payload_chunks(&self) -> impl Iterator<Item = &[u8]> + '_ {
+        self.segments.iter().map(|seg| &seg[..])
     }
 
     /// Number of events in the captured stream.
@@ -677,28 +635,6 @@ impl RecordedTrace {
     /// whole batch instead of being called once per event.
     pub fn replay_batched<F: FnMut(&EventBatch)>(&self, consume: F) {
         replay_chunks_batched(self.payload_chunks(), consume);
-    }
-}
-
-/// Iterator over a trace's encoded payload chunks; see
-/// [`RecordedTrace::payload_chunks`].
-pub struct PayloadChunks<'a> {
-    inner: ChunksInner<'a>,
-}
-
-enum ChunksInner<'a> {
-    Heap(std::slice::Iter<'a, Arc<[u8]>>),
-    Image(Option<&'a [u8]>),
-}
-
-impl<'a> Iterator for PayloadChunks<'a> {
-    type Item = &'a [u8];
-
-    fn next(&mut self) -> Option<&'a [u8]> {
-        match &mut self.inner {
-            ChunksInner::Heap(iter) => iter.next().map(|seg| &seg[..]),
-            ChunksInner::Image(window) => window.take(),
-        }
     }
 }
 
@@ -880,14 +816,7 @@ mod tests {
     }
 
     #[test]
-    fn image_backed_trace_replays_identically_to_heap_segments() {
-        struct VecImage(Vec<u8>);
-        impl TraceImage for VecImage {
-            fn bytes(&self) -> &[u8] {
-                &self.0
-            }
-        }
-
+    fn payload_trace_replays_identically_to_heap_segments() {
         let events: Vec<Access> = (0..800u32)
             .map(|i| {
                 if i % 5 == 0 {
@@ -900,22 +829,24 @@ mod tests {
         // Tiny segments: the concatenated payload spans many seals, so
         // this also proves decoder state survives chunk flattening.
         let trace = roundtrip(&events, 32);
-        let mut payload = vec![0xAAu8; 7]; // leading junk: window must honor offset
-        for chunk in trace.payload_chunks() {
-            payload.extend_from_slice(chunk);
-        }
-        let len = payload.len() - 7;
-        payload.extend_from_slice(&[0x55; 9]); // trailing junk too
-        let image: Arc<dyn TraceImage> = Arc::new(VecImage(payload));
-        let mapped = RecordedTrace::from_image(image, 7, len, trace.events());
-        assert!(mapped.is_mapped());
-        assert_eq!(mapped.bytes(), trace.bytes());
+        let payload: Arc<[u8]> = trace.payload_chunks().flatten().copied().collect();
+        let loaded = RecordedTrace::from_payload(payload.clone(), trace.events())
+            .expect("a recorded payload is accepted");
+        assert_eq!(loaded.bytes(), trace.bytes());
+        assert_eq!(loaded.events(), trace.events());
         let mut out = VecSink::default();
-        mapped.replay(&mut out);
-        assert_eq!(out.0, events, "image replay is event-for-event identical");
+        loaded.replay(&mut out);
+        assert_eq!(out.0, events, "payload replay is event-for-event identical");
         let mut batched = Vec::new();
-        mapped.replay_batched(|b| batched.extend(b.accesses()));
-        assert_eq!(batched, events, "image batched replay identical");
+        loaded.replay_batched(|b| batched.extend(b.accesses()));
+        assert_eq!(batched, events, "payload batched replay identical");
+
+        // A wrong event count or a cut-off token is rejected.
+        assert!(RecordedTrace::from_payload(payload.clone(), trace.events() + 1).is_none());
+        let cut: Arc<[u8]> = Arc::from(&payload[..payload.len() - 1]);
+        assert!(RecordedTrace::from_payload(cut, trace.events()).is_none());
+        let empty = RecordedTrace::from_payload(Arc::from([]), 0).expect("empty payload");
+        assert_eq!((empty.events(), empty.bytes()), (0, 0));
     }
 
     /// Record `events` at `segment_bytes`, then demand the batched decode

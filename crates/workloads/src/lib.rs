@@ -1,4 +1,4 @@
-//! The five test programs (§3 of the paper) and synthetic trace generators.
+//! The five test programs (§3 of the paper).
 //!
 //! The paper measures orbit (a Scheme compiler), imps (a theorem prover),
 //! lp (a λ-calculus reduction engine), nbody (Zhao's linear-time N-body
@@ -18,17 +18,11 @@
 //! Each program is generated as Scheme source parameterized by a `scale`
 //! knob; `scale = 1` is a seconds-long smoke run, larger scales approach
 //! the paper's run lengths.
-//!
-//! The [`synthetic`] module provides native reference-stream generators
-//! (no VM) for quick experiments on cache behaviors the paper describes:
-//! one-cycle allocation sweeps, thrashing busy blocks, and monotonic live
-//! growth.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod programs;
-pub mod synthetic;
 
 use cachegc_gc::Collector;
 use cachegc_trace::TraceSink;

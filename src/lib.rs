@@ -13,7 +13,7 @@
 //! * [`heap`] — the tagged object model, memory spaces, linear allocator.
 //! * [`gc`] — Cheney semispace and generational compacting collectors.
 //! * [`vm`] — the Scheme reader, bytecode compiler, and virtual machine.
-//! * [`workloads`] — the five test programs and synthetic trace generators.
+//! * [`workloads`] — the five test programs.
 //! * [`analysis`] — block lifetimes, allocation cycles, cache activity.
 //! * [`core`] — the experiment harness: overheads, runs, report tables.
 //! * [`telemetry`] — counters, phase timers, and engine observability.
@@ -33,6 +33,8 @@
 //! # Ok(())
 //! # }
 //! ```
+
+#![forbid(unsafe_code)]
 
 pub mod testkit;
 

@@ -833,8 +833,8 @@ fn vm_results_are_gc_invariant() {
 /// stream, a Chrome trace and a checked-in golden CSV.
 fn valid_documents() -> (String, String, String, String) {
     use cachegc::core::{
-        chrome_trace_json, Manifest, ManifestConfig, Telemetry, TimelineRecorder, TimelineSpec,
-        TraceStore,
+        chrome_trace_json, Acquired, Manifest, ManifestConfig, Telemetry, TimelineRecorder,
+        TimelineSpec, TraceStore,
     };
     use cachegc::telemetry::{probe, Counter, EngineReport, WorkerStats};
     use cachegc::workloads::Workload;
@@ -862,10 +862,12 @@ fn valid_documents() -> (String, String, String, String) {
     });
     let store = TraceStore::unbounded();
     let w = Workload::Rewrite.scaled(1);
-    store.lookup(w, None);
-    let mut rec = Recorder::new();
+    let Acquired::Miss(ticket) = store.acquire(w, None) else {
+        panic!("an empty store misses");
+    };
+    let mut rec = ticket.recorder();
     rec.access(Access::read(DYNAMIC_BASE, Context::Mutator));
-    store.offer(w, None, rec, Default::default(), Duration::ZERO);
+    ticket.offer(rec, Default::default(), Duration::ZERO);
     let snapshot = telemetry.snapshot();
     let manifest = Manifest::gather(
         ManifestConfig {
@@ -960,4 +962,116 @@ fn readers_reject_corrupt_documents_without_panicking() {
         let _ = validate_chrome_trace(&mutate(rng, &chrome));
         let _ = Table::from_csv("ogc", &mutate(rng, &csv));
     });
+}
+
+// ---------------------------------------------------------------------
+// Spill segments: a corrupt file is rejected or replays whole, never panics
+// ---------------------------------------------------------------------
+
+/// FNV-1a 64, the checksum that seals a spill segment file.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+#[test]
+fn spill_segments_reject_corruption_without_panicking() {
+    use cachegc::core::{Acquired, HitSource, TraceStore};
+    use cachegc::trace::RefCounter;
+    use cachegc::workloads::Workload;
+    use std::time::Duration;
+
+    let dir = std::env::temp_dir().join(format!("cachegc_spill_prop_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let w = Workload::Rewrite.scaled(1);
+    let label = "rewrite@1";
+    // A real capture, written through by the store: monotone walks, long
+    // jumps (multi-byte tokens) and flag flips (flags bytes).
+    {
+        let store = TraceStore::unbounded().with_spill(dir.clone());
+        let Acquired::Miss(ticket) = store.acquire(w, None) else {
+            panic!("an empty store misses");
+        };
+        let mut rec = ticket.recorder();
+        let mut rng = Rng::new(0x5eed);
+        let mut addr = DYNAMIC_BASE;
+        for _ in 0..4000 {
+            addr = match rng.range_u32(0, 4) {
+                0 => rng.next_u32(),
+                _ => addr.wrapping_add(4),
+            };
+            let ctx = if rng.range_u32(0, 8) == 0 {
+                Context::Collector
+            } else {
+                Context::Mutator
+            };
+            rec.access(match rng.range_u32(0, 3) {
+                0 => Access::read(addr, ctx),
+                1 => Access::write(addr, ctx),
+                _ => Access::alloc_write(addr, ctx),
+            });
+        }
+        ticket.offer(rec, Default::default(), Duration::ZERO);
+        assert_eq!(store.stats().spills, 1, "the capture wrote through");
+    }
+    let seg = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .find(|p| p.extension().is_some_and(|e| e == "seg"))
+        .expect("one segment file");
+    let pristine = std::fs::read(&seg).unwrap();
+    // Header: magic 8, label_len 4, label, then events, 13 stats words
+    // and the payload length, one u64 each.
+    let events_at = 12 + label.len();
+    let words: Vec<usize> = (0..15).map(|i| events_at + 8 * i).collect();
+
+    check("spill_segments_never_panic", 128, |rng| {
+        let mut bytes = pristine.clone();
+        for _ in 0..rng.range_usize(1, 4) {
+            match rng.range_u32(0, 3) {
+                0 if !bytes.is_empty() => {
+                    let at = rng.range_usize(0, bytes.len());
+                    bytes[at] ^= rng.range_u32(1, 256) as u8;
+                }
+                1 => bytes.truncate(rng.range_usize(0, bytes.len() + 1)),
+                _ => {
+                    // The label length, or one of the u64 header words.
+                    let (at, width) = match rng.range_usize(0, words.len() + 1) {
+                        0 => (8, 4),
+                        i => (words[i - 1], 8),
+                    };
+                    if at + width <= bytes.len() {
+                        bytes[at..at + width].fill(0xff);
+                    }
+                }
+            }
+        }
+        // Half the cases re-seal the checksum, so the corruption reaches
+        // the label, length and decode checks behind it.
+        if rng.bool() && bytes.len() >= 8 {
+            let body = bytes.len() - 8;
+            let sum = fnv1a(&bytes[..body]);
+            bytes[body..].copy_from_slice(&sum.to_le_bytes());
+        }
+        std::fs::write(&seg, &bytes).unwrap();
+
+        let store = TraceStore::unbounded().with_spill(dir.clone());
+        match store.acquire(w, None) {
+            Acquired::Hit { trace, source } => {
+                assert_eq!(source, HitSource::SpillLoad);
+                let header =
+                    u64::from_le_bytes(bytes[events_at..events_at + 8].try_into().unwrap());
+                let mut counted = RefCounter::new();
+                trace.trace.replay(&mut counted);
+                assert_eq!(trace.trace.events(), header);
+                assert_eq!(counted.total(), header, "replays its header's event count");
+            }
+            Acquired::Miss(_) => {
+                let s = store.stats();
+                assert_eq!((s.spill_rejects, s.spill_loads, s.misses), (1, 0, 1), "{s}");
+            }
+        }
+    });
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -164,7 +164,7 @@ fn tiny_budget_with_spill_replays_event_identical_to_live() {
     );
     assert_eq!(
         s.misses + s.spill_loads,
-        s.entries + s.evictions + s.over_budget + s.duplicates,
+        s.entries + s.evictions + s.over_budget,
         "store arrivals balance: {s}"
     );
     let _ = std::fs::remove_dir_all(&dir);
