@@ -226,9 +226,9 @@ mod tests {
         );
         let mut out = out.into_iter();
         let cache = out.next().unwrap().into_cache().unwrap();
-        assert!(cache.stats().misses() > 0);
+        assert!(cache.stats().totals().misses() > 0);
         let assoc = out.next().unwrap().into_assoc().unwrap();
-        assert!(assoc.stats().misses() > 0);
+        assert!(assoc.stats().totals().misses() > 0);
         let blocks = out.next().unwrap().into_block_report().unwrap();
         assert_eq!(blocks.total_refs, 4096);
         let sweep = out.next().unwrap().into_sweep().unwrap();

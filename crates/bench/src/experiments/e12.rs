@@ -41,7 +41,7 @@ fn sweep(scale: u32, runner: &Runner) -> Sweep {
             let mut row = vec![Cell::text(w.name()), Cell::text(cpu.name)];
             row.extend(cfg.cache_sizes.iter().map(|&size| {
                 let cell = r.cell(size, 64).unwrap();
-                Cell::Pct(write_back_overhead(cell.stats.writebacks(), wb, r.i_prog))
+                Cell::Pct(write_back_overhead(cell.stats.writebacks, wb, r.i_prog))
             }));
             table.row(row);
         }

@@ -5,7 +5,7 @@ use cachegc_gc::{
     NoCollector,
 };
 use cachegc_sim::{
-    miss_penalty_cycles, Cache, CacheConfig, CacheStats, MainMemory, Processor, WriteMissPolicy,
+    miss_penalty_cycles, Cache, CacheConfig, CacheTotals, MainMemory, Processor, WriteMissPolicy,
 };
 use cachegc_trace::{Context, Fanout};
 use cachegc_vm::VmError;
@@ -84,8 +84,9 @@ impl ExperimentConfig {
 pub struct CacheCell {
     /// The configuration.
     pub config: CacheConfig,
-    /// Full simulation statistics (per-block counters included).
-    pub stats: CacheStats,
+    /// The cell's scalar counters (a grid lane keeps no per-block
+    /// counters; those live in a [`Cache`]).
+    pub stats: CacheTotals,
 }
 
 /// The §5 control experiment: one workload, collection disabled, the whole
@@ -145,7 +146,7 @@ pub(crate) fn cache_cells(caches: Vec<Cache>) -> Vec<CacheCell> {
         .into_iter()
         .map(|c| CacheCell {
             config: *c.config(),
-            stats: c.into_stats(),
+            stats: c.into_stats().totals(),
         })
         .collect()
 }
@@ -242,8 +243,8 @@ pub struct CollectedCell {
     pub m_prog: u64,
     /// Collector fetches (`M_gc`).
     pub m_gc: u64,
-    /// Full statistics.
-    pub stats: CacheStats,
+    /// The cell's scalar counters.
+    pub stats: CacheTotals,
 }
 
 /// A workload run under a collector, against the grid.

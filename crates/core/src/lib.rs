@@ -68,8 +68,8 @@ pub use cachegc_analysis::{
     Timeline, TimelineReport, TimelineWindow,
 };
 pub use cachegc_sim::{
-    miss_penalty_cycles, writeback_cycles, Cache, CacheConfig, CacheStats, GridCache, MainMemory,
-    Processor, SetAssocCache, WriteHitPolicy, WriteMissPolicy, FAST, SLOW,
+    miss_penalty_cycles, writeback_cycles, Cache, CacheConfig, CacheStats, CacheTotals, GridCache,
+    MainMemory, Processor, SetAssocCache, WriteHitPolicy, WriteMissPolicy, FAST, SLOW,
 };
 pub use cachegc_trace::{EventBatch, RecordedTrace, Recorder, EVENT_BATCH};
 pub use cachegc_vm::RunStats;

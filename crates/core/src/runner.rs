@@ -1076,7 +1076,11 @@ mod tests {
         let (stats, out) = Runner::new(engine).sinks(w, Some(spec), sinks).unwrap();
         assert!(stats.gc.collections > 0, "heap small enough to force GC");
         assert!(
-            out[0].stats().refs_by(cachegc_trace::Context::Collector) > 0,
+            out[0]
+                .stats()
+                .totals()
+                .refs_by(cachegc_trace::Context::Collector)
+                > 0,
             "collector references reach the sink"
         );
     }
@@ -1111,8 +1115,9 @@ mod tests {
     /// `run_collected`) on every path a grid can take: live sequential,
     /// live crews (replaying the feed of an unkept recording), store
     /// misses (replaying the feed of the kept one), store hits on one to
-    /// three workers, and hits re-materialized from spill files. Full
-    /// `CacheStats`, per-block counters included, must match.
+    /// three workers, and hits re-materialized from spill files. Every
+    /// cell's `CacheTotals` must match: a grid lane keeps no per-block
+    /// counters (`Cache`'s own are checked by its tests and `activity`'s).
     #[test]
     fn grid_matches_the_cache_oracle_on_every_path() {
         let mut cfg = ExperimentConfig::quick();

@@ -40,6 +40,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use cachegc_gc::GcStats;
+use cachegc_telemetry::probe;
 use cachegc_trace::{Counters, RecordedTrace};
 use cachegc_vm::RunStats;
 
@@ -192,13 +193,15 @@ impl SpillDir {
 
     /// Re-materialize a scenario. `Ok(None)` means no spill file exists
     /// (an ordinary cold miss); `Err` means a file exists but failed
-    /// validation and must be ignored.
+    /// validation and must be ignored. Only a file that exists is timed
+    /// as a `spill_load` phase, so the phase counts loads plus rejects.
     pub fn read(&self, label: &str) -> Result<Option<LoadedSegment>, SpillReject> {
-        let file = match File::open(self.path_for(label)) {
-            Ok(f) => f,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
-            Err(e) => return Err(e.into()),
-        };
+        let opened = File::open(self.path_for(label));
+        if matches!(&opened, Err(e) if e.kind() == io::ErrorKind::NotFound) {
+            return Ok(None);
+        }
+        let _span = probe::phase("spill_load");
+        let file = opened?;
         // Every length the header claims is checked against the file's
         // before anything of that length is read or allocated.
         let len = file.metadata()?.len();

@@ -349,7 +349,6 @@ impl Shared {
     /// recording.
     fn load_spilled(&self, key: ScenarioKey, label: &str) -> Option<Arc<StoredTrace>> {
         let spill = self.spill.as_ref()?;
-        let _span = probe::phase("spill_load");
         match spill.read(label) {
             Ok(Some(segment)) => {
                 let stored = Arc::new(StoredTrace {
@@ -673,6 +672,7 @@ impl TraceStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cachegc_telemetry::Telemetry;
     use cachegc_trace::{Access, Context, TraceSink};
     use cachegc_workloads::Workload;
 
@@ -1235,6 +1235,39 @@ mod tests {
             );
         }
         assert!(!store.contains(a, None) && store.contains(b, None));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Only a spill file that exists is timed as a `spill_load`: a cold
+    /// acquire under an empty spill directory records no phase, and a
+    /// warm one records exactly one.
+    #[test]
+    fn only_an_existing_spill_file_records_a_spill_load_phase() {
+        let dir = tempdir("phase");
+        let w = Workload::Rewrite.scaled(1);
+        // One acquire under `dir` with telemetry attached; a miss records
+        // and offers, which writes the capture through.
+        let acquire = || {
+            let telemetry = Arc::new(Telemetry::new());
+            let store = TraceStore::with_budget(1 << 20).with_spill(dir.clone());
+            {
+                let _shard = telemetry.attach();
+                if let Acquired::Miss(ticket) = store.acquire(w, None) {
+                    let (rec, stats) = record(200);
+                    ticket.offer(rec, stats, Duration::ZERO);
+                }
+            }
+            let phases = telemetry.snapshot().phases;
+            let loads = phases
+                .iter()
+                .find(|(name, _)| *name == "spill_load")
+                .map_or(0, |(_, phase)| phase.count);
+            (loads, store.stats())
+        };
+        let (cold, s) = acquire();
+        assert_eq!((cold, s.misses, s.spill_loads), (0, 1, 0), "cold miss");
+        let (warm, s) = acquire();
+        assert_eq!((warm, s.misses, s.spill_loads), (1, 0, 1), "warm start");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -87,7 +87,7 @@ impl SetAssocCache {
         self.stats.count_ref(a.ctx, a.is_read(), s);
         let writeback = self.cfg.write_hit == WriteHitPolicy::WriteBack;
         if !a.is_read() && self.cfg.write_hit == WriteHitPolicy::WriteThrough {
-            self.stats.count_write_through();
+            self.stats.totals.count_write_through();
         }
 
         let set = &mut self.sets[s];
@@ -98,8 +98,8 @@ impl SetAssocCache {
                     return; // hit
                 }
                 w.valid = self.full_mask;
-                self.stats.count_partial_fill();
-                self.stats.count_fetch(a.ctx);
+                self.stats.totals.count_partial_fill();
+                self.stats.totals.count_fetch(a.ctx);
                 self.stats.count_block_miss(s, false);
             } else {
                 w.valid |= bit;
@@ -116,7 +116,7 @@ impl SetAssocCache {
             .min_by_key(|w| if w.tag == EMPTY { 0 } else { w.lru + 1 })
             .expect("associativity >= 1");
         if writeback && victim.dirty != 0 {
-            self.stats.count_writeback();
+            self.stats.totals.count_writeback();
         }
         victim.tag = tag;
         victim.lru = self.clock;
@@ -124,18 +124,18 @@ impl SetAssocCache {
         self.stats.count_block_miss(s, a.alloc_init);
         if a.is_read() {
             victim.valid = self.full_mask;
-            self.stats.count_read_miss_fetch();
-            self.stats.count_fetch(a.ctx);
+            self.stats.totals.count_read_miss_fetch();
+            self.stats.totals.count_fetch(a.ctx);
         } else {
             match self.cfg.write_miss {
                 WriteMissPolicy::WriteValidate => {
                     victim.valid = bit;
-                    self.stats.count_write_validate_install();
+                    self.stats.totals.count_write_validate_install();
                 }
                 WriteMissPolicy::FetchOnWrite => {
                     victim.valid = self.full_mask;
-                    self.stats.count_write_miss_fetch();
-                    self.stats.count_fetch(a.ctx);
+                    self.stats.totals.count_write_miss_fetch();
+                    self.stats.totals.count_fetch(a.ctx);
                 }
             }
             if writeback {
@@ -217,8 +217,6 @@ mod tests {
             dm.access(acc);
             sa.access(acc);
         }
-        assert_eq!(dm.stats().fetches(), sa.stats().fetches());
-        assert_eq!(dm.stats().misses(), sa.stats().misses());
-        assert_eq!(dm.stats().writebacks(), sa.stats().writebacks());
+        assert_eq!(dm.stats().totals(), sa.stats().totals());
     }
 }

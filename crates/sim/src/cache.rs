@@ -102,7 +102,7 @@ impl Cache {
     #[inline]
     fn evict(&mut self, b: usize) {
         if self.cfg.write_hit == WriteHitPolicy::WriteBack && self.dirty[b] != 0 {
-            self.stats.count_writeback();
+            self.stats.totals.count_writeback();
         }
         self.dirty[b] = 0;
     }
@@ -126,8 +126,8 @@ impl Cache {
                 }
                 // Present tag, invalid word: sub-block fill of the rest.
                 self.valid[b] = self.full_mask;
-                self.stats.count_partial_fill();
-                self.stats.count_fetch(a.ctx);
+                self.stats.totals.count_partial_fill();
+                self.stats.totals.count_fetch(a.ctx);
                 self.stats.count_block_miss(b, false);
                 Outcome {
                     cache_block: b as u32,
@@ -139,8 +139,8 @@ impl Cache {
                 self.evict(b);
                 self.tags[b] = tag;
                 self.valid[b] = self.full_mask;
-                self.stats.count_read_miss_fetch();
-                self.stats.count_fetch(a.ctx);
+                self.stats.totals.count_read_miss_fetch();
+                self.stats.totals.count_fetch(a.ctx);
                 self.stats.count_block_miss(b, false);
                 Outcome {
                     cache_block: b as u32,
@@ -152,7 +152,7 @@ impl Cache {
         } else {
             // Write.
             if self.cfg.write_hit == WriteHitPolicy::WriteThrough {
-                self.stats.count_write_through();
+                self.stats.totals.count_write_through();
             }
             if self.tags[b] == tag {
                 self.valid[b] |= bit;
@@ -172,13 +172,13 @@ impl Cache {
             let fetched = match self.cfg.write_miss {
                 WriteMissPolicy::WriteValidate => {
                     self.valid[b] = bit;
-                    self.stats.count_write_validate_install();
+                    self.stats.totals.count_write_validate_install();
                     false
                 }
                 WriteMissPolicy::FetchOnWrite => {
                     self.valid[b] = self.full_mask;
-                    self.stats.count_write_miss_fetch();
-                    self.stats.count_fetch(a.ctx);
+                    self.stats.totals.count_write_miss_fetch();
+                    self.stats.totals.count_fetch(a.ctx);
                     true
                 }
             };
@@ -200,7 +200,7 @@ impl Cache {
     pub fn flush(&mut self) {
         for b in 0..self.tags.len() {
             if self.cfg.write_hit == WriteHitPolicy::WriteBack && self.dirty[b] != 0 {
-                self.stats.count_writeback();
+                self.stats.totals.count_writeback();
             }
             self.tags[b] = EMPTY;
             self.valid[b] = 0;
@@ -256,7 +256,7 @@ mod tests {
         let o = c.access_classified(Access::alloc_write(0x1000_0000, M));
         assert!(!o.hit && !o.fetched && o.alloc_miss);
         assert_eq!(c.stats().fetches(), 0);
-        assert_eq!(c.stats().alloc_misses(), 1);
+        assert_eq!(c.stats().totals().alloc_misses, 1);
         // Write the rest of the block: all hits (tag present).
         for w in 1..16 {
             let o = c.access_classified(Access::alloc_write(0x1000_0000 + w * 4, M));
@@ -273,7 +273,7 @@ mod tests {
         c.access_classified(Access::write(0x1000_0000, M)); // validates word 0 only
         let o = c.access_classified(Access::read(0x1000_0008, M)); // word 2: invalid
         assert!(!o.hit && o.fetched);
-        assert_eq!(c.stats().partial_fill_fetches(), 1);
+        assert_eq!(c.stats().totals().partial_fill_fetches, 1);
         // Now the whole block is valid.
         assert!(c.access_classified(Access::read(0x1000_003c, M)).hit);
     }
@@ -285,7 +285,7 @@ mod tests {
         let mut c = Cache::new(cfg);
         let o = c.access_classified(Access::alloc_write(0x1000_0000, M));
         assert!(!o.hit && o.fetched);
-        assert_eq!(c.stats().write_miss_fetches(), 1);
+        assert_eq!(c.stats().totals().write_miss_fetches, 1);
         // Whole block valid after the fetch.
         assert!(c.access_classified(Access::read(0x1000_0020, M)).hit);
     }
@@ -297,9 +297,9 @@ mod tests {
         let b = a + (1 << 15);
         c.access_classified(Access::write(a, M)); // dirty install
         c.access_classified(Access::read(b, M)); // evicts dirty block
-        assert_eq!(c.stats().writebacks(), 1);
+        assert_eq!(c.stats().totals().writebacks, 1);
         c.access_classified(Access::read(a, M)); // evicts clean block
-        assert_eq!(c.stats().writebacks(), 1);
+        assert_eq!(c.stats().totals().writebacks, 1);
     }
 
     #[test]
@@ -309,9 +309,13 @@ mod tests {
         let mut c = Cache::new(cfg);
         c.access_classified(Access::write(0x1000_0000, M));
         c.access_classified(Access::write(0x1000_0000, M));
-        assert_eq!(c.stats().write_through_words(), 2);
+        assert_eq!(c.stats().totals().write_through_words, 2);
         c.flush();
-        assert_eq!(c.stats().writebacks(), 0, "write-through never writes back");
+        assert_eq!(
+            c.stats().totals().writebacks,
+            0,
+            "write-through never writes back"
+        );
     }
 
     #[test]
@@ -320,7 +324,7 @@ mod tests {
         c.access_classified(Access::write(0x1000_0000, M));
         c.access_classified(Access::write(0x2000_0000, M));
         c.flush();
-        assert_eq!(c.stats().writebacks(), 2);
+        assert_eq!(c.stats().totals().writebacks, 2);
         assert!(!c.access_classified(Access::read(0x1000_0000, M)).hit);
     }
 

@@ -10,10 +10,16 @@
 //! grid, and each lane's precomputed geometry stays in registers across a
 //! whole [`EventBatch`].
 //!
-//! Bit-identity is the bar: every lane replicates
-//! [`Cache::access_classified`] exactly — same state transitions, same
-//! statistics counters in the same order — which the differential tests
-//! below check against K independent [`Cache`] oracles for every
+//! A lane counts only the scalar [`CacheTotals`] the §5 tables read; the
+//! per-block counters of the §7 analyses live in [`Cache`]. The counters
+//! that are equal in every lane (references by context and kind, and a
+//! write-through lane's written-through words) are tallied once per batch,
+//! so per lane and event the kernel only indexes, loads one block record,
+//! compares tags and tests a valid bit, and counts on a miss.
+//!
+//! Bit-identity is the bar: every lane's [`CacheTotals`] equal those of a
+//! [`Cache`] fed the same stream, which the differential tests below (and
+//! the batch-cut property test in `tests/properties.rs`) check for every
 //! write-hit × write-miss policy combination.
 
 use cachegc_trace::{Access, EventBatch, TraceSink};
@@ -21,27 +27,24 @@ use cachegc_trace::{Access, EventBatch, TraceSink};
 #[cfg(doc)]
 use crate::cache::Cache;
 use crate::config::{CacheConfig, WriteHitPolicy, WriteMissPolicy};
-use crate::stats::CacheStats;
+use crate::stats::CacheTotals;
 
 const EMPTY: u32 = u32::MAX;
 
-/// One cache block's state, packed so an access touches a single record
-/// (one or two cache lines) instead of three parallel arrays. 4-byte
-/// alignment makes the record 20 bytes, not 24: the 40-cell paper grid
-/// holds ~1 M blocks, so the padding would cost ~4 MB over [`Cache`]'s
-/// separate tag/valid/dirty arrays.
+/// One cache block's state, in one record so an access touches a single
+/// cache line. Both simulators only ever ask whether a block is dirty, so
+/// dirtiness is a flag, and the record is 16 naturally aligned bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(C, packed(4))]
 struct BlockState {
     tag: u32,
+    dirty: bool,
     valid: u64,
-    dirty: u64,
 }
 
-const _: () = assert!(std::mem::size_of::<BlockState>() == 20);
+const _: () = assert!(std::mem::size_of::<BlockState>() == 16);
 
 /// One configuration's lane: precomputed geometry, policy flags, the
-/// lane's window into the shared arena, and its statistics.
+/// lane's window into the shared arena, and its counters.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct Lane {
     cfg: CacheConfig,
@@ -54,15 +57,15 @@ struct Lane {
     fetch_on_write: bool,
     /// First arena slot of this lane's blocks.
     base: usize,
-    stats: CacheStats,
+    totals: CacheTotals,
 }
 
 /// K direct-mapped caches simulated in lockstep over one event stream.
 ///
-/// Behaves exactly like a `Vec<Cache>` fanout — per-lane statistics are
-/// bit-identical — but consumes the stream once per *batch* instead of
-/// once per `(event, cache)` pair, with all lane state (tag, valid and
-/// dirty bitmaps) in one shared flat arena of per-block records.
+/// Each lane's [`CacheTotals`] equal those of a [`Cache`] over the same
+/// configuration, but the grid consumes the stream once per *batch*
+/// instead of once per `(event, cache)` pair, with all lane state (tag,
+/// valid bitmap, dirty flag) in one shared flat arena of block records.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GridCache {
     lanes: Vec<Lane>,
@@ -99,7 +102,7 @@ impl GridCache {
                 write_back: cfg.write_hit == WriteHitPolicy::WriteBack,
                 fetch_on_write: cfg.write_miss == WriteMissPolicy::FetchOnWrite,
                 base: total,
-                stats: CacheStats::new(cfg.num_blocks()),
+                totals: CacheTotals::default(),
             });
             total += cfg.num_blocks() as usize;
         }
@@ -108,8 +111,8 @@ impl GridCache {
             blocks: vec![
                 BlockState {
                     tag: EMPTY,
+                    dirty: false,
                     valid: 0,
-                    dirty: 0,
                 };
                 total
             ],
@@ -143,32 +146,49 @@ impl GridCache {
         self.lanes.iter().map(|l| l.cfg).collect()
     }
 
-    /// One lane's accumulated statistics.
+    /// One lane's accumulated counters.
     ///
     /// # Panics
     ///
     /// Panics if `lane >= self.len()`.
-    pub fn stats(&self, lane: usize) -> &CacheStats {
-        &self.lanes[lane].stats
+    pub fn stats(&self, lane: usize) -> &CacheTotals {
+        &self.lanes[lane].totals
     }
 
-    /// Consume the grid, returning `(config, stats)` per lane in order.
-    pub fn into_cells(self) -> Vec<(CacheConfig, CacheStats)> {
-        self.lanes.into_iter().map(|l| (l.cfg, l.stats)).collect()
+    /// Consume the grid, returning `(config, totals)` per lane in order.
+    pub fn into_cells(self) -> Vec<(CacheConfig, CacheTotals)> {
+        self.lanes.into_iter().map(|l| (l.cfg, l.totals)).collect()
+    }
+
+    /// Add the lane-invariant counters of a run of events, whose
+    /// references `refs` counts, to every lane: each lane sees every
+    /// reference, and a write-through lane writes every write through.
+    fn count_refs(lanes: &mut [Lane], refs: &CacheTotals) {
+        let writes = refs.writes();
+        for lane in lanes {
+            let t = &mut lane.totals;
+            t.mutator_reads += refs.mutator_reads;
+            t.mutator_writes += refs.mutator_writes;
+            t.collector_reads += refs.collector_reads;
+            t.collector_writes += refs.collector_writes;
+            if !lane.write_back {
+                t.write_through_words += writes;
+            }
+        }
     }
 
     /// Simulate one access in `lane`, whose block window is `blocks`
     /// (a power-of-two-length slice, so the mask derived from its length
-    /// provably bounds the index). Replicates
-    /// [`Cache::access_classified`] exactly: same transitions, same
-    /// counters, same order.
+    /// provably bounds the index), counting only what the lane's policy
+    /// and state make differ from other lanes. Replicates
+    /// [`Cache::access_classified`]'s transitions exactly.
     #[inline]
     fn step(lane: &mut Lane, blocks: &mut [BlockState], a: Access) {
         let rel = ((a.addr >> lane.offset_bits) as usize) & (blocks.len() - 1);
         let blk = &mut blocks[rel];
         let tag = a.addr >> lane.offset_bits >> lane.index_bits;
         let bit = 1u64 << ((a.addr & lane.block_mask) >> 2);
-        lane.stats.count_ref(a.ctx, a.is_read(), rel);
+        let t = &mut lane.totals;
 
         if a.is_read() {
             if blk.tag == tag {
@@ -177,54 +197,45 @@ impl GridCache {
                 }
                 // Present tag, invalid word: sub-block fill of the rest.
                 blk.valid = lane.full_mask;
-                lane.stats.count_partial_fill();
-                lane.stats.count_fetch(a.ctx);
-                lane.stats.count_block_miss(rel, false);
+                t.count_partial_fill();
+                t.count_fetch(a.ctx);
             } else {
-                if lane.write_back && blk.dirty != 0 {
-                    lane.stats.count_writeback();
+                if lane.write_back && blk.dirty {
+                    t.count_writeback();
                 }
-                blk.dirty = 0;
+                blk.dirty = false;
                 blk.tag = tag;
                 blk.valid = lane.full_mask;
-                lane.stats.count_read_miss_fetch();
-                lane.stats.count_fetch(a.ctx);
-                lane.stats.count_block_miss(rel, false);
+                t.count_read_miss_fetch();
+                t.count_fetch(a.ctx);
             }
         } else {
             // Write.
-            if !lane.write_back {
-                lane.stats.count_write_through();
-            }
             if blk.tag == tag {
                 blk.valid |= bit;
-                if lane.write_back {
-                    blk.dirty |= bit;
-                }
+                blk.dirty |= lane.write_back;
                 return;
             }
-            if lane.write_back && blk.dirty != 0 {
-                lane.stats.count_writeback();
+            if lane.write_back && blk.dirty {
+                t.count_writeback();
             }
-            blk.dirty = 0;
+            blk.dirty = lane.write_back;
             blk.tag = tag;
-            lane.stats.count_block_miss(rel, a.alloc_init);
+            t.alloc_misses += u64::from(a.alloc_init);
             if lane.fetch_on_write {
                 blk.valid = lane.full_mask;
-                lane.stats.count_write_miss_fetch();
-                lane.stats.count_fetch(a.ctx);
+                t.count_write_miss_fetch();
+                t.count_fetch(a.ctx);
             } else {
                 blk.valid = bit;
-                lane.stats.count_write_validate_install();
-            }
-            if lane.write_back {
-                blk.dirty = bit;
+                t.count_write_validate_install();
             }
         }
     }
 
-    /// Update every lane with one decoded batch. Lanes are the outer loop
-    /// so each lane's geometry and hot blocks stay cached across the
+    /// Update every lane with one decoded batch. The lane-invariant
+    /// counters are tallied once for the batch; then lanes are the outer
+    /// loop so each lane's geometry and hot blocks stay cached across the
     /// whole batch — this is the kernel one batched decode pass drives.
     pub fn consume(&mut self, batch: &EventBatch) {
         let GridCache {
@@ -232,6 +243,11 @@ impl GridCache {
             blocks,
             events,
         } = self;
+        let mut refs = CacheTotals::default();
+        for a in batch.accesses() {
+            refs.count_ref(a.ctx, a.is_read());
+        }
+        Self::count_refs(lanes, &refs);
         for lane in lanes.iter_mut() {
             let n = lane.index_mask as usize + 1;
             let blocks = &mut blocks[lane.base..lane.base + n];
@@ -251,6 +267,9 @@ impl TraceSink for GridCache {
             blocks,
             events,
         } = self;
+        let mut refs = CacheTotals::default();
+        refs.count_ref(a.ctx, a.is_read());
+        Self::count_refs(lanes, &refs);
         for lane in lanes.iter_mut() {
             let n = lane.index_mask as usize + 1;
             Self::step(lane, &mut blocks[lane.base..lane.base + n], a);
@@ -352,7 +371,7 @@ mod tests {
                 assert_eq!(cfg, configs[i], "lane order preserved");
                 assert_eq!(
                     stats,
-                    cache.into_stats(),
+                    cache.into_stats().totals(),
                     "seed {seed:#x}: lane {i} ({cfg}) diverged from its Cache oracle"
                 );
             }

@@ -41,12 +41,15 @@ impl BlockStats {
     }
 }
 
-/// Copyable snapshot of the scalar counters in a [`CacheStats`].
+/// The scalar counters of one simulated cache: references, misses and
+/// fetches by kind and context, and write traffic.
 ///
-/// Timeline instruments take a snapshot at each window boundary and subtract
-/// consecutive snapshots to attribute traffic to fixed event windows; because
-/// every counter is monotonic, `later.delta(earlier)` is exact and the window
-/// deltas sum back to the aggregate by construction.
+/// [`crate::GridCache`] lanes count exactly these. A [`CacheStats`] adds
+/// per-block counters on top. Timeline instruments take a snapshot at each
+/// window boundary and subtract consecutive snapshots to attribute traffic
+/// to fixed event windows; because every counter is monotonic,
+/// `later.delta(earlier)` is exact and the window deltas sum back to the
+/// aggregate by construction.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct CacheTotals {
     /// Mutator read references.
@@ -65,7 +68,8 @@ pub struct CacheTotals {
     pub write_miss_fetches: u64,
     /// Write misses that installed a tag without fetching (write-validate).
     pub write_validate_installs: u64,
-    /// Allocation misses (§7).
+    /// Allocation misses (§7): tag-installing misses caused by initializing
+    /// stores to fresh dynamic memory blocks.
     pub alloc_misses: u64,
     /// Fetches attributed to the mutator.
     pub mutator_fetches: u64,
@@ -78,9 +82,65 @@ pub struct CacheTotals {
 }
 
 impl CacheTotals {
+    #[inline]
+    pub(crate) fn count_ref(&mut self, ctx: Context, is_read: bool) {
+        match (ctx, is_read) {
+            (Context::Mutator, true) => self.mutator_reads += 1,
+            (Context::Mutator, false) => self.mutator_writes += 1,
+            (Context::Collector, true) => self.collector_reads += 1,
+            (Context::Collector, false) => self.collector_writes += 1,
+        }
+    }
+
+    #[inline]
+    pub(crate) fn count_fetch(&mut self, ctx: Context) {
+        match ctx {
+            Context::Mutator => self.mutator_fetches += 1,
+            Context::Collector => self.collector_fetches += 1,
+        }
+    }
+
+    #[inline]
+    pub(crate) fn count_read_miss_fetch(&mut self) {
+        self.read_miss_fetches += 1;
+    }
+
+    #[inline]
+    pub(crate) fn count_partial_fill(&mut self) {
+        self.partial_fill_fetches += 1;
+    }
+
+    #[inline]
+    pub(crate) fn count_write_miss_fetch(&mut self) {
+        self.write_miss_fetches += 1;
+    }
+
+    #[inline]
+    pub(crate) fn count_write_validate_install(&mut self) {
+        self.write_validate_installs += 1;
+    }
+
+    #[inline]
+    pub(crate) fn count_writeback(&mut self) {
+        self.writebacks += 1;
+    }
+
+    #[inline]
+    pub(crate) fn count_write_through(&mut self) {
+        self.write_through_words += 1;
+    }
+
     /// Total references.
     pub fn refs(&self) -> u64 {
         self.mutator_reads + self.mutator_writes + self.collector_reads + self.collector_writes
+    }
+
+    /// References made by `ctx`.
+    pub fn refs_by(&self, ctx: Context) -> u64 {
+        match ctx {
+            Context::Mutator => self.mutator_reads + self.mutator_writes,
+            Context::Collector => self.collector_reads + self.collector_writes,
+        }
     }
 
     /// Read references.
@@ -111,9 +171,33 @@ impl CacheTotals {
         self.write_miss_fetches + self.write_validate_installs
     }
 
-    /// Block fetches from main memory.
+    /// Block fetches from main memory — the misses that stall the processor
+    /// and thus the `M` of the paper's overhead formulas.
     pub fn fetches(&self) -> u64 {
         self.mutator_fetches + self.collector_fetches
+    }
+
+    /// Fetches attributed to `ctx` (`M_prog` vs `M_gc`).
+    pub fn fetches_by(&self, ctx: Context) -> u64 {
+        match ctx {
+            Context::Mutator => self.mutator_fetches,
+            Context::Collector => self.collector_fetches,
+        }
+    }
+
+    /// Classic miss ratio (all misses over all references).
+    pub fn miss_ratio(&self) -> f64 {
+        if self.refs() == 0 {
+            0.0
+        } else {
+            self.misses() as f64 / self.refs() as f64
+        }
+    }
+
+    /// A copy of the counters, so a grid cell's totals read like a
+    /// [`CacheStats`]'s.
+    pub fn totals(&self) -> CacheTotals {
+        *self
     }
 
     /// Element-wise difference `self - earlier`. Panics in debug builds if
@@ -166,174 +250,52 @@ impl CacheTotals {
     }
 }
 
-/// Aggregate and per-block statistics for one simulated cache.
+/// A [`CacheTotals`] plus per-block counters, for one [`crate::Cache`] or
+/// [`crate::SetAssocCache`] (whose "blocks" are its sets).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    mutator_reads: u64,
-    mutator_writes: u64,
-    collector_reads: u64,
-    collector_writes: u64,
-
-    read_miss_fetches: u64,
-    partial_fill_fetches: u64,
-    write_miss_fetches: u64,
-    write_validate_installs: u64,
-    alloc_misses: u64,
-
-    mutator_fetches: u64,
-    collector_fetches: u64,
-
-    writebacks: u64,
-    write_through_words: u64,
-
+    pub(crate) totals: CacheTotals,
     blocks: Vec<BlockStats>,
 }
 
 impl CacheStats {
     pub(crate) fn new(num_blocks: u32) -> Self {
         CacheStats {
+            totals: CacheTotals::default(),
             blocks: vec![BlockStats::default(); num_blocks as usize],
-            ..Default::default()
         }
     }
 
+    /// Count a reference that indexed `block`.
     #[inline]
     pub(crate) fn count_ref(&mut self, ctx: Context, is_read: bool, block: usize) {
-        match (ctx, is_read) {
-            (Context::Mutator, true) => self.mutator_reads += 1,
-            (Context::Mutator, false) => self.mutator_writes += 1,
-            (Context::Collector, true) => self.collector_reads += 1,
-            (Context::Collector, false) => self.collector_writes += 1,
-        }
+        self.totals.count_ref(ctx, is_read);
         self.blocks[block].refs += 1;
     }
 
-    #[inline]
-    pub(crate) fn count_fetch(&mut self, ctx: Context) {
-        match ctx {
-            Context::Mutator => self.mutator_fetches += 1,
-            Context::Collector => self.collector_fetches += 1,
-        }
-    }
-
+    /// Count a miss of any kind in `block`; `alloc` marks an allocation miss.
     #[inline]
     pub(crate) fn count_block_miss(&mut self, block: usize, alloc: bool) {
         self.blocks[block].misses += 1;
         if alloc {
             self.blocks[block].alloc_misses += 1;
-            self.alloc_misses += 1;
+            self.totals.alloc_misses += 1;
         }
-    }
-
-    #[inline]
-    pub(crate) fn count_read_miss_fetch(&mut self) {
-        self.read_miss_fetches += 1;
-    }
-
-    #[inline]
-    pub(crate) fn count_partial_fill(&mut self) {
-        self.partial_fill_fetches += 1;
-    }
-
-    #[inline]
-    pub(crate) fn count_write_miss_fetch(&mut self) {
-        self.write_miss_fetches += 1;
-    }
-
-    #[inline]
-    pub(crate) fn count_write_validate_install(&mut self) {
-        self.write_validate_installs += 1;
-    }
-
-    #[inline]
-    pub(crate) fn count_writeback(&mut self) {
-        self.writebacks += 1;
-    }
-
-    #[inline]
-    pub(crate) fn count_write_through(&mut self) {
-        self.write_through_words += 1;
     }
 
     /// Total references seen.
     pub fn refs(&self) -> u64 {
-        self.mutator_reads + self.mutator_writes + self.collector_reads + self.collector_writes
+        self.totals.refs()
     }
 
-    /// References made by `ctx`.
-    pub fn refs_by(&self, ctx: Context) -> u64 {
-        match ctx {
-            Context::Mutator => self.mutator_reads + self.mutator_writes,
-            Context::Collector => self.collector_reads + self.collector_writes,
-        }
-    }
-
-    /// Block fetches from main memory — the misses that stall the processor
-    /// and thus the `M` of the paper's overhead formulas.
+    /// Block fetches from main memory.
     pub fn fetches(&self) -> u64 {
-        self.mutator_fetches + self.collector_fetches
-    }
-
-    /// Fetches attributed to `ctx` (`M_prog` vs `M_gc`).
-    pub fn fetches_by(&self, ctx: Context) -> u64 {
-        match ctx {
-            Context::Mutator => self.mutator_fetches,
-            Context::Collector => self.collector_fetches,
-        }
-    }
-
-    /// Fetches caused by read misses on absent blocks.
-    pub fn read_miss_fetches(&self) -> u64 {
-        self.read_miss_fetches
-    }
-
-    /// Fetches caused by reads of not-yet-validated words in a present
-    /// block (write-validate sub-block fills).
-    pub fn partial_fill_fetches(&self) -> u64 {
-        self.partial_fill_fetches
-    }
-
-    /// Fetches caused by write misses (fetch-on-write policy only).
-    pub fn write_miss_fetches(&self) -> u64 {
-        self.write_miss_fetches
-    }
-
-    /// Write misses that installed a tag without fetching (write-validate).
-    pub fn write_validate_installs(&self) -> u64 {
-        self.write_validate_installs
-    }
-
-    /// Allocation misses (§7): tag-installing misses caused by initializing
-    /// stores to fresh dynamic memory blocks.
-    pub fn alloc_misses(&self) -> u64 {
-        self.alloc_misses
-    }
-
-    /// Total misses of all kinds, fetching or not.
-    pub fn misses(&self) -> u64 {
-        self.read_miss_fetches
-            + self.partial_fill_fetches
-            + self.write_miss_fetches
-            + self.write_validate_installs
+        self.totals.fetches()
     }
 
     /// Classic miss ratio (all misses over all references).
     pub fn miss_ratio(&self) -> f64 {
-        if self.refs() == 0 {
-            0.0
-        } else {
-            self.misses() as f64 / self.refs() as f64
-        }
-    }
-
-    /// Dirty-block evictions (write-back caches).
-    pub fn writebacks(&self) -> u64 {
-        self.writebacks
-    }
-
-    /// Words written through to memory (write-through caches).
-    pub fn write_through_words(&self) -> u64 {
-        self.write_through_words
+        self.totals.miss_ratio()
     }
 
     /// Per-cache-block statistics.
@@ -341,24 +303,10 @@ impl CacheStats {
         &self.blocks
     }
 
-    /// Copyable snapshot of the scalar counters (everything except the
-    /// per-block vectors), for windowed timeline deltas.
+    /// Copyable snapshot of the scalar counters, for windowed timeline
+    /// deltas and for comparing against a grid lane.
     pub fn totals(&self) -> CacheTotals {
-        CacheTotals {
-            mutator_reads: self.mutator_reads,
-            mutator_writes: self.mutator_writes,
-            collector_reads: self.collector_reads,
-            collector_writes: self.collector_writes,
-            read_miss_fetches: self.read_miss_fetches,
-            partial_fill_fetches: self.partial_fill_fetches,
-            write_miss_fetches: self.write_miss_fetches,
-            write_validate_installs: self.write_validate_installs,
-            alloc_misses: self.alloc_misses,
-            mutator_fetches: self.mutator_fetches,
-            collector_fetches: self.collector_fetches,
-            writebacks: self.writebacks,
-            write_through_words: self.write_through_words,
-        }
+        self.totals
     }
 }
 
@@ -398,12 +346,12 @@ mod tests {
     fn totals_snapshot_and_delta() {
         let mut s = CacheStats::new(4);
         s.count_ref(Context::Mutator, true, 0);
-        s.count_fetch(Context::Mutator);
-        s.count_read_miss_fetch();
+        s.totals.count_fetch(Context::Mutator);
+        s.totals.count_read_miss_fetch();
         let early = s.totals();
         s.count_ref(Context::Collector, false, 1);
-        s.count_write_validate_install();
-        s.count_writeback();
+        s.totals.count_write_validate_install();
+        s.totals.count_writeback();
         let late = s.totals();
         let d = late.delta(&early);
         assert_eq!(d.refs(), 1);
@@ -414,6 +362,7 @@ mod tests {
         assert_eq!(d.writebacks, 1);
         assert_eq!(early.add(&d), late);
         assert_eq!(late.delta(&late), CacheTotals::default());
+        assert_eq!(late.totals(), late);
     }
 
     #[test]
@@ -421,14 +370,17 @@ mod tests {
         let mut s = CacheStats::new(4);
         s.count_ref(Context::Mutator, true, 0);
         s.count_ref(Context::Collector, false, 1);
-        s.count_fetch(Context::Mutator);
-        s.count_read_miss_fetch();
+        s.totals.count_fetch(Context::Mutator);
+        s.totals.count_read_miss_fetch();
         s.count_block_miss(0, true);
+        let t = s.totals();
         assert_eq!(s.refs(), 2);
-        assert_eq!(s.refs_by(Context::Mutator), 1);
+        assert_eq!(t.refs_by(Context::Mutator), 1);
         assert_eq!(s.fetches(), 1);
-        assert_eq!(s.fetches_by(Context::Collector), 0);
-        assert_eq!(s.alloc_misses(), 1);
+        assert_eq!(t.fetches_by(Context::Collector), 0);
+        assert_eq!(t.alloc_misses, 1);
         assert_eq!(s.blocks()[0].misses, 1);
+        assert_eq!(s.blocks()[0].alloc_misses, 1);
+        assert_eq!(s.blocks()[1].refs, 1);
     }
 }

@@ -14,10 +14,11 @@ use cachegc::gc::{
     NoCollector, Roots,
 };
 use cachegc::heap::{Header, Heap, HeapConfig, ObjKind, Value};
-use cachegc::sim::{Cache, CacheConfig, SetAssocCache, WriteHitPolicy, WriteMissPolicy};
+use cachegc::sim::{Cache, CacheConfig, GridCache, SetAssocCache, WriteHitPolicy, WriteMissPolicy};
 use cachegc::testkit::{check, Rng};
 use cachegc::trace::{
-    Access, AccessKind, Context, Counters, Fanout, NullSink, Recorder, TraceSink, DYNAMIC_BASE,
+    Access, AccessKind, Context, Counters, EventBatch, Fanout, NullSink, Recorder, TraceSink,
+    DYNAMIC_BASE, EVENT_BATCH,
 };
 use cachegc::vm::{read, Machine, Sexp};
 
@@ -109,7 +110,7 @@ fn cache_matches_reference_model() {
             model.access(a);
         }
         assert_eq!(cache.stats().fetches(), model.fetches);
-        assert_eq!(cache.stats().misses(), model.misses);
+        assert_eq!(cache.stats().totals().misses(), model.misses);
     });
 }
 
@@ -124,9 +125,7 @@ fn one_way_set_assoc_equals_direct_mapped() {
             dm.access(a);
             sa.access(a);
         }
-        assert_eq!(dm.stats().fetches(), sa.stats().fetches());
-        assert_eq!(dm.stats().misses(), sa.stats().misses());
-        assert_eq!(dm.stats().writebacks(), sa.stats().writebacks());
+        assert_eq!(dm.stats().totals(), sa.stats().totals());
     });
 }
 
@@ -201,6 +200,110 @@ fn higher_associativity_never_increases_capacity_misses_for_sequential() {
 }
 
 // ---------------------------------------------------------------------
+// Every grid lane equals its Cache oracle under arbitrary batch cuts
+// ---------------------------------------------------------------------
+
+/// A stream that walks forward word by word, jumps, steps back, flips
+/// between mutator and collector, and mixes reads, writes and allocation
+/// writes.
+fn walk_stream(rng: &mut Rng, n: usize) -> Vec<Access> {
+    let mut addr = DYNAMIC_BASE;
+    let mut ctx = Context::Mutator;
+    (0..n)
+        .map(|_| {
+            addr = match rng.range_u32(0, 4) {
+                0 | 1 => addr.wrapping_add(4),
+                2 => DYNAMIC_BASE + rng.range_u32(0, 1 << 18) * 4,
+                _ => addr.wrapping_sub(rng.range_u32(1, 64) * 4),
+            };
+            if rng.range_u32(0, 8) == 0 {
+                ctx = match ctx {
+                    Context::Mutator => Context::Collector,
+                    Context::Collector => Context::Mutator,
+                };
+            }
+            match rng.range_u32(0, 3) {
+                0 => Access::read(addr, ctx),
+                1 => Access::write(addr, ctx),
+                _ => Access::alloc_write(addr, ctx),
+            }
+        })
+        .collect()
+}
+
+/// `accesses` (at most [`EVENT_BATCH`]) as a hand-built batch whose
+/// unused tail is random junk that a kernel must never read.
+fn batch_of(rng: &mut Rng, accesses: &[Access]) -> EventBatch {
+    let mut batch = EventBatch {
+        addrs: [0; EVENT_BATCH],
+        flags: [0; EVENT_BATCH],
+        len: accesses.len(),
+    };
+    for i in 0..EVENT_BATCH {
+        (batch.addrs[i], batch.flags[i]) = match accesses.get(i) {
+            // Flag bits as `EventBatch` documents them: write, collector,
+            // alloc-init.
+            Some(a) => (
+                a.addr,
+                u8::from(a.is_write())
+                    | u8::from(a.ctx == Context::Collector) << 1
+                    | u8::from(a.alloc_init) << 2,
+            ),
+            None => (rng.next_u32(), rng.range_u32(0, 8) as u8),
+        };
+    }
+    batch
+}
+
+#[test]
+fn grid_lanes_match_their_cache_oracles_under_any_batch_cuts() {
+    check("grid_batch_cuts", 48, |rng| {
+        let configs: Vec<CacheConfig> = (0..rng.range_usize(1, 9))
+            .map(|_| {
+                let block = 1u32 << rng.range_u32(4, 9);
+                let size = 1u32 << rng.range_u32(12, 19);
+                let hit = if rng.bool() {
+                    WriteHitPolicy::WriteBack
+                } else {
+                    WriteHitPolicy::WriteThrough
+                };
+                let miss = if rng.bool() {
+                    WriteMissPolicy::WriteValidate
+                } else {
+                    WriteMissPolicy::FetchOnWrite
+                };
+                CacheConfig::direct_mapped(size, block)
+                    .with_write_hit(hit)
+                    .with_write_miss(miss)
+            })
+            .collect();
+        let n = rng.range_usize(0, 3000);
+        let accesses = walk_stream(rng, n);
+        let mut oracles: Vec<Cache> = configs.iter().map(|&c| Cache::new(c)).collect();
+        let mut batched = GridCache::new(configs.clone());
+        let mut scalar = GridCache::new(configs.clone());
+        let mut rest = &accesses[..];
+        while !rest.is_empty() {
+            let (head, tail) = rest.split_at(rng.range_usize(1, EVENT_BATCH + 1).min(rest.len()));
+            batched.consume(&batch_of(rng, head));
+            rest = tail;
+        }
+        for &a in &accesses {
+            scalar.access(a);
+            oracles.iter_mut().for_each(|c| c.access(a));
+        }
+        assert_eq!(batched.events(), accesses.len() as u64);
+        assert_eq!(scalar.events(), accesses.len() as u64);
+        for (lane, cache) in oracles.iter().enumerate() {
+            let want = cache.stats().totals();
+            let cfg = configs[lane];
+            assert_eq!(*batched.stats(lane), want, "batched lane {lane} ({cfg})");
+            assert_eq!(*scalar.stats(lane), want, "per-event lane {lane} ({cfg})");
+        }
+    });
+}
+
+// ---------------------------------------------------------------------
 // A crew pass replays its own recording bit-identically to Fanout
 // ---------------------------------------------------------------------
 
@@ -237,8 +340,8 @@ fn assert_cells_identical(seq: Vec<Cache>, par: Vec<Cache>) {
         assert_eq!(s.config(), p.config(), "grid order preserved");
         let (s, p) = (s.into_stats(), p.into_stats());
         assert_eq!(s.fetches(), p.fetches());
-        assert_eq!(s.misses(), p.misses());
-        assert_eq!(s.writebacks(), p.writebacks());
+        assert_eq!(s.totals().misses(), p.totals().misses());
+        assert_eq!(s.totals().writebacks, p.totals().writebacks);
         assert_eq!(s.blocks(), p.blocks(), "per-block counters identical");
         assert_eq!(s, p, "full statistics bit-identical");
     }
