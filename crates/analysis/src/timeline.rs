@@ -115,7 +115,7 @@ struct OpenCollection {
 /// A [`TraceSink`] that feeds every event to a wrapped [`Cache`] and closes
 /// a sample window whenever the window fills or the event context flips
 /// (a GC epoch boundary). Joins [`crate::Instrument`] so it runs under
-/// every driver — sequential, packet crew, record/replay, grid kernel.
+/// every driver — sequential, crew, record/replay, grid kernel.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Timeline {
     cache: Cache,

@@ -11,7 +11,7 @@ use std::sync::Arc;
 use cachegc_bench::cli::{MetricsArg, TraceCacheArg, TraceExportArg};
 use cachegc_bench::experiments::{self, Experiment};
 use cachegc_bench::golden::{
-    bless_tables, check_tables_on, golden_engine, run_sweep, Tolerance, GOLDEN_DIR, GOLDEN_SCALE,
+    bless_tables, check_tables, golden_engine, run_sweep, Tolerance, GOLDEN_DIR, GOLDEN_SCALE,
 };
 use cachegc_core::{
     chrome_trace_json, validate_chrome_trace, validate_timeline, Manifest, ManifestConfig, Runner,
@@ -306,8 +306,7 @@ fn main() -> ExitCode {
                 }
                 continue;
             }
-            for (table, drifts) in check_tables_on(&runner, &opts.dir, exp.name, &tables, &opts.tol)
-            {
+            for (table, drifts) in check_tables(&opts.dir, exp.name, &tables, &opts.tol) {
                 drifted += 1;
                 println!("DRIFT in {} table '{table}':", exp.name);
                 for d in drifts {

@@ -492,8 +492,8 @@ fn usage(binary: &str, about: &str, default_scale: u32) -> String {
          \x20                overrides) and write a cachegc-timeline-v1 JSONL\n\
          \x20                stream, default results/timeline/{binary}.jsonl, plus\n\
          \x20                a summary table on stderr; results stay bit-identical\n\
-         \x20 --trace-export E  capture timestamped scheduler spans (packets,\n\
-         \x20                steals, idle, backpressure, GC and store phases) and\n\
+         \x20 --trace-export E  capture timestamped scheduler spans (crew jobs,\n\
+         \x20                backpressure, GC and store phases) and\n\
          \x20                export Chrome trace-event JSON loadable in Perfetto,\n\
          \x20                default results/trace/{binary}.json; works with\n\
          \x20                --metrics off\n\

@@ -60,7 +60,10 @@ const SPECS: [CollectorSpec; 5] = [
 ];
 
 fn sweep(scale: u32, runner: &Runner) -> Sweep {
-    let cfg = ExperimentConfig::paper();
+    // The `ogc` table reads only 64-byte blocks, so only those cells are
+    // simulated: 8 of the paper grid's 40 per pass.
+    let mut cfg = ExperimentConfig::paper();
+    cfg.block_sizes = vec![64];
     let w = Workload::Lambda.scaled(scale);
 
     let mut gc_table = Table::new(

@@ -2,8 +2,8 @@
 //! under a generational collector, which stops recopying the long-lived,
 //! monotonically growing structure at every collection.
 //!
-//! `--jobs N` runs each comparison's control and collected passes as
-//! separate packets with the grid sharded across crew workers.
+//! `--jobs N` runs each comparison's control and collected passes on
+//! separate threads, each pass's grid sharded across its replay readers.
 
 use cachegc_core::report::{Cell, Table};
 use cachegc_core::{CollectorSpec, ExperimentConfig, Runner, FAST, SLOW};

@@ -21,7 +21,7 @@ use std::fmt;
 use std::path::{Path, PathBuf};
 
 use cachegc_core::report::{Cell, Table};
-use cachegc_core::{EngineConfig, PacketKind, Runner};
+use cachegc_core::{EngineConfig, Runner};
 
 use crate::experiments::Experiment;
 
@@ -206,21 +206,9 @@ pub fn check_tables(
     tables: &[Table],
     tol: &Tolerance,
 ) -> Vec<(String, Vec<Drift>)> {
-    check_tables_on(&Runner::sequential(), dir, experiment, tables, tol)
-}
-
-/// [`check_tables`], with each table's golden read and diff running as a
-/// [`PacketKind::GoldenDiff`] packet on the runner's crew (inline when the
-/// runner is sequential).
-pub fn check_tables_on(
-    runner: &Runner,
-    dir: &Path,
-    experiment: &str,
-    tables: &[Table],
-    tol: &Tolerance,
-) -> Vec<(String, Vec<Drift>)> {
-    runner
-        .map_with(PacketKind::GoldenDiff, tables, |_, table| {
+    tables
+        .iter()
+        .map(|table| {
             let path = golden_path(dir, experiment, table.name());
             let drifts = match Table::read_csv(&path) {
                 Ok(golden) => diff_tables(&golden, table, tol),
@@ -231,7 +219,6 @@ pub fn check_tables_on(
             };
             (table.name().to_string(), drifts)
         })
-        .into_iter()
         .filter(|(_, drifts)| !drifts.is_empty())
         .collect()
 }

@@ -48,7 +48,7 @@ pub use experiment::{
 };
 pub use overhead::{cache_overhead, gc_overhead, write_back_overhead};
 pub use runner::{default_jobs, Runner};
-pub use sched::{CrewReport, EngineConfig, PacketKind, Schedule, Scheduler};
+pub use sched::{EngineConfig, PacketKind, Schedule};
 pub use store::{
     scenario_label, Acquired, HitSource, OfferOutcome, RecordTicket, ScenarioGauges, StoreStats,
     StoredTrace, TraceStore,

@@ -12,15 +12,16 @@
 //! The worker count alone picks a pass's shape. With one worker
 //! (`jobs <= 1`) a pass runs inline: the VM drives the sinks through one
 //! [`Fanout`] on the calling thread. With more, a pass is a crew of
-//! replay readers ([`PacketKind::ReplayShard`] packets, or
+//! replay readers ([`PacketKind::ReplayShard`], or
 //! [`PacketKind::GridSimulate`] for grids), each decoding the encoded
 //! trace into its shard of the sinks: the stored trace on a store hit,
 //! otherwise the segment feed (see
 //! [`cachegc_trace::feed`](mod@cachegc_trace::feed)) that the VM, running
-//! on the calling thread, fills through its recorder. `map` items and
-//! comparison passes ride as [`PacketKind::Task`] /
-//! [`PacketKind::VmExecute`] packets. Per-sink results are bit-identical
-//! on every path (property-tested in the workspace root).
+//! on the calling thread, fills through its recorder. `map` workers and
+//! a comparison's control pass run on crews too ([`PacketKind::Task`] /
+//! [`PacketKind::VmExecute`]). Every crew is one scoped thread per job
+//! (`crate::sched`). Per-sink results are bit-identical on every path
+//! (property-tested in the workspace root).
 //!
 //! # Example
 //!
@@ -34,7 +35,8 @@
 //! assert!(report.refs > 0);
 //! ```
 
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::Instant;
 
 use cachegc_analysis::{Instrument, Timeline};
@@ -42,7 +44,7 @@ use cachegc_gc::{
     CheneyCollector, GenerationalCollector, ImmixCollector, MarkSweepCollector, NoCollector,
 };
 use cachegc_sim::{CacheConfig, GridCache};
-use cachegc_telemetry::{probe, Counter, EngineReport, Telemetry};
+use cachegc_telemetry::{probe, Counter, EngineReport, Telemetry, WorkerStats};
 use cachegc_trace::{
     feed, Fanout, FeedStats, RecordedTrace, Recorder, RefCounter, Segments, TraceSink,
     DEFAULT_SEGMENT_BYTES,
@@ -54,7 +56,7 @@ use crate::experiment::{
     collected_run, control_report, CacheCell, CollectedRun, CollectorSpec, ControlReport,
     ExperimentConfig, GcComparison,
 };
-use crate::sched::{CrewReport, EngineConfig, PacketKind, Scheduler};
+use crate::sched::{crew, EngineConfig, PacketKind};
 use crate::store::{scenario_label, Acquired, HitSource, OfferOutcome, RecordTicket, TraceStore};
 use crate::telemetry::Progress;
 use crate::timeline::TimelineRecorder;
@@ -189,7 +191,7 @@ fn unshard<T: TraceSink>(order: Vec<Vec<usize>>, shards: Vec<Fanout<T>>) -> Vec<
 /// A direct-mapped configuration grid as one [`GridCache`] shard per
 /// worker (at most one per configuration), plus each shard's input
 /// positions for [`Runner::grid_cells`]. The shards are allocated here,
-/// on the calling thread, before any packet runs: grid state first
+/// on the calling thread, before any reader starts: grid state first
 /// allocated inside a crew worker lands in that worker's malloc arena
 /// and stays resident after the pass.
 fn grid_shards(configs: Vec<CacheConfig>, jobs: usize) -> (Vec<Vec<usize>>, Vec<GridCache>) {
@@ -214,11 +216,10 @@ struct Live<O, T> {
     events: u64,
 }
 
-/// The unified experiment driver: an engine configuration, the optional
-/// attachments a pass reports into (trace store, telemetry, timeline,
-/// progress), and a packet [`Scheduler`]. `Clone` is cheap; builder
-/// methods consume and return `self` so runners for sub-budgets derive
-/// freely.
+/// The unified experiment driver: an engine configuration and the
+/// optional attachments a pass reports into (trace store, telemetry,
+/// timeline, progress). `Clone` is cheap; builder methods consume and
+/// return `self` so runners for sub-budgets derive freely.
 #[derive(Debug, Clone)]
 pub struct Runner<'a> {
     /// Worker count for each pass.
@@ -232,7 +233,6 @@ pub struct Runner<'a> {
     progress: Option<&'a Progress>,
     /// Windowed cache/GC timeline every pass taps its stream into.
     timeline: Option<&'a TimelineRecorder>,
-    sched: Scheduler,
     /// Segment size of the recordings this runner makes.
     segment_bytes: usize,
 }
@@ -246,7 +246,6 @@ impl<'a> Runner<'a> {
             telemetry: None,
             progress: None,
             timeline: None,
-            sched: Scheduler::new(),
             segment_bytes: DEFAULT_SEGMENT_BYTES,
         }
     }
@@ -266,11 +265,10 @@ impl<'a> Runner<'a> {
     /// Attach a telemetry registry: every pass attaches a probe shard on
     /// its thread and reports phases, counters, and engine observability.
     /// Crew workers get per-worker `worker-{i}` shards, so scheduler
-    /// spans (packet execute, idle, steal, backpressure) land on stable
-    /// timeline rows when the registry captures spans.
+    /// spans (crew jobs, backpressure) land on stable timeline rows when
+    /// the registry captures spans.
     pub fn with_telemetry(mut self, telemetry: &'a Arc<Telemetry>) -> Runner<'a> {
         self.telemetry = Some(telemetry);
-        self.sched = self.sched.with_telemetry(Arc::clone(telemetry));
         self
     }
 
@@ -325,28 +323,28 @@ impl<'a> Runner<'a> {
     }
 
     /// Fold a finished crew into the attached telemetry as one engine
-    /// run keyed by the `kind` of packets it ran: `sinks` driven over
+    /// run keyed by the `kind` of jobs it ran: `sinks` driven over
     /// `events` events, plus what a live pass's feed observed (the
     /// caller must hold a probe shard on this thread).
     fn flush_crew(
         &self,
         kind: PacketKind,
-        report: CrewReport,
+        workers: Vec<WorkerStats>,
         sinks: usize,
         events: u64,
         feed: FeedStats,
     ) {
-        probe!(Counter::SchedPackets, report.packets);
+        probe!(Counter::SchedPackets, workers.len() as u64);
         if let Some(telemetry) = self.telemetry {
             telemetry.record_engine(&EngineReport {
                 kind: kind.name(),
-                jobs: report.workers.len(),
+                jobs: workers.len(),
                 sinks,
                 chunks_published: feed.segments,
                 events_published: events,
                 backpressure_ns: feed.wait_ns,
                 queue_depth_hwm: feed.max_lag,
-                workers: report.workers,
+                workers,
             });
         }
     }
@@ -364,7 +362,7 @@ impl<'a> Runner<'a> {
     /// With one worker a live pass runs the sinks inline on the VM's
     /// tuple sink. With more, the VM runs on the calling thread into a
     /// recorder whose sealed segments feed `min(jobs, sinks)` reader
-    /// packets, each replaying the feed into its shard of the sinks as a
+    /// threads, each replaying the feed into its shard of the sinks as a
     /// hit replays the stored trace. Per-sink results are bit-identical
     /// on every path.
     ///
@@ -373,7 +371,7 @@ impl<'a> Runner<'a> {
     /// calling thread, times the `vm_execute` / `record` / `replay` /
     /// `sink_drain` phases (`record` wraps the live run on the miss path,
     /// so those spans overlap `vm_execute` by design), counts live VM
-    /// runs, packets, and store capture outcomes, and reports each crew
+    /// runs, crew jobs, and store capture outcomes, and reports each crew
     /// as an engine run. A runner carrying a [`Progress`] gets one tick
     /// per completed pass. Neither changes any result bit.
     ///
@@ -533,9 +531,9 @@ impl<'a> Runner<'a> {
     /// `(tap, (rider, Fanout))`, the rider being `recorder` (a store
     /// miss's) or an event tally. With more, the producer records into
     /// `recorder` — or, without one, a recorder that keeps nothing — and
-    /// every segment it seals feeds `min(jobs, sinks)` reader packets of
-    /// `kind`, which `read` their shard of the sinks from the feed while
-    /// it grows, exactly as a store hit's readers read the stored trace.
+    /// every segment it seals feeds `min(jobs, sinks)` readers of `kind`,
+    /// which `read` their shard of the sinks from the feed while it
+    /// grows, exactly as a store hit's readers read the stored trace.
     fn live<P, T, R>(
         &self,
         producer: P,
@@ -589,7 +587,7 @@ impl<'a> Runner<'a> {
             .with_segment_bytes(self.segment_bytes)
             .with_feed(writer);
         let sources = feeds.into_iter().map(Segments::Feed).collect();
-        let (produced, shards, report) = self.read_shards(kind, sources, shards, &read, || {
+        let (produced, shards, workers) = self.read_shards(kind, sources, shards, &read, || {
             let (out, (tap, mut rec)) = {
                 let _vm = probe::phase_cpu("vm_execute");
                 producer.run((tap, recorder))?
@@ -600,12 +598,12 @@ impl<'a> Runner<'a> {
         let (out, tap, rec, feed) = match produced {
             Ok(produced) => produced,
             Err(e) => {
-                self.flush_crew(kind, report, n, 0, FeedStats::default());
+                self.flush_crew(kind, workers, n, 0, FeedStats::default());
                 return Err(e);
             }
         };
         let events = rec.events();
-        self.flush_crew(kind, report, n, events, feed);
+        self.flush_crew(kind, workers, n, events, feed);
         Ok(Live {
             out,
             sinks: unshard(order, shards),
@@ -616,7 +614,7 @@ impl<'a> Runner<'a> {
     }
 
     /// A store hit: replay `trace` into the sinks, dealt over
-    /// `min(jobs, sinks)` reader packets of `kind` (in-thread for one).
+    /// `min(jobs, sinks)` readers of `kind` (in-thread for one).
     fn replay<T, R>(
         &self,
         trace: &RecordedTrace,
@@ -635,18 +633,18 @@ impl<'a> Runner<'a> {
             read(&mut Segments::Trace(trace), &mut shards[0]);
         } else {
             let sources = (0..readers).map(|_| Segments::Trace(trace)).collect();
-            let ((), read_back, report) = self.read_shards(kind, sources, shards, &read, || ());
-            self.flush_crew(kind, report, n, trace.events(), FeedStats::default());
+            let ((), read_back, workers) = self.read_shards(kind, sources, shards, &read, || ());
+            self.flush_crew(kind, workers, n, trace.events(), FeedStats::default());
             shards = read_back;
         }
         unshard(order, shards)
     }
 
-    /// The crew behind every replay: reader packet `j` of `kind` reads
-    /// `sources[j]` into `shards[j]`, pinned to worker `j`'s deque, while
-    /// `produce` runs on the calling thread. Waits for every reader, then
-    /// returns `produce`'s result, the shards in order, and the crew's
-    /// accounting.
+    /// The crew behind every replay: reader `j` of `kind` reads
+    /// `sources[j]` into `shards[j]` on its own thread while `produce`
+    /// runs on the calling thread. Waits for every reader (the
+    /// `sink_drain` phase), then returns `produce`'s result, the shards in
+    /// order, and each reader's accounting.
     fn read_shards<'s, T, P>(
         &self,
         kind: PacketKind,
@@ -654,36 +652,34 @@ impl<'a> Runner<'a> {
         shards: Vec<Fanout<T>>,
         read: &(impl Fn(&mut Segments<'_>, &mut Fanout<T>) + Sync),
         produce: impl FnOnce() -> P,
-    ) -> (P, Vec<Fanout<T>>, CrewReport)
+    ) -> (P, Vec<Fanout<T>>, Vec<WorkerStats>)
     where
         T: TraceSink + Send,
     {
-        let slots: Vec<Mutex<Option<Fanout<T>>>> =
-            shards.iter().map(|_| Mutex::new(None)).collect();
-        let (produced, report) = self.sched.run(shards.len(), |crew| {
-            for (j, ((mut shard, mut source), slot)) in
-                shards.into_iter().zip(sources).zip(&slots).enumerate()
-            {
-                crew.submit(kind, Some(j), move |stats| {
-                    read(&mut source, &mut shard);
-                    stats.events += source.events() * shard.sinks().len() as u64;
-                    *slot.lock().expect("reader slot poisoned") = Some(shard);
-                });
-            }
-            let produced = produce();
-            let _drain = probe::phase("sink_drain");
-            crew.wait_idle();
-            produced
-        });
-        let shards = slots
+        let readers = shards
             .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .expect("reader slot poisoned")
-                    .expect("reader packet ran")
+            .zip(sources)
+            .map(|(mut shard, mut source)| {
+                move || {
+                    read(&mut source, &mut shard);
+                    (source.events(), shard)
+                }
             })
             .collect();
-        (produced, shards, report)
+        let ((produced, drain), read_back, mut workers) =
+            crew(self.telemetry, kind, readers, || {
+                (produce(), probe::phase("sink_drain"))
+            });
+        drop(drain);
+        let shards = read_back
+            .into_iter()
+            .zip(&mut workers)
+            .map(|((events, shard), stats)| {
+                stats.events = events * shard.sinks().len() as u64;
+                shard
+            })
+            .collect();
+        (produced, shards, workers)
     }
 
     /// [`Runner::sinks`] for the closed heterogeneous [`Instrument`] set —
@@ -782,9 +778,10 @@ impl<'a> Runner<'a> {
         Ok(collected_run(instance, spec, stats, cells))
     }
 
-    /// The paired §5/§6 runs: the control and collected passes ride as
-    /// two [`PacketKind::VmExecute`] packets on a two-worker crew,
-    /// splitting the engine's worker budget between them. A pass whose
+    /// The paired §5/§6 runs: the control pass runs on a one-job
+    /// [`PacketKind::VmExecute`] crew while the collected pass runs on
+    /// the calling thread, the two splitting the engine's worker budget
+    /// between them. A pass whose
     /// scenario is already recorded in the store is a cheap replay, so it
     /// gets the minimum (one worker) and the live pass gets the
     /// remainder; when both are live (or both recorded) the budget is
@@ -819,34 +816,19 @@ impl<'a> Runner<'a> {
         };
         let control_runner = self.clone().with_jobs(control_jobs);
         let collected_runner = self.clone().with_jobs(collected_jobs);
-        let control_slot: Mutex<Option<Result<ControlReport, VmError>>> = Mutex::new(None);
-        let collected_slot: Mutex<Option<Result<CollectedRun, VmError>>> = Mutex::new(None);
         let _shard = self.telemetry.map(|t| t.attach());
-        let ((), report) = self.sched.run(2, |crew| {
-            let control_runner = &control_runner;
-            let control_slot = &control_slot;
-            crew.submit(PacketKind::VmExecute, Some(0), move |_| {
-                *control_slot.lock().expect("control slot poisoned") =
-                    Some(control_runner.control(instance, cfg));
-            });
-            let collected_runner = &collected_runner;
-            let collected_slot = &collected_slot;
-            crew.submit(PacketKind::VmExecute, Some(1), move |_| {
-                *collected_slot.lock().expect("collected slot poisoned") =
-                    Some(collected_runner.collected(instance, cfg, spec));
-            });
-            crew.wait_idle();
-        });
-        self.flush_crew(PacketKind::VmExecute, report, 0, 0, FeedStats::default());
-        let control = control_slot
-            .into_inner()
-            .expect("control slot poisoned")
-            .expect("control packet ran")?;
-        let collected = collected_slot
-            .into_inner()
-            .expect("collected slot poisoned")
-            .expect("collected packet ran")?;
-        Ok(GcComparison { control, collected })
+        let (collected, control, workers) = crew(
+            self.telemetry,
+            PacketKind::VmExecute,
+            vec![|| control_runner.control(instance, cfg)],
+            || collected_runner.collected(instance, cfg, spec),
+        );
+        self.flush_crew(PacketKind::VmExecute, workers, 0, 0, FeedStats::default());
+        let control = control.into_iter().next().expect("one control job")?;
+        Ok(GcComparison {
+            control,
+            collected: collected?,
+        })
     }
 
     /// Split this runner's worker budget between `n` concurrent outer
@@ -858,11 +840,13 @@ impl<'a> Runner<'a> {
         (outer, (self.engine.jobs / outer).max(1))
     }
 
-    /// Apply `f` to every item as [`PacketKind::Task`] packets, preserving
-    /// input order in the results. The worker budget splits per
-    /// [`Runner::split_jobs`]: `f` receives a derived runner holding each
-    /// task's share of the budget. An effectively-sequential split runs
-    /// inline.
+    /// Apply `f` to every item, preserving input order in the results.
+    /// The worker budget splits per [`Runner::split_jobs`]: `f` receives
+    /// a derived runner holding each task's share of the budget. An
+    /// effectively-sequential split runs inline; otherwise a crew of
+    /// `outer` [`PacketKind::Task`] workers each claims the next unclaimed
+    /// item until none is left, so one long item never holds up the
+    /// items behind it.
     ///
     /// This is the driver for the experiment sweeps' per-workload loops:
     /// each of the paper's five programs is an independent trace pass.
@@ -876,51 +860,39 @@ impl<'a> Runner<'a> {
         R: Send,
         F: Fn(&Runner<'a>, &T) -> R + Sync,
     {
-        self.map_with(PacketKind::Task, items, f)
-    }
-
-    /// [`Runner::map`] with an explicit packet kind, for callers whose
-    /// items are better described (e.g. [`PacketKind::GoldenDiff`] for
-    /// golden-table diffs, [`PacketKind::VmExecute`] for whole passes).
-    pub fn map_with<T, R, F>(&self, kind: PacketKind, items: &[T], f: F) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(&Runner<'a>, &T) -> R + Sync,
-    {
         let (outer, inner_jobs) = self.split_jobs(items.len());
         let inner = self.clone().with_jobs(inner_jobs);
         if outer <= 1 {
             return items.iter().map(|item| f(&inner, item)).collect();
         }
-        let slots: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
-        let _shard = self.telemetry.map(|t| t.attach());
-        let ((), report) = self.sched.run(outer, |crew| {
-            for (i, item) in items.iter().enumerate() {
-                let inner = &inner;
-                let f = &f;
-                let slot = &slots[i];
-                crew.submit(kind, None, move |_| {
-                    *slot.lock().expect("map slot poisoned") = Some(f(inner, item));
-                });
+        // Relaxed: the counter only hands out distinct indices; results
+        // come back through the crew's joins.
+        let next = AtomicUsize::new(0);
+        let worker = || {
+            let mut done = Vec::new();
+            loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                let Some(item) = items.get(i) else {
+                    return done;
+                };
+                done.push((i, f(&inner, item)));
             }
-            crew.wait_idle();
-        });
-        self.flush_crew(kind, report, 0, 0, FeedStats::default());
-        slots
-            .into_iter()
-            .map(|m| {
-                m.into_inner()
-                    .expect("map slot poisoned")
-                    .expect("task packet ran")
-            })
-            .collect()
+        };
+        let _shard = self.telemetry.map(|t| t.attach());
+        let ((), claimed, workers) = crew(
+            self.telemetry,
+            PacketKind::Task,
+            vec![&worker; outer],
+            || (),
+        );
+        self.flush_crew(PacketKind::Task, workers, 0, 0, FeedStats::default());
+        undeal(claimed.into_iter().flatten(), items.len())
     }
 
     /// The escape hatch for passes that drive the sink themselves (e.g. a
     /// hand-built VM loop): `f` receives a [`TraceSink`] over `sinks`
     /// under this runner's engine — inline through one [`Fanout`], or
-    /// recorded into a feed that reader packets replay into shards of
+    /// recorded into a feed that reader threads replay into shards of
     /// the sinks — and the sinks come back in input order along with
     /// `f`'s result. `kind` names the pass: its timeline commits under
     /// `drive:{kind}`. Phases, the VM-run counter, and engine
@@ -1158,8 +1130,8 @@ mod tests {
             "sequential store miss",
             &Runner::sequential().with_store(&store),
         );
-        let dir = std::env::temp_dir().join(format!("cachegc-grid-paths-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let tmp = crate::spill::TempDir::new("grid-paths");
+        let dir = tmp.path();
         let store = crate::TraceStore::unbounded().with_spill(dir.clone());
         check("crew store miss", &Runner::new(ws(2)).with_store(&store));
         for jobs in [1, 2, 3] {
@@ -1173,7 +1145,6 @@ mod tests {
         check("spill-load hit", &Runner::new(ws(2)).with_store(&warm));
         let s = warm.stats();
         assert_eq!((s.misses, s.spill_loads), (0, 2));
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1237,6 +1208,34 @@ mod tests {
         assert_eq!(wide.map(&[1u64, 2], |_, &x| x).len(), 2);
         let empty: [u64; 0] = [];
         assert!(wide.map(&empty, |_, &x| x).is_empty());
+    }
+
+    /// Item 0 waits until items 1–3 have finished. Workers that claim the
+    /// next unclaimed item get there (one blocks on item 0, the other
+    /// runs 1, 2 and 3); a static round-robin deal would queue item 2
+    /// behind item 0 on the same worker and time out.
+    #[test]
+    fn map_workers_claim_the_next_item() {
+        use std::sync::{mpsc, Mutex};
+        use std::time::Duration;
+        let (done, finished) = mpsc::channel();
+        let done = Mutex::new(done);
+        let finished = Mutex::new(finished);
+        let runner = Runner::new(EngineConfig::jobs(2));
+        let out = runner.map(&[0u32, 1, 2, 3], |_, &i| {
+            if i == 0 {
+                let finished = finished.lock().unwrap();
+                for _ in 1..4 {
+                    finished
+                        .recv_timeout(Duration::from_secs(5))
+                        .expect("items 1-3 run while item 0 waits");
+                }
+            } else {
+                done.lock().unwrap().send(()).unwrap();
+            }
+            i * 2
+        });
+        assert_eq!(out, [0, 2, 4, 6]);
     }
 
     #[test]

@@ -287,6 +287,36 @@ impl<R: Read> Hashed<R> {
     }
 }
 
+/// A scratch directory `cachegc-{tag}-PID-THREAD` under the system temp
+/// dir, removed with everything in it when the guard drops, so a test
+/// leaves nothing behind even when it fails.
+#[cfg(test)]
+pub(crate) struct TempDir(PathBuf);
+
+#[cfg(test)]
+impl TempDir {
+    pub(crate) fn new(tag: &str) -> TempDir {
+        let dir = std::env::temp_dir().join(format!(
+            "cachegc-{tag}-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = fs::remove_dir_all(&dir);
+        TempDir(dir)
+    }
+
+    pub(crate) fn path(&self) -> PathBuf {
+        self.0.clone()
+    }
+}
+
+#[cfg(test)]
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = fs::remove_dir_all(&self.0);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -308,19 +338,10 @@ mod tests {
         rec.finish().expect("unbounded")
     }
 
-    fn tempdir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "cachegc-spill-{tag}-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = fs::remove_dir_all(&dir);
-        dir
-    }
-
     #[test]
     fn write_then_read_round_trips_trace_and_stats() {
-        let spill = SpillDir::new(tempdir("roundtrip"));
+        let tmp = TempDir::new("spill-roundtrip");
+        let spill = SpillDir::new(tmp.path());
         let trace = sample_trace(500);
         let mut stats = RunStats {
             allocated_bytes: 12_345,
@@ -356,13 +377,15 @@ mod tests {
 
     #[test]
     fn missing_file_is_a_cold_miss_not_an_error() {
-        let spill = SpillDir::new(tempdir("missing"));
+        let tmp = TempDir::new("spill-missing");
+        let spill = SpillDir::new(tmp.path());
         assert!(spill.read("nothing@1").expect("no error").is_none());
     }
 
     #[test]
     fn truncated_and_corrupt_files_are_rejected() {
-        let spill = SpillDir::new(tempdir("corrupt"));
+        let tmp = TempDir::new("spill-corrupt");
+        let spill = SpillDir::new(tmp.path());
         let trace = sample_trace(200);
         spill.write("w@1", &trace, &RunStats::default()).unwrap();
         let path = spill.path_for("w@1");
@@ -443,7 +466,8 @@ mod tests {
 
     #[test]
     fn checksum_valid_files_that_do_not_decode_are_rejected() {
-        let spill = SpillDir::new(tempdir("undecodable"));
+        let tmp = TempDir::new("spill-undecodable");
+        let spill = SpillDir::new(tmp.path());
         // Large strides: multi-byte tokens, so cutting the last byte
         // leaves a token with its continuation bit set.
         let mut rec = Recorder::new();
@@ -486,7 +510,8 @@ mod tests {
 
     #[test]
     fn empty_trace_round_trips() {
-        let spill = SpillDir::new(tempdir("empty"));
+        let tmp = TempDir::new("spill-empty");
+        let spill = SpillDir::new(tmp.path());
         let trace = Recorder::new().finish().unwrap();
         assert_eq!(trace.bytes(), 0);
         spill

@@ -672,6 +672,7 @@ impl TraceStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spill::TempDir;
     use cachegc_telemetry::Telemetry;
     use cachegc_trace::{Access, Context, TraceSink};
     use cachegc_workloads::Workload;
@@ -706,16 +707,6 @@ mod tests {
             Acquired::Hit { trace, .. } => trace,
             Acquired::Miss(_) => panic!("{w:?} must hit"),
         }
-    }
-
-    fn tempdir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "cachegc-store-{tag}-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
     }
 
     #[test]
@@ -1111,7 +1102,8 @@ mod tests {
 
     #[test]
     fn spill_survives_restart_and_rejects_truncation() {
-        let dir = tempdir("restart");
+        let tmp = TempDir::new("store-restart");
+        let dir = tmp.path();
         let w = Workload::Rewrite.scaled(1);
         // First process: record and write through.
         {
@@ -1169,7 +1161,6 @@ mod tests {
             let s = store.stats();
             assert_eq!((s.spill_rejects, s.spill_loads, s.misses), (1, 0, 1));
         }
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1177,7 +1168,8 @@ mod tests {
         // With spill attached, an evicted scenario re-materializes from
         // its segment file on the next acquire instead of re-recording,
         // and the reload makes room by eviction like a capture.
-        let dir = tempdir("evict-reload");
+        let tmp = TempDir::new("store-evict-reload");
+        let dir = tmp.path();
         let one = capture_bytes(64);
         let store = TraceStore::with_budget(one + one / 2).with_spill(dir.clone());
         let a = Workload::Rewrite.scaled(1);
@@ -1205,12 +1197,12 @@ mod tests {
             s.entries + s.evictions + s.over_budget,
             "generalized balance holds with spill loads: {s}"
         );
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn a_spill_load_that_cannot_fit_still_hits_and_counts_over_budget() {
-        let dir = tempdir("load-over-budget");
+        let tmp = TempDir::new("store-load-over-budget");
+        let dir = tmp.path();
         let one = capture_bytes(64);
         let store = TraceStore::with_budget(one + one / 2).with_spill(dir.clone());
         let a = Workload::Rewrite.scaled(1);
@@ -1235,7 +1227,6 @@ mod tests {
             );
         }
         assert!(!store.contains(a, None) && store.contains(b, None));
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// Only a spill file that exists is timed as a `spill_load`: a cold
@@ -1243,7 +1234,8 @@ mod tests {
     /// warm one records exactly one.
     #[test]
     fn only_an_existing_spill_file_records_a_spill_load_phase() {
-        let dir = tempdir("phase");
+        let tmp = TempDir::new("store-phase");
+        let dir = tmp.path();
         let w = Workload::Rewrite.scaled(1);
         // One acquire under `dir` with telemetry attached; a miss records
         // and offers, which writes the capture through.
@@ -1268,7 +1260,6 @@ mod tests {
         assert_eq!((cold, s.misses, s.spill_loads), (0, 1, 0), "cold miss");
         let (warm, s) = acquire();
         assert_eq!((warm, s.misses, s.spill_loads), (1, 0, 1), "warm start");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //!   [`Runner`](crate::Runner) terminals tick; one line per completed
 //!   pass, to stderr (or an injected writer in tests), never stdout.
 //! * [`chrome_trace_json`] — exports a snapshot's captured span records
-//!   (packet execute, steal, idle, backpressure, spill load, GC phases)
+//!   (crew jobs, backpressure, spill load, GC phases)
 //!   as Chrome trace-event JSON, loadable in Perfetto; checked by
 //!   [`validate_chrome_trace`], which `golden_check --trace` calls.
 
@@ -1086,7 +1086,7 @@ mod tests {
                     let t0 = Instant::now();
                     std::hint::black_box((0..10_000u64).sum::<u64>());
                     probe::span("vm_execute", "packet", t0);
-                    probe::instant("steal", "sched");
+                    probe::span("backpressure", "sched", Instant::now());
                 });
             }
         });

@@ -2,7 +2,7 @@
 //!
 //! The [`cachegc_analysis::Timeline`] instrument samples one trace pass;
 //! this module is the harness half: a [`TimelineRecorder`] hands fresh
-//! taps to every driver path (sequential, packet crew, record/replay,
+//! taps to every driver path (sequential, crew, record/replay,
 //! grid kernel), collects the finished per-scenario reports, and emits
 //! them as a versioned JSONL stream — one self-describing JSON object per
 //! line, so multi-gigabyte timelines stream through line-oriented tools.

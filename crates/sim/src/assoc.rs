@@ -13,7 +13,8 @@ const EMPTY: u32 = u32::MAX;
 struct Way {
     tag: u32,
     valid: u64,
-    dirty: u64,
+    /// Written since installed (write-back only).
+    dirty: bool,
     lru: u64,
 }
 
@@ -103,9 +104,7 @@ impl SetAssocCache {
                 self.stats.count_block_miss(s, false);
             } else {
                 w.valid |= bit;
-                if writeback {
-                    w.dirty |= bit;
-                }
+                w.dirty |= writeback;
             }
             return;
         }
@@ -115,12 +114,12 @@ impl SetAssocCache {
             .iter_mut()
             .min_by_key(|w| if w.tag == EMPTY { 0 } else { w.lru + 1 })
             .expect("associativity >= 1");
-        if writeback && victim.dirty != 0 {
+        if writeback && victim.dirty {
             self.stats.totals.count_writeback();
         }
         victim.tag = tag;
         victim.lru = self.clock;
-        victim.dirty = 0;
+        victim.dirty = false;
         self.stats.count_block_miss(s, a.alloc_init);
         if a.is_read() {
             victim.valid = self.full_mask;
@@ -138,9 +137,7 @@ impl SetAssocCache {
                     self.stats.totals.count_fetch(a.ctx);
                 }
             }
-            if writeback {
-                victim.dirty = bit;
-            }
+            victim.dirty = writeback;
         }
     }
 }

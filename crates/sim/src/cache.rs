@@ -25,7 +25,7 @@ pub struct Outcome {
 /// A virtually-indexed direct-mapped data cache with per-word valid bits
 /// (sub-block placement), the cache organization the paper studies.
 ///
-/// Data contents are not modeled — only tags, valid bits, and dirty bits —
+/// Data contents are not modeled — only tags, valid bits, and dirty flags —
 /// because the simulated program's data lives in [`cachegc-heap`]'s memory;
 /// the cache tracks exactly what a trace-driven simulator needs.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -35,7 +35,9 @@ pub struct Cache {
     index_mask: u32,
     tags: Vec<u32>,
     valid: Vec<u64>,
-    dirty: Vec<u64>,
+    /// Per block: written since installed (write-back only). Only ever
+    /// asked whether a block is dirty, so one flag, not a word bitmap.
+    dirty: Vec<bool>,
     full_mask: u64,
     stats: CacheStats,
 }
@@ -62,7 +64,7 @@ impl Cache {
             index_mask: cfg.num_blocks() - 1,
             tags: vec![EMPTY; n],
             valid: vec![0; n],
-            dirty: vec![0; n],
+            dirty: vec![false; n],
             full_mask,
             stats: CacheStats::new(cfg.num_blocks()),
         }
@@ -101,10 +103,10 @@ impl Cache {
 
     #[inline]
     fn evict(&mut self, b: usize) {
-        if self.cfg.write_hit == WriteHitPolicy::WriteBack && self.dirty[b] != 0 {
+        if self.cfg.write_hit == WriteHitPolicy::WriteBack && self.dirty[b] {
             self.stats.totals.count_writeback();
         }
-        self.dirty[b] = 0;
+        self.dirty[b] = false;
     }
 
     /// Simulate one access and report what happened.
@@ -157,7 +159,7 @@ impl Cache {
             if self.tags[b] == tag {
                 self.valid[b] |= bit;
                 if self.cfg.write_hit == WriteHitPolicy::WriteBack {
-                    self.dirty[b] |= bit;
+                    self.dirty[b] = true;
                 }
                 return Outcome {
                     cache_block: b as u32,
@@ -183,7 +185,7 @@ impl Cache {
                 }
             };
             if self.cfg.write_hit == WriteHitPolicy::WriteBack {
-                self.dirty[b] = bit;
+                self.dirty[b] = true;
             }
             Outcome {
                 cache_block: b as u32,
@@ -199,12 +201,12 @@ impl Cache {
     /// tests.
     pub fn flush(&mut self) {
         for b in 0..self.tags.len() {
-            if self.cfg.write_hit == WriteHitPolicy::WriteBack && self.dirty[b] != 0 {
+            if self.cfg.write_hit == WriteHitPolicy::WriteBack && self.dirty[b] {
                 self.stats.totals.count_writeback();
             }
             self.tags[b] = EMPTY;
             self.valid[b] = 0;
-            self.dirty[b] = 0;
+            self.dirty[b] = false;
         }
     }
 }

@@ -1,25 +1,25 @@
-//! Engine observability: what a packet-crew run reports about its
-//! workers.
+//! Engine observability: what a crew run reports about its workers.
 //!
-//! The engine cannot use the thread-local probe shards — its workers are
-//! plain scoped threads with closures that outlive the caller — so each
-//! worker keeps a private [`WorkerStats`] and hands it back at join
-//! time. The driver assembles one [`EngineReport`] per crew and feeds
-//! it to [`Telemetry::record_engine`](crate::Telemetry::record_engine),
-//! which folds it into bounded [`EngineTotals`] (per-worker sums, never a
+//! A crew runs each job on its own scoped thread, and each job's
+//! [`WorkerStats`] come back to the driver at join time. The driver
+//! assembles one [`EngineReport`] per crew and feeds it to
+//! [`Telemetry::record_engine`](crate::Telemetry::record_engine), which
+//! folds it into bounded [`EngineTotals`] (per-worker sums, never a
 //! per-run log, so a ten-thousand-pass sweep stays O(workers)).
 
 use std::collections::BTreeMap;
 
-/// One worker thread's private counters for one engine run.
+/// One crew thread's counters for one engine run.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct WorkerStats {
     /// Sink-events applied: every `(event, sink)` pair this worker drove.
     pub events: u64,
-    /// Packets claimed from the shared queue or a sibling's deque rather
-    /// than the worker's own.
+    /// Always 0: every crew job runs on its own thread, so no worker
+    /// takes work from another. Kept so the manifest's worker block and
+    /// the benchmark's `core.sched.steals` keep their shape.
     pub steals: u64,
-    /// Time spent waiting for work on the crew's condvar.
+    /// Time this worker sat finished while the rest of its crew (the
+    /// other jobs and the calling thread's own part) still ran.
     pub idle_ns: u64,
 }
 
@@ -35,9 +35,11 @@ impl WorkerStats {
 /// Everything one crew run observed about itself.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EngineReport {
-    /// What the crew ran: its packet kind (`replay_shard`, `task`, ...).
+    /// What the crew ran: its jobs' kind (`replay_shard`, `task`, ...).
     pub kind: &'static str,
-    /// Worker threads in the run.
+    /// Crew threads in the run, one per job; the calling thread, which
+    /// runs its own part alongside (a live pass's VM, a comparison's
+    /// collected pass), is not counted.
     pub jobs: usize,
     /// Sinks the run drove (0 for crews of whole tasks).
     pub sinks: usize,

@@ -81,7 +81,7 @@ pub enum Counter {
     /// Store acquires that coalesced onto an in-flight recording of the
     /// same scenario (single-flight dedupe).
     StoreCoalesced,
-    /// Work packets executed by the packet scheduler's crews.
+    /// Jobs the engine's crews ran, one per crew thread.
     SchedPackets,
     /// `--jobs` requests clamped down to the machine's available parallelism.
     JobsClamped,
@@ -205,7 +205,7 @@ impl PhaseStats {
 /// thread-local check and a branch, like the counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SpanRecord {
-    /// Span name (packet kind, phase name, `"idle"`, ...).
+    /// Span name (crew job kind, phase name, `"backpressure"`, ...).
     pub name: &'static str,
     /// Category for trace viewers (`"packet"`, `"phase"`, `"sched"`, ...).
     pub cat: &'static str,
@@ -213,7 +213,7 @@ pub struct SpanRecord {
     pub tid: u64,
     /// Start offset from the registry's epoch, nanoseconds.
     pub start_ns: u64,
-    /// Duration in nanoseconds (0 for instant markers like steals).
+    /// Duration in nanoseconds.
     pub dur_ns: u64,
 }
 
@@ -328,8 +328,8 @@ impl Telemetry {
     }
 
     /// An empty registry with timestamped span capture enabled: phase
-    /// spans and the scheduler's packet/steal/idle/backpressure probes
-    /// additionally record [`SpanRecord`]s for trace export.
+    /// spans, crew jobs and a live pass's backpressure waits additionally
+    /// record [`SpanRecord`]s for trace export.
     pub fn with_spans() -> Telemetry {
         Telemetry {
             spans_enabled: true,
@@ -606,7 +606,7 @@ mod tests {
         let plain = Arc::new(Telemetry::new());
         {
             let _g = plain.attach();
-            probe::instant("steal", "sched");
+            probe::span("backpressure", "sched", std::time::Instant::now());
             drop(probe::phase("unit_span_phase"));
         }
         let s = plain.snapshot();
@@ -620,11 +620,11 @@ mod tests {
             let t0 = std::time::Instant::now();
             std::hint::black_box((0..1000u64).sum::<u64>());
             probe::span("vm_execute", "packet", t0);
-            probe::instant("steal", "sched");
+            probe::span("backpressure", "sched", std::time::Instant::now());
         }
         {
             let _g = traced.attach_named("worker-0");
-            probe::instant("steal", "sched");
+            probe::span("backpressure", "sched", std::time::Instant::now());
         }
         {
             let _g = traced.attach_named("main");

@@ -74,23 +74,6 @@ pub fn span(name: &'static str, cat: &'static str, start: Instant) {
     let _ = (name, cat, start);
 }
 
-/// Record an instantaneous marker (zero-duration span) at now, if the
-/// current shard captures spans.
-#[inline]
-pub fn instant(name: &'static str, cat: &'static str) {
-    #[cfg(not(cachegc_probes_off))]
-    SHARD.with(|s| {
-        if let Some(shard) = s.borrow_mut().as_mut() {
-            if shard.spans_enabled {
-                let start_ns = dur_ns(shard.owner.epoch.elapsed());
-                shard.push_span(name, cat, start_ns, 0);
-            }
-        }
-    });
-    #[cfg(cachegc_probes_off)]
-    let _ = (name, cat);
-}
-
 /// Start a wall-clock span of the named phase. The span records into the
 /// current thread's shard when dropped; if no shard is attached at start,
 /// the span is inert and never reads a clock.

@@ -13,7 +13,7 @@
 //! lags that far behind, the producer waits (counted in
 //! [`FeedStats::wait_ns`] and recorded as a `backpressure` span). A
 //! dropped writer, or a reader dropped before the end of the stream (a
-//! panicking reader packet), closes the feed early: waiting readers see
+//! panicking reader), closes the feed early: waiting readers see
 //! the end of the stream, a waiting producer stops waiting, and nothing
 //! blocks forever.
 

@@ -184,7 +184,6 @@ fn restarted_store_warm_starts_from_spilled_segments() {
     let runner = Runner::new(engine).with_store(&first);
     let (_, live) = runner.sinks(w, None, vec![Fingerprint::new()]).unwrap();
     assert_eq!(first.stats().spills, 1, "the capture wrote through");
-    drop(runner);
     drop(first);
 
     // "Restart": a brand-new store, same directory.
