@@ -1,8 +1,11 @@
 //! Golden-results regression check: rerun every experiment sweep
 //! in-process at the pinned configuration and diff its tables against the
 //! CSV goldens in `results/expected/`, or regenerate them with `--bless`.
+//! Either way, each sweep must make exactly the driver passes its
+//! `Experiment::cells` declares.
 //!
-//! Exit status: 0 all tables match (or were blessed), 1 drift, 2 usage.
+//! Exit status: 0 all tables match (or were blessed), 1 drift or a pass
+//! count other than the declared one, 2 usage.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -14,8 +17,8 @@ use cachegc_bench::golden::{
     bless_tables, check_tables, golden_engine, run_sweep, Tolerance, GOLDEN_DIR, GOLDEN_SCALE,
 };
 use cachegc_core::{
-    chrome_trace_json, validate_chrome_trace, validate_timeline, Manifest, ManifestConfig, Runner,
-    Telemetry,
+    chrome_trace_json, validate_chrome_trace, validate_timeline, Manifest, ManifestConfig,
+    Progress, Runner, Telemetry,
 };
 
 const USAGE: &str = "\
@@ -70,7 +73,9 @@ The sweeps always run at --scale 1 --jobs 2: goldens are defined at that
 configuration, and the parallel engine is bit-identical to the
 sequential one, so results do not depend on the machine. Replay
 from the trace cache is bit-identical to the live VM, so --trace-cache
-never changes a table — with any budget, with or without spill.";
+never changes a table — with any budget, with or without spill. A sweep
+whose driver passes differ from its declared count fails the check, with
+or without --bless.";
 
 struct Opts {
     bless: bool,
@@ -283,6 +288,7 @@ fn main() -> ExitCode {
         runner = runner.with_telemetry(telemetry);
     }
     let mut drifted = 0usize;
+    let mut miscounted = 0usize;
     let mut checked = 0usize;
     {
         // The shard makes main-thread probes land in the registry; engine
@@ -290,8 +296,18 @@ fn main() -> ExitCode {
         let _shard = telemetry.as_ref().map(|t| t.attach());
         for exp in exps {
             eprintln!("== {} ==", exp.name);
-            let tables = run_sweep(exp, GOLDEN_SCALE, &runner);
+            let progress = Progress::to_writer(exp.name, exp.cells, Box::new(std::io::sink()));
+            let tables = run_sweep(exp, GOLDEN_SCALE, &runner.clone().with_progress(&progress));
             checked += tables.len();
+            if progress.completed() != exp.cells {
+                miscounted += 1;
+                println!(
+                    "PASS COUNT in {}: {} driver passes, declared cells {}",
+                    exp.name,
+                    progress.completed(),
+                    exp.cells
+                );
+            }
             if opts.bless {
                 match bless_tables(&opts.dir, exp.name, &tables) {
                     Ok(written) => {
@@ -357,16 +373,24 @@ fn main() -> ExitCode {
 
     if opts.bless {
         println!("blessed {checked} tables into {}", opts.dir.display());
-        ExitCode::SUCCESS
     } else if drifted == 0 {
         println!("ok: {checked} tables match {}", opts.dir.display());
-        ExitCode::SUCCESS
     } else {
         println!(
             "{drifted} of {checked} tables drifted from {}; \
              run `golden_check --bless` if the change is intended",
             opts.dir.display()
         );
+    }
+    if miscounted > 0 {
+        println!(
+            "{miscounted} experiment{} made a pass count other than its declared cells",
+            if miscounted == 1 { "" } else { "s" }
+        );
+    }
+    if drifted == 0 && miscounted == 0 {
+        ExitCode::SUCCESS
+    } else {
         ExitCode::from(1)
     }
 }

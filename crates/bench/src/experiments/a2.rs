@@ -2,14 +2,14 @@
 //! §6 argues the collector should run *infrequently*; this sweep makes the
 //! trade explicit by shrinking the semispaces.
 //!
-//! `--jobs N` runs the semispace sizes concurrently (each is an
-//! independent control + collected pair on the engine).
+//! `--jobs N` runs compile's control pass once, then the semispace
+//! sizes' collected passes concurrently, each paired with that control.
 
 use cachegc_core::report::{Cell, Table};
 use cachegc_core::{CollectorSpec, ExperimentConfig, Runner, FAST, SLOW};
 use cachegc_workloads::Workload;
 
-use super::{Experiment, Sweep};
+use super::{comparisons, Experiment, Sweep};
 use crate::human_bytes;
 
 pub static EXPERIMENT: Experiment = Experiment {
@@ -17,7 +17,7 @@ pub static EXPERIMENT: Experiment = Experiment {
     title: "A2: Cheney semispace-size sweep, compile workload",
     about: "Cheney semispace-size sweep (compile workload)",
     default_scale: 4,
-    cells: 10,
+    cells: 6,
     sweep,
 };
 
@@ -27,13 +27,13 @@ fn sweep(scale: u32, runner: &Runner) -> Sweep {
     cfg.cache_sizes = vec![64 << 10, 1 << 20];
 
     let semispaces: Vec<u32> = vec![512 << 10, 1 << 20, 2 << 20, 4 << 20, 8 << 20];
-    let results = runner.map(&semispaces, |inner, &semi| {
-        let spec = CollectorSpec::Cheney {
+    let specs: Vec<CollectorSpec> = semispaces
+        .iter()
+        .map(|&semi| CollectorSpec::Cheney {
             semispace_bytes: semi,
-        };
-        eprintln!("running with {} semispaces ...", human_bytes(semi));
-        inner.comparison(Workload::Compile.scaled(scale), &cfg, spec)
-    });
+        })
+        .collect();
+    let results = comparisons(runner, Workload::Compile.scaled(scale), &cfg, &specs);
 
     let mut table = Table::new(
         "semispace",

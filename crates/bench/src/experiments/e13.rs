@@ -20,7 +20,7 @@
 //! ([`Runner::drive_grid`], under `--jobs`).
 
 use cachegc_core::report::{Cell, Table};
-use cachegc_core::{miss_penalty_cycles, ExperimentConfig, PacketKind, Runner, FAST, SLOW};
+use cachegc_core::{miss_penalty_cycles, ExperimentConfig, Runner, FAST, SLOW};
 use cachegc_gc::NoCollector;
 use cachegc_trace::Context;
 use cachegc_vm::Machine;
@@ -74,7 +74,7 @@ fn imperative(gens: u32) -> String {
 fn measure(name: &str, src: &str, cfg: &ExperimentConfig, runner: &Runner, table: &mut Table) {
     // One pass: the grid rides the engine; reference and instruction
     // volumes come from the first cell's statistics and the machine.
-    let (i_prog, cells) = runner.drive_grid(PacketKind::VmExecute, cfg.configs(), |fan| {
+    let (i_prog, cells) = runner.drive_grid(cfg.configs(), |fan| {
         let mut m = Machine::new(NoCollector::new(), fan);
         m.run_program(src).expect("runs");
         m.counters().program()
@@ -104,13 +104,8 @@ fn sweep(scale: u32, runner: &Runner) -> Sweep {
     cols.extend(cfg.cache_sizes.iter().map(|&s| human_bytes(s)));
     let cols: Vec<&str> = cols.iter().map(String::as_str).collect();
     let mut table = Table::new("overhead", &cols);
-    // The passes bypass the store-keyed terminals (no scenario key), so
-    // progress is ticked by hand — one tick per variant, matching
-    // `cells: 2`.
     measure("functional", &functional(gens), &cfg, runner, &mut table);
-    runner.tick();
     measure("imperative", &imperative(gens), &cfg, runner, &mut table);
-    runner.tick();
     Sweep {
         tables: vec![table],
         notes: vec![

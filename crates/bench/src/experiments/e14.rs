@@ -16,15 +16,16 @@
 //! * mark-sweep never moves objects, so its `ΔI_prog` is exactly the
 //!   zero the paper predicts for non-moving collection.
 //!
-//! `--jobs N` runs the block-lifetime passes concurrently; each
-//! comparison's control and collected passes run through the engine.
+//! `--jobs N` runs lambda's control pass once, then the five collected
+//! passes concurrently, each paired with that control, and then the six
+//! block-lifetime passes concurrently.
 
 use cachegc_analysis::BlockTracker;
 use cachegc_core::report::{Cell, Table};
 use cachegc_core::{CollectorSpec, ExperimentConfig, Runner, FAST, SLOW};
 use cachegc_workloads::Workload;
 
-use super::{Experiment, Sweep};
+use super::{comparisons, Experiment, Sweep};
 use crate::human_bytes;
 
 pub static EXPERIMENT: Experiment = Experiment {
@@ -32,7 +33,7 @@ pub static EXPERIMENT: Experiment = Experiment {
     title: "E14: the collector zoo under the cache lens (§5, §7)",
     about: "five collector designs: cache overheads and block lifetimes",
     default_scale: 2,
-    cells: 16,
+    cells: 12,
     sweep,
 };
 
@@ -82,11 +83,8 @@ fn sweep(scale: u32, runner: &Runner) -> Sweep {
     cols.extend(cfg.cache_sizes.iter().map(|&s| human_bytes(s)));
     let cols: Vec<&str> = cols.iter().map(String::as_str).collect();
     let mut ogc_table = Table::new("ogc", &cols);
-    for spec in SPECS {
-        eprintln!("running lambda under {} ...", spec.name());
-        let cmp = runner
-            .comparison(w, &cfg, spec)
-            .unwrap_or_else(|e| panic!("{e}"));
+    for (spec, cmp) in SPECS.iter().zip(comparisons(runner, w, &cfg, &SPECS)) {
+        let cmp = cmp.unwrap_or_else(|e| panic!("{e}"));
         gc_table.row(vec![
             spec.name().into(),
             cmp.collected.gc.collections.into(),

@@ -13,15 +13,16 @@
 //! MB of allocation, preserving the collections-per-byte-allocated regime.
 //! A2 (`a2_semispace_sweep`) sweeps the semispace size itself.
 //!
-//! `--jobs N` runs workloads concurrently and, inside each comparison,
-//! the control and collected passes on separate threads with the 8-cell
-//! grid sharded across workers. `--jobs 1` is the sequential oracle.
+//! `--jobs N` runs the workloads concurrently: each workload's control
+//! pass and then its collected pass run on one map worker, with the
+//! 8-cell grid sharded across any workers left over. `--jobs 1` is the
+//! sequential oracle.
 
 use cachegc_core::report::{Cell, Table};
 use cachegc_core::{CollectorSpec, ExperimentConfig, Runner, FAST, SLOW};
 use cachegc_workloads::Workload;
 
-use super::{Experiment, Sweep};
+use super::{comparisons, Experiment, Sweep};
 use crate::human_bytes;
 
 pub static EXPERIMENT: Experiment = Experiment {
@@ -44,10 +45,13 @@ fn sweep(scale: u32, runner: &Runner) -> Sweep {
     let spec = CollectorSpec::Cheney {
         semispace_bytes: SEMISPACE,
     };
-    let results = runner.map(&Workload::ALL, |inner, w| {
-        eprintln!("running {} (control + collected) ...", w.name());
-        inner.comparison(w.scaled(scale), &cfg, spec)
-    });
+    let results: Vec<_> = runner
+        .map(&Workload::ALL, |inner, w| {
+            comparisons(inner, w.scaled(scale), &cfg, &[spec])
+        })
+        .into_iter()
+        .flatten()
+        .collect();
 
     let mut gc_table = Table::new(
         "collections",

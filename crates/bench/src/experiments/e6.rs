@@ -2,14 +2,14 @@
 //! under a generational collector, which stops recopying the long-lived,
 //! monotonically growing structure at every collection.
 //!
-//! `--jobs N` runs each comparison's control and collected passes on
-//! separate threads, each pass's grid sharded across its replay readers.
+//! `--jobs N` runs lambda's control pass once, its grid sharded across
+//! replay readers, then the two collected passes concurrently.
 
 use cachegc_core::report::{Cell, Table};
 use cachegc_core::{CollectorSpec, ExperimentConfig, Runner, FAST, SLOW};
 use cachegc_workloads::Workload;
 
-use super::{Experiment, Sweep};
+use super::{comparisons, Experiment, Sweep};
 use crate::human_bytes;
 
 pub static EXPERIMENT: Experiment = Experiment {
@@ -17,7 +17,7 @@ pub static EXPERIMENT: Experiment = Experiment {
     title: "E6: lambda (lp) under Cheney vs generational (§6)",
     about: "lambda under Cheney vs generational collection (§6)",
     default_scale: 4,
-    cells: 4,
+    cells: 3,
     sweep,
 };
 
@@ -44,11 +44,8 @@ fn sweep(scale: u32, runner: &Runner) -> Sweep {
     cols.extend(cfg.cache_sizes.iter().map(|&s| human_bytes(s)));
     let cols: Vec<&str> = cols.iter().map(String::as_str).collect();
     let mut ogc_table = Table::new("ogc", &cols);
-    for spec in specs {
-        eprintln!("running lambda under {} ...", spec.name());
-        let cmp = runner
-            .comparison(w, &cfg, spec)
-            .unwrap_or_else(|e| panic!("{e}"));
+    for (spec, cmp) in specs.iter().zip(comparisons(runner, w, &cfg, &specs)) {
+        let cmp = cmp.unwrap_or_else(|e| panic!("{e}"));
         gc_table.row(vec![
             spec.name().into(),
             cmp.collected.gc.collections.into(),

@@ -5,22 +5,21 @@
 //!
 //! Sweeps the nursery from cache-sized (aggressive, à la Wilson et al.)
 //! up to infrequent, and reports collections, bytes promoted, and O_gc.
-//! `--jobs N` runs the nursery sizes concurrently (each is an independent
-//! control + collected pair).
+//! `--jobs N` runs compile's control pass once, then the nursery sizes'
+//! collected passes concurrently, each paired with that control.
 
 use cachegc_core::report::{Cell, Table};
 use cachegc_core::{CollectorSpec, ExperimentConfig, Runner, FAST, SLOW};
 use cachegc_workloads::Workload;
 
-use super::{Experiment, Sweep};
-use crate::human_bytes;
+use super::{comparisons, Experiment, Sweep};
 
 pub static EXPERIMENT: Experiment = Experiment {
     name: "e7_aggressive",
     title: "E7: aggressive vs infrequent generational collection (§6), 64k cache",
     about: "aggressive vs infrequent generational collection (§6)",
     default_scale: 4,
-    cells: 10,
+    cells: 6,
     sweep,
 };
 
@@ -31,16 +30,14 @@ fn sweep(scale: u32, runner: &Runner) -> Sweep {
     cfg.cache_sizes = vec![cache_size];
 
     let nurseries: Vec<u32> = vec![64 << 10, 128 << 10, 256 << 10, 1 << 20, 4 << 20];
-    let comparisons = runner.map(&nurseries, |inner, &nursery| {
-        let spec = CollectorSpec::Generational {
+    let specs: Vec<CollectorSpec> = nurseries
+        .iter()
+        .map(|&nursery| CollectorSpec::Generational {
             nursery_bytes: nursery,
             old_bytes: 24 << 20,
-        };
-        eprintln!("running compile with nursery {} ...", human_bytes(nursery));
-        inner
-            .comparison(Workload::Compile.scaled(scale), &cfg, spec)
-            .unwrap_or_else(|e| panic!("{e}"))
-    });
+        })
+        .collect();
+    let pairs = comparisons(runner, Workload::Compile.scaled(scale), &cfg, &specs);
 
     let mut table = Table::new(
         "aggressive",
@@ -54,7 +51,8 @@ fn sweep(scale: u32, runner: &Runner) -> Sweep {
             "total_fast",
         ],
     );
-    for (&nursery, cmp) in nurseries.iter().zip(&comparisons) {
+    for (&nursery, cmp) in nurseries.iter().zip(pairs) {
+        let cmp = cmp.unwrap_or_else(|e| panic!("{e}"));
         let o_slow = cmp.gc_overhead(cache_size, 64, &SLOW);
         let o_fast = cmp.gc_overhead(cache_size, 64, &FAST);
         let total_fast = cmp.control_overhead(cache_size, 64, &FAST) + o_fast;

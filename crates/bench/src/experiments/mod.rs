@@ -24,8 +24,11 @@ use std::sync::Arc;
 use cachegc_core::report::{Cell, Table};
 use cachegc_core::telemetry::{probe, Counter};
 use cachegc_core::{
-    chrome_trace_json, Manifest, ManifestConfig, Progress, Runner, Telemetry, TimelineRecorder,
+    chrome_trace_json, scenario_label, CollectorSpec, ExperimentConfig, GcComparison, Manifest,
+    ManifestConfig, Progress, Runner, Telemetry, TimelineRecorder,
 };
+use cachegc_vm::VmError;
+use cachegc_workloads::WorkloadInstance;
 
 use crate::cli::MetricsArg;
 use crate::{header, ExperimentArgs};
@@ -71,9 +74,10 @@ pub struct Experiment {
     pub about: &'static str,
     /// Default `--scale`.
     pub default_scale: u32,
-    /// Driver passes one sweep makes (each is one [`Progress`] tick):
-    /// calls into the [`Runner`] terminals, plus any passes the sweep
-    /// ticks by hand. Zero for static experiments.
+    /// Driver passes one sweep makes, each one [`Progress`] tick: one
+    /// per call into a [`Runner`] pass terminal (`sinks`, `instruments`,
+    /// `control`, `collected`, `drive`, `drive_grid`). Zero for static
+    /// experiments. `golden_check` fails a sweep whose count differs.
     pub cells: usize,
     /// The sweep itself.
     pub sweep: fn(u32, &Runner) -> Sweep,
@@ -254,6 +258,27 @@ pub fn run_main(exp: &Experiment) {
     }
 }
 
+/// The §6 comparisons of `instance` under each of `specs`, in order.
+/// The control depends on the program and the cache grid, not on the
+/// collector, so its grid runs once; each collected pass then runs on a
+/// [`Runner::map`] worker and pairs with a clone of that control. A
+/// failed control fails every pair, and no collected pass runs.
+pub(crate) fn comparisons(
+    runner: &Runner,
+    instance: WorkloadInstance,
+    cfg: &ExperimentConfig,
+    specs: &[CollectorSpec],
+) -> Vec<Result<GcComparison, VmError>> {
+    let control = runner.control(instance, cfg);
+    runner.map(specs, |inner, &spec| {
+        eprintln!("running {} ...", scenario_label(instance, Some(spec)));
+        Ok(GcComparison {
+            control: control.clone()?,
+            collected: inner.collected(instance, cfg, spec)?,
+        })
+    })
+}
+
 /// Where `--metrics json` lands without an explicit path.
 pub fn default_manifest_path(experiment: &str) -> PathBuf {
     PathBuf::from("results/manifest").join(format!("{experiment}.json"))
@@ -293,12 +318,50 @@ mod tests {
         assert!(find("e99_nonsense").is_none());
     }
 
+    /// The helper runs the control once, whatever the number of specs,
+    /// and each pair's overhead matches the sequential oracle's bit for
+    /// bit.
     #[test]
-    fn jobs_split_covers_edges() {
-        use cachegc_core::EngineConfig;
-        assert_eq!(Runner::new(EngineConfig::jobs(8)).split_jobs(5), (5, 1));
-        assert_eq!(Runner::new(EngineConfig::jobs(8)).split_jobs(2), (2, 4));
-        assert_eq!(Runner::new(EngineConfig::jobs(1)).split_jobs(5), (1, 1));
+    fn comparisons_run_the_control_once() {
+        use cachegc_core::{EngineConfig, TraceStore, FAST, SLOW};
+        use cachegc_workloads::Workload;
+        let cfg = ExperimentConfig::quick();
+        let w = Workload::Rewrite.scaled(1);
+        let specs = [
+            CollectorSpec::Cheney {
+                semispace_bytes: 512 << 10,
+            },
+            CollectorSpec::Generational {
+                nursery_bytes: 128 << 10,
+                old_bytes: 8 << 20,
+            },
+        ];
+        let store = TraceStore::unbounded();
+        let runner = Runner::new(EngineConfig::jobs(2)).with_store(&store);
+        let pairs = comparisons(&runner, w, &cfg, &specs);
+        assert_eq!(pairs.len(), specs.len());
+        for (spec, pair) in specs.into_iter().zip(pairs) {
+            let pair = pair.unwrap();
+            let oracle = GcComparison::run(w, &cfg, spec).unwrap();
+            for cell in &cfg.configs() {
+                for cpu in [&SLOW, &FAST] {
+                    assert_eq!(
+                        pair.gc_overhead(cell.size, cell.block, cpu).to_bits(),
+                        oracle.gc_overhead(cell.size, cell.block, cpu).to_bits(),
+                        "{}: {cell} on {}",
+                        spec.name(),
+                        cpu.name
+                    );
+                }
+            }
+        }
+        let label = scenario_label(w, None);
+        let (_, control) = store
+            .scenario_gauges()
+            .into_iter()
+            .find(|(l, _)| *l == label)
+            .expect("the control scenario was recorded");
+        assert_eq!((control.misses, control.hits), (1, 0));
     }
 
     #[test]

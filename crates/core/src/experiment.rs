@@ -91,7 +91,7 @@ pub struct CacheCell {
 
 /// The §5 control experiment: one workload, collection disabled, the whole
 /// cache grid simulated in a single trace pass.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct ControlReport {
     /// The workload that ran.
     pub instance: WorkloadInstance,

@@ -5,9 +5,11 @@
 //! builder: construct a `Runner` over an [`EngineConfig`], attach what the
 //! run needs (trace store, telemetry, progress), and call a terminal —
 //! [`Runner::sinks`], [`Runner::instruments`], [`Runner::control`],
-//! [`Runner::collected`], [`Runner::comparison`], [`Runner::map`], or the
-//! escape hatch [`Runner::drive`] (and its grid form
-//! [`Runner::drive_grid`]).
+//! [`Runner::collected`], [`Runner::map`], or the escape hatch
+//! [`Runner::drive`] (and its grid form [`Runner::drive_grid`]). A §6
+//! comparison is a `control` and a `collected` pass the caller pairs
+//! into a [`GcComparison`](crate::GcComparison); a sweep over several
+//! collectors runs the control once.
 //!
 //! The worker count alone picks a pass's shape. With one worker
 //! (`jobs <= 1`) a pass runs inline: the VM drives the sinks through one
@@ -17,11 +19,10 @@
 //! trace into its shard of the sinks: the stored trace on a store hit,
 //! otherwise the segment feed (see
 //! [`cachegc_trace::feed`](mod@cachegc_trace::feed)) that the VM, running
-//! on the calling thread, fills through its recorder. `map` workers and
-//! a comparison's control pass run on crews too ([`PacketKind::Task`] /
-//! [`PacketKind::VmExecute`]). Every crew is one scoped thread per job
-//! (`crate::sched`). Per-sink results are bit-identical on every path
-//! (property-tested in the workspace root).
+//! on the calling thread, fills through its recorder. The only other
+//! crew is `map`'s workers ([`PacketKind::Task`]). Every crew is one
+//! scoped thread per job (`crate::sched`). Per-sink results are
+//! bit-identical on every path (property-tested in the workspace root).
 //!
 //! # Example
 //!
@@ -54,7 +55,7 @@ use cachegc_workloads::WorkloadInstance;
 
 use crate::experiment::{
     collected_run, control_report, CacheCell, CollectedRun, CollectorSpec, ControlReport,
-    ExperimentConfig, GcComparison,
+    ExperimentConfig,
 };
 use crate::sched::{crew, EngineConfig, PacketKind};
 use crate::store::{scenario_label, Acquired, HitSource, OfferOutcome, RecordTicket, TraceStore};
@@ -288,12 +289,6 @@ impl<'a> Runner<'a> {
         self
     }
 
-    /// Same attachments, different engine.
-    pub fn with_engine(mut self, engine: EngineConfig) -> Runner<'a> {
-        self.engine = engine;
-        self
-    }
-
     /// Same attachments, engine rebudgeted to `jobs` workers.
     pub fn with_jobs(mut self, jobs: usize) -> Runner<'a> {
         self.engine.jobs = jobs.max(1);
@@ -309,16 +304,11 @@ impl<'a> Runner<'a> {
         self
     }
 
-    /// The engine configuration this runner drives passes with.
-    pub fn engine(&self) -> &EngineConfig {
-        &self.engine
-    }
-
-    /// Tick the attached progress reporter for a pass the caller drove
-    /// outside the store-keyed terminals (those tick on their own).
-    pub fn tick(&self) {
+    /// Report a finished pass of `events` events, started at `start`, to
+    /// the attached progress reporter.
+    fn report_pass(&self, events: u64, start: Instant) {
         if let Some(progress) = self.progress {
-            progress.tick(self.store);
+            progress.pass(self.store, events, start.elapsed().as_secs_f64());
         }
     }
 
@@ -408,9 +398,7 @@ impl<'a> Runner<'a> {
         let _shard = self.telemetry.map(|t| t.attach());
         let pass_start = Instant::now();
         let (stats, sinks, events) = self.pass_inner(instance, spec, sinks, kind, read)?;
-        if let Some(progress) = self.progress {
-            progress.pass(self.store, events, pass_start.elapsed().as_secs_f64());
-        }
+        self.report_pass(events, pass_start);
         Ok((stats, sinks))
     }
 
@@ -778,75 +766,23 @@ impl<'a> Runner<'a> {
         Ok(collected_run(instance, spec, stats, cells))
     }
 
-    /// The paired §5/§6 runs: the control pass runs on a one-job
-    /// [`PacketKind::VmExecute`] crew while the collected pass runs on
-    /// the calling thread, the two splitting the engine's worker budget
-    /// between them. A pass whose
-    /// scenario is already recorded in the store is a cheap replay, so it
-    /// gets the minimum (one worker) and the live pass gets the
-    /// remainder; when both are live (or both recorded) the budget is
-    /// halved, with the odd worker going to the collected pass (the one
-    /// with more events). A sequential engine runs both passes inline,
-    /// still through the store.
-    ///
-    /// # Errors
-    ///
-    /// Propagates any [`VmError`] from either run.
-    pub fn comparison(
-        &self,
-        instance: WorkloadInstance,
-        cfg: &ExperimentConfig,
-        spec: CollectorSpec,
-    ) -> Result<GcComparison, VmError> {
-        if self.engine.is_sequential() {
-            // Even store-less sequential runs go through `sinks`, so
-            // telemetry and progress behave uniformly.
-            return Ok(GcComparison {
-                control: self.control(instance, cfg)?,
-                collected: self.collected(instance, cfg, spec)?,
-            });
-        }
-        let jobs = self.engine.jobs.max(1);
-        let control_replays = self.store.is_some_and(|s| s.contains(instance, None));
-        let collected_replays = self.store.is_some_and(|s| s.contains(instance, Some(spec)));
-        let (control_jobs, collected_jobs) = match (control_replays, collected_replays) {
-            (true, false) => (1, jobs.saturating_sub(1).max(1)),
-            (false, true) => (jobs.saturating_sub(1).max(1), 1),
-            _ => ((jobs / 2).max(1), (jobs - jobs / 2).max(1)),
-        };
-        let control_runner = self.clone().with_jobs(control_jobs);
-        let collected_runner = self.clone().with_jobs(collected_jobs);
-        let _shard = self.telemetry.map(|t| t.attach());
-        let (collected, control, workers) = crew(
-            self.telemetry,
-            PacketKind::VmExecute,
-            vec![|| control_runner.control(instance, cfg)],
-            || collected_runner.collected(instance, cfg, spec),
-        );
-        self.flush_crew(PacketKind::VmExecute, workers, 0, 0, FeedStats::default());
-        let control = control.into_iter().next().expect("one control job")?;
-        Ok(GcComparison {
-            control,
-            collected: collected?,
-        })
-    }
-
     /// Split this runner's worker budget between `n` concurrent outer
     /// tasks and the engine passes inside each: returns `(outer
     /// parallelism, per-task inner jobs)`. This is what [`Runner::map`]
     /// applies to its item list.
-    pub fn split_jobs(&self, n: usize) -> (usize, usize) {
+    fn split_jobs(&self, n: usize) -> (usize, usize) {
         let outer = self.engine.jobs.clamp(1, n.max(1));
         (outer, (self.engine.jobs / outer).max(1))
     }
 
     /// Apply `f` to every item, preserving input order in the results.
-    /// The worker budget splits per [`Runner::split_jobs`]: `f` receives
-    /// a derived runner holding each task's share of the budget. An
-    /// effectively-sequential split runs inline; otherwise a crew of
-    /// `outer` [`PacketKind::Task`] workers each claims the next unclaimed
-    /// item until none is left, so one long item never holds up the
-    /// items behind it.
+    /// The worker budget splits into `outer = min(jobs, items)` tasks
+    /// that run at once and `jobs / outer` workers (at least one) for the
+    /// passes inside each: `f` receives a derived runner holding that
+    /// share of the budget. An effectively-sequential split runs inline;
+    /// otherwise a crew of `outer` [`PacketKind::Task`] workers each
+    /// claims the next unclaimed item until none is left, so one long
+    /// item never holds up the items behind it.
     ///
     /// This is the driver for the experiment sweeps' per-workload loops:
     /// each of the paper's five programs is an independent trace pass.
@@ -894,39 +830,33 @@ impl<'a> Runner<'a> {
     /// under this runner's engine — inline through one [`Fanout`], or
     /// recorded into a feed that reader threads replay into shards of
     /// the sinks — and the sinks come back in input order along with
-    /// `f`'s result. `kind` names the pass: its timeline commits under
-    /// `drive:{kind}`. Phases, the VM-run counter, and engine
-    /// observability are reported exactly like [`Runner::sinks`]'s live
-    /// path.
-    pub fn drive<S, T, F>(&self, kind: PacketKind, sinks: Vec<S>, f: F) -> (T, Vec<S>)
+    /// `f`'s result. The pass has no scenario key: it always runs live,
+    /// and its timeline commits under `drive`. Phases, the VM-run
+    /// counter, engine observability and the progress tick are reported
+    /// exactly like [`Runner::sinks`]'s live path.
+    pub fn drive<S, T, F>(&self, sinks: Vec<S>, f: F) -> (T, Vec<S>)
     where
         S: TraceSink + Send,
         F: FnOnce(&mut dyn TraceSink) -> T,
     {
-        self.drive_shards(kind, sinks, PacketKind::ReplayShard, read_sinks, f)
+        self.drive_shards(sinks, PacketKind::ReplayShard, read_sinks, f)
     }
 
     /// [`Runner::drive`] over a direct-mapped configuration grid: the
     /// grid rides the pass as [`GridCache`] shards, dealt and reassembled
     /// exactly as in [`Runner::grid`], and the cells come back in input
     /// order along with `f`'s result.
-    pub fn drive_grid<T, F>(
-        &self,
-        kind: PacketKind,
-        configs: Vec<CacheConfig>,
-        f: F,
-    ) -> (T, Vec<CacheCell>)
+    pub fn drive_grid<T, F>(&self, configs: Vec<CacheConfig>, f: F) -> (T, Vec<CacheCell>)
     where
         F: FnOnce(&mut dyn TraceSink) -> T,
     {
         let (order, grids) = grid_shards(configs, self.engine.jobs);
-        let (out, grids) = self.drive_shards(kind, grids, PacketKind::GridSimulate, read_grids, f);
+        let (out, grids) = self.drive_shards(grids, PacketKind::GridSimulate, read_grids, f);
         (out, self.grid_cells(order, grids))
     }
 
     fn drive_shards<S, T, F, R>(
         &self,
-        kind: PacketKind,
         sinks: Vec<S>,
         reader: PacketKind,
         read: R,
@@ -938,12 +868,14 @@ impl<'a> Runner<'a> {
         R: Fn(&mut Segments<'_>, &mut Fanout<S>) + Sync,
     {
         let _shard = self.telemetry.map(|t| t.attach());
+        let pass_start = Instant::now();
         probe!(Counter::VmRuns);
         let live = match self.live(Drive(f), None, reader, sinks, read) {
             Ok(live) => live,
             Err(e) => unreachable!("a driven pass runs no VM that could fail: {e}"),
         };
-        self.commit_tap(|| format!("drive:{}", kind.name()), live.tap);
+        self.commit_tap(|| "drive".to_string(), live.tap);
+        self.report_pass(live.events, pass_start);
         (live.out, live.sinks)
     }
 }
@@ -982,32 +914,6 @@ mod tests {
             assert_eq!(x.config, y.config);
             assert_eq!((x.m_prog, x.m_gc), (y.m_prog, y.m_gc));
             assert_eq!(x.stats, y.stats);
-        }
-    }
-
-    #[test]
-    fn comparison_matches_sequential() {
-        let cfg = ExperimentConfig::quick();
-        let w = Workload::Rewrite.scaled(1);
-        let spec = CollectorSpec::Generational {
-            nursery_bytes: 128 << 10,
-            old_bytes: 8 << 20,
-        };
-        let seq = GcComparison::run(w, &cfg, spec).unwrap();
-        let par = Runner::new(EngineConfig::jobs(4))
-            .comparison(w, &cfg, spec)
-            .unwrap();
-        grids_equal(&seq.control.cells, &par.control.cells);
-        assert_eq!(
-            seq.collected.gc.minor_collections,
-            par.collected.gc.minor_collections
-        );
-        for (size, block) in [(32 << 10, 64), (256 << 10, 64)] {
-            assert_eq!(
-                seq.gc_overhead(size, block, &crate::FAST).to_bits(),
-                par.gc_overhead(size, block, &crate::FAST).to_bits(),
-                "overhead identical to the last bit"
-            );
         }
     }
 
@@ -1167,35 +1073,6 @@ mod tests {
     }
 
     #[test]
-    fn comparison_reuses_a_prior_control_recording() {
-        let cfg = ExperimentConfig::quick();
-        let w = Workload::Rewrite.scaled(1);
-        let spec = CollectorSpec::Cheney {
-            semispace_bytes: 512 << 10,
-        };
-        let store = crate::TraceStore::unbounded();
-        let runner = Runner::new(EngineConfig::jobs(4)).with_store(&store);
-        // An earlier experiment (e3-style) already recorded the control
-        // scenario; the comparison's control pass must be a replay.
-        runner.control(w, &cfg).unwrap();
-        let cmp = runner.comparison(w, &cfg, spec).unwrap();
-        let seq = GcComparison::run(w, &cfg, spec).unwrap();
-        grids_equal(&seq.control.cells, &cmp.control.cells);
-        for (x, y) in seq.collected.cells.iter().zip(&cmp.collected.cells) {
-            assert_eq!((x.m_prog, x.m_gc), (y.m_prog, y.m_gc));
-            assert_eq!(x.stats, y.stats);
-        }
-        assert_eq!(
-            seq.gc_overhead(32 << 10, 64, &crate::FAST).to_bits(),
-            cmp.gc_overhead(32 << 10, 64, &crate::FAST).to_bits(),
-        );
-        let s = store.stats();
-        assert_eq!(s.misses, 2, "one VM run per unique scenario");
-        assert_eq!(s.entries, 2);
-        assert_eq!(s.hits, 1, "the comparison's control pass replayed");
-    }
-
-    #[test]
     fn map_preserves_order_and_covers_all() {
         let items: Vec<u64> = (0..37).collect();
         let runner = Runner::new(EngineConfig::jobs(5));
@@ -1251,6 +1128,8 @@ mod tests {
         assert_eq!(stores, vec![true, true]);
     }
 
+    /// Every `drive` is one pass: its sinks match a sequential `Fanout`
+    /// over the same stream, and it ticks the progress reporter once.
     #[test]
     fn drive_matches_the_sequential_fanout() {
         use cachegc_trace::{Access, Context};
@@ -1268,15 +1147,22 @@ mod tests {
             oracle.access(*a);
         }
         let expected = oracle.into_sinks();
-        for (jobs, segment_bytes) in [(1, 16), (2, 16), (2, 1 << 20), (3, 100)] {
-            let runner = Runner::new(EngineConfig::jobs(jobs)).with_segment_bytes(segment_bytes);
-            let (n, got) = runner.drive(PacketKind::VmExecute, grid(), |fan| {
+        let progress = Progress::to_writer("drive", 4, Box::new(std::io::sink()));
+        for (pass, (jobs, segment_bytes)) in [(1, 16), (2, 16), (2, 1 << 20), (3, 100)]
+            .into_iter()
+            .enumerate()
+        {
+            let runner = Runner::new(EngineConfig::jobs(jobs))
+                .with_segment_bytes(segment_bytes)
+                .with_progress(&progress);
+            let (n, got) = runner.drive(grid(), |fan| {
                 for a in &stream {
                     fan.access(*a);
                 }
                 stream.len()
             });
             assert_eq!(n, stream.len());
+            assert_eq!(progress.completed(), pass + 1, "one tick per drive");
             for (g, e) in got.iter().zip(&expected) {
                 assert_eq!(
                     g.stats(),
@@ -1373,11 +1259,11 @@ mod tests {
             assert_eq!(runs.len(), 1, "{tag}");
             assert_eq!(runs[0], oracle[0], "{tag}: timeline bit-identical");
         }
-        // The escape-hatch driver commits under a kind tag.
+        // The escape-hatch driver has no scenario to name its run by.
         let rec = TimelineRecorder::new(spec);
         let runner = Runner::new(EngineConfig::jobs(2)).with_timeline(&rec);
         let sinks = vec![Cache::new(CacheConfig::direct_mapped(32 << 10, 64))];
-        runner.drive(PacketKind::VmExecute, sinks, |fan| {
+        runner.drive(sinks, |fan| {
             for i in 0..10_000u32 {
                 fan.access(cachegc_trace::Access::read(
                     i.wrapping_mul(68) % (1 << 18),
@@ -1387,7 +1273,7 @@ mod tests {
         });
         let runs = rec.runs();
         assert_eq!(runs.len(), 1);
-        assert_eq!(runs[0].label, "drive:vm_execute");
+        assert_eq!(runs[0].label, "drive");
         assert_eq!(runs[0].report.windows_sum(), runs[0].report.totals);
     }
 }

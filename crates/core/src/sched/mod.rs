@@ -1,11 +1,11 @@
 //! Crews: every job on its own scoped thread.
 //!
 //! Every crew the engine starts is a handful of jobs known up front: the
-//! replay readers of one trace, the control half of a comparison, or the
-//! workers of a `Runner::map` (see [`crate::Runner`]). `crew` runs each
-//! job on its own scoped thread while the caller runs its own part of the
-//! operation, then hands the results back in job order. The only knob is
-//! the worker count, [`EngineConfig::jobs`].
+//! replay readers of one trace, or the workers of a `Runner::map` (see
+//! [`crate::Runner`]). `crew` runs each job on its own scoped thread
+//! while the caller runs its own part of the operation, then hands the
+//! results back in job order. The only knob is the worker count,
+//! [`EngineConfig::jobs`].
 //!
 //! The workspace forbids `unsafe`, so no thread may outlive the data its
 //! job borrows: a crew lives exactly as long as one `crew` call (std
@@ -71,8 +71,6 @@ impl EngineConfig {
 /// trace and keys the crew's engine run in the manifest.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PacketKind {
-    /// A full VM pass (the control pass of a comparison).
-    VmExecute,
     /// One reader decoding a trace — stored, or a live pass's feed —
     /// into its shard of sinks.
     ReplayShard,
@@ -87,7 +85,6 @@ impl PacketKind {
     /// Stable name used in spans, the manifest and debug output.
     pub fn name(self) -> &'static str {
         match self {
-            PacketKind::VmExecute => "vm_execute",
             PacketKind::ReplayShard => "replay_shard",
             PacketKind::Task => "task",
             PacketKind::GridSimulate => "grid_simulate",
@@ -267,7 +264,6 @@ mod tests {
     #[test]
     fn packet_kind_names_are_distinct() {
         let names: std::collections::BTreeSet<_> = [
-            PacketKind::VmExecute,
             PacketKind::ReplayShard,
             PacketKind::Task,
             PacketKind::GridSimulate,
@@ -275,6 +271,6 @@ mod tests {
         .iter()
         .map(|k| k.name())
         .collect();
-        assert_eq!(names.len(), 4);
+        assert_eq!(names.len(), 3);
     }
 }

@@ -648,12 +648,6 @@ impl TraceStore {
         })
     }
 
-    /// Non-counting peek: is this scenario recorded? (Used for worker
-    /// budgeting decisions, which should not skew hit/miss stats.)
-    pub fn contains(&self, instance: WorkloadInstance, spec: Option<CollectorSpec>) -> bool {
-        self.lock().map.contains_key(&(instance, spec))
-    }
-
     /// A snapshot of the accounting counters.
     pub fn stats(&self) -> StoreStats {
         self.lock().stats
@@ -676,6 +670,12 @@ mod tests {
     use cachegc_telemetry::Telemetry;
     use cachegc_trace::{Access, Context, TraceSink};
     use cachegc_workloads::Workload;
+
+    /// Is this scenario resident? Reads the map, so it counts no hit
+    /// or miss.
+    fn resident(store: &TraceStore, w: WorkloadInstance, spec: Option<CollectorSpec>) -> bool {
+        store.lock().map.contains_key(&(w, spec))
+    }
 
     fn record(n: u32) -> (Recorder, RunStats) {
         let mut rec = Recorder::new();
@@ -749,10 +749,9 @@ mod tests {
         };
         let (rec, stats) = record(10);
         ticket.offer(rec, stats, Duration::ZERO);
-        assert!(store.contains(w.scaled(1), Some(spec)));
-        assert!(!store.contains(w.scaled(2), Some(spec)));
-        assert!(!store.contains(w.scaled(1), None));
-        // `contains` does not touch hit/miss accounting.
+        assert!(resident(&store, w.scaled(1), Some(spec)));
+        assert!(!resident(&store, w.scaled(2), Some(spec)));
+        assert!(!resident(&store, w.scaled(1), None));
         assert_eq!(store.stats().hits + store.stats().misses, 1);
     }
 
@@ -921,9 +920,9 @@ mod tests {
             matches!(capture(&store, c, 64), OfferOutcome::Stored { .. }),
             "C must be stored by evicting"
         );
-        assert!(store.contains(a, None), "recently hit A survives");
-        assert!(!store.contains(b, None), "un-hit B evicted first");
-        assert!(store.contains(c, None));
+        assert!(resident(&store, a, None), "recently hit A survives");
+        assert!(!resident(&store, b, None), "un-hit B evicted first");
+        assert!(resident(&store, c, None));
         let s = store.stats();
         assert_eq!((s.evictions, s.bytes_evicted), (1, one));
         assert_eq!(
@@ -958,8 +957,8 @@ mod tests {
             capture(&store, c, 64),
             OfferOutcome::Stored { .. }
         ));
-        assert!(store.contains(a, None), "pinned A survives");
-        assert!(!store.contains(b, None), "unpinned B evicted instead");
+        assert!(resident(&store, a, None), "pinned A survives");
+        assert!(!resident(&store, b, None), "unpinned B evicted instead");
         drop(pin);
         // With the pin gone A is evictable again.
         let d = Workload::Prove.scaled(1);
@@ -967,7 +966,7 @@ mod tests {
             capture(&store, d, 64),
             OfferOutcome::Stored { .. }
         ));
-        assert!(!store.contains(a, None), "unpinned A evicts by LRU");
+        assert!(!resident(&store, a, None), "unpinned A evicts by LRU");
     }
 
     #[test]
@@ -984,7 +983,7 @@ mod tests {
             capture(&store, Workload::Nbody.scaled(1), 64),
             OfferOutcome::DroppedOverBudget
         );
-        assert!(store.contains(a, None));
+        assert!(resident(&store, a, None));
     }
 
     #[test]
@@ -1030,7 +1029,7 @@ mod tests {
         );
         assert_eq!(st.hits + st.misses, (4 * scenarios.len()) as u64);
         for w in scenarios {
-            assert!(store.contains(w, None));
+            assert!(resident(&store, w, None));
         }
     }
 
@@ -1097,7 +1096,7 @@ mod tests {
         ));
         let s = store.stats();
         assert_eq!((s.misses, s.entries), (2, 1));
-        assert!(store.contains(w, None));
+        assert!(resident(&store, w, None));
     }
 
     #[test]
@@ -1182,12 +1181,12 @@ mod tests {
         }
         // B's capture evicted A (budget fits one); A now reloads from
         // disk as a hit, not a miss, and evicts B in turn.
-        assert!(!store.contains(a, None));
+        assert!(!resident(&store, a, None));
         let Acquired::Hit { source, .. } = store.acquire(a, None) else {
             panic!("A must reload from its spill file");
         };
         assert_eq!(source, HitSource::SpillLoad);
-        assert!(store.contains(a, None) && !store.contains(b, None));
+        assert!(resident(&store, a, None) && !resident(&store, b, None));
         let s = store.stats();
         assert_eq!((s.evictions, s.spill_loads, s.spills), (2, 1, 2));
         assert_eq!((s.entries, s.bytes, s.over_budget), (1, one, 0));
@@ -1226,7 +1225,7 @@ mod tests {
                 "{s}"
             );
         }
-        assert!(!store.contains(a, None) && store.contains(b, None));
+        assert!(!resident(&store, a, None) && resident(&store, b, None));
     }
 
     /// Only a spill file that exists is timed as a `spill_load`: a cold

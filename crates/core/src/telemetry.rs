@@ -97,23 +97,11 @@ impl Progress {
         self.done.load(Ordering::Relaxed)
     }
 
-    /// Record one completed pass and emit its line. Write failures are
+    /// Record one completed pass of `events` events that took
+    /// `pass_secs`, and emit its line with the pass's events/s rate (and
+    /// the store's hits and misses, given one). Write failures are
     /// swallowed: progress is a side channel, never worth killing a
     /// sweep over.
-    pub fn tick(&self, store: Option<&TraceStore>) {
-        let done = self.done.fetch_add(1, Ordering::Relaxed) + 1;
-        let elapsed = self.start.elapsed().as_secs_f64();
-        let line = format!(
-            "[{}] pass {}/{} done, {:.1}s elapsed",
-            self.experiment, done, self.total, elapsed
-        );
-        self.emit(line, store);
-    }
-
-    /// As [`tick`](Progress::tick), with the pass's measured event count
-    /// and wall time, so the line carries a live events/s rate. The
-    /// [`Runner`](crate::Runner) terminals use this form; hand-tickers
-    /// without a measured pass keep `tick`.
     pub fn pass(&self, store: Option<&TraceStore>, events: u64, pass_secs: f64) {
         let done = self.done.fetch_add(1, Ordering::Relaxed) + 1;
         let elapsed = self.start.elapsed().as_secs_f64();
@@ -1022,8 +1010,8 @@ mod tests {
         let buf = Buf::default();
         let progress = Progress::to_writer("e1_cache_grid", 3, Box::new(buf.clone()));
         let store = TraceStore::unbounded();
-        progress.tick(None);
-        progress.tick(Some(&store));
+        progress.pass(None, 1_000, 0.1);
+        progress.pass(Some(&store), 1_000, 0.1);
         assert_eq!(progress.completed(), 2);
         let text = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
         let lines: Vec<&str> = text.lines().collect();
@@ -1085,7 +1073,7 @@ mod tests {
                     let _g = t.attach_named(&format!("worker-{i}"));
                     let t0 = Instant::now();
                     std::hint::black_box((0..10_000u64).sum::<u64>());
-                    probe::span("vm_execute", "packet", t0);
+                    probe::span("replay_shard", "packet", t0);
                     probe::span("backpressure", "sched", Instant::now());
                 });
             }

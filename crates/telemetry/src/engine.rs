@@ -38,8 +38,7 @@ pub struct EngineReport {
     /// What the crew ran: its jobs' kind (`replay_shard`, `task`, ...).
     pub kind: &'static str,
     /// Crew threads in the run, one per job; the calling thread, which
-    /// runs its own part alongside (a live pass's VM, a comparison's
-    /// collected pass), is not counted.
+    /// runs its own part alongside (a live pass's VM), is not counted.
     pub jobs: usize,
     /// Sinks the run drove (0 for crews of whole tasks).
     pub sinks: usize,

@@ -619,7 +619,7 @@ mod tests {
             let _g = traced.attach_named("worker-0");
             let t0 = std::time::Instant::now();
             std::hint::black_box((0..1000u64).sum::<u64>());
-            probe::span("vm_execute", "packet", t0);
+            probe::span("replay_shard", "packet", t0);
             probe::span("backpressure", "sched", std::time::Instant::now());
         }
         {
@@ -637,7 +637,7 @@ mod tests {
         // Same thread name reuses its timeline row across attaches.
         assert_eq!(s.threads, ["worker-0", "main"]);
         let packet = s.spans.iter().find(|r| r.cat == "packet").unwrap();
-        assert_eq!((packet.name, packet.tid), ("vm_execute", 0));
+        assert_eq!((packet.name, packet.tid), ("replay_shard", 0));
         assert!(packet.dur_ns > 0);
         let phase = s.spans.iter().find(|r| r.cat == "phase").unwrap();
         assert_eq!((phase.name, phase.tid), ("unit_span_phase", 1));

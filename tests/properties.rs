@@ -8,7 +8,7 @@
 use std::collections::HashMap;
 
 use cachegc::analysis::{ActivityTracker, BlockTracker, Instrument, SweepPlot};
-use cachegc::core::{EngineConfig, PacketKind, Runner};
+use cachegc::core::{EngineConfig, Runner};
 use cachegc::gc::{
     CheneyCollector, Collector, GenerationalCollector, ImmixCollector, MarkSweepCollector,
     NoCollector, Roots,
@@ -399,7 +399,7 @@ fn drive_feed<S: TraceSink + Send>(
     accesses: &[Access],
 ) -> Vec<S> {
     let runner = Runner::new(EngineConfig::jobs(jobs)).with_segment_bytes(segment_bytes);
-    let ((), out) = runner.drive(PacketKind::Task, sinks, |fan| {
+    let ((), out) = runner.drive(sinks, |fan| {
         for &a in accesses {
             fan.access(a);
         }

@@ -203,9 +203,10 @@ fn restarted_store_warm_starts_from_spilled_segments() {
 #[test]
 fn shared_store_runs_each_scenario_at_most_once_across_runners() {
     // The golden_check drive pattern in miniature: one store spans a
-    // control grid, a control + collected comparison, and a regrid of the
-    // control scenario at different cache geometry. Two unique scenarios
-    // exist, so the VM runs exactly twice no matter how many passes ask.
+    // control grid, the control and collected passes of a comparison,
+    // and a regrid of the control scenario at different cache geometry.
+    // Two unique scenarios exist, so the VM runs exactly twice no matter
+    // how many passes ask.
     let mut cfg = ExperimentConfig::quick();
     cfg.cache_sizes = vec![32 << 10, 128 << 10];
     let spec = CollectorSpec::Cheney {
@@ -216,7 +217,8 @@ fn shared_store_runs_each_scenario_at_most_once_across_runners() {
     let store = TraceStore::unbounded();
     let runner = Runner::new(EngineConfig::jobs(2)).with_store(&store);
     let first = runner.control(w, &cfg).unwrap();
-    let cmp = runner.comparison(w, &cfg, spec).unwrap();
+    let control = runner.control(w, &cfg).unwrap();
+    runner.collected(w, &cfg, spec).unwrap();
     let mut regrid = cfg.clone();
     regrid.cache_sizes = vec![64 << 10];
     let second = runner.control(w, &regrid).unwrap();
@@ -229,7 +231,7 @@ fn shared_store_runs_each_scenario_at_most_once_across_runners() {
     assert_eq!(s.hits, 2, "comparison control pass + regrid replayed: {s}");
 
     // Replayed passes agree with each other and with a live oracle.
-    assert_eq!(first.i_prog, cmp.control.i_prog);
+    assert_eq!(first.i_prog, control.i_prog);
     assert_eq!(first.i_prog, second.i_prog);
     let oracle = run_control(w, &regrid).unwrap();
     assert_eq!(oracle.i_prog, second.i_prog);
