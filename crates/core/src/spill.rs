@@ -35,7 +35,7 @@
 //! is never a correctness dependency.
 
 use std::fs::{self, File};
-use std::io::{self, BufReader, Read, Write};
+use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -165,27 +165,32 @@ impl SpillDir {
     }
 
     /// Persist a captured scenario. Writes `<name>.seg.tmp` then renames
-    /// over `<name>.seg`, so readers never see a torn file.
+    /// over `<name>.seg`, so readers never see a torn file. The payload
+    /// streams from the trace's segments to the file; nothing holds a
+    /// second copy of it.
     pub fn write(&self, label: &str, trace: &RecordedTrace, stats: &RunStats) -> io::Result<()> {
         fs::create_dir_all(&self.dir)?;
         let final_path = self.path_for(label);
         let tmp_path = final_path.with_extension("seg.tmp");
-        let mut body = Vec::with_capacity(64 + label.len() + trace.bytes() as usize);
-        body.extend_from_slice(MAGIC);
-        body.extend_from_slice(&u32::try_from(label.len()).unwrap_or(u32::MAX).to_le_bytes());
-        body.extend_from_slice(label.as_bytes());
-        body.extend_from_slice(&trace.events().to_le_bytes());
+        let mut w = Hashed {
+            inner: BufWriter::new(File::create(&tmp_path)?),
+            hash: FNV_OFFSET,
+        };
+        w.write_all(MAGIC)?;
+        w.write_all(&u32::try_from(label.len()).unwrap_or(u32::MAX).to_le_bytes())?;
+        w.write_all(label.as_bytes())?;
+        w.write_all(&trace.events().to_le_bytes())?;
         for word in stats_words(stats) {
-            body.extend_from_slice(&word.to_le_bytes());
+            w.write_all(&word.to_le_bytes())?;
         }
-        body.extend_from_slice(&trace.bytes().to_le_bytes());
+        w.write_all(&trace.bytes().to_le_bytes())?;
         for chunk in trace.payload_chunks() {
-            body.extend_from_slice(chunk);
+            w.write_all(chunk)?;
         }
-        let checksum = fnv1a(&body);
-        body.extend_from_slice(&checksum.to_le_bytes());
-        let mut file = File::create(&tmp_path)?;
-        file.write_all(&body)?;
+        let checksum = w.hash;
+        let mut out = w.inner;
+        out.write_all(&checksum.to_le_bytes())?;
+        let file = out.into_inner().map_err(io::IntoInnerError::into_error)?;
         file.sync_all()?;
         drop(file);
         fs::rename(&tmp_path, &final_path)
@@ -263,10 +268,23 @@ impl SpillDir {
     }
 }
 
-/// A reader that folds every byte it reads into a running FNV-1a hash.
-struct Hashed<R> {
-    inner: R,
+/// A reader or writer that folds every byte it passes into a running
+/// FNV-1a hash.
+struct Hashed<T> {
+    inner: T,
     hash: u64,
+}
+
+impl<W: Write> Write for Hashed<W> {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        let n = self.inner.write(buf)?;
+        self.hash = fnv1a_extend(self.hash, &buf[..n]);
+        Ok(n)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.inner.flush()
+    }
 }
 
 impl<R: Read> Hashed<R> {
@@ -372,6 +390,36 @@ mod tests {
         assert_eq!(
             live, reloaded,
             "reloaded replay is event-for-event identical"
+        );
+    }
+
+    #[test]
+    fn file_layout_is_pinned_byte_for_byte() {
+        let tmp = TempDir::new("spill-layout");
+        let spill = SpillDir::new(tmp.path());
+        let mut rec = Recorder::new();
+        rec.access(Access::read(0x10, Context::Mutator));
+        rec.access(Access::write(0x14, Context::Collector));
+        let trace = rec.finish().expect("unbounded");
+        let words: [u64; STATS_WORDS] = std::array::from_fn(|i| 0x0101 * (i as u64 + 1));
+        spill
+            .write("w@1", &trace, &stats_from_words(&words))
+            .unwrap();
+
+        let mut want = b"CGTSEG1\n".to_vec();
+        want.extend(3u32.to_le_bytes());
+        want.extend(b"w@1");
+        want.extend(2u64.to_le_bytes());
+        for word in words {
+            want.extend(word.to_le_bytes());
+        }
+        want.extend(3u64.to_le_bytes());
+        want.extend([0x40, 0x11, 0x03]);
+        want.extend(0x1648_0898_d820_138du64.to_le_bytes());
+        assert_eq!(fs::read(spill.path_for("w@1")).unwrap(), want);
+        assert!(
+            !spill.path_for("w@1").with_extension("seg.tmp").exists(),
+            "the temporary file was renamed into place"
         );
     }
 

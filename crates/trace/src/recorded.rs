@@ -24,13 +24,26 @@
 //!
 //! The simulated programs' reference streams are dominated by long
 //! monotone same-context runs (stack discipline plus linear allocation),
-//! so most events encode in 1–2 bytes, versus the 8-byte in-memory
-//! [`Access`]. The encoded stream is sealed into ~1 MiB `Arc<[u8]>`
-//! segments at event boundaries; a clone of a [`RecordedTrace`] shares
-//! the segments, so concurrent replay workers decode the same bytes
-//! without copying. A recorder can also publish each segment it seals to
-//! a [`FeedWriter`], so readers decode a live run while it is recorded
-//! (see [`crate::feed`](mod@crate::feed)).
+//! but region switches make 5-byte tokens and read/write alternation
+//! makes flags bytes common: the golden scenarios average 2.7–3.0 bytes
+//! per event, versus the 8-byte in-memory [`Access`]. The encoded stream
+//! is sealed into ~1 MiB `Arc<[u8]>` segments at event boundaries; a
+//! clone of a [`RecordedTrace`] shares the segments, so concurrent replay
+//! workers decode the same bytes without copying. A recorder can also
+//! publish each segment it seals to a [`FeedWriter`], so readers decode a
+//! live run while it is recorded (see [`crate::feed`](mod@crate::feed)).
+//!
+//! # Recording cost
+//!
+//! The recorder runs inside the VM's loop, once per reference, so its
+//! common case is kept to straight-line code: `encode` builds an
+//! event's bytes in one `u64` without a loop or a branch, the recorder
+//! stores all eight bytes at its write position and advances by the
+//! event's length, and one compare against `room` (the furthest the
+//! segment may grow before anything else has to happen) guards it. Seals,
+//! budget charges, the byte limit and abandoned captures live in one
+//! out-of-line slow path. The segment being encoded is one buffer,
+//! allocated at the first event and reused after every seal.
 
 use std::sync::Arc;
 
@@ -137,6 +150,27 @@ fn decode_one(bytes: &[u8], i: &mut usize, addr: &mut u32, flags: &mut u8) {
 /// Longest token the encoder writes: `zigzag32(delta) << 1 | changed` is
 /// at most 33 bits, five 7-bit varint groups.
 const MAX_TOKEN_BYTES: usize = 5;
+
+/// Encode one event: the token for an address `delta` (wrapping) from
+/// the previous event, and the event's `flags` byte when they `changed`.
+/// Returns the bytes as the low end of a little-endian `u64` and their
+/// count. Bytes past the count are not part of the encoding (the flags
+/// byte is placed even when unchanged, so the word needs no branch).
+#[inline]
+fn encode(delta: u32, flags: u8, changed: bool) -> (u64, usize) {
+    let token = (u64::from(zigzag32(delta as i32)) << 1) | u64::from(changed);
+    // ceil(significant bits / 7), at least one group for a zero token.
+    let groups = (70 - (token | 1).leading_zeros() as usize) / 7;
+    let spread = (token & 0x7f)
+        | (token & (0x7f << 7)) << 1
+        | (token & (0x7f << 14)) << 2
+        | (token & (0x7f << 21)) << 3
+        | (token & (0x7f << 28)) << 4;
+    // Every group but the last carries the continuation bit.
+    let continuation = 0x8080_8080u64 >> (8 * (MAX_TOKEN_BYTES - groups));
+    let word = spread | continuation | (u64::from(flags) << (8 * groups));
+    (word, groups + usize::from(changed))
+}
 
 /// The number of events an encoded payload decodes to, or `None` when it
 /// is not a whole number of well-formed events: a token or flags byte cut
@@ -299,7 +333,15 @@ impl EventBatch {
 /// publishing them, so the readers still receive the whole stream.
 pub struct Recorder {
     segments: Vec<Arc<[u8]>>,
-    cur: Vec<u8>,
+    /// The segment being encoded, `segment_bytes + 8` long from the first
+    /// event on (an event stores a whole `u64`), reused after every seal;
+    /// `buf[..pos]` is encoded.
+    buf: Vec<u8>,
+    pos: usize,
+    /// The furthest `pos` an event may end at on the fast path: short of
+    /// a seal, within the limit and within the bytes already charged. 0
+    /// sends the next event down the slow path.
+    room: usize,
     sealed_bytes: u64,
     events: u64,
     /// Events in the segments sealed so far.
@@ -345,7 +387,9 @@ impl Recorder {
     pub fn with_limit(limit: u64) -> Self {
         Recorder {
             segments: Vec::new(),
-            cur: Vec::new(),
+            buf: Vec::new(),
+            pos: 0,
+            room: 0,
             sealed_bytes: 0,
             events: 0,
             sealed_events: 0,
@@ -364,6 +408,7 @@ impl Recorder {
     /// boundaries). Clamped to at least 16 bytes.
     pub fn with_segment_bytes(mut self, bytes: usize) -> Self {
         self.segment_bytes = bytes.max(16);
+        self.room = 0;
         self
     }
 
@@ -374,6 +419,7 @@ impl Recorder {
     /// released, `finish` returns `None`).
     pub fn with_budget(mut self, budget: Arc<dyn RecordBudget>) -> Self {
         self.budget = Some(budget);
+        self.room = 0;
         self
     }
 
@@ -391,6 +437,8 @@ impl Recorder {
     pub fn close_feed(&mut self) -> Option<FeedStats> {
         self.feed.as_ref()?;
         self.seal();
+        // An abandoned capture stops encoding once nobody reads it.
+        self.room = 0;
         self.feed.take().map(FeedWriter::finish)
     }
 
@@ -402,7 +450,7 @@ impl Recorder {
 
     /// Encoded bytes captured so far.
     pub fn bytes(&self) -> u64 {
-        self.sealed_bytes + self.cur.len() as u64
+        self.sealed_bytes + self.pos as u64
     }
 
     /// Events seen so far, including any after the capture was
@@ -417,10 +465,11 @@ impl Recorder {
     }
 
     fn seal(&mut self) {
-        if self.cur.is_empty() {
+        if self.pos == 0 {
             return;
         }
-        let seg: Arc<[u8]> = Arc::from(std::mem::take(&mut self.cur).into_boxed_slice());
+        let seg: Arc<[u8]> = Arc::from(&self.buf[..self.pos]);
+        self.pos = 0;
         if let Some(feed) = &mut self.feed {
             feed.publish(Arc::clone(&seg), self.events - self.sealed_events);
         }
@@ -437,8 +486,10 @@ impl Recorder {
         self.overflowed = true;
         self.segments = Vec::new();
         if self.feed.is_none() {
-            self.cur = Vec::new();
+            self.buf = Vec::new();
+            self.pos = 0;
         }
+        self.room = 0;
         self.sealed_bytes = 0;
         if let Some(budget) = &self.budget {
             budget.release(self.charged);
@@ -473,6 +524,54 @@ impl Recorder {
             return true;
         }
         false
+    }
+
+    /// The fast path's `room` for the current state: 0 without a buffer
+    /// (before the first event, or once an abandoned capture without a
+    /// feed freed it), so those events take the slow path.
+    fn room(&self) -> usize {
+        if self.buf.is_empty() {
+            return 0;
+        }
+        let mut room = self.segment_bytes as u64 - 1;
+        if !self.overflowed {
+            room = room.min(self.limit.saturating_sub(self.sealed_bytes));
+            if self.budget.is_some() {
+                room = room.min(self.charged.saturating_sub(self.sealed_bytes));
+            }
+        }
+        room as usize
+    }
+
+    /// An event the fast path cannot take, encoded as `word` and `len` by
+    /// [`encode`]: the first event, one that seals the segment, needs a
+    /// budget charge or crosses the limit, and every event of an
+    /// abandoned capture.
+    #[cold]
+    #[inline(never)]
+    fn access_slow(&mut self, addr: u32, flags: u8, word: u64, len: usize) {
+        if self.overflowed && self.feed.is_none() {
+            return;
+        }
+        let n = len as u64;
+        if !self.overflowed && (self.bytes() + n > self.limit || !self.charge_for(n)) {
+            self.overflow();
+            if self.feed.is_none() {
+                return;
+            }
+        }
+        let size = self.segment_bytes + 8;
+        if self.buf.len() < size {
+            self.buf.resize(size, 0);
+        }
+        self.buf[self.pos..self.pos + 8].copy_from_slice(&word.to_le_bytes());
+        self.pos += len;
+        self.prev_addr = addr;
+        self.flags = flags;
+        if self.pos >= self.segment_bytes {
+            self.seal();
+        }
+        self.room = self.room();
     }
 
     /// Consume the recorder; `Some` holds the captured stream, `None`
@@ -516,44 +615,18 @@ impl TraceSink for Recorder {
     #[inline]
     fn access(&mut self, a: Access) {
         self.events += 1;
-        if self.overflowed && self.feed.is_none() {
+        let flags = flag_bits(&a);
+        let delta = a.addr.wrapping_sub(self.prev_addr);
+        let (word, len) = encode(delta, flags, flags != self.flags);
+        let end = self.pos + len;
+        if end > self.room {
+            self.access_slow(a.addr, flags, word, len);
             return;
         }
-        let flags = flag_bits(&a);
-        let changed = flags != self.flags;
-        let delta = a.addr.wrapping_sub(self.prev_addr) as i32;
-        let mut token = ((zigzag32(delta) as u64) << 1) | changed as u64;
-        let mut buf = [0u8; 6];
-        let mut n = 0;
-        loop {
-            let byte = (token & 0x7f) as u8;
-            token >>= 7;
-            if token != 0 {
-                buf[n] = byte | 0x80;
-                n += 1;
-            } else {
-                buf[n] = byte;
-                n += 1;
-                break;
-            }
-        }
-        if changed {
-            buf[n] = flags;
-            n += 1;
-        }
-        if !self.overflowed && (self.bytes() + n as u64 > self.limit || !self.charge_for(n as u64))
-        {
-            self.overflow();
-            if self.feed.is_none() {
-                return;
-            }
-        }
-        self.cur.extend_from_slice(&buf[..n]);
+        self.buf[self.pos..self.pos + 8].copy_from_slice(&word.to_le_bytes());
+        self.pos = end;
         self.prev_addr = a.addr;
         self.flags = flags;
-        if self.cur.len() >= self.segment_bytes {
-            self.seal();
-        }
     }
 }
 
@@ -695,6 +768,38 @@ mod tests {
             Access::read(0x7fff_fff0, Context::Mutator), // near-max positive delta
         ];
         roundtrip(&events, 4096);
+    }
+
+    #[test]
+    fn encoding_is_pinned_byte_for_byte() {
+        // Every token length, 1 to 5 bytes, with and without a flags
+        // byte, and a delta that wraps past u32::MAX.
+        let events = [
+            Access::read(0x10, Context::Mutator),               // 1
+            Access::write(0x14, Context::Mutator),              // 1 + flags
+            Access::write(0x814, Context::Mutator),             // 2
+            Access::read(0x4_0814, Context::Collector),         // 3 + flags
+            Access::read(0x204_0814, Context::Collector),       // 4
+            Access::alloc_write(0xc204_0814, Context::Mutator), // 5 + flags
+            Access::alloc_write(0xd204_0814, Context::Mutator), // 5
+            Access::write(0xd204_0714, Context::Collector),     // 2 + flags
+            Access::read(0xd204_0714, Context::Mutator),        // 1 + flags
+            Access::write(0xd304_0714, Context::Mutator),       // 4 + flags
+            Access::write(0xffff_fffc, Context::Mutator),       // 5
+            Access::write(0x0000_0008, Context::Mutator),       // 1, wraps
+            Access::write(0x0004_0008, Context::Mutator),       // 3
+        ];
+        let trace = roundtrip(&events, DEFAULT_SEGMENT_BYTES);
+        let hex: String = trace
+            .payload_chunks()
+            .flatten()
+            .map(|b| format!("{b:02x}"))
+            .collect();
+        assert_eq!(
+            hex,
+            "40110180408180400280808040ffffffff0f058080808004ff0703010081808020\
+             01a0c7bf9f0b30808040"
+        );
     }
 
     #[test]

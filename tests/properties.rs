@@ -17,8 +17,8 @@ use cachegc::heap::{Header, Heap, HeapConfig, ObjKind, Value};
 use cachegc::sim::{Cache, CacheConfig, GridCache, SetAssocCache, WriteHitPolicy, WriteMissPolicy};
 use cachegc::testkit::{check, Rng};
 use cachegc::trace::{
-    Access, AccessKind, Context, Counters, EventBatch, Fanout, NullSink, Recorder, TraceSink,
-    DYNAMIC_BASE, EVENT_BATCH,
+    feed, Access, AccessKind, Context, Counters, EventBatch, Fanout, NullSink, RecordBudget,
+    Recorder, TraceSink, DYNAMIC_BASE, EVENT_BATCH,
 };
 use cachegc::vm::{read, Machine, Sexp};
 
@@ -485,19 +485,21 @@ impl TraceSink for Collect {
 
 /// Adversarial streams for the delta-varint codec: runs of local deltas
 /// (the common case the encoding targets) interleaved with full-range
-/// address jumps, `u32`-wraparound deltas, dense per-event flag flips
+/// address jumps, `u32`-wraparound deltas, deltas of every magnitude
+/// (every token length, 1 to 5 bytes), dense per-event flag flips
 /// (worst case for the flags byte), and long constant-flag `alloc_init`
 /// runs (best case for the run-length side).
 fn gen_codec_stream(rng: &mut Rng) -> Vec<Access> {
     let mut out = Vec::new();
     let mut addr: u32 = rng.range_u32(0, u32::MAX);
     for _ in 0..rng.range_usize(1, 10) {
-        let mode = rng.range_u32(0, 4);
+        let mode = rng.range_u32(0, 5);
         for i in 0..rng.range_usize(1, 150) as u32 {
             addr = match mode {
                 0 => addr.wrapping_add(rng.range_u32(0, 256) * 4),
                 1 => rng.range_u32(0, u32::MAX),
                 2 => addr.wrapping_add(u32::MAX - rng.range_u32(0, 8) * 4),
+                4 => addr.wrapping_add(rng.next_u32() >> rng.range_u32(0, 32)),
                 _ => addr.wrapping_add(4),
             };
             out.push(match mode {
@@ -542,9 +544,171 @@ fn trace_codec_roundtrips_adversarial_streams() {
         }
         let trace = rec.finish().expect("unbounded recorder never overflows");
         assert_eq!(trace.events(), events.len() as u64);
+        let segments: Vec<Vec<u8>> = trace.payload_chunks().map(<[u8]>::to_vec).collect();
+        assert_eq!(
+            segments,
+            reference_segments(&events, seg),
+            "the recorder writes the reference encoder's segments"
+        );
         let mut seq = Collect(Vec::new());
         trace.replay(&mut seq);
         assert_eq!(seq.0, events, "sequential replay is the identity");
+    });
+}
+
+/// The reference encoder: the codec written as a loop over LEB128
+/// groups, sealing a segment at the first event boundary at or past
+/// `segment_bytes`. The recorder must write exactly these bytes.
+fn reference_segments(events: &[Access], segment_bytes: usize) -> Vec<Vec<u8>> {
+    let mut segments = Vec::new();
+    let mut cur = Vec::new();
+    let (mut prev_addr, mut prev_flags) = (0u32, 0u8);
+    for a in events {
+        let flags = u8::from(a.kind == AccessKind::Write)
+            | (u8::from(a.ctx == Context::Collector) << 1)
+            | (u8::from(a.alloc_init) << 2);
+        let delta = a.addr.wrapping_sub(prev_addr) as i32;
+        let zigzag = ((delta << 1) ^ (delta >> 31)) as u32;
+        let changed = flags != prev_flags;
+        let mut token = (u64::from(zigzag) << 1) | u64::from(changed);
+        while token >= 0x80 {
+            cur.push(token as u8 | 0x80);
+            token >>= 7;
+        }
+        cur.push(token as u8);
+        if changed {
+            cur.push(flags);
+        }
+        (prev_addr, prev_flags) = (a.addr, flags);
+        if cur.len() >= segment_bytes {
+            segments.push(std::mem::take(&mut cur));
+        }
+    }
+    if !cur.is_empty() {
+        segments.push(cur);
+    }
+    segments
+}
+
+/// A byte budget for one recorder: refuses a charge past `cap` and
+/// checks that nothing is released that was not charged.
+struct Ledger {
+    cap: u64,
+    outstanding: std::sync::Mutex<u64>,
+}
+
+impl Ledger {
+    fn new(cap: u64) -> std::sync::Arc<Ledger> {
+        std::sync::Arc::new(Ledger {
+            cap,
+            outstanding: std::sync::Mutex::new(0),
+        })
+    }
+
+    fn outstanding(&self) -> u64 {
+        *self.outstanding.lock().unwrap()
+    }
+}
+
+impl RecordBudget for Ledger {
+    fn try_charge(&self, n: u64) -> bool {
+        let mut out = self.outstanding.lock().unwrap();
+        if out.saturating_add(n) > self.cap {
+            return false;
+        }
+        *out += n;
+        true
+    }
+
+    fn release(&self, n: u64) {
+        let mut out = self.outstanding.lock().unwrap();
+        assert!(*out >= n, "released {n} bytes with only {out} charged");
+        *out -= n;
+    }
+}
+
+#[test]
+fn recorder_overflows_exactly_past_its_limit_or_budget() {
+    check("recorder_limit_oracle", 64, |rng| {
+        let events = gen_codec_stream(rng);
+        let seg = rng.range_usize(16, 4096);
+        let total: u64 = reference_segments(&events, seg)
+            .iter()
+            .map(|s| s.len() as u64)
+            .sum();
+        let anywhere = rng.range_usize(0, 2 * total as usize + 1) as u64;
+        let cap = *rng.choose(&[0, total - 1, total, total + 1, anywhere]);
+        let over = total > cap;
+
+        let mut rec = Recorder::with_limit(cap).with_segment_bytes(seg);
+        for &a in &events {
+            rec.access(a);
+        }
+        assert_eq!(rec.overflowed(), over, "limit {cap}, encoded total {total}");
+        assert_eq!(rec.events(), events.len() as u64, "every event counts");
+        assert_eq!(rec.bytes(), if over { 0 } else { total });
+        assert_eq!(rec.finish().map(|t| t.bytes()), (!over).then_some(total));
+
+        // A budget of the same size refuses exactly the same streams, and
+        // its charges end as the trace's bytes, or as nothing.
+        let budget = Ledger::new(cap);
+        let mut rec = Recorder::new()
+            .with_segment_bytes(seg)
+            .with_budget(budget.clone());
+        for &a in &events {
+            rec.access(a);
+            assert!(rec.overflowed() || rec.charged() >= rec.bytes());
+        }
+        assert_eq!(
+            rec.overflowed(),
+            over,
+            "budget {cap}, encoded total {total}"
+        );
+        assert_eq!(rec.events(), events.len() as u64, "every event counts");
+        if over {
+            assert_eq!(budget.outstanding(), 0, "overflow released every charge");
+            assert!(rec.finish().is_none());
+        } else {
+            let trace = rec.finish().expect("the stream fits its budget");
+            assert_eq!(trace.bytes(), total);
+            assert_eq!(
+                budget.outstanding(),
+                total,
+                "finish keeps the bytes charged"
+            );
+        }
+    });
+}
+
+#[test]
+fn an_abandoned_recorder_still_feeds_its_readers_the_whole_stream() {
+    check("recorder_abandoned_feed", 32, |rng| {
+        let events = gen_codec_stream(rng);
+        let seg = rng.range_usize(16, 4096);
+        let expected = reference_segments(&events, seg);
+        let total: usize = expected.iter().map(Vec::len).sum();
+        // Abandoned at the first event or anywhere mid-stream.
+        let limit = rng.range_usize(0, total) as u64;
+        let (writer, readers) = feed(rng.range_usize(1, 3));
+        std::thread::scope(|s| {
+            let readers: Vec<_> = readers
+                .into_iter()
+                .map(|reader| s.spawn(move || reader.map(|seg| seg.to_vec()).collect::<Vec<_>>()))
+                .collect();
+            let mut rec = Recorder::with_limit(limit)
+                .with_segment_bytes(seg)
+                .with_feed(writer);
+            for &a in &events {
+                rec.access(a);
+            }
+            assert!(rec.overflowed(), "limit {limit} < encoded total {total}");
+            assert_eq!(rec.events(), events.len() as u64);
+            assert!(rec.finish().is_none(), "nothing was kept");
+            for reader in readers {
+                let received = reader.join().expect("reader finished");
+                assert_eq!(received, expected, "readers get every segment");
+            }
+        });
     });
 }
 
