@@ -7,7 +7,7 @@
 //! and organizations with the §7 behavioral analyzers, and the whole set
 //! rides one pass, sharded across a crew's replay readers when the engine
 //! has several workers — every instrument is independent, so
-//! per-instrument results stay bit-identical to a sequential pass.
+//! per-instrument results stay bit-identical to one in-thread pass.
 
 use cachegc_sim::{Cache, CacheConfig, SetAssocCache};
 use cachegc_trace::{Access, TraceSink};

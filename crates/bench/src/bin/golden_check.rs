@@ -70,12 +70,12 @@ usage: golden_check [--bless] [--only NAME] [--dir PATH] [--rel-eps X]
                 span; exits 0 valid, 1 invalid
 
 The sweeps always run at --scale 1 --jobs 2: goldens are defined at that
-configuration, and the parallel engine is bit-identical to the
-sequential one, so results do not depend on the machine. Replay
-from the trace cache is bit-identical to the live VM, so --trace-cache
-never changes a table — with any budget, with or without spill. A sweep
-whose driver passes differ from its declared count fails the check, with
-or without --bless.";
+configuration, and the engine is bit-identical at every worker count,
+so results do not depend on the machine. Replay from the trace cache is
+bit-identical to the live VM, so --trace-cache never changes a table —
+with any budget, with or without spill. A sweep whose driver passes
+differ from its declared count fails the check, with or without
+--bless.";
 
 struct Opts {
     bless: bool,

@@ -287,7 +287,7 @@ pub struct ExperimentArgs {
     /// Workload scale (`--scale N`).
     pub scale: u32,
     /// Effective worker threads: the request clamped to the machine's
-    /// available parallelism. 1 is the sequential oracle.
+    /// available parallelism. Results are the same at every width.
     pub jobs: usize,
     /// Worker threads as requested (`--jobs N`), before clamping. The
     /// driver warns (and counts) when this exceeds `jobs`; both land in
@@ -475,9 +475,9 @@ fn usage(binary: &str, about: &str, default_scale: u32) -> String {
          \x20                [--trace-export off|chrome[:PATH]] [--progress]\n\
          \n\
          \x20 --scale N      workload scale (default {default_scale})\n\
-         \x20 --jobs N       worker threads (default: available parallelism; 1 is\n\
-         \x20                the sequential oracle; clamped to the machine's core\n\
-         \x20                count with a warning)\n\
+         \x20 --jobs N       worker threads (default: available parallelism;\n\
+         \x20                results are the same at every N; clamped to the\n\
+         \x20                machine's core count with a warning)\n\
          \x20 --csv PATH     also write results as CSV to PATH\n\
          \x20 --trace-cache  record each unique scenario's trace and replay it for\n\
          \x20                later passes: on (default, 4 GiB budget), off, or an\n\
@@ -547,7 +547,6 @@ mod tests {
         assert!(!a.jobs_clamped());
         assert_eq!(a.csv.as_deref(), Some(Path::new("results/x.csv")));
         assert_eq!(a.engine().jobs, 3);
-        assert!(!a.engine().is_sequential());
     }
 
     #[test]
@@ -575,7 +574,7 @@ mod tests {
         // clamp to 1 while its sibling typo errors out.
         let err = ExperimentArgs::try_parse(&argv(&["--jobs", "0"]), 4).unwrap_err();
         assert!(err.contains("--jobs"), "{err}");
-        assert!(parsed(&["--jobs", "1"]).engine().is_sequential());
+        assert_eq!(parsed(&["--jobs", "1"]).engine().jobs, 1);
     }
 
     #[test]

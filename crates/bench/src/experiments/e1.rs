@@ -2,7 +2,7 @@
 //! executed, and data references for each program, run without collection.
 //!
 //! The five programs are independent trace passes, so `--jobs N` runs up
-//! to N of them concurrently (`--jobs 1` is the sequential oracle).
+//! to N of them concurrently; the table is the same at every `N`.
 
 use cachegc_core::report::{Cell, Table};
 use cachegc_core::Runner;

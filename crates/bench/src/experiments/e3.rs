@@ -8,8 +8,8 @@
 //!
 //! `--jobs N` splits the work two ways: the five programs run
 //! concurrently, and within each pass the 40-cell cache grid is sharded
-//! across a crew's replay readers. `--jobs 1` is the sequential oracle; per-cell statistics are bit-identical
-//! either way.
+//! across a crew's replay readers. Per-cell statistics are bit-identical
+//! at every `N`, `--jobs 1` included.
 
 use cachegc_core::report::{Cell, Table};
 use cachegc_core::{ExperimentConfig, Processor, Runner, FAST, SLOW};

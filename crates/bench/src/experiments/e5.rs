@@ -15,8 +15,8 @@
 //!
 //! `--jobs N` runs the workloads concurrently: each workload's control
 //! pass and then its collected pass run on one map worker, with the
-//! 8-cell grid sharded across any workers left over. `--jobs 1` is the
-//! sequential oracle.
+//! 8-cell grid sharded across any workers left over. The tables are the
+//! same at every `N`, `--jobs 1` included.
 
 use cachegc_core::report::{Cell, Table};
 use cachegc_core::{CollectorSpec, ExperimentConfig, Runner, FAST, SLOW};

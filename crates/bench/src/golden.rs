@@ -12,10 +12,10 @@
 //! Comparison is typed: `Int`/`Count`/`Bytes`/`Text` cells must match
 //! exactly; `Float`/`Pct` cells compare under a relative epsilon
 //! ([`Tolerance`]), with non-finite values equal only to the empty cell
-//! they serialize as. The sweeps are deterministic (the parallel engine is
-//! property-tested bit-identical to its sequential oracle), so in practice
-//! even the float cells match byte for byte and `--bless` regenerates the
-//! goldens reproducibly.
+//! they serialize as. The sweeps are deterministic (the engine is
+//! property-tested bit-identical to the VM driving the sinks directly),
+//! so in practice even the float cells match byte for byte and `--bless`
+//! regenerates the goldens reproducibly.
 
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -257,9 +257,10 @@ pub fn run_sweep(exp: &Experiment, scale: u32, runner: &Runner) -> Vec<Table> {
 /// sweep's manifest must meet — the VM executed at least once
 /// (`vm_execute` has spans) or the store warm-started from spill
 /// segments, a run on more than one worker reported crew runs with
-/// per-worker stats (a one-worker run passes inline and reports none), a
-/// store that reports hits replayed, and every in-flight recording
-/// reservation was resolved by the end of the run.
+/// per-worker stats, every live pass (`counters.vm_runs`) ran a crew of
+/// replay readers (`replay_shard` or `grid_simulate` in
+/// `engine.by_kind`), a store that reports hits replayed, and every
+/// in-flight recording reservation was resolved by the end of the run.
 ///
 /// # Errors
 ///
@@ -308,6 +309,27 @@ pub fn check_manifest(text: &str) -> Result<(), String> {
         .map_or(0, <[_]>::len);
     if engine_runs > 0 && workers == 0 {
         return Err("manifest: engine.workers is empty — no per-worker stats recorded".into());
+    }
+    // Every live pass replays its own recording through a crew of
+    // readers, at one worker too; a store hit may add one more.
+    let vm_runs = doc
+        .get("counters")
+        .and_then(|c| c.get("vm_runs"))
+        .and_then(cachegc_core::json::Json::as_u64)
+        .unwrap_or(0);
+    let crews_of = |kind: &str| {
+        engine
+            .and_then(|e| e.get("by_kind"))
+            .and_then(|k| k.get(kind))
+            .and_then(cachegc_core::json::Json::as_u64)
+            .unwrap_or(0)
+    };
+    let reader_crews = crews_of("replay_shard").saturating_add(crews_of("grid_simulate"));
+    if reader_crews < vm_runs {
+        return Err(format!(
+            "manifest: {reader_crews} reader crews in engine.by_kind for {vm_runs} vm_runs \
+             — a live pass ran without replay readers"
+        ));
     }
     let hits = store_field("hits");
     if hits > 0 && phase_count("replay") == 0 {
@@ -455,7 +477,8 @@ mod tests {
             let _span = probe::phase("vm_execute");
         }
         // A VM span alone is still rejected at two workers: no crew pass
-        // reported. One worker runs every pass inline, so none is due.
+        // reported. At one worker a run that counted no live pass needs
+        // none.
         let no_engine = Manifest::gather(cfg(), &telemetry.snapshot(), None).to_json();
         let err = check_manifest(&no_engine).unwrap_err();
         assert!(err.contains("engine.runs"), "{err}");
@@ -489,6 +512,57 @@ mod tests {
         // Garbage is rejected by the generic layer first.
         assert!(check_manifest("{}").is_err());
         assert!(check_manifest("not json").is_err());
+    }
+
+    #[test]
+    fn manifest_check_demands_a_reader_crew_per_vm_run() {
+        use std::sync::Arc;
+
+        use cachegc_core::telemetry::{probe, Counter, EngineReport};
+        use cachegc_core::{Manifest, ManifestConfig, Telemetry};
+
+        let telemetry = Arc::new(Telemetry::new());
+        let crew = |kind| {
+            telemetry.record_engine(&EngineReport {
+                kind,
+                jobs: 1,
+                sinks: 1,
+                chunks_published: 1,
+                events_published: 8,
+                backpressure_ns: 0,
+                queue_depth_hwm: 1,
+                workers: vec![Default::default()],
+            });
+        };
+        {
+            let _shard = telemetry.attach();
+            let _span = probe::phase("vm_execute");
+            probe::count(Counter::VmRuns, 2);
+        }
+        let check = || {
+            let cfg = ManifestConfig {
+                experiment: "e5_gc_overhead".into(),
+                scale: 1,
+                jobs: 1,
+                jobs_requested: 1,
+                trace_cache: "off".into(),
+            };
+            check_manifest(&Manifest::gather(cfg, &telemetry.snapshot(), None).to_json())
+        };
+        // Two live passes at one worker, and one reader crew: a pass ran
+        // its sinks some other way. A map worker is no reader.
+        crew("grid_simulate");
+        crew("task");
+        let err = check().unwrap_err();
+        assert!(
+            err.contains("1 reader crews") && err.contains("2 vm_runs"),
+            "{err}"
+        );
+        crew("replay_shard");
+        check().unwrap();
+        // A store hit's crew on top of the live ones is fine.
+        crew("grid_simulate");
+        check().unwrap();
     }
 
     #[test]

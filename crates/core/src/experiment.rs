@@ -1,14 +1,14 @@
 //! Experiment runners: one trace pass drives a whole grid of caches.
 
 use cachegc_gc::{
-    CheneyCollector, GcStats, GenerationalCollector, ImmixCollector, MarkSweepCollector,
+    CheneyCollector, Collector, GcStats, GenerationalCollector, ImmixCollector, MarkSweepCollector,
     NoCollector,
 };
 use cachegc_sim::{
     miss_penalty_cycles, Cache, CacheConfig, CacheTotals, MainMemory, Processor, WriteMissPolicy,
 };
-use cachegc_trace::{Context, Fanout};
-use cachegc_vm::VmError;
+use cachegc_trace::{Context, Fanout, TraceSink};
+use cachegc_vm::{RunStats, VmError};
 use cachegc_workloads::WorkloadInstance;
 
 use crate::overhead::{cache_overhead, gc_overhead};
@@ -131,12 +131,12 @@ pub fn run_control(
     instance: WorkloadInstance,
     cfg: &ExperimentConfig,
 ) -> Result<ControlReport, VmError> {
-    let out = instance.run(NoCollector::new(), cfg.caches())?;
+    let (stats, caches) = run_spec_sink(instance, None, cfg.caches())?;
     Ok(control_report(
         instance,
         cfg,
-        out.stats,
-        cache_cells(out.sink.into_sinks()),
+        stats,
+        cache_cells(caches.into_sinks()),
     ))
 }
 
@@ -156,7 +156,7 @@ pub(crate) fn cache_cells(caches: Vec<Cache>) -> Vec<CacheCell> {
 pub(crate) fn control_report(
     instance: WorkloadInstance,
     cfg: &ExperimentConfig,
-    stats: cachegc_vm::RunStats,
+    stats: RunStats,
     cells: Vec<CacheCell>,
 ) -> ControlReport {
     ControlReport {
@@ -226,6 +226,44 @@ impl CollectorSpec {
     }
 }
 
+/// Run `instance` into `sink` under `spec`'s collector (`None` is the
+/// collection-disabled control configuration): the one collector
+/// dispatch behind the oracles below and every live engine pass.
+pub(crate) fn run_spec_sink<S: TraceSink>(
+    instance: WorkloadInstance,
+    spec: Option<CollectorSpec>,
+    sink: S,
+) -> Result<(RunStats, S), VmError> {
+    fn run<C: Collector, S: TraceSink>(
+        instance: WorkloadInstance,
+        gc: C,
+        sink: S,
+    ) -> Result<(RunStats, S), VmError> {
+        let out = instance.run(gc, sink)?;
+        Ok((out.stats, out.sink))
+    }
+    match spec {
+        None => run(instance, NoCollector::new(), sink),
+        Some(CollectorSpec::Cheney { semispace_bytes }) => {
+            run(instance, CheneyCollector::new(semispace_bytes), sink)
+        }
+        Some(CollectorSpec::Generational {
+            nursery_bytes,
+            old_bytes,
+        }) => run(
+            instance,
+            GenerationalCollector::new(nursery_bytes, old_bytes),
+            sink,
+        ),
+        Some(CollectorSpec::Immix { heap_bytes }) => {
+            run(instance, ImmixCollector::new(heap_bytes), sink)
+        }
+        Some(CollectorSpec::MarkSweep { heap_bytes }) => {
+            run(instance, MarkSweepCollector::new(heap_bytes), sink)
+        }
+    }
+}
+
 fn human(b: u32) -> String {
     if b >= 1 << 20 {
         format!("{}m", b >> 20)
@@ -287,31 +325,13 @@ pub fn run_collected(
     cfg: &ExperimentConfig,
     spec: CollectorSpec,
 ) -> Result<CollectedRun, VmError> {
-    let out = match spec {
-        CollectorSpec::Cheney { semispace_bytes } => {
-            let out = instance.run(CheneyCollector::new(semispace_bytes), cfg.caches())?;
-            (out.stats, out.sink.into_sinks())
-        }
-        CollectorSpec::Generational {
-            nursery_bytes,
-            old_bytes,
-        } => {
-            let out = instance.run(
-                GenerationalCollector::new(nursery_bytes, old_bytes),
-                cfg.caches(),
-            )?;
-            (out.stats, out.sink.into_sinks())
-        }
-        CollectorSpec::Immix { heap_bytes } => {
-            let out = instance.run(ImmixCollector::new(heap_bytes), cfg.caches())?;
-            (out.stats, out.sink.into_sinks())
-        }
-        CollectorSpec::MarkSweep { heap_bytes } => {
-            let out = instance.run(MarkSweepCollector::new(heap_bytes), cfg.caches())?;
-            (out.stats, out.sink.into_sinks())
-        }
-    };
-    Ok(collected_run(instance, spec, out.0, cache_cells(out.1)))
+    let (stats, caches) = run_spec_sink(instance, Some(spec), cfg.caches())?;
+    Ok(collected_run(
+        instance,
+        spec,
+        stats,
+        cache_cells(caches.into_sinks()),
+    ))
 }
 
 /// Assemble a [`CollectedRun`] from a finished collected pass; shared by
@@ -319,7 +339,7 @@ pub fn run_collected(
 pub(crate) fn collected_run(
     instance: WorkloadInstance,
     spec: CollectorSpec,
-    stats: cachegc_vm::RunStats,
+    stats: RunStats,
     cells: Vec<CacheCell>,
 ) -> CollectedRun {
     let cells = cells

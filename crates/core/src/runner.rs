@@ -11,18 +11,21 @@
 //! into a [`GcComparison`](crate::GcComparison); a sweep over several
 //! collectors runs the control once.
 //!
-//! The worker count alone picks a pass's shape. With one worker
-//! (`jobs <= 1`) a pass runs inline: the VM drives the sinks through one
-//! [`Fanout`] on the calling thread. With more, a pass is a crew of
-//! replay readers ([`PacketKind::ReplayShard`], or
+//! There is one way to run a pass. Its sinks are dealt over
+//! `min(jobs, sinks)` replay readers ([`PacketKind::ReplayShard`], or
 //! [`PacketKind::GridSimulate`] for grids), each decoding the encoded
 //! trace into its shard of the sinks: the stored trace on a store hit,
 //! otherwise the segment feed (see
 //! [`cachegc_trace::feed`](mod@cachegc_trace::feed)) that the VM, running
-//! on the calling thread, fills through its recorder. The only other
-//! crew is `map`'s workers ([`PacketKind::Task`]). Every crew is one
-//! scoped thread per job (`crate::sched`). Per-sink results are
-//! bit-identical on every path (property-tested in the workspace root).
+//! on the calling thread, fills through its recorder. A live pass's
+//! readers are always a crew, at one worker too; a store hit with one
+//! reader reads on the calling thread. The only other crew is `map`'s
+//! workers ([`PacketKind::Task`]). Every crew is one scoped thread per
+//! job (`crate::sched`). Per-sink results are bit-identical to the
+//! oracles that drive the sinks from the VM directly
+//! ([`run_control`](crate::run_control),
+//! [`run_collected`](crate::run_collected), or a [`Fanout`] under
+//! `WorkloadInstance::run`; property-tested in the workspace root).
 //!
 //! # Example
 //!
@@ -41,21 +44,17 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use cachegc_analysis::{Instrument, Timeline};
-use cachegc_gc::{
-    CheneyCollector, GenerationalCollector, ImmixCollector, MarkSweepCollector, NoCollector,
-};
 use cachegc_sim::{CacheConfig, GridCache};
 use cachegc_telemetry::{probe, Counter, EngineReport, Telemetry, WorkerStats};
 use cachegc_trace::{
-    feed, Fanout, FeedStats, RecordedTrace, Recorder, RefCounter, Segments, TraceSink,
-    DEFAULT_SEGMENT_BYTES,
+    feed, Fanout, FeedStats, RecordedTrace, Recorder, Segments, TraceSink, DEFAULT_SEGMENT_BYTES,
 };
 use cachegc_vm::{RunStats, VmError};
 use cachegc_workloads::WorkloadInstance;
 
 use crate::experiment::{
-    collected_run, control_report, CacheCell, CollectedRun, CollectorSpec, ControlReport,
-    ExperimentConfig,
+    collected_run, control_report, run_spec_sink, CacheCell, CollectedRun, CollectorSpec,
+    ControlReport, ExperimentConfig,
 };
 use crate::sched::{crew, EngineConfig, PacketKind};
 use crate::store::{scenario_label, Acquired, HitSource, OfferOutcome, RecordTicket, TraceStore};
@@ -68,47 +67,16 @@ pub fn default_jobs() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
-/// Replay `instance` into `sink` under the given collector (`None` is the
-/// collection-disabled control configuration). The common trunk of every
-/// terminal below.
-fn run_spec_sink<S: TraceSink>(
-    instance: WorkloadInstance,
-    spec: Option<CollectorSpec>,
-    sink: S,
-) -> Result<(RunStats, S), VmError> {
-    match spec {
-        None => {
-            let out = instance.run(NoCollector::new(), sink)?;
-            Ok((out.stats, out.sink))
-        }
-        Some(CollectorSpec::Cheney { semispace_bytes }) => {
-            let out = instance.run(CheneyCollector::new(semispace_bytes), sink)?;
-            Ok((out.stats, out.sink))
-        }
-        Some(CollectorSpec::Generational {
-            nursery_bytes,
-            old_bytes,
-        }) => {
-            let out = instance.run(GenerationalCollector::new(nursery_bytes, old_bytes), sink)?;
-            Ok((out.stats, out.sink))
-        }
-        Some(CollectorSpec::Immix { heap_bytes }) => {
-            let out = instance.run(ImmixCollector::new(heap_bytes), sink)?;
-            Ok((out.stats, out.sink))
-        }
-        Some(CollectorSpec::MarkSweep { heap_bytes }) => {
-            let out = instance.run(MarkSweepCollector::new(heap_bytes), sink)?;
-            Ok((out.stats, out.sink))
-        }
-    }
-}
+/// The sink every live pass's producer drives: the optional timeline tap
+/// beside the recorder whose feed the pass's readers replay. The VM is
+/// compiled once per collector for it, whatever the pass's sinks.
+type LiveSink = (Option<Timeline>, Recorder);
 
 /// What a live pass runs on the calling thread: the VM over a workload,
-/// or a caller's own loop ([`Runner::drive`]). Generic over the sink so
-/// the VM monomorphizes into the pass's concrete tuple sink.
+/// or a caller's own loop ([`Runner::drive`]).
 trait Producer {
     type Out;
-    fn run<K: TraceSink>(self, sink: K) -> Result<(Self::Out, K), VmError>;
+    fn run(self, sink: LiveSink) -> Result<(Self::Out, LiveSink), VmError>;
 }
 
 /// The VM over one scenario.
@@ -116,7 +84,7 @@ struct Vm(WorkloadInstance, Option<CollectorSpec>);
 
 impl Producer for Vm {
     type Out = RunStats;
-    fn run<K: TraceSink>(self, sink: K) -> Result<(RunStats, K), VmError> {
+    fn run(self, sink: LiveSink) -> Result<(RunStats, LiveSink), VmError> {
         run_spec_sink(self.0, self.1, sink)
     }
 }
@@ -126,7 +94,7 @@ struct Drive<F>(F);
 
 impl<T, F: FnOnce(&mut dyn TraceSink) -> T> Producer for Drive<F> {
     type Out = T;
-    fn run<K: TraceSink>(self, mut sink: K) -> Result<(T, K), VmError> {
+    fn run(self, mut sink: LiveSink) -> Result<(T, LiveSink), VmError> {
         let out = (self.0)(&mut sink);
         Ok((out, sink))
     }
@@ -169,7 +137,7 @@ fn undeal<T>(dealt: impl IntoIterator<Item = (usize, T)>, n: usize) -> Vec<T> {
 
 /// `sinks` dealt over `readers` shards, each a [`Fanout`] over its sinks,
 /// plus each shard's input positions for [`unshard`].
-fn shard<T: TraceSink>(sinks: Vec<T>, readers: usize) -> (Vec<Vec<usize>>, Vec<Fanout<T>>) {
+fn shard<T>(sinks: Vec<T>, readers: usize) -> (Vec<Vec<usize>>, Vec<Fanout<T>>) {
     deal(sinks, readers)
         .into_iter()
         .map(|shard| {
@@ -180,7 +148,7 @@ fn shard<T: TraceSink>(sinks: Vec<T>, readers: usize) -> (Vec<Vec<usize>>, Vec<F
 }
 
 /// The sinks of [`shard`]'s fanouts, back in input order.
-fn unshard<T: TraceSink>(order: Vec<Vec<usize>>, shards: Vec<Fanout<T>>) -> Vec<T> {
+fn unshard<T>(order: Vec<Vec<usize>>, shards: Vec<Fanout<T>>) -> Vec<T> {
     let n = order.iter().map(Vec::len).sum();
     let dealt = order
         .into_iter()
@@ -207,14 +175,13 @@ fn grid_shards(configs: Vec<CacheConfig>, jobs: usize) -> (Vec<Vec<usize>>, Vec<
 }
 
 /// What a live pass hands back: the producer's result, the sinks in
-/// input order, the recorder (the ticket's, on a store miss), the
-/// timeline tap, and the events the producer emitted.
+/// input order, the recorder (the ticket's, on a store miss), which
+/// counted every event the producer emitted, and the timeline tap.
 struct Live<O, T> {
     out: O,
     sinks: Vec<T>,
-    recorder: Option<Recorder>,
+    recorder: Recorder,
     tap: Option<Timeline>,
-    events: u64,
 }
 
 /// The unified experiment driver: an engine configuration and the
@@ -251,7 +218,8 @@ impl<'a> Runner<'a> {
         }
     }
 
-    /// The sequential-oracle runner: one worker, nothing attached.
+    /// The one-worker runner, nothing attached: each live pass runs one
+    /// reader beside the VM, and a store hit reads on the calling thread.
     pub fn sequential() -> Runner<'static> {
         Runner::new(EngineConfig::default())
     }
@@ -349,12 +317,11 @@ impl<'a> Runner<'a> {
     ///   and the capture is offered back to the store (which may decline
     ///   it on budget grounds).
     ///
-    /// With one worker a live pass runs the sinks inline on the VM's
-    /// tuple sink. With more, the VM runs on the calling thread into a
-    /// recorder whose sealed segments feed `min(jobs, sinks)` reader
-    /// threads, each replaying the feed into its shard of the sinks as a
-    /// hit replays the stored trace. Per-sink results are bit-identical
-    /// on every path.
+    /// A live pass runs the VM on the calling thread into a recorder
+    /// whose sealed segments feed `min(jobs, sinks)` reader threads, each
+    /// replaying the feed into its shard of the sinks as a hit replays
+    /// the stored trace. Per-sink results are bit-identical on every
+    /// path.
     ///
     /// When the runner carries a [`Telemetry`] registry this terminal is
     /// also the instrumentation root: it attaches a probe shard on the
@@ -392,7 +359,7 @@ impl<'a> Runner<'a> {
         read: R,
     ) -> Result<(RunStats, Vec<T>), VmError>
     where
-        T: TraceSink + Send,
+        T: Send,
         R: Fn(&mut Segments<'_>, &mut Fanout<T>) + Sync,
     {
         let _shard = self.telemetry.map(|t| t.attach());
@@ -420,15 +387,21 @@ impl<'a> Runner<'a> {
         read: R,
     ) -> Result<(RunStats, Vec<T>, u64), VmError>
     where
-        T: TraceSink + Send,
+        T: Send,
         R: Fn(&mut Segments<'_>, &mut Fanout<T>) + Sync,
     {
         let label = || scenario_label(instance, spec);
         let Some(store) = self.store else {
             probe!(Counter::VmRuns);
-            let live = self.live(Vm(instance, spec), None, kind, sinks, read)?;
+            let live = self.live(
+                Vm(instance, spec),
+                Recorder::with_limit(0),
+                kind,
+                sinks,
+                read,
+            )?;
             self.commit_tap(label, live.tap);
-            return Ok((live.out, live.sinks, live.events));
+            return Ok((live.out, live.sinks, live.recorder.events()));
         };
         let ticket = match store.acquire(instance, spec) {
             Acquired::Hit { trace, source } => {
@@ -462,19 +435,11 @@ impl<'a> Runner<'a> {
         probe!(Counter::VmRuns);
         let record_start = Instant::now();
         let _record = probe::phase("record");
-        let live = self.live(
-            Vm(instance, spec),
-            Some(ticket.recorder()),
-            kind,
-            sinks,
-            read,
-        )?;
+        let live = self.live(Vm(instance, spec), ticket.recorder(), kind, sinks, read)?;
         self.commit_tap(label, live.tap);
-        let recorder = live
-            .recorder
-            .expect("a recording pass returns its recorder");
-        self.offer(ticket, recorder, live.out, record_start, store, label);
-        Ok((live.out, live.sinks, live.events))
+        let events = live.recorder.events();
+        self.offer(ticket, live.recorder, live.out, record_start, store, label);
+        Ok((live.out, live.sinks, events))
     }
 
     /// Hand a finished capture to the store and count the outcome.
@@ -513,65 +478,32 @@ impl<'a> Runner<'a> {
         }
     }
 
-    /// The one live pass: `producer` runs on the calling thread.
-    ///
-    /// With one worker the sinks ride its tuple sink inline,
-    /// `(tap, (rider, Fanout))`, the rider being `recorder` (a store
-    /// miss's) or an event tally. With more, the producer records into
-    /// `recorder` — or, without one, a recorder that keeps nothing — and
-    /// every segment it seals feeds `min(jobs, sinks)` readers of `kind`,
-    /// which `read` their shard of the sinks from the feed while it
-    /// grows, exactly as a store hit's readers read the stored trace.
+    /// The one live pass: `producer` runs on the calling thread into
+    /// `recorder`, and every segment it seals feeds `min(jobs, sinks)`
+    /// readers of `kind`, which `read` their shard of the sinks from the
+    /// feed while it grows, exactly as a store hit's readers read the
+    /// stored trace. `recorder` is a store miss's ticket's, or else
+    /// `Recorder::with_limit(0)`: a zero limit abandons the capture at its
+    /// first event, and an abandoned capture with a feed only feeds.
     fn live<P, T, R>(
         &self,
         producer: P,
-        recorder: Option<Recorder>,
+        recorder: Recorder,
         kind: PacketKind,
         sinks: Vec<T>,
         read: R,
     ) -> Result<Live<P::Out, T>, VmError>
     where
         P: Producer,
-        T: TraceSink + Send,
+        T: Send,
         R: Fn(&mut Segments<'_>, &mut Fanout<T>) + Sync,
     {
         let tap = self.timeline.map(|t| t.tap());
-        if self.engine.is_sequential() {
-            let _vm = probe::phase_cpu("vm_execute");
-            let fan = Fanout::new(sinks);
-            return Ok(match recorder {
-                Some(rec) => {
-                    let (out, (tap, (rec, fan))) = producer.run((tap, (rec, fan)))?;
-                    Live {
-                        out,
-                        sinks: fan.into_sinks(),
-                        events: rec.events(),
-                        recorder: Some(rec),
-                        tap,
-                    }
-                }
-                None => {
-                    let (out, (tap, (tally, fan))) =
-                        producer.run((tap, (RefCounter::new(), fan)))?;
-                    Live {
-                        out,
-                        sinks: fan.into_sinks(),
-                        events: tally.total(),
-                        recorder: None,
-                        tap,
-                    }
-                }
-            });
-        }
         let n = sinks.len();
         let readers = self.engine.jobs.min(n).max(1);
         let (order, shards) = shard(sinks, readers);
         let (writer, feeds) = feed(readers);
-        // Without a store ticket nothing is kept: a zero limit abandons
-        // the capture at its first event, and an abandoned capture with
-        // a feed only feeds.
         let recorder = recorder
-            .unwrap_or_else(|| Recorder::with_limit(0))
             .with_segment_bytes(self.segment_bytes)
             .with_feed(writer);
         let sources = feeds.into_iter().map(Segments::Feed).collect();
@@ -590,14 +522,12 @@ impl<'a> Runner<'a> {
                 return Err(e);
             }
         };
-        let events = rec.events();
-        self.flush_crew(kind, workers, n, events, feed);
+        self.flush_crew(kind, workers, n, rec.events(), feed);
         Ok(Live {
             out,
             sinks: unshard(order, shards),
-            recorder: Some(rec),
+            recorder: rec,
             tap,
-            events,
         })
     }
 
@@ -611,7 +541,7 @@ impl<'a> Runner<'a> {
         read: R,
     ) -> Vec<T>
     where
-        T: TraceSink + Send,
+        T: Send,
         R: Fn(&mut Segments<'_>, &mut Fanout<T>) + Sync,
     {
         let n = sinks.len();
@@ -642,7 +572,7 @@ impl<'a> Runner<'a> {
         produce: impl FnOnce() -> P,
     ) -> (P, Vec<Fanout<T>>, Vec<WorkerStats>)
     where
-        T: TraceSink + Send,
+        T: Send,
     {
         let readers = shards
             .into_iter()
@@ -691,8 +621,7 @@ impl<'a> Runner<'a> {
     /// [`Runner::collected`].
     ///
     /// The grid rides the pass as [`GridCache`] shards, one per worker,
-    /// allocated on the calling thread. Inline, the VM drives the one
-    /// shard event by event; on a crew, each [`PacketKind::GridSimulate`]
+    /// allocated on the calling thread. Each [`PacketKind::GridSimulate`]
     /// reader drives its shard through the batched decoder, from the
     /// stored trace on a hit and from the live feed otherwise (see
     /// [`Runner::sinks`]). Cells come back in input order, each
@@ -827,13 +756,12 @@ impl<'a> Runner<'a> {
 
     /// The escape hatch for passes that drive the sink themselves (e.g. a
     /// hand-built VM loop): `f` receives a [`TraceSink`] over `sinks`
-    /// under this runner's engine — inline through one [`Fanout`], or
-    /// recorded into a feed that reader threads replay into shards of
-    /// the sinks — and the sinks come back in input order along with
-    /// `f`'s result. The pass has no scenario key: it always runs live,
-    /// and its timeline commits under `drive`. Phases, the VM-run
-    /// counter, engine observability and the progress tick are reported
-    /// exactly like [`Runner::sinks`]'s live path.
+    /// under this runner's engine — a recorder whose feed reader threads
+    /// replay into shards of the sinks — and the sinks come back in input
+    /// order along with `f`'s result. The pass has no scenario key: it
+    /// always runs live, and its timeline commits under `drive`. Phases,
+    /// the VM-run counter, engine observability and the progress tick are
+    /// reported exactly like [`Runner::sinks`]'s live path.
     pub fn drive<S, T, F>(&self, sinks: Vec<S>, f: F) -> (T, Vec<S>)
     where
         S: TraceSink + Send,
@@ -863,19 +791,19 @@ impl<'a> Runner<'a> {
         f: F,
     ) -> (T, Vec<S>)
     where
-        S: TraceSink + Send,
+        S: Send,
         F: FnOnce(&mut dyn TraceSink) -> T,
         R: Fn(&mut Segments<'_>, &mut Fanout<S>) + Sync,
     {
         let _shard = self.telemetry.map(|t| t.attach());
         let pass_start = Instant::now();
         probe!(Counter::VmRuns);
-        let live = match self.live(Drive(f), None, reader, sinks, read) {
+        let live = match self.live(Drive(f), Recorder::with_limit(0), reader, sinks, read) {
             Ok(live) => live,
             Err(e) => unreachable!("a driven pass runs no VM that could fail: {e}"),
         };
         self.commit_tap(|| "drive".to_string(), live.tap);
-        self.report_pass(live.events, pass_start);
+        self.report_pass(live.recorder.events(), pass_start);
         (live.out, live.sinks)
     }
 }
@@ -931,10 +859,9 @@ mod tests {
     #[test]
     fn instruments_identical_on_crews_of_every_width() {
         let w = Workload::Rewrite.scaled(1);
-        let (stats0, oracle) = Runner::sequential()
-            .instruments(w, None, mixed_instruments())
-            .unwrap();
-        for jobs in [2, 3, 8] {
+        let (stats0, oracle) = run_spec_sink(w, None, Fanout::new(mixed_instruments())).unwrap();
+        let oracle = oracle.into_sinks();
+        for jobs in [1, 2, 3, 8] {
             let (stats, out) = Runner::new(EngineConfig::jobs(jobs))
                 .instruments(w, None, mixed_instruments())
                 .unwrap();
@@ -982,7 +909,7 @@ mod tests {
         assert_eq!((s.hits, s.misses, s.entries, s.over_budget), (1, 1, 1, 0));
         assert!(s.bytes > 0 && s.events == oracle.refs);
         // Every later consumer of the same scenario — a different sink
-        // set, a sequential runner — replays too, VM still run once.
+        // set, a one-worker runner — replays too, VM still run once.
         let seq = Runner::sequential().with_store(&store);
         let again = seq.control(w, &cfg).unwrap();
         grids_equal(&oracle.cells, &again.cells);
@@ -990,10 +917,10 @@ mod tests {
     }
 
     /// `Runner::grid` against the `Vec<Cache>` oracle (`run_control` /
-    /// `run_collected`) on every path a grid can take: live sequential,
-    /// live crews (replaying the feed of an unkept recording), store
-    /// misses (replaying the feed of the kept one), store hits on one to
-    /// three workers, and hits re-materialized from spill files. Every
+    /// `run_collected`) on every path a grid can take: live crews of one
+    /// to three readers (replaying the feed of an unkept recording),
+    /// store misses (replaying the feed of the kept one), store hits on
+    /// one to three workers, and hits re-materialized from spill files. Every
     /// cell's `CacheTotals` must match: a grid lane keeps no per-block
     /// counters (`Cache`'s own are checked by its tests and `activity`'s).
     #[test]
@@ -1023,8 +950,7 @@ mod tests {
                 assert_eq!(x.stats, y.stats, "{tag}: {}", x.config);
             }
         };
-        check("live sequential", &Runner::sequential());
-        for jobs in [2, 3] {
+        for jobs in [1, 2, 3] {
             check(
                 &format!("live jobs {jobs}"),
                 &Runner::new(EngineConfig::jobs(jobs)),
@@ -1033,8 +959,8 @@ mod tests {
         let ws = EngineConfig::jobs;
         let store = crate::TraceStore::unbounded();
         check(
-            "sequential store miss",
-            &Runner::sequential().with_store(&store),
+            "one-reader store miss",
+            &Runner::new(ws(1)).with_store(&store),
         );
         let tmp = crate::spill::TempDir::new("grid-paths");
         let dir = tmp.path();
@@ -1184,7 +1110,9 @@ mod tests {
         let err = run_collected(w, &ExperimentConfig::quick(), spec).unwrap_err();
         let store = crate::TraceStore::unbounded();
         for runner in [
+            Runner::new(EngineConfig::jobs(1)).with_segment_bytes(64),
             Runner::new(EngineConfig::jobs(2)).with_segment_bytes(64),
+            Runner::new(EngineConfig::jobs(1)).with_store(&store),
             Runner::new(EngineConfig::jobs(3)).with_store(&store),
         ] {
             let got = runner.collected(w, &ExperimentConfig::quick(), spec);
@@ -1205,12 +1133,14 @@ mod tests {
                 assert!(self.0 < 1000, "sink gives out");
             }
         }
-        let outcome = std::panic::catch_unwind(|| {
-            let runner = Runner::new(EngineConfig::jobs(2)).with_segment_bytes(64);
-            let sinks = vec![Bomb(0), Bomb(0)];
-            runner.sinks(Workload::Rewrite.scaled(1), None, sinks)
-        });
-        assert!(outcome.is_err(), "the reader's panic surfaced");
+        for jobs in [1, 2] {
+            let outcome = std::panic::catch_unwind(|| {
+                let runner = Runner::new(EngineConfig::jobs(jobs)).with_segment_bytes(64);
+                let sinks = vec![Bomb(0), Bomb(0)];
+                runner.sinks(Workload::Rewrite.scaled(1), None, sinks)
+            });
+            assert!(outcome.is_err(), "jobs {jobs}: the reader's panic surfaced");
+        }
     }
 
     #[test]
@@ -1222,13 +1152,11 @@ mod tests {
             cache: CacheConfig::direct_mapped(16 << 10, 32),
             window_events: 4096,
         };
-        // Sequential live oracle.
+        // The oracle: the VM driving the tap directly.
         let oracle = {
             let rec = TimelineRecorder::new(spec);
-            Runner::sequential()
-                .with_timeline(&rec)
-                .control(w, &cfg)
-                .unwrap();
+            let (_, tap) = run_spec_sink(w, None, rec.tap()).unwrap();
+            rec.commit(&scenario_label(w, None), tap);
             rec.runs()
         };
         assert_eq!(oracle.len(), 1);
@@ -1243,7 +1171,8 @@ mod tests {
         // commit the same report.
         let store = crate::TraceStore::unbounded();
         for (tag, runner) in [
-            ("live", Runner::new(EngineConfig::jobs(3))),
+            ("live jobs 1", Runner::new(EngineConfig::jobs(1))),
+            ("live jobs 3", Runner::new(EngineConfig::jobs(3))),
             (
                 "record",
                 Runner::new(EngineConfig::jobs(2)).with_store(&store),

@@ -37,8 +37,9 @@ pub enum Schedule {
 /// Configuration of the experiment engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EngineConfig {
-    /// Worker threads. `1` is the sequential configuration: passes run
-    /// inline on the calling thread.
+    /// Worker threads: the readers of a pass (at most one per sink), or
+    /// the workers of a `Runner::map`. A live pass runs its VM on the
+    /// calling thread beside its readers, at one worker too.
     pub jobs: usize,
 }
 
@@ -58,12 +59,6 @@ impl EngineConfig {
     /// so this changes nothing.
     pub fn with_schedule(self, _schedule: Schedule) -> Self {
         self
-    }
-
-    /// True if passes should run inline on the calling thread rather
-    /// than on a crew.
-    pub fn is_sequential(&self) -> bool {
-        self.jobs <= 1
     }
 }
 
@@ -233,14 +228,9 @@ mod tests {
     fn engine_config_is_just_the_worker_count() {
         let e = EngineConfig::jobs(4).with_schedule(Schedule::WorkStealing);
         assert_eq!(e, EngineConfig::jobs(4), "schedules change nothing");
-        assert!(!e.is_sequential());
-        assert!(EngineConfig::default().is_sequential());
-        assert!(EngineConfig::jobs(1)
-            .with_schedule(Schedule::WorkStealing)
-            .is_sequential());
+        assert_eq!(EngineConfig::default(), EngineConfig::jobs(1));
     }
 
-    #[cfg(not(cachegc_probes_off))]
     #[test]
     fn crews_record_packet_spans_on_worker_rows() {
         let tele = Arc::new(Telemetry::with_spans());

@@ -22,7 +22,7 @@
 //! the batch-cut property test in `tests/properties.rs`) check for every
 //! write-hit × write-miss policy combination.
 
-use cachegc_trace::{Access, EventBatch, TraceSink};
+use cachegc_trace::{Access, EventBatch};
 
 #[cfg(doc)]
 use crate::cache::Cache;
@@ -259,33 +259,14 @@ impl GridCache {
     }
 }
 
-impl TraceSink for GridCache {
-    #[inline]
-    fn access(&mut self, a: Access) {
-        let GridCache {
-            lanes,
-            blocks,
-            events,
-        } = self;
-        let mut refs = CacheTotals::default();
-        refs.count_ref(a.ctx, a.is_read());
-        Self::count_refs(lanes, &refs);
-        for lane in lanes.iter_mut() {
-            let n = lane.index_mask as usize + 1;
-            Self::step(lane, &mut blocks[lane.base..lane.base + n], a);
-        }
-        *events += 1;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cache::Cache;
-    use cachegc_trace::Context;
+    use cachegc_trace::{Context, Recorder, TraceSink};
 
-    /// A `Vec<Cache>` built over the same configurations: the sequential
-    /// oracle the grid is differentially tested against.
+    /// A `Vec<Cache>` built over the same configurations: the oracle the
+    /// grid is differentially tested against.
     fn grid_oracle(configs: &[CacheConfig]) -> Vec<Cache> {
         configs.iter().map(|&c| Cache::new(c)).collect()
     }
@@ -348,15 +329,29 @@ mod tests {
         configs
     }
 
+    /// A grid fed `stream` the way every engine pass feeds one: recorded
+    /// into small segments and replayed through the batched decoder.
+    fn consume_all(configs: Vec<CacheConfig>, stream: &[Access]) -> GridCache {
+        let mut rec = Recorder::new().with_segment_bytes(4096);
+        for &a in stream {
+            rec.access(a);
+        }
+        let trace = rec
+            .finish()
+            .expect("an unlimited recorder keeps its capture");
+        let mut grid = GridCache::new(configs);
+        trace.replay_batched(|b| grid.consume(b));
+        grid
+    }
+
     #[test]
     fn grid_matches_independent_caches_for_every_policy_combo() {
         let configs = policy_grid();
         for seed in [1u64, 0xdead_beef, 0x5eed_5eed_5eed] {
             let stream = mixed_stream(seed, 20_000);
-            let mut grid = GridCache::new(configs.clone());
+            let grid = consume_all(configs.clone(), &stream);
             let mut oracle = grid_oracle(&configs);
             for &a in &stream {
-                grid.access(a);
                 for c in &mut oracle {
                     c.access(a);
                 }
@@ -379,36 +374,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_consume_matches_per_event_access() {
-        use cachegc_trace::Recorder;
-        let configs = policy_grid();
-        let stream = mixed_stream(0xabcd_ef01, 30_000);
-        let mut rec = Recorder::new().with_segment_bytes(4096);
-        for &a in &stream {
-            rec.access(a);
-        }
-        let trace = rec.finish().unwrap();
-        // Batched: one decode pass drives the whole grid.
-        let mut batched = GridCache::new(configs.clone());
-        trace.replay_batched(|b| batched.consume(b));
-        // Per-event oracle path.
-        let mut scalar = GridCache::new(configs);
-        for &a in &stream {
-            scalar.access(a);
-        }
-        assert_eq!(batched.events(), scalar.events());
-        for (i, (a, b)) in batched
-            .into_cells()
-            .into_iter()
-            .zip(scalar.into_cells())
-            .enumerate()
-        {
-            assert_eq!(a.0, b.0);
-            assert_eq!(a.1, b.1, "lane {i} ({}) batch/scalar divergence", a.0);
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "direct-mapped")]
     fn associative_configs_are_rejected() {
         GridCache::new(vec![CacheConfig::direct_mapped(32 << 10, 64).with_assoc(2)]);
@@ -416,9 +381,8 @@ mod tests {
 
     #[test]
     fn empty_grid_is_harmless() {
-        let mut g = GridCache::new(Vec::new());
+        let g = consume_all(Vec::new(), &[Access::read(0, Context::Mutator)]);
         assert!(g.is_empty());
-        g.access(Access::read(0, Context::Mutator));
         assert_eq!(g.events(), 1);
         assert_eq!(g.cells_simulated(), 0);
         assert!(g.into_cells().is_empty());

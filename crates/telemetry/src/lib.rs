@@ -12,9 +12,7 @@
 //!
 //! When no shard is attached to the current thread — the default; nothing
 //! in this crate has process-global state — every probe is a thread-local
-//! check and a branch. For the truly paranoid, building the workspace with
-//! `RUSTFLAGS="--cfg cachegc_probes_off"` compiles every probe body out
-//! entirely.
+//! check and a branch.
 //!
 //! This crate sits at the root of the workspace dependency graph (no
 //! dependencies, like `cachegc-trace`) so the GC, the VM, and the trace
@@ -180,7 +178,6 @@ pub struct PhaseStats {
 }
 
 impl PhaseStats {
-    #[cfg_attr(cachegc_probes_off, allow(dead_code))]
     fn record(&mut self, wall_ns: u64, cpu_ns: u64) {
         self.count += 1;
         self.wall_ns += wall_ns;
@@ -248,7 +245,6 @@ impl Shard {
         }
     }
 
-    #[cfg_attr(cachegc_probes_off, allow(dead_code))]
     fn push_span(&mut self, name: &'static str, cat: &'static str, start_ns: u64, dur_ns: u64) {
         if !self.spans_enabled {
             return;
@@ -474,7 +470,7 @@ impl Snapshot {
 /// The hot-path increment macro: `probe!(Counter::VmAllocs)` adds 1,
 /// `probe!(Counter::GcBytesCopied, n)` adds `n`. Expands to a call into
 /// [`probe::count`], which is a thread-local check when no shard is
-/// attached and nothing at all under `--cfg cachegc_probes_off`.
+/// attached.
 #[macro_export]
 macro_rules! probe {
     ($counter:expr) => {
@@ -600,7 +596,6 @@ mod tests {
         assert_eq!(s.counter(Counter::Warnings), 1);
     }
 
-    #[cfg(not(cachegc_probes_off))]
     #[test]
     fn spans_capture_only_when_enabled() {
         let plain = Arc::new(Telemetry::new());

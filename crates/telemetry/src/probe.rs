@@ -1,16 +1,12 @@
 //! Hot-path probe functions: write into the current thread's shard.
 //!
 //! Each function is a thread-local lookup plus a branch when a shard is
-//! attached, and only the lookup when none is. Building with
-//! `RUSTFLAGS="--cfg cachegc_probes_off"` compiles the bodies out, making
-//! every probe (and the [`probe!`](crate::probe) macro) literally free.
+//! attached, and only the lookup when none is.
 
 use crate::Counter;
-#[cfg(not(cachegc_probes_off))]
 use crate::SHARD;
 use std::time::Instant;
 
-#[cfg(not(cachegc_probes_off))]
 fn dur_ns(d: std::time::Duration) -> u64 {
     u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
 }
@@ -18,28 +14,18 @@ fn dur_ns(d: std::time::Duration) -> u64 {
 /// Add `n` to `counter` in the current thread's shard, if one is attached.
 #[inline]
 pub fn count(counter: Counter, n: u64) {
-    #[cfg(not(cachegc_probes_off))]
     SHARD.with(|s| {
         if let Some(shard) = s.borrow_mut().as_mut() {
             shard.counters[counter as usize] += n;
         }
     });
-    #[cfg(cachegc_probes_off)]
-    let _ = (counter, n);
 }
 
 /// True if the current thread has a probe shard attached (telemetry is
 /// live on this thread).
 #[inline]
 pub fn active() -> bool {
-    #[cfg(not(cachegc_probes_off))]
-    {
-        SHARD.with(|s| s.borrow().is_some())
-    }
-    #[cfg(cachegc_probes_off)]
-    {
-        false
-    }
+    SHARD.with(|s| s.borrow().is_some())
 }
 
 /// True if the current thread's shard captures timestamped span records
@@ -47,21 +33,13 @@ pub fn active() -> bool {
 /// before reading clocks for a span that would otherwise be discarded.
 #[inline]
 pub fn spans_active() -> bool {
-    #[cfg(not(cachegc_probes_off))]
-    {
-        SHARD.with(|s| s.borrow().as_ref().is_some_and(|sh| sh.spans_enabled))
-    }
-    #[cfg(cachegc_probes_off)]
-    {
-        false
-    }
+    SHARD.with(|s| s.borrow().as_ref().is_some_and(|sh| sh.spans_enabled))
 }
 
 /// Record a completed span that began at `start` and ends now, if the
 /// current shard captures spans. `cat` groups spans in trace viewers.
 #[inline]
 pub fn span(name: &'static str, cat: &'static str, start: Instant) {
-    #[cfg(not(cachegc_probes_off))]
     SHARD.with(|s| {
         if let Some(shard) = s.borrow_mut().as_mut() {
             if shard.spans_enabled {
@@ -70,8 +48,6 @@ pub fn span(name: &'static str, cat: &'static str, start: Instant) {
             }
         }
     });
-    #[cfg(cachegc_probes_off)]
-    let _ = (name, cat, start);
 }
 
 /// Start a wall-clock span of the named phase. The span records into the
@@ -94,16 +70,12 @@ pub fn phase_cpu(name: &'static str) -> PhaseSpan {
 /// An in-flight phase span; records on drop.
 #[derive(Debug)]
 pub struct PhaseSpan {
-    #[cfg(not(cachegc_probes_off))]
     name: &'static str,
-    #[cfg(not(cachegc_probes_off))]
     start: Option<Instant>,
-    #[cfg(not(cachegc_probes_off))]
     cpu_start: Option<u64>,
 }
 
 impl PhaseSpan {
-    #[cfg(not(cachegc_probes_off))]
     fn start(name: &'static str, sample_cpu: bool) -> PhaseSpan {
         if !active() {
             return PhaseSpan {
@@ -118,14 +90,8 @@ impl PhaseSpan {
             start: Some(Instant::now()),
         }
     }
-
-    #[cfg(cachegc_probes_off)]
-    fn start(_name: &'static str, _sample_cpu: bool) -> PhaseSpan {
-        PhaseSpan {}
-    }
 }
 
-#[cfg(not(cachegc_probes_off))]
 impl Drop for PhaseSpan {
     fn drop(&mut self) {
         let Some(start) = self.start else { return };
@@ -152,7 +118,6 @@ impl Drop for PhaseSpan {
 
 /// Nanoseconds this thread has spent on-CPU, from the scheduler. Linux
 /// only; `None` where the kernel interface is unavailable.
-#[cfg(not(cachegc_probes_off))]
 fn thread_cpu_ns() -> Option<u64> {
     #[cfg(target_os = "linux")]
     {

@@ -52,7 +52,7 @@ pub struct Fanout<S> {
     sinks: Vec<S>,
 }
 
-impl<S: TraceSink> Fanout<S> {
+impl<S> Fanout<S> {
     /// Create a fanout over `sinks`.
     pub fn new(sinks: Vec<S>) -> Self {
         Fanout { sinks }

@@ -281,7 +281,6 @@ fn grid_lanes_match_their_cache_oracles_under_any_batch_cuts() {
         let accesses = walk_stream(rng, n);
         let mut oracles: Vec<Cache> = configs.iter().map(|&c| Cache::new(c)).collect();
         let mut batched = GridCache::new(configs.clone());
-        let mut scalar = GridCache::new(configs.clone());
         let mut rest = &accesses[..];
         while !rest.is_empty() {
             let (head, tail) = rest.split_at(rng.range_usize(1, EVENT_BATCH + 1).min(rest.len()));
@@ -289,16 +288,13 @@ fn grid_lanes_match_their_cache_oracles_under_any_batch_cuts() {
             rest = tail;
         }
         for &a in &accesses {
-            scalar.access(a);
             oracles.iter_mut().for_each(|c| c.access(a));
         }
         assert_eq!(batched.events(), accesses.len() as u64);
-        assert_eq!(scalar.events(), accesses.len() as u64);
         for (lane, cache) in oracles.iter().enumerate() {
             let want = cache.stats().totals();
             let cfg = configs[lane];
-            assert_eq!(*batched.stats(lane), want, "batched lane {lane} ({cfg})");
-            assert_eq!(*scalar.stats(lane), want, "per-event lane {lane} ({cfg})");
+            assert_eq!(*batched.stats(lane), want, "lane {lane} ({cfg})");
         }
     });
 }
@@ -412,7 +408,7 @@ fn feed_driven_grid_matches_sequential_fanout() {
     check("feed_grid_equivalence", 48, |rng| {
         // Random crew width and segment size, so segment boundaries and
         // feed backpressure land everywhere relative to the stream.
-        let jobs = rng.range_usize(2, 5);
+        let jobs = rng.range_usize(1, 5);
         let segment_bytes = rng.range_usize(16, 4097);
         let n = rng.range_usize(0, 4000);
         let accesses = random_stream(rng, n, 1 << 16);
@@ -429,7 +425,7 @@ fn feed_segment_boundary_edges() {
     for n in [0usize, 1, 2, 7, 63, 64, 65, 1000] {
         let accesses = stride_stream(n);
         let expected = fanout(small_grid(), &accesses);
-        for jobs in [2usize, 3, 4] {
+        for jobs in [1usize, 2, 3, 4] {
             for segment_bytes in [16usize, 17, 64] {
                 let par = drive_feed(jobs, segment_bytes, small_grid(), &accesses);
                 assert_cells_identical(expected.clone(), par);
@@ -443,7 +439,7 @@ fn feed_driven_instruments_match_sequential_fanout() {
     check("feed_instruments_equivalence", 24, |rng| {
         // Every instrument's final state must be bit-identical to the
         // sequential oracle, whichever reader its shard landed on.
-        let jobs = rng.range_usize(2, 5);
+        let jobs = rng.range_usize(1, 5);
         let segment_bytes = rng.range_usize(16, 4097);
         let n = rng.range_usize(0, 2500);
         let accesses = random_stream(rng, n, 1 << 14);
@@ -463,7 +459,7 @@ fn feed_edges_with_more_workers_than_instruments() {
     for n in [0usize, 1, 63, 64, 65, 193] {
         let accesses = stride_stream(n);
         let expected = fanout(mixed_instruments(), &accesses);
-        for jobs in [2usize, 6, 16] {
+        for jobs in [1usize, 2, 6, 16] {
             let par = drive_feed(jobs, 16, mixed_instruments(), &accesses);
             assert_eq!(expected, par, "n={n} jobs={jobs}");
         }
