@@ -1,10 +1,9 @@
 //! Memory-block behavior tracking (§7).
 
-use std::collections::HashMap;
-
 use cachegc_trace::{Access, Region, TraceSink};
 
-/// Per-memory-block record.
+/// Per-memory-block record. A record with `refs == 0` belongs to a block
+/// no reference has touched.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct BlockInfo {
     first: u64,
@@ -15,6 +14,24 @@ struct BlockInfo {
     region: Region,
 }
 
+impl BlockInfo {
+    const UNTOUCHED: BlockInfo = BlockInfo {
+        first: 0,
+        last: 0,
+        refs: 0,
+        last_cycle: 0,
+        cycles_active: 0,
+        region: Region::Static,
+    };
+}
+
+/// A page holds at least `1 << PAGE_BITS` block records (160 KiB).
+const PAGE_BITS: u32 = 12;
+
+/// The page directory has at most `1 << DIR_BITS` entries of 16 bytes
+/// (1 MiB), even at 1-byte blocks.
+const DIR_BITS: u32 = 16;
+
 /// An online tracker of memory-block behavior.
 ///
 /// Blocks are `block_bytes`-aligned memory regions. Allocation cycles are
@@ -24,12 +41,19 @@ struct BlockInfo {
 /// the cache block it maps to. A dynamic block whose whole lifetime falls
 /// inside its initial cycle is a *one-cycle block* — it is allocated,
 /// lives, and dies entirely in the cache (§7).
+///
+/// Block records live in a paged table indexed by memory-block number
+/// (`addr >> log2(block_bytes)`): a directory of fixed-size pages, each
+/// allocated when a reference first touches one of its blocks. A
+/// program's blocks are dense (static area, stack, allocation wave), so
+/// finding a record is address arithmetic, not a hash.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BlockTracker {
     shift: u32,
-    cache_blocks: u64,
+    page_bits: u32,
+    cache_mask: u32,
     cycles: Vec<u64>,
-    blocks: HashMap<u32, BlockInfo>,
+    pages: Vec<Option<Box<[BlockInfo]>>>,
     time: u64,
 }
 
@@ -44,12 +68,18 @@ impl BlockTracker {
     pub fn new(cache_bytes: u32, block_bytes: u32) -> Self {
         assert!(block_bytes.is_power_of_two() && cache_bytes.is_power_of_two());
         assert!(block_bytes <= cache_bytes);
-        let cache_blocks = (cache_bytes / block_bytes) as u64;
+        let shift = block_bytes.trailing_zeros();
+        // Memory-block numbers are `32 - shift` bits wide: the high bits
+        // pick a directory entry, the low `page_bits` a record in its page.
+        let mb_bits = 32 - shift;
+        let dir_bits = mb_bits.saturating_sub(PAGE_BITS).min(DIR_BITS);
+        let cache_blocks = cache_bytes >> shift;
         BlockTracker {
-            shift: block_bytes.trailing_zeros(),
-            cache_blocks,
+            shift,
+            page_bits: mb_bits - dir_bits,
+            cache_mask: cache_blocks - 1,
             cycles: vec![0; cache_blocks as usize],
-            blocks: HashMap::new(),
+            pages: vec![None; 1 << dir_bits],
             time: 0,
         }
     }
@@ -63,42 +93,56 @@ impl BlockTracker {
     pub fn finish(self) -> BlockReport {
         BlockReport::compute(self)
     }
+
+    /// Every touched block's number and record, in address order.
+    fn touched(&self) -> impl Iterator<Item = (u32, &BlockInfo)> {
+        let page_bits = self.page_bits;
+        self.pages.iter().enumerate().flat_map(move |(p, page)| {
+            let records = page.as_deref().unwrap_or_default().iter().enumerate();
+            records
+                .filter(|(_, info)| info.refs > 0)
+                .map(move |(slot, info)| ((p << page_bits | slot) as u32, info))
+        })
+    }
+}
+
+/// A page of untouched block records.
+#[cold]
+fn new_page(page_bits: u32) -> Box<[BlockInfo]> {
+    vec![BlockInfo::UNTOUCHED; 1 << page_bits].into_boxed_slice()
 }
 
 impl TraceSink for BlockTracker {
     fn access(&mut self, a: Access) {
         self.time += 1;
         let mb = a.addr >> self.shift;
-        let cb = (mb as u64 % self.cache_blocks) as usize;
-        match self.blocks.get_mut(&mb) {
-            None => {
-                // First touch. An initializing store to a new dynamic
-                // block is an allocation miss: the sweep enters this cache
-                // block and a new cycle begins there.
-                if a.alloc_init {
-                    self.cycles[cb] += 1;
-                }
-                let cycle = self.cycles[cb];
-                self.blocks.insert(
-                    mb,
-                    BlockInfo {
-                        first: self.time,
-                        last: self.time,
-                        refs: 1,
-                        last_cycle: cycle,
-                        cycles_active: 1,
-                        region: Region::of(a.addr),
-                    },
-                );
+        let cb = (mb & self.cache_mask) as usize;
+        let page_bits = self.page_bits;
+        let page =
+            self.pages[(mb >> page_bits) as usize].get_or_insert_with(|| new_page(page_bits));
+        let info = &mut page[(mb & ((1 << page_bits) - 1)) as usize];
+        if info.refs == 0 {
+            // First touch. An initializing store to a new dynamic block
+            // is an allocation miss: the sweep enters this cache block and
+            // a new cycle begins there.
+            if a.alloc_init {
+                self.cycles[cb] += 1;
             }
-            Some(info) => {
-                info.last = self.time;
-                info.refs += 1;
-                let cycle = self.cycles[cb];
-                if cycle != info.last_cycle {
-                    info.last_cycle = cycle;
-                    info.cycles_active += 1;
-                }
+            *info = BlockInfo {
+                first: self.time,
+                last: self.time,
+                refs: 1,
+                last_cycle: self.cycles[cb],
+                cycles_active: 1,
+                region: Region::of(a.addr),
+            };
+        } else {
+            info.last = self.time;
+            info.refs += 1;
+            let cycle = self.cycles[cb];
+            if cycle != info.last_cycle {
+                info.last_cycle = cycle;
+                info.cycles_active += 1;
             }
         }
     }
@@ -116,6 +160,12 @@ pub struct BusyBlock {
 }
 
 /// The finished §7 behavioral report.
+///
+/// A report is a function of the reference stream alone: two trackers fed
+/// the same stream finish into equal reports. The per-block lists come in
+/// a fixed order: `dynamic_lifetimes` and `dynamic_refs` ascending,
+/// `multi_cycle_activity` in block address order, and `busy` by `refs`
+/// descending with ties in block address order.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BlockReport {
     /// Total references.
@@ -132,9 +182,11 @@ pub struct BlockReport {
     pub dynamic_lifetimes: Vec<u64>,
     /// References per dynamic block, sorted ascending.
     pub dynamic_refs: Vec<u64>,
-    /// Distinct-active-cycle counts of multi-cycle dynamic blocks.
+    /// Distinct-active-cycle counts of multi-cycle dynamic blocks, in
+    /// block address order.
     pub multi_cycle_activity: Vec<u32>,
-    /// Busy blocks (≥ 1/1000 of references), most-referenced first.
+    /// Busy blocks (≥ 1/1000 of references), most-referenced first; ties
+    /// in block address order.
     pub busy: Vec<BusyBlock>,
 }
 
@@ -153,7 +205,7 @@ impl BlockReport {
             multi_cycle_activity: Vec::new(),
             busy: Vec::new(),
         };
-        for (mb, info) in &tracker.blocks {
+        for (mb, info) in tracker.touched() {
             match info.region {
                 Region::Dynamic => {
                     report.dynamic_blocks += 1;
@@ -178,6 +230,7 @@ impl BlockReport {
         }
         report.dynamic_lifetimes.sort_unstable();
         report.dynamic_refs.sort_unstable();
+        // A stable sort: equal counts keep their address order.
         report.busy.sort_by_key(|b| std::cmp::Reverse(b.refs));
         report
     }
@@ -326,6 +379,72 @@ mod tests {
         assert!(r.lifetime_cdf(0) >= 0.9, "nine blocks die at birth");
         assert_eq!(r.lifetime_cdf(u64::MAX), 1.0);
         assert!(r.lifetime_cdf(5) <= r.lifetime_cdf(50));
+    }
+
+    /// A stream with many multi-cycle blocks: an allocation pointer
+    /// sweeping a 4 KB cache many times over, pseudo-random re-reads of
+    /// earlier blocks, and two equally busy static blocks, the higher one
+    /// touched first.
+    fn churn(n: u32) -> Vec<Access> {
+        let mut x = 0x9e37_79b9u32;
+        let mut out = Vec::new();
+        for i in 0..n {
+            x ^= x << 13;
+            x ^= x >> 17;
+            x ^= x << 5;
+            out.push(match i % 4 {
+                0 => Access::alloc_write(DYNAMIC_BASE + 32 * i, M),
+                1 => Access::read(DYNAMIC_BASE + 32 * (x % (i + 1)), M),
+                2 => Access::read(STATIC_BASE + 64 * (1 - i % 8 / 4), M),
+                _ => Access::write(STACK_BASE + 4 * (x % 64), M),
+            });
+        }
+        out
+    }
+
+    #[test]
+    fn reports_are_deterministic_and_in_address_order() {
+        let stream = churn(200_000);
+        let run = || {
+            let mut t = BlockTracker::new(4096, 64);
+            stream.iter().for_each(|&a| t.access(a));
+            t.finish()
+        };
+        let (a, b) = (run(), run());
+        assert!(a.multi_cycle_activity.len() > 10_000);
+        assert_eq!(a, b);
+        // The two static blocks tie; the lower address comes first.
+        let tied: Vec<_> = a
+            .busy_static()
+            .filter(|b| b.region == Region::Static)
+            .collect();
+        assert_eq!(tied.len(), 2);
+        assert_eq!(tied[0].refs, tied[1].refs);
+        assert_eq!(
+            (tied[0].addr, tied[1].addr),
+            (STATIC_BASE, STATIC_BASE + 64)
+        );
+    }
+
+    #[test]
+    fn directory_stays_small_and_spans_every_address_at_every_block_size() {
+        for shift in 0..32 {
+            let mut t = BlockTracker::new(1 << shift, 1 << shift);
+            let dir_bytes = t.pages.len() * std::mem::size_of::<Option<Box<[BlockInfo]>>>();
+            assert!(
+                dir_bytes <= 1 << 20,
+                "block {}: {dir_bytes} B",
+                1u32 << shift
+            );
+            t.access(Access::read(0, M));
+            t.access(Access::write(u32::MAX - 3, M));
+            let r = t.finish();
+            assert_eq!((r.static_blocks, r.dynamic_blocks), (1, 1));
+            assert_eq!(
+                r.busy.last().map(|b| b.addr),
+                Some((u32::MAX - 3) >> shift << shift)
+            );
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The behavioral analyses of the paper's §7.
 //!
-//! Three instruments:
+//! Four instruments:
 //!
 //! * [`BlockTracker`] — an online tracker of *memory block* behavior:
 //!   lifetimes (first to last reference), reference counts, allocation

@@ -12,7 +12,10 @@ use cachegc_trace::{Access, TraceSink};
 pub struct SweepPlot {
     cache: Cache,
     refs_per_column: u64,
-    time: u64,
+    /// The column the next reference lands in, and the references it
+    /// still takes: a countdown in place of a division per event.
+    column: usize,
+    left: u64,
     columns: Vec<Vec<u64>>,
     words_per_row: usize,
 }
@@ -26,7 +29,8 @@ impl SweepPlot {
         SweepPlot {
             cache: Cache::new(cfg),
             refs_per_column,
-            time: 0,
+            column: 0,
+            left: refs_per_column,
             columns: Vec::new(),
             words_per_row: rows.div_ceil(64),
         }
@@ -70,9 +74,8 @@ impl SweepPlot {
         out
     }
 
-    /// The mean slope (cache blocks per column) of allocation-miss dots —
-    /// a crude measure of the allocation wave's speed. Returns `None` if
-    /// no allocation misses were recorded.
+    /// The fraction of plot cells (columns × cache blocks) holding a dot:
+    /// how much of the plot the misses cover. 0 before the first miss.
     pub fn fraction_of_cells_with_dots(&self) -> f64 {
         if self.columns.is_empty() {
             return 0.0;
@@ -88,8 +91,12 @@ impl SweepPlot {
 
 impl TraceSink for SweepPlot {
     fn access(&mut self, a: Access) {
-        let col = (self.time / self.refs_per_column) as usize;
-        self.time += 1;
+        if self.left == 0 {
+            self.column += 1;
+            self.left = self.refs_per_column;
+        }
+        self.left -= 1;
+        let col = self.column;
         let out = self.cache.access_classified(a);
         if !out.hit {
             if self.columns.len() <= col {
@@ -148,6 +155,21 @@ mod tests {
                 if y != row {
                     assert!(!p.dot(x, y));
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn columns_are_the_reference_count_divided_by_the_column_width() {
+        for refs_per_column in [1u64, 3, 1024] {
+            // Every reference misses: a new block each time, so the plot
+            // gains a dot in the column of every reference.
+            let mut p = SweepPlot::new(CacheConfig::direct_mapped(1024, 64), refs_per_column);
+            for t in 0..3 * refs_per_column + 2 {
+                p.access(Access::read(DYNAMIC_BASE + 64 * t as u32, M));
+                let col = (t / refs_per_column) as usize;
+                assert_eq!(p.width(), col + 1, "ref {t} of {refs_per_column}");
+                assert!(p.dot(col, ((DYNAMIC_BASE / 64 + t as u32) % 16) as usize));
             }
         }
     }

@@ -7,7 +7,9 @@
 
 use std::collections::HashMap;
 
-use cachegc::analysis::{ActivityTracker, BlockTracker, Instrument, SweepPlot};
+use cachegc::analysis::{
+    ActivityTracker, BlockReport, BlockTracker, BusyBlock, Instrument, SweepPlot,
+};
 use cachegc::core::{EngineConfig, Runner};
 use cachegc::gc::{
     CheneyCollector, Collector, GenerationalCollector, ImmixCollector, MarkSweepCollector,
@@ -18,7 +20,8 @@ use cachegc::sim::{Cache, CacheConfig, GridCache, SetAssocCache, WriteHitPolicy,
 use cachegc::testkit::{check, Rng};
 use cachegc::trace::{
     feed, Access, AccessKind, Context, Counters, EventBatch, Fanout, NullSink, RecordBudget,
-    Recorder, TraceSink, DYNAMIC_BASE, EVENT_BATCH,
+    Recorder, Region, TraceSink, DYNAMIC_BASE, DYNAMIC_SECOND_BASE, EVENT_BATCH, STACK_BASE,
+    STATIC_BASE,
 };
 use cachegc::vm::{read, Machine, Sexp};
 
@@ -296,6 +299,178 @@ fn grid_lanes_match_their_cache_oracles_under_any_batch_cuts() {
             let cfg = configs[lane];
             assert_eq!(*batched.stats(lane), want, "lane {lane} ({cfg})");
         }
+    });
+}
+
+// ---------------------------------------------------------------------
+// The paged block tracker equals a hash-map oracle
+// ---------------------------------------------------------------------
+
+/// One memory block's record in [`BlockOracle`].
+struct OracleBlock {
+    first: u64,
+    last: u64,
+    refs: u64,
+    last_cycle: u64,
+    cycles_active: u32,
+    region: Region,
+}
+
+/// The §7 block tracker kept the naive way: a hash map from memory-block
+/// number to its record, and a remainder for the cache block.
+struct BlockOracle {
+    shift: u32,
+    cache_blocks: u64,
+    cycles: Vec<u64>,
+    blocks: HashMap<u32, OracleBlock>,
+    time: u64,
+}
+
+impl BlockOracle {
+    fn new(cache_bytes: u32, block_bytes: u32) -> Self {
+        let cache_blocks = (cache_bytes / block_bytes) as u64;
+        BlockOracle {
+            shift: block_bytes.trailing_zeros(),
+            cache_blocks,
+            cycles: vec![0; cache_blocks as usize],
+            blocks: HashMap::new(),
+            time: 0,
+        }
+    }
+
+    fn access(&mut self, a: Access) {
+        self.time += 1;
+        let mb = a.addr >> self.shift;
+        let cb = (mb as u64 % self.cache_blocks) as usize;
+        match self.blocks.get_mut(&mb) {
+            None => {
+                if a.alloc_init {
+                    self.cycles[cb] += 1;
+                }
+                let block = OracleBlock {
+                    first: self.time,
+                    last: self.time,
+                    refs: 1,
+                    last_cycle: self.cycles[cb],
+                    cycles_active: 1,
+                    region: Region::of(a.addr),
+                };
+                self.blocks.insert(mb, block);
+            }
+            Some(b) => {
+                b.last = self.time;
+                b.refs += 1;
+                if self.cycles[cb] != b.last_cycle {
+                    b.last_cycle = self.cycles[cb];
+                    b.cycles_active += 1;
+                }
+            }
+        }
+    }
+
+    /// The report, with the map's entries taken in block address order.
+    fn finish(self) -> BlockReport {
+        let threshold = self.time.div_ceil(1000).max(1);
+        let mut blocks: Vec<(u32, OracleBlock)> = self.blocks.into_iter().collect();
+        blocks.sort_by_key(|&(mb, _)| mb);
+        let mut r = BlockReport {
+            total_refs: self.time,
+            dynamic_blocks: 0,
+            static_blocks: 0,
+            stack_blocks: 0,
+            one_cycle_dynamic: 0,
+            dynamic_lifetimes: Vec::new(),
+            dynamic_refs: Vec::new(),
+            multi_cycle_activity: Vec::new(),
+            busy: Vec::new(),
+        };
+        for (mb, b) in blocks {
+            match b.region {
+                Region::Dynamic => {
+                    r.dynamic_blocks += 1;
+                    r.dynamic_lifetimes.push(b.last - b.first);
+                    r.dynamic_refs.push(b.refs);
+                    if b.cycles_active == 1 {
+                        r.one_cycle_dynamic += 1;
+                    } else {
+                        r.multi_cycle_activity.push(b.cycles_active);
+                    }
+                }
+                Region::Static => r.static_blocks += 1,
+                Region::Stack => r.stack_blocks += 1,
+            }
+            if b.refs >= threshold {
+                r.busy.push(BusyBlock {
+                    addr: mb << self.shift,
+                    refs: b.refs,
+                    region: b.region,
+                });
+            }
+        }
+        r.dynamic_lifetimes.sort_unstable();
+        r.dynamic_refs.sort_unstable();
+        r.busy.sort_by_key(|b| std::cmp::Reverse(b.refs));
+        r
+    }
+}
+
+/// References over the whole address space: allocation-init writes at
+/// two bump pointers (the dynamic area and its second semispace) with
+/// reads and writes behind them, the static area and the stack, windows
+/// around the stack and dynamic bases (which 128- and 256-byte blocks
+/// straddle), and the two ends of the address space.
+fn block_stream(rng: &mut Rng, n: usize) -> Vec<Access> {
+    const HEAPS: [u32; 2] = [DYNAMIC_BASE, DYNAMIC_SECOND_BASE];
+    let mut top = HEAPS;
+    let ctx = Context::Mutator;
+    (0..n)
+        .map(|_| {
+            let h = rng.range_usize(0, 2);
+            if rng.range_u32(0, 4) == 0 {
+                let addr = top[h];
+                top[h] += 4 * rng.range_u32(1, 33);
+                return Access::alloc_write(addr, ctx);
+            }
+            let addr = match rng.range_u32(0, 6) {
+                0 | 1 => HEAPS[h] + 4 * rng.range_u32(0, (top[h] - HEAPS[h]) / 4 + 1),
+                2 => STATIC_BASE + 4 * rng.range_u32(0, 1 << 12),
+                3 => STACK_BASE + 4 * rng.range_u32(0, 1 << 10),
+                4 => [STACK_BASE, DYNAMIC_BASE][h] - 256 + 4 * rng.range_u32(0, 128),
+                _ => [0, u32::MAX - 3][h],
+            };
+            match rng.range_u32(0, 8) {
+                0 => Access::alloc_write(addr, ctx),
+                1..=3 => Access::write(addr, ctx),
+                _ => Access::read(addr, ctx),
+            }
+        })
+        .collect()
+}
+
+#[test]
+fn block_tracker_matches_its_hash_map_oracle() {
+    // The bases the block-size range straddles: 64- but not 128-aligned,
+    // and 128- but not 256-aligned. A straddling block takes the region
+    // of the address that touches it first.
+    assert_eq!((STACK_BASE % 64, STACK_BASE % 128), (0, 64));
+    assert_eq!((DYNAMIC_BASE % 128, DYNAMIC_BASE % 256), (0, 128));
+    check("block_tracker_oracle", 64, |rng| {
+        let block_bits = rng.range_u32(0, 9);
+        let cache = 1u32 << rng.range_u32(block_bits, 17);
+        let n = rng.range_usize(0, 4000);
+        let accesses = block_stream(rng, n);
+        let mut tracker = BlockTracker::new(cache, 1 << block_bits);
+        let mut oracle = BlockOracle::new(cache, 1 << block_bits);
+        for &a in &accesses {
+            tracker.access(a);
+            oracle.access(a);
+        }
+        assert_eq!(
+            tracker.finish(),
+            oracle.finish(),
+            "{}-byte blocks, {cache}-byte cache, {n} refs",
+            1u32 << block_bits
+        );
     });
 }
 
