@@ -13,17 +13,18 @@
 //!
 //! There is one way to run a pass. Its sinks are dealt over
 //! `min(jobs, sinks)` replay readers ([`PacketKind::ReplayShard`], or
-//! [`PacketKind::GridSimulate`] for grids), each decoding the encoded
-//! trace into its shard of the sinks: the stored trace on a store hit,
-//! otherwise the segment feed (see
+//! [`PacketKind::GridSimulate`] for grids), each driving its shard of the
+//! sinks: from the decoded stored trace on a store hit, otherwise from
+//! the raw event feed (see
 //! [`cachegc_trace::feed`](mod@cachegc_trace::feed)) that the VM, running
-//! on the calling thread, fills through its recorder. A live pass's
-//! readers are always a crew, at one worker too; a store hit with one
-//! reader reads on the calling thread. The only other crew is `map`'s
-//! workers ([`PacketKind::Task`]). Every crew is one scoped thread per
-//! job (`crate::sched`). Per-sink results are bit-identical to the
-//! oracles that drive the sinks from the VM directly
-//! ([`run_control`](crate::run_control),
+//! on the calling thread, fills. On a store miss the store's recorder
+//! reads the same feed as one more crew job, so only a capture the store
+//! may keep is encoded. A live pass's readers are always a crew, at one
+//! worker too; a store hit with one reader reads on the calling thread.
+//! The only other crew is `map`'s workers ([`PacketKind::Task`]). Every
+//! crew is one scoped thread per job (`crate::sched`). Per-sink results
+//! are bit-identical to the oracles that drive the sinks from the VM
+//! directly ([`run_control`](crate::run_control),
 //! [`run_collected`](crate::run_collected), or a [`Fanout`] under
 //! `WorkloadInstance::run`; property-tested in the workspace root).
 //!
@@ -47,7 +48,8 @@ use cachegc_analysis::{Instrument, Timeline};
 use cachegc_sim::{CacheConfig, GridCache};
 use cachegc_telemetry::{probe, Counter, EngineReport, Telemetry, WorkerStats};
 use cachegc_trace::{
-    feed, Fanout, FeedStats, RecordedTrace, Recorder, Segments, TraceSink, DEFAULT_SEGMENT_BYTES,
+    feed, Fanout, FeedStats, FeedWriter, RecordedTrace, Recorder, Recording, Segments, TraceSink,
+    FEED_BLOCK_EVENTS,
 };
 use cachegc_vm::{RunStats, VmError};
 use cachegc_workloads::WorkloadInstance;
@@ -68,9 +70,9 @@ pub fn default_jobs() -> usize {
 }
 
 /// The sink every live pass's producer drives: the optional timeline tap
-/// beside the recorder whose feed the pass's readers replay. The VM is
+/// beside the writer of the raw feed the pass's readers read. The VM is
 /// compiled once per collector for it, whatever the pass's sinks.
-type LiveSink = (Option<Timeline>, Recorder);
+type LiveSink = (Option<Timeline>, FeedWriter);
 
 /// What a live pass runs on the calling thread: the VM over a workload,
 /// or a caller's own loop ([`Runner::drive`]).
@@ -100,12 +102,13 @@ impl<T, F: FnOnce(&mut dyn TraceSink) -> T> Producer for Drive<F> {
     }
 }
 
-/// The reader of a plain sink set: one decode drives the whole shard.
+/// The reader of a plain sink set: one replay drives the whole shard.
 fn read_sinks<T: TraceSink>(segments: &mut Segments<'_>, shard: &mut Fanout<T>) {
     segments.replay(shard);
 }
 
-/// The reader of a grid: the batched decode drives each [`GridCache`].
+/// The reader of a grid: each batch, decoded from a stored trace or taken
+/// raw from the live feed, drives each [`GridCache`].
 fn read_grids(segments: &mut Segments<'_>, shard: &mut Fanout<GridCache>) {
     segments.replay_batched(|batch| {
         for grid in shard.sinks_mut() {
@@ -175,13 +178,28 @@ fn grid_shards(configs: Vec<CacheConfig>, jobs: usize) -> (Vec<Vec<usize>>, Vec<
 }
 
 /// What a live pass hands back: the producer's result, the sinks in
-/// input order, the recorder (the ticket's, on a store miss), which
-/// counted every event the producer emitted, and the timeline tap.
+/// input order, the number of events the producer emitted, a store
+/// miss's recorder, and the timeline tap.
 struct Live<O, T> {
     out: O,
     sinks: Vec<T>,
-    recorder: Recorder,
+    events: u64,
+    recorder: Option<Recorder>,
     tap: Option<Timeline>,
+}
+
+/// One crew job of a pass: a reader driving its shard of the sinks, or a
+/// store miss's recorder encoding the live feed.
+enum Job<'s, T> {
+    Read(Segments<'s>, Fanout<T>),
+    Record(Recording),
+}
+
+/// What a [`Job`] hands back: the events a reader read and its shard,
+/// or the recorder.
+enum Done<T> {
+    Read(u64, Fanout<T>),
+    Recorded(Recorder),
 }
 
 /// The unified experiment driver: an engine configuration and the
@@ -201,8 +219,8 @@ pub struct Runner<'a> {
     progress: Option<&'a Progress>,
     /// Windowed cache/GC timeline every pass taps its stream into.
     timeline: Option<&'a TimelineRecorder>,
-    /// Segment size of the recordings this runner makes.
-    segment_bytes: usize,
+    /// Events in each block of a live pass's feed.
+    block_events: usize,
 }
 
 impl<'a> Runner<'a> {
@@ -214,7 +232,7 @@ impl<'a> Runner<'a> {
             telemetry: None,
             progress: None,
             timeline: None,
-            segment_bytes: DEFAULT_SEGMENT_BYTES,
+            block_events: FEED_BLOCK_EVENTS,
         }
     }
 
@@ -263,12 +281,12 @@ impl<'a> Runner<'a> {
         self
     }
 
-    /// Seal this runner's recordings every `bytes` bytes (at least 16)
-    /// instead of every [`DEFAULT_SEGMENT_BYTES`]. No result depends on
-    /// it; tests use tiny segments to land segment boundaries all over a
+    /// Cut this runner's live feeds into blocks of `events` events (at
+    /// least one) instead of [`FEED_BLOCK_EVENTS`]. No result depends on
+    /// it; tests use tiny blocks to land block boundaries all over a
     /// short stream.
-    pub fn with_segment_bytes(mut self, bytes: usize) -> Runner<'a> {
-        self.segment_bytes = bytes;
+    pub fn with_block_events(mut self, events: usize) -> Runner<'a> {
+        self.block_events = events;
         self
     }
 
@@ -298,7 +316,7 @@ impl<'a> Runner<'a> {
                 kind: kind.name(),
                 jobs: workers.len(),
                 sinks,
-                chunks_published: feed.segments,
+                chunks_published: feed.blocks,
                 events_published: events,
                 backpressure_ns: feed.wait_ns,
                 queue_depth_hwm: feed.max_lag,
@@ -317,11 +335,10 @@ impl<'a> Runner<'a> {
     ///   and the capture is offered back to the store (which may decline
     ///   it on budget grounds).
     ///
-    /// A live pass runs the VM on the calling thread into a recorder
-    /// whose sealed segments feed `min(jobs, sinks)` reader threads, each
-    /// replaying the feed into its shard of the sinks as a hit replays
-    /// the stored trace. Per-sink results are bit-identical on every
-    /// path.
+    /// A live pass runs the VM on the calling thread into a raw event
+    /// feed that `min(jobs, sinks)` reader threads read, each into its
+    /// shard of the sinks, as a hit's readers replay the stored trace.
+    /// Per-sink results are bit-identical on every path.
     ///
     /// When the runner carries a [`Telemetry`] registry this terminal is
     /// also the instrumentation root: it attaches a probe shard on the
@@ -393,15 +410,9 @@ impl<'a> Runner<'a> {
         let label = || scenario_label(instance, spec);
         let Some(store) = self.store else {
             probe!(Counter::VmRuns);
-            let live = self.live(
-                Vm(instance, spec),
-                Recorder::with_limit(0),
-                kind,
-                sinks,
-                read,
-            )?;
+            let live = self.live(Vm(instance, spec), None, kind, sinks, read)?;
             self.commit_tap(label, live.tap);
-            return Ok((live.out, live.sinks, live.recorder.events()));
+            return Ok((live.out, live.sinks, live.events));
         };
         let ticket = match store.acquire(instance, spec) {
             Acquired::Hit { trace, source } => {
@@ -427,19 +438,27 @@ impl<'a> Runner<'a> {
             Acquired::Miss(ticket) => ticket,
         };
         // Miss: this pass holds the scenario's single recording flight.
-        // Run live with the ticket's budget-metered recorder, then offer
-        // the capture back; concurrent passes of the same scenario are
-        // blocked in `acquire` meanwhile. An early error return drops the
-        // ticket, which cancels the flight and hands leadership to a
-        // waiter.
+        // Run live with the ticket's budget-metered recorder reading the
+        // feed, then offer the capture back; concurrent passes of the
+        // same scenario are blocked in `acquire` meanwhile. An early
+        // error return drops the ticket, which cancels the flight and
+        // hands leadership to a waiter.
         probe!(Counter::VmRuns);
         let record_start = Instant::now();
         let _record = probe::phase("record");
-        let live = self.live(Vm(instance, spec), ticket.recorder(), kind, sinks, read)?;
+        let recorder = Some(ticket.recorder());
+        let live = self.live(Vm(instance, spec), recorder, kind, sinks, read)?;
         self.commit_tap(label, live.tap);
-        let events = live.recorder.events();
-        self.offer(ticket, live.recorder, live.out, record_start, store, label);
-        Ok((live.out, live.sinks, events))
+        let recorder = live
+            .recorder
+            .expect("a store miss's recorder read the feed");
+        debug_assert_eq!(
+            recorder.events(),
+            live.events,
+            "the recorder saw every event"
+        );
+        self.offer(ticket, recorder, live.out, record_start, store, label);
+        Ok((live.out, live.sinks, live.events))
     }
 
     /// Hand a finished capture to the store and count the outcome.
@@ -478,17 +497,17 @@ impl<'a> Runner<'a> {
         }
     }
 
-    /// The one live pass: `producer` runs on the calling thread into
-    /// `recorder`, and every segment it seals feeds `min(jobs, sinks)`
-    /// readers of `kind`, which `read` their shard of the sinks from the
-    /// feed while it grows, exactly as a store hit's readers read the
-    /// stored trace. `recorder` is a store miss's ticket's, or else
-    /// `Recorder::with_limit(0)`: a zero limit abandons the capture at its
-    /// first event, and an abandoned capture with a feed only feeds.
+    /// The one live pass: `producer` runs on the calling thread into a
+    /// raw event feed, which `min(jobs, sinks)` readers of `kind` `read`
+    /// into their shards of the sinks while it grows, exactly as a store
+    /// hit's readers read the stored trace. A store miss's `recorder`
+    /// reads the feed too, as one more crew job, and comes back having
+    /// encoded every event into buffers the calling thread supplied; a
+    /// pass without one encodes nothing.
     fn live<P, T, R>(
         &self,
         producer: P,
-        recorder: Recorder,
+        recorder: Option<Recorder>,
         kind: PacketKind,
         sinks: Vec<T>,
         read: R,
@@ -502,31 +521,29 @@ impl<'a> Runner<'a> {
         let n = sinks.len();
         let readers = self.engine.jobs.min(n).max(1);
         let (order, shards) = shard(sinks, readers);
-        let (writer, feeds) = feed(readers);
-        let recorder = recorder
-            .with_segment_bytes(self.segment_bytes)
-            .with_feed(writer);
+        let (writer, feeds, recording) = feed(readers, self.block_events, recorder);
         let sources = feeds.into_iter().map(Segments::Feed).collect();
-        let (produced, shards, workers) = self.read_shards(kind, sources, shards, &read, || {
-            let (out, (tap, mut rec)) = {
-                let _vm = probe::phase_cpu("vm_execute");
-                producer.run((tap, recorder))?
-            };
-            let feed = rec.close_feed().expect("the live recorder has a feed");
-            Ok((out, tap, rec, feed))
-        });
-        let (out, tap, rec, feed) = match produced {
+        let (produced, shards, recorder, workers) =
+            self.read_shards(kind, sources, shards, &read, recording, || {
+                let (out, (tap, writer)) = {
+                    let _vm = probe::phase_cpu("vm_execute");
+                    producer.run((tap, writer))?
+                };
+                Ok((out, tap, writer.finish()))
+            });
+        let (out, tap, feed) = match produced {
             Ok(produced) => produced,
             Err(e) => {
                 self.flush_crew(kind, workers, n, 0, FeedStats::default());
                 return Err(e);
             }
         };
-        self.flush_crew(kind, workers, n, rec.events(), feed);
+        self.flush_crew(kind, workers, n, feed.events, feed);
         Ok(Live {
             out,
             sinks: unshard(order, shards),
-            recorder: rec,
+            events: feed.events,
+            recorder,
             tap,
         })
     }
@@ -551,7 +568,8 @@ impl<'a> Runner<'a> {
             read(&mut Segments::Trace(trace), &mut shards[0]);
         } else {
             let sources = (0..readers).map(|_| Segments::Trace(trace)).collect();
-            let ((), read_back, workers) = self.read_shards(kind, sources, shards, &read, || ());
+            let ((), read_back, _, workers) =
+                self.read_shards(kind, sources, shards, &read, None, || ());
             self.flush_crew(kind, workers, n, trace.events(), FeedStats::default());
             shards = read_back;
         }
@@ -559,45 +577,54 @@ impl<'a> Runner<'a> {
     }
 
     /// The crew behind every replay: reader `j` of `kind` reads
-    /// `sources[j]` into `shards[j]` on its own thread while `produce`
-    /// runs on the calling thread. Waits for every reader (the
-    /// `sink_drain` phase), then returns `produce`'s result, the shards in
-    /// order, and each reader's accounting.
+    /// `sources[j]` into `shards[j]` on its own thread, and a store
+    /// miss's `recording` encodes the feed on one more, while `produce`
+    /// runs on the calling thread. Waits for every job (the `sink_drain`
+    /// phase), then returns `produce`'s result, the shards in order, the
+    /// recorder, and each job's accounting (the recorder drives no sink).
     fn read_shards<'s, T, P>(
         &self,
         kind: PacketKind,
         sources: Vec<Segments<'s>>,
         shards: Vec<Fanout<T>>,
         read: &(impl Fn(&mut Segments<'_>, &mut Fanout<T>) + Sync),
+        recording: Option<Recording>,
         produce: impl FnOnce() -> P,
-    ) -> (P, Vec<Fanout<T>>, Vec<WorkerStats>)
+    ) -> (P, Vec<Fanout<T>>, Option<Recorder>, Vec<WorkerStats>)
     where
         T: Send,
     {
-        let readers = shards
+        let jobs = sources
             .into_iter()
-            .zip(sources)
-            .map(|(mut shard, mut source)| {
-                move || {
-                    read(&mut source, &mut shard);
-                    (source.events(), shard)
+            .zip(shards)
+            .map(|(source, shard)| Job::Read(source, shard))
+            .chain(recording.map(Job::Record))
+            .map(|job| {
+                move || match job {
+                    Job::Read(mut source, mut shard) => {
+                        read(&mut source, &mut shard);
+                        Done::Read(source.events(), shard)
+                    }
+                    Job::Record(recording) => Done::Recorded(recording.run()),
                 }
             })
             .collect();
-        let ((produced, drain), read_back, mut workers) =
-            crew(self.telemetry, kind, readers, || {
-                (produce(), probe::phase("sink_drain"))
-            });
+        let ((produced, drain), done, mut workers) = crew(self.telemetry, kind, jobs, || {
+            (produce(), probe::phase("sink_drain"))
+        });
         drop(drain);
-        let shards = read_back
-            .into_iter()
-            .zip(&mut workers)
-            .map(|((events, shard), stats)| {
-                stats.events = events * shard.sinks().len() as u64;
-                shard
-            })
-            .collect();
-        (produced, shards, workers)
+        let mut shards = Vec::with_capacity(done.len());
+        let mut recorder = None;
+        for (done, stats) in done.into_iter().zip(&mut workers) {
+            match done {
+                Done::Read(events, shard) => {
+                    stats.events = events * shard.sinks().len() as u64;
+                    shards.push(shard);
+                }
+                Done::Recorded(rec) => recorder = Some(rec),
+            }
+        }
+        (produced, shards, recorder, workers)
     }
 
     /// [`Runner::sinks`] for the closed heterogeneous [`Instrument`] set —
@@ -622,8 +649,8 @@ impl<'a> Runner<'a> {
     ///
     /// The grid rides the pass as [`GridCache`] shards, one per worker,
     /// allocated on the calling thread. Each [`PacketKind::GridSimulate`]
-    /// reader drives its shard through the batched decoder, from the
-    /// stored trace on a hit and from the live feed otherwise (see
+    /// reader drives its shard a batch at a time, decoded from the stored
+    /// trace on a hit and taken raw from the live feed otherwise (see
     /// [`Runner::sinks`]). Cells come back in input order, each
     /// bit-identical to an independent [`Cache`](cachegc_sim::Cache) over
     /// the same stream.
@@ -756,9 +783,9 @@ impl<'a> Runner<'a> {
 
     /// The escape hatch for passes that drive the sink themselves (e.g. a
     /// hand-built VM loop): `f` receives a [`TraceSink`] over `sinks`
-    /// under this runner's engine — a recorder whose feed reader threads
-    /// replay into shards of the sinks — and the sinks come back in input
-    /// order along with `f`'s result. The pass has no scenario key: it
+    /// under this runner's engine — the writer of a raw event feed whose
+    /// reader threads drive shards of the sinks — and the sinks come back
+    /// in input order along with `f`'s result. The pass has no scenario key: it
     /// always runs live, and its timeline commits under `drive`. Phases,
     /// the VM-run counter, engine observability and the progress tick are
     /// reported exactly like [`Runner::sinks`]'s live path.
@@ -798,12 +825,12 @@ impl<'a> Runner<'a> {
         let _shard = self.telemetry.map(|t| t.attach());
         let pass_start = Instant::now();
         probe!(Counter::VmRuns);
-        let live = match self.live(Drive(f), Recorder::with_limit(0), reader, sinks, read) {
+        let live = match self.live(Drive(f), None, reader, sinks, read) {
             Ok(live) => live,
             Err(e) => unreachable!("a driven pass runs no VM that could fail: {e}"),
         };
         self.commit_tap(|| "drive".to_string(), live.tap);
-        self.report_pass(live.recorder.events(), pass_start);
+        self.report_pass(live.events, pass_start);
         (live.out, live.sinks)
     }
 }
@@ -1074,12 +1101,12 @@ mod tests {
         }
         let expected = oracle.into_sinks();
         let progress = Progress::to_writer("drive", 4, Box::new(std::io::sink()));
-        for (pass, (jobs, segment_bytes)) in [(1, 16), (2, 16), (2, 1 << 20), (3, 100)]
+        for (pass, (jobs, block_events)) in [(1, 1), (2, 63), (2, FEED_BLOCK_EVENTS), (3, 100)]
             .into_iter()
             .enumerate()
         {
             let runner = Runner::new(EngineConfig::jobs(jobs))
-                .with_segment_bytes(segment_bytes)
+                .with_block_events(block_events)
                 .with_progress(&progress);
             let (n, got) = runner.drive(grid(), |fan| {
                 for a in &stream {
@@ -1093,7 +1120,7 @@ mod tests {
                 assert_eq!(
                     g.stats(),
                     e.stats(),
-                    "jobs {jobs}, {segment_bytes}-byte segments"
+                    "jobs {jobs}, {block_events}-event blocks"
                 );
             }
         }
@@ -1110,8 +1137,8 @@ mod tests {
         let err = run_collected(w, &ExperimentConfig::quick(), spec).unwrap_err();
         let store = crate::TraceStore::unbounded();
         for runner in [
-            Runner::new(EngineConfig::jobs(1)).with_segment_bytes(64),
-            Runner::new(EngineConfig::jobs(2)).with_segment_bytes(64),
+            Runner::new(EngineConfig::jobs(1)).with_block_events(100),
+            Runner::new(EngineConfig::jobs(2)).with_block_events(100),
             Runner::new(EngineConfig::jobs(1)).with_store(&store),
             Runner::new(EngineConfig::jobs(3)).with_store(&store),
         ] {
@@ -1135,7 +1162,7 @@ mod tests {
         }
         for jobs in [1, 2] {
             let outcome = std::panic::catch_unwind(|| {
-                let runner = Runner::new(EngineConfig::jobs(jobs)).with_segment_bytes(64);
+                let runner = Runner::new(EngineConfig::jobs(jobs)).with_block_events(100);
                 let sinks = vec![Bomb(0), Bomb(0)];
                 runner.sinks(Workload::Rewrite.scaled(1), None, sinks)
             });

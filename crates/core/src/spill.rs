@@ -37,7 +37,6 @@
 use std::fs::{self, File};
 use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 
 use cachegc_gc::GcStats;
 use cachegc_telemetry::probe;
@@ -249,8 +248,8 @@ impl SpillDir {
         let Ok(payload_len) = usize::try_from(payload_len) else {
             return fail("payload length overflows");
         };
-        let mut payload: Arc<[u8]> = std::iter::repeat_n(0, payload_len).collect();
-        r.fill(Arc::get_mut(&mut payload).expect("a fresh payload is unshared"))?;
+        let mut payload = vec![0; payload_len].into_boxed_slice();
+        r.fill(&mut payload)?;
         let computed = r.hash;
         if u64::from_le_bytes(r.array()?) != computed {
             return fail("checksum mismatch");

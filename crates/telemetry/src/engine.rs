@@ -42,14 +42,14 @@ pub struct EngineReport {
     pub jobs: usize,
     /// Sinks the run drove (0 for crews of whole tasks).
     pub sinks: usize,
-    /// Segments a live pass's recorder published to its readers.
+    /// Raw event blocks a live pass's feed published to its readers.
     pub chunks_published: u64,
-    /// Events the readers decoded (per stream, not per sink).
+    /// Events the readers read (per stream, not per sink).
     pub events_published: u64,
     /// Time a live pass's producer waited for its slowest reader.
     pub backpressure_ns: u64,
-    /// Most published segments a live pass's slowest reader had yet to
-    /// decode.
+    /// Most published blocks a live pass's slowest reader had yet to
+    /// read.
     pub queue_depth_hwm: u64,
     /// Per-worker counters, indexed by worker id.
     pub workers: Vec<WorkerStats>,

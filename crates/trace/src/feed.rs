@@ -1,21 +1,28 @@
-//! The segment feed: a live recording read while it grows.
+//! The live feed: a run's raw events, read while the run goes on.
 //!
-//! A [`Recorder`](crate::Recorder) with a [`FeedWriter`] attached
-//! publishes every segment it seals; each of the feed's [`FeedReader`]s
-//! receives every segment, in publish order, and decodes it with the
-//! same decoder [`RecordedTrace::replay`] runs over a finished capture.
-//! A crew pass is therefore always a replay: of a stored trace on a
-//! store hit ([`Segments::Trace`]), of the feed otherwise
-//! ([`Segments::Feed`]).
+//! A live pass's producer drives a [`FeedWriter`], a [`TraceSink`] that
+//! appends each event's address and flag byte to a [`FeedBlock`] of
+//! [`EventBatch`]es and publishes every block once it holds
+//! [`FEED_BLOCK_EVENTS`] events. Each of the feed's [`FeedReader`]s
+//! receives every block, in publish order, and hands its batches to a
+//! batch consumer or its events to per-event sinks: nothing is encoded or
+//! decoded on the way. A store miss's recorder is one more reader (a
+//! [`Recording`]), so only a capture the store may keep is encoded, and
+//! off the producer's thread; the producer still allocates the capture's
+//! segment buffers. A crew pass is therefore always a replay: of a stored
+//! trace, decoded, on a store hit ([`Segments::Trace`]); of the feed
+//! otherwise ([`Segments::Feed`]).
 //!
-//! The feed holds a published segment until every reader has decoded
-//! it, and at most [`FEED_WINDOW`] such segments: when the slowest reader
-//! lags that far behind, the producer waits (counted in
-//! [`FeedStats::wait_ns`] and recorded as a `backpressure` span). A
-//! dropped writer, or a reader dropped before the end of the stream (a
-//! panicking reader), closes the feed early: waiting readers see
-//! the end of the stream, a waiting producer stops waiting, and nothing
-//! blocks forever.
+//! The producer allocates the blocks and recycles them. The feed holds a
+//! published block until every reader has read it, and at most
+//! [`FEED_WINDOW`] such blocks: when the slowest reader lags that far
+//! behind, the producer waits (counted in [`FeedStats::wait_ns`] and
+//! recorded as a `backpressure` span). A block every reader is done with
+//! goes back to the producer to be filled again, so a feed allocates at
+//! most `FEED_WINDOW + 1` blocks. A dropped writer, or a reader dropped
+//! before the end of the stream (a panicking reader), closes the feed
+//! early: waiting readers see the end of the stream, a waiting producer
+//! stops waiting, and nothing blocks forever.
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -23,49 +30,124 @@ use std::time::Instant;
 
 use cachegc_telemetry::probe;
 
-use crate::recorded::{replay_chunks, replay_chunks_batched, EventBatch, RecordedTrace};
+use crate::event::Access;
+use crate::recorded::{access_from, flag_bits, EventBatch, RecordedTrace, Recorder, EVENT_BATCH};
 use crate::sink::TraceSink;
 
-/// Published segments a feed holds for its readers before the producer
-/// waits: the slowest reader may fall this many segments behind.
+/// Published blocks a feed holds for its readers before the producer
+/// waits: the slowest reader may fall this many blocks behind.
 pub const FEED_WINDOW: usize = 8;
 
-/// A new feed with `readers` readers, in reader order.
-pub fn feed(readers: usize) -> (FeedWriter, Vec<FeedReader>) {
+/// Events in a published block (all but a stream's last): 512 full
+/// [`EventBatch`]es, about 164 KiB of addresses and flag bytes.
+pub const FEED_BLOCK_EVENTS: usize = 512 * EVENT_BATCH;
+
+/// A new feed with `readers` readers, in reader order, whose blocks hold
+/// `block_events` events (at least one), and, given a store miss's
+/// `recorder`, the [`Recording`] that encodes the stream as one more
+/// reader. Live passes use [`FEED_BLOCK_EVENTS`]; tests use small blocks
+/// to land block boundaries all over a short stream. The writer allocates
+/// its first block here, on the calling thread, and the recording's first
+/// segment buffer.
+pub fn feed(
+    readers: usize,
+    block_events: usize,
+    recorder: Option<Recorder>,
+) -> (FeedWriter, Vec<FeedReader>, Option<Recording>) {
+    let block_events = block_events.max(1);
+    let buffer_bytes = recorder.as_ref().map(Recorder::buffer_bytes);
     let shared = Arc::new(Shared {
         state: Mutex::new(State {
             window: VecDeque::new(),
             base: 0,
-            released: vec![Some(0); readers],
+            released: vec![Some(0); readers + usize::from(recorder.is_some())],
+            spare: Vec::new(),
+            segment_buffer: buffer_bytes.map(Vec::with_capacity),
             end: End::Open,
         }),
         changed: Condvar::new(),
     });
-    let readers = (0..readers)
-        .map(|index| FeedReader {
-            shared: Arc::clone(&shared),
-            index,
-            taken: 0,
-            events: 0,
-            ended: false,
-        })
-        .collect();
+    let reader = |index| FeedReader {
+        shared: Arc::clone(&shared),
+        index,
+        taken: 0,
+        events: 0,
+        ended: false,
+    };
+    let recording = recorder.map(|recorder| Recording {
+        reader: reader(readers),
+        recorder,
+    });
+    let readers = (0..readers).map(reader).collect();
     let writer = FeedWriter {
         shared,
-        stats: FeedStats::default(),
+        block: FeedBlock::new(block_events),
+        block_events,
+        buffer_bytes,
+        stats: FeedStats {
+            allocated: 1,
+            ..FeedStats::default()
+        },
         closed: false,
     };
-    (writer, readers)
+    (writer, readers, recording)
+}
+
+/// One published stretch of a feed's stream: its events as full
+/// [`EventBatch`]es, the last of which may be short.
+#[derive(Debug)]
+pub struct FeedBlock {
+    /// Room for a whole block; `events` of it are filled.
+    batches: Box<[EventBatch]>,
+    events: usize,
+}
+
+impl FeedBlock {
+    fn new(block_events: usize) -> Self {
+        let batches = vec![EventBatch::empty(); block_events.div_ceil(EVENT_BATCH)];
+        FeedBlock {
+            batches: batches.into_boxed_slice(),
+            events: 0,
+        }
+    }
+
+    /// The block's events, in stream order, as batches: every batch but
+    /// the last is full.
+    pub fn batches(&self) -> &[EventBatch] {
+        &self.batches[..self.events.div_ceil(EVENT_BATCH)]
+    }
+
+    /// Number of events in the block.
+    pub fn events(&self) -> usize {
+        self.events
+    }
+
+    /// Set the filled batches' lengths from the event count.
+    fn seal(&mut self) {
+        let events = self.events;
+        for (i, batch) in self.batches[..events.div_ceil(EVENT_BATCH)]
+            .iter_mut()
+            .enumerate()
+        {
+            batch.len = (events - i * EVENT_BATCH).min(EVENT_BATCH);
+        }
+    }
 }
 
 /// What a feed's producer observed.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct FeedStats {
-    /// Segments published.
-    pub segments: u64,
+    /// Blocks published.
+    pub blocks: u64,
+    /// Events published.
+    pub events: u64,
+    /// Blocks allocated: at most [`FEED_WINDOW`] + 1 while every reader
+    /// lets go of a block before asking for the next; every other
+    /// published block was a recycled one.
+    pub allocated: u64,
     /// Time the producer waited for the slowest reader, nanoseconds.
     pub wait_ns: u64,
-    /// Most published segments the slowest reader had yet to decode.
+    /// Most published blocks the slowest reader had yet to read.
     pub max_lag: u64,
 }
 
@@ -77,14 +159,17 @@ enum End {
 }
 
 struct State {
-    /// Published segments some reader still needs, oldest first, each
-    /// with its event count.
-    window: VecDeque<(Arc<[u8]>, u64)>,
+    /// Published blocks some reader still needs, oldest first.
+    window: VecDeque<Arc<FeedBlock>>,
     /// Sequence number of `window[0]`.
     base: u64,
-    /// Per reader: segments it has finished decoding; `None` once the
+    /// Per reader: blocks it has finished reading; `None` once the
     /// reader is gone.
     released: Vec<Option<u64>>,
+    /// Blocks every reader is done with, for the producer to refill.
+    spare: Vec<Arc<FeedBlock>>,
+    /// An empty segment buffer for the feed's [`Recording`].
+    segment_buffer: Option<Vec<u8>>,
     end: End,
 }
 
@@ -93,7 +178,8 @@ impl State {
         self.base + self.window.len() as u64
     }
 
-    /// Drop the segments every remaining reader has finished with.
+    /// Hand the blocks every remaining reader has finished with back to
+    /// the producer.
     fn trim(&mut self) {
         let floor = self
             .released
@@ -103,7 +189,9 @@ impl State {
             .copied()
             .unwrap_or_else(|| self.published());
         while self.base < floor {
-            self.window.pop_front();
+            if let Some(block) = self.window.pop_front() {
+                self.spare.push(block);
+            }
             self.base += 1;
         }
     }
@@ -140,10 +228,22 @@ impl Shared {
     }
 }
 
-/// The producer's end of a feed; see the module docs. Dropping it
-/// without [`FeedWriter::finish`] closes the feed as aborted.
+/// The producer's end of a feed: a [`TraceSink`] that appends each event
+/// to the block being filled and publishes it when full; see the module
+/// docs. Dropping it without [`FeedWriter::finish`] closes the feed as
+/// aborted.
 pub struct FeedWriter {
     shared: Arc<Shared>,
+    /// The block being filled.
+    block: FeedBlock,
+    block_events: usize,
+    /// Size of the segment buffers the producer supplies to the feed's
+    /// [`Recording`], if it has one: one at the start, and another at
+    /// the first publish after the recorder took the last. The recorder
+    /// encodes into the first and seals each segment into the next, so
+    /// the capture is allocated on the producer's thread though encoded
+    /// on another.
+    buffer_bytes: Option<usize>,
     stats: FeedStats,
     closed: bool,
 }
@@ -151,16 +251,20 @@ pub struct FeedWriter {
 impl std::fmt::Debug for FeedWriter {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("FeedWriter")
+            .field("block_events", &self.block_events)
             .field("stats", &self.stats)
             .finish_non_exhaustive()
     }
 }
 
 impl FeedWriter {
-    /// Publish the next sealed segment, which encodes `events` events.
-    /// Waits while the slowest reader is [`FEED_WINDOW`] segments
-    /// behind; on a feed closed early the segment is dropped unread.
-    pub fn publish(&mut self, segment: Arc<[u8]>, events: u64) {
+    /// Publish the block being filled and take the next one to fill: a
+    /// block every reader is done with, or a new one. Waits while the
+    /// slowest reader is [`FEED_WINDOW`] blocks behind; on a feed closed
+    /// early the block's events are dropped unread.
+    #[cold]
+    #[inline(never)]
+    fn publish(&mut self) {
         let mut state = self.shared.lock();
         if state.window.len() >= FEED_WINDOW && state.end == End::Open {
             let t0 = Instant::now();
@@ -173,23 +277,59 @@ impl FeedWriter {
             }
         }
         if state.end != End::Open {
+            self.block.events = 0;
             return;
         }
-        state.window.push_back((segment, events));
-        self.stats.segments += 1;
+        let next = match state.spare.pop().map(Arc::try_unwrap) {
+            Some(Ok(mut block)) => {
+                block.events = 0;
+                block
+            }
+            // A reader still holds the block (or none is spare yet).
+            _ => {
+                self.stats.allocated += 1;
+                FeedBlock::new(self.block_events)
+            }
+        };
+        if let (Some(bytes), None) = (self.buffer_bytes, &state.segment_buffer) {
+            state.segment_buffer = Some(Vec::with_capacity(bytes));
+        }
+        let mut full = std::mem::replace(&mut self.block, next);
+        full.seal();
+        self.stats.blocks += 1;
+        self.stats.events += full.events as u64;
+        state.window.push_back(Arc::new(full));
         self.stats.max_lag = self.stats.max_lag.max(state.window.len() as u64);
-        // With no reader left the segment goes at once.
+        // With no reader left the block goes back at once.
         state.trim();
         drop(state);
         self.shared.changed.notify_all();
     }
 
-    /// End the stream: readers see its end once they have decoded every
-    /// published segment. Returns what the producer observed.
+    /// Publish the last, partly filled block and end the stream: readers
+    /// see its end once they have read every published block. Returns
+    /// what the producer observed.
     pub fn finish(mut self) -> FeedStats {
+        if self.block.events > 0 {
+            self.publish();
+        }
         self.closed = true;
         self.shared.close(End::Finished);
         self.stats
+    }
+}
+
+impl TraceSink for FeedWriter {
+    #[inline]
+    fn access(&mut self, a: Access) {
+        let i = self.block.events;
+        let batch = &mut self.block.batches[i / EVENT_BATCH];
+        batch.addrs[i % EVENT_BATCH] = a.addr;
+        batch.flags[i % EVENT_BATCH] = flag_bits(&a);
+        self.block.events = i + 1;
+        if i + 1 == self.block_events {
+            self.publish();
+        }
     }
 }
 
@@ -201,16 +341,16 @@ impl Drop for FeedWriter {
     }
 }
 
-/// One reader's end of a feed: an iterator over the published segments,
-/// in order, that blocks until the next one is published and ends with
-/// the stream (or when the feed is closed early). Dropping a reader
-/// before the end of the stream closes the feed for everyone.
+/// One reader's end of a feed: an iterator over the published blocks, in
+/// order, that blocks until the next one is published and ends with the
+/// stream (or when the feed is closed early). Dropping a reader before
+/// the end of the stream closes the feed for everyone.
 pub struct FeedReader {
     shared: Arc<Shared>,
     index: usize,
-    /// Segments handed out so far.
+    /// Blocks handed out so far.
     taken: u64,
-    /// Events in the segments handed out so far.
+    /// Events in the blocks handed out so far.
     events: u64,
     /// True once the reader saw the end of a finished stream.
     ended: bool,
@@ -227,11 +367,12 @@ impl std::fmt::Debug for FeedReader {
 }
 
 impl Iterator for FeedReader {
-    type Item = Arc<[u8]>;
+    type Item = Arc<FeedBlock>;
 
-    /// The next segment. Asking for it releases the previous one, so a
-    /// caller decodes each segment before asking for the next.
-    fn next(&mut self) -> Option<Arc<[u8]>> {
+    /// The next block. Asking for it releases the previous one, so a
+    /// caller reads each block, and lets go of it, before asking for the
+    /// next; a block still held then is not recycled.
+    fn next(&mut self) -> Option<Arc<FeedBlock>> {
         let mut state = self.shared.lock();
         state.released[self.index] = Some(self.taken);
         state.trim();
@@ -240,10 +381,10 @@ impl Iterator for FeedReader {
                 break None;
             }
             if self.taken < state.published() {
-                let (segment, events) = &state.window[(self.taken - state.base) as usize];
-                self.events += events;
+                let block = &state.window[(self.taken - state.base) as usize];
+                self.events += block.events as u64;
                 self.taken += 1;
-                break Some(Arc::clone(segment));
+                break Some(Arc::clone(block));
             }
             if state.end == End::Finished {
                 self.ended = true;
@@ -270,36 +411,83 @@ impl Drop for FeedReader {
     }
 }
 
-/// Where a replay reader's encoded segments come from: a finished
-/// capture, or a feed a live recorder is still filling. Both decode
-/// through the one decoder, so a reader is the same code either way.
+/// A store miss's capture of a live feed: its recorder, reading the feed
+/// as one more reader ([`feed`]), to [`run`](Recording::run) on a thread
+/// of its own.
+#[derive(Debug)]
+pub struct Recording {
+    reader: FeedReader,
+    recorder: Recorder,
+}
+
+impl Recording {
+    /// Encode the feed into the recorder, in buffers the producer
+    /// supplies, until the stream ends. Once the recorder abandons its
+    /// capture (over its limit or budget) the rest of the stream is
+    /// drained without encoding, since a reader that stops reading ends
+    /// the feed for every reader. On a feed closed early the capture is
+    /// abandoned too, so a recorder that missed events never keeps one.
+    pub fn run(mut self) -> Recorder {
+        while let Some(block) = self.reader.next() {
+            if self.recorder.wants_buffer() {
+                if let Some(buf) = self.reader.shared.lock().segment_buffer.take() {
+                    self.recorder.give_buffer(buf);
+                }
+            }
+            for batch in block.batches() {
+                self.recorder.record_batch(batch);
+            }
+        }
+        if !self.reader.ended {
+            self.recorder.overflow();
+        }
+        self.recorder
+    }
+}
+
+/// Where a replay reader's events come from: a finished capture, decoded,
+/// or a live feed's raw blocks. A reader is the same code either way.
 #[derive(Debug)]
 pub enum Segments<'a> {
     /// A finished capture, replayed as many times as asked.
     Trace(&'a RecordedTrace),
-    /// A live feed; its segments are delivered once.
+    /// A live feed; its blocks are delivered once.
     Feed(FeedReader),
 }
 
 impl Segments<'_> {
-    /// Decode the stream into `sink`, as [`RecordedTrace::replay`].
+    /// Deliver the stream to `sink` event by event, as
+    /// [`RecordedTrace::replay`].
     pub fn replay<S: TraceSink + ?Sized>(&mut self, sink: &mut S) {
         match self {
             Segments::Trace(trace) => trace.replay(sink),
-            Segments::Feed(reader) => replay_chunks(reader, sink),
+            Segments::Feed(reader) => {
+                for block in reader {
+                    for batch in block.batches() {
+                        let (addrs, flags) = (&batch.addrs[..batch.len], &batch.flags[..batch.len]);
+                        for (&addr, &flags) in addrs.iter().zip(flags) {
+                            sink.access(access_from(addr, flags));
+                        }
+                    }
+                }
+            }
         }
     }
 
-    /// Decode the stream in batches, as [`RecordedTrace::replay_batched`].
-    pub fn replay_batched<F: FnMut(&EventBatch)>(&mut self, consume: F) {
+    /// Deliver the stream in batches, as [`RecordedTrace::replay_batched`].
+    pub fn replay_batched<F: FnMut(&EventBatch)>(&mut self, mut consume: F) {
         match self {
             Segments::Trace(trace) => trace.replay_batched(consume),
-            Segments::Feed(reader) => replay_chunks_batched(reader, consume),
+            Segments::Feed(reader) => {
+                for block in reader {
+                    block.batches().iter().for_each(&mut consume);
+                }
+            }
         }
     }
 
     /// Events delivered: a trace's whole stream, or the events in the
-    /// feed segments decoded so far.
+    /// feed blocks read so far.
     pub fn events(&self) -> u64 {
         match self {
             Segments::Trace(trace) => trace.events(),
@@ -311,9 +499,7 @@ impl Segments<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{Access, Context};
-    use crate::recorded::Recorder;
-    use std::sync::Weak;
+    use crate::event::Context;
     use std::time::Duration;
 
     fn stream(n: u32) -> Vec<Access> {
@@ -329,57 +515,103 @@ mod tests {
             .collect()
     }
 
+    /// Every event of every block, in order.
+    fn events_of(reader: FeedReader) -> Vec<Access> {
+        let mut out = Vec::new();
+        for block in reader {
+            for batch in block.batches() {
+                out.extend(batch.accesses());
+            }
+        }
+        out
+    }
+
     #[test]
-    fn slow_readers_never_leave_more_than_the_window_of_unkept_segments_alive() {
-        let (mut writer, readers) = feed(2);
-        let alive =
-            |published: &[Weak<[u8]>]| published.iter().filter(|w| w.strong_count() > 0).count();
-        std::thread::scope(|s| {
-            for (i, reader) in readers.into_iter().enumerate() {
-                s.spawn(move || {
-                    for _segment in reader {
-                        if i == 1 {
-                            std::thread::sleep(Duration::from_millis(1));
-                        }
-                    }
+    fn readers_get_every_event_in_blocks_of_full_batches() {
+        let events = stream(1_000);
+        for block_events in [1, 63, 64, 65, 200] {
+            let (mut writer, mut readers, _) = feed(2, block_events, None);
+            let (shapes, all) = (readers.remove(0), readers.remove(0));
+            std::thread::scope(|s| {
+                let shapes = s.spawn(move || {
+                    shapes
+                        .map(|block| {
+                            let lens: Vec<usize> =
+                                block.batches().iter().map(EventBatch::len).collect();
+                            (block.events(), lens)
+                        })
+                        .collect::<Vec<_>>()
                 });
+                let all = s.spawn(move || events_of(all));
+                events.iter().for_each(|&a| writer.access(a));
+                let stats = writer.finish();
+                assert_eq!(stats.events, 1_000);
+                assert_eq!(stats.blocks, 1_000usize.div_ceil(block_events) as u64);
+                for (i, (n, lens)) in shapes.join().unwrap().into_iter().enumerate() {
+                    let want = (1_000 - i * block_events).min(block_events);
+                    assert_eq!(n, want, "block {i} at {block_events} events a block");
+                    assert_eq!(lens.iter().sum::<usize>(), n);
+                    assert!(lens[..lens.len() - 1].iter().all(|&l| l == EVENT_BATCH));
+                }
+                assert_eq!(all.join().unwrap(), events, "{block_events} events a block");
+            });
+        }
+    }
+
+    #[test]
+    fn stalled_readers_block_the_producer_at_the_window_and_blocks_are_reused() {
+        let (mut writer, mut readers, _) = feed(2, 16, None);
+        let shared = Arc::clone(&writer.shared);
+        let stalled = readers.pop().unwrap();
+        let eager = readers.pop().unwrap();
+        std::thread::scope(|s| {
+            s.spawn(move || eager.count());
+            let producer = s.spawn(move || {
+                for a in stream(64 * 16) {
+                    writer.access(a);
+                }
+                writer.finish()
+            });
+            // Until the stalled reader reads, the window fills and the
+            // producer, with 56 blocks still to publish, cannot finish.
+            let mut state = shared.lock();
+            while state.window.len() < FEED_WINDOW {
+                state = shared.wait(state);
             }
-            let mut published = Vec::new();
-            for n in 0..64u8 {
-                let segment: Arc<[u8]> = Arc::from(vec![n; 32].into_boxed_slice());
-                published.push(Arc::downgrade(&segment));
-                writer.publish(segment, 1);
-                let live = alive(&published);
-                assert!(
-                    live <= FEED_WINDOW,
-                    "{live} unkept segments alive after {n}"
-                );
+            drop(state);
+            assert!(!producer.is_finished(), "the producer waits for the reader");
+            // Then it reads a block a millisecond, far slower than the
+            // producer fills one, so the producer waits at the window.
+            let mut read = 0;
+            for _block in stalled {
+                std::thread::sleep(Duration::from_millis(1));
+                read += 1;
             }
-            let stats = writer.finish();
-            assert_eq!(stats.segments, 64);
-            assert_eq!(
-                stats.max_lag, FEED_WINDOW as u64,
-                "the slow reader filled the window"
+            assert_eq!(read, 64);
+            let stats = producer.join().unwrap();
+            assert_eq!((stats.blocks, stats.events), (64, 64 * 16));
+            assert_eq!(stats.max_lag, FEED_WINDOW as u64, "the window filled");
+            assert!(stats.wait_ns > 0, "the producer's wait is counted");
+            assert!(
+                stats.allocated <= FEED_WINDOW as u64 + 1,
+                "{} blocks allocated for 64 published",
+                stats.allocated
             );
-            assert!(stats.wait_ns > 0, "the producer waited for it");
         });
     }
 
     #[test]
-    fn a_recorder_dropped_mid_stream_ends_every_reader() {
-        let (writer, readers) = feed(3);
+    fn a_writer_dropped_mid_stream_ends_every_reader() {
+        let (mut writer, readers, _) = feed(3, 16, None);
         std::thread::scope(|s| {
             let handles: Vec<_> = readers
                 .into_iter()
                 .map(|reader| s.spawn(move || reader.count()))
                 .collect();
-            let mut rec = Recorder::with_limit(0)
-                .with_segment_bytes(16)
-                .with_feed(writer);
             for a in stream(2_000) {
-                rec.access(a);
+                writer.access(a);
             }
-            drop(rec);
+            drop(writer);
             for h in handles {
                 h.join().expect("reader ended instead of waiting forever");
             }
@@ -388,26 +620,62 @@ mod tests {
 
     #[test]
     fn a_panicking_reader_does_not_wedge_the_producer() {
-        let (mut writer, readers) = feed(2);
+        let (mut writer, readers, _) = feed(2, 1, None);
         std::thread::scope(|s| {
             let mut readers = readers.into_iter();
             let healthy = readers.next().unwrap();
             let doomed = readers.next().unwrap();
             let healthy = s.spawn(move || healthy.count());
             let doomed = s.spawn(move || {
-                for (i, _segment) in doomed.enumerate() {
-                    assert!(i < 2, "reader fails on its third segment");
+                for (i, _block) in doomed.enumerate() {
+                    assert!(i < 2, "reader fails on its third block");
                 }
             });
-            // Far more segments than the window: with the failed reader
+            // Far more blocks than the window: with the failed reader
             // still counted, the producer would wait forever.
-            for n in 0..(4 * FEED_WINDOW as u8) {
-                writer.publish(Arc::from(vec![n; 8].into_boxed_slice()), 1);
+            for a in stream(4 * FEED_WINDOW as u32) {
+                writer.access(a);
             }
             writer.finish();
             assert!(doomed.join().is_err(), "the reader's panic surfaces");
             let seen = healthy.join().unwrap();
             assert!(seen < 4 * FEED_WINDOW, "the feed closed early: {seen}");
+        });
+    }
+
+    #[test]
+    fn an_abandoned_recorder_drains_the_feed_for_the_other_readers() {
+        let events = stream(5_000);
+        let (mut writer, mut readers, recording) = feed(1, 100, Some(Recorder::with_limit(64)));
+        let (reader, recording) = (readers.pop().unwrap(), recording.unwrap());
+        std::thread::scope(|s| {
+            let got = s.spawn(move || events_of(reader));
+            let rec = s.spawn(move || recording.run());
+            events.iter().for_each(|&a| writer.access(a));
+            writer.finish();
+            let rec = rec.join().unwrap();
+            assert!(rec.overflowed());
+            assert_eq!(rec.events(), 5_000, "every event counts");
+            assert_eq!(got.join().unwrap(), events, "the other reader got them all");
+        });
+    }
+
+    #[test]
+    fn a_recording_of_a_feed_closed_early_keeps_nothing() {
+        let (mut writer, readers, recording) = feed(1, 16, Some(Recorder::new()));
+        let recording = recording.unwrap();
+        std::thread::scope(|s| {
+            let reader = readers.into_iter().next().unwrap();
+            let reader = s.spawn(move || reader.count());
+            let rec = s.spawn(move || recording.run());
+            for a in stream(1_000) {
+                writer.access(a);
+            }
+            drop(writer);
+            reader.join().unwrap();
+            let rec = rec.join().unwrap();
+            assert!(rec.overflowed(), "the capture missed the stream's end");
+            assert!(rec.finish().is_none());
         });
     }
 }

@@ -1,7 +1,7 @@
 //! Compact trace recording and replay.
 //!
 //! A [`Recorder`] is a [`TraceSink`] that captures the event stream into
-//! chunked `Arc<[u8]>` segments using a packed encoding, and a
+//! chunked segments using a packed encoding, and a
 //! [`RecordedTrace`] replays the captured stream — event-for-event
 //! identical to the live run — into any other sink, as many times as
 //! needed, without re-executing the VM.
@@ -27,28 +27,34 @@
 //! but region switches make 5-byte tokens and read/write alternation
 //! makes flags bytes common: the golden scenarios average 2.7–3.0 bytes
 //! per event, versus the 8-byte in-memory [`Access`]. The encoded stream
-//! is sealed into ~1 MiB `Arc<[u8]>` segments at event boundaries; a
-//! clone of a [`RecordedTrace`] shares the segments, so concurrent replay
-//! workers decode the same bytes without copying. A recorder can also
-//! publish each segment it seals to a [`FeedWriter`], so readers decode a
-//! live run while it is recorded (see [`crate::feed`](mod@crate::feed)).
+//! is sealed into ~1 MiB segments at event boundaries; a clone of a
+//! [`RecordedTrace`] shares the segments, so concurrent replay workers
+//! decode the same bytes without copying. A live pass encodes only a
+//! capture the store may keep: its recorder is one more reader of the
+//! pass's raw feed, on a thread of its own
+//! ([`feed::Recording`](crate::feed::Recording)).
 //!
 //! # Recording cost
 //!
-//! The recorder runs inside the VM's loop, once per reference, so its
-//! common case is kept to straight-line code: `encode` builds an
-//! event's bytes in one `u64` without a loop or a branch, the recorder
-//! stores all eight bytes at its write position and advances by the
-//! event's length, and one compare against `room` (the furthest the
-//! segment may grow before anything else has to happen) guards it. Seals,
-//! budget charges, the byte limit and abandoned captures live in one
-//! out-of-line slow path. The segment being encoded is one buffer,
-//! allocated at the first event and reused after every seal.
+//! The recorder runs once per reference, so its common case is kept to
+//! straight-line code: `encode` builds an event's bytes in one `u64`
+//! without a loop or a branch, the recorder stores all eight bytes at its
+//! write position and advances by the event's length, and one compare
+//! against `room` (the furthest the segment may grow before anything else
+//! has to happen) guards it. Seals, budget charges, the byte limit and
+//! abandoned captures live in one out-of-line slow path. The segment
+//! being encoded is one buffer, allocated at the first event and reused
+//! after every seal; a seal copies the encoded bytes once, into a new
+//! allocation or into a spare buffer the recorder was given. A recorder
+//! that reads a live feed gets its spares from the feed's producer, so a
+//! kept capture is allocated on the calling thread even though it is
+//! encoded on a crew thread: memory a crew thread allocates stays in that
+//! thread's malloc arena after the pass, where the next pass, landing in
+//! another arena, cannot reuse it.
 
 use std::sync::Arc;
 
 use crate::event::{Access, AccessKind, Context};
-use crate::feed::{FeedStats, FeedWriter};
 use crate::sink::TraceSink;
 
 /// Default sealed-segment size in bytes (segments are sealed at the first
@@ -88,14 +94,14 @@ const FLAG_COLLECTOR: u8 = 1 << 1;
 const FLAG_ALLOC_INIT: u8 = 1 << 2;
 
 #[inline]
-fn flag_bits(a: &Access) -> u8 {
+pub(crate) fn flag_bits(a: &Access) -> u8 {
     (matches!(a.kind, AccessKind::Write) as u8)
         | ((matches!(a.ctx, Context::Collector) as u8) << 1)
         | ((a.alloc_init as u8) << 2)
 }
 
 #[inline]
-fn access_from(addr: u32, flags: u8) -> Access {
+pub(crate) fn access_from(addr: u32, flags: u8) -> Access {
     Access {
         addr,
         kind: if flags & FLAG_WRITE != 0 {
@@ -208,9 +214,9 @@ fn payload_events(bytes: &[u8]) -> Option<u64> {
 }
 
 /// Decode a payload, given as in-order chunks, into `sink`. Decoder
-/// state carries across chunk boundaries. The one decode loop behind
-/// [`RecordedTrace::replay`] and a live feed's readers.
-pub(crate) fn replay_chunks<C, S>(chunks: impl IntoIterator<Item = C>, sink: &mut S)
+/// state carries across chunk boundaries. The decode loop behind
+/// [`RecordedTrace::replay`].
+fn replay_chunks<C, S>(chunks: impl IntoIterator<Item = C>, sink: &mut S)
 where
     C: AsRef<[u8]>,
     S: TraceSink + ?Sized,
@@ -229,7 +235,7 @@ where
 
 /// [`replay_chunks`] in [`EventBatch`] slices; batches span chunk
 /// boundaries, and only the last may be short.
-pub(crate) fn replay_chunks_batched<C, F>(chunks: impl IntoIterator<Item = C>, mut consume: F)
+fn replay_chunks_batched<C, F>(chunks: impl IntoIterator<Item = C>, mut consume: F)
 where
     C: AsRef<[u8]>,
     F: FnMut(&EventBatch),
@@ -273,7 +279,7 @@ pub struct EventBatch {
 }
 
 impl EventBatch {
-    fn empty() -> Self {
+    pub(crate) fn empty() -> Self {
         EventBatch {
             addrs: [0; EVENT_BATCH],
             flags: [0; EVENT_BATCH],
@@ -317,8 +323,8 @@ impl EventBatch {
 
 /// A [`TraceSink`] that captures the event stream into compact segments.
 ///
-/// Feed it a run (typically as one half of a `(Recorder, real_sink)`
-/// tuple, so recording piggybacks on a live pass), then call
+/// Feed it a run, as a sink or as one more reader of a live pass's feed
+/// ([`feed::Recording`](crate::feed::Recording)), then call
 /// [`Recorder::finish`] to obtain the [`RecordedTrace`].
 ///
 /// A byte limit can be set with [`Recorder::with_limit`]; once the
@@ -326,17 +332,14 @@ impl EventBatch {
 /// so far, stops encoding (subsequent events are O(1) no-ops), and
 /// `finish` returns `None`. Recording failure is thus never an error —
 /// the live sinks sharing the pass are unaffected.
-///
-/// With a feed attached ([`Recorder::with_feed`]) every sealed segment is
-/// also published to the feed's readers. A capture abandoned over its
-/// limit or budget then stops keeping segments but goes on encoding and
-/// publishing them, so the readers still receive the whole stream.
 pub struct Recorder {
-    segments: Vec<Arc<[u8]>>,
-    /// The segment being encoded, `segment_bytes + 8` long from the first
-    /// event on (an event stores a whole `u64`), reused after every seal;
-    /// `buf[..pos]` is encoded.
+    segments: Vec<Box<[u8]>>,
+    /// The segment being encoded, [`Recorder::buffer_bytes`] long from the
+    /// first event on (an event stores a whole `u64`), reused after every
+    /// seal; `buf[..pos]` is encoded.
     buf: Vec<u8>,
+    /// An empty buffer the next seal copies its segment into.
+    spare: Option<Vec<u8>>,
     pos: usize,
     /// The furthest `pos` an event may end at on the fast path: short of
     /// a seal, within the limit and within the bytes already charged. 0
@@ -344,9 +347,6 @@ pub struct Recorder {
     room: usize,
     sealed_bytes: u64,
     events: u64,
-    /// Events in the segments sealed so far.
-    sealed_events: u64,
-    feed: Option<FeedWriter>,
     prev_addr: u32,
     flags: u8,
     limit: u64,
@@ -365,7 +365,6 @@ impl std::fmt::Debug for Recorder {
             .field("overflowed", &self.overflowed)
             .field("metered", &self.budget.is_some())
             .field("charged", &self.charged)
-            .field("feed", &self.feed)
             .finish()
     }
 }
@@ -388,12 +387,11 @@ impl Recorder {
         Recorder {
             segments: Vec::new(),
             buf: Vec::new(),
+            spare: None,
             pos: 0,
             room: 0,
             sealed_bytes: 0,
             events: 0,
-            sealed_events: 0,
-            feed: None,
             prev_addr: 0,
             flags: 0,
             limit,
@@ -423,25 +421,6 @@ impl Recorder {
         self
     }
 
-    /// Publish every segment this recorder seals to `feed` (see the
-    /// type docs). [`Recorder::close_feed`] ends the feed's stream; a
-    /// recorder dropped before then closes it early.
-    pub fn with_feed(mut self, feed: FeedWriter) -> Self {
-        self.feed = Some(feed);
-        self
-    }
-
-    /// Seal the segment being encoded, publish it, and end the attached
-    /// feed's stream. Returns what the feed's producer observed, or
-    /// `None` without a feed.
-    pub fn close_feed(&mut self) -> Option<FeedStats> {
-        self.feed.as_ref()?;
-        self.seal();
-        // An abandoned capture stops encoding once nobody reads it.
-        self.room = 0;
-        self.feed.take().map(FeedWriter::finish)
-    }
-
     /// Bytes currently reserved against the attached budget (0 when
     /// unmetered). Always ≥ [`Recorder::bytes`] until overflow.
     pub fn charged(&self) -> u64 {
@@ -464,31 +443,48 @@ impl Recorder {
         self.overflowed
     }
 
+    /// Length of a segment's buffer: a seal happens at the first event
+    /// that ends at or past `segment_bytes`, and an event stores 8 bytes.
+    pub(crate) fn buffer_bytes(&self) -> usize {
+        self.segment_bytes + 8
+    }
+
+    /// True while the recorder has no spare buffer and may still need
+    /// one.
+    pub(crate) fn wants_buffer(&self) -> bool {
+        self.spare.is_none() && !self.overflowed
+    }
+
+    /// Encode into `buf` if the recorder has no buffer yet, or else seal
+    /// the next segment into it, instead of an allocation of the
+    /// recorder's own. Its capacity is used, its contents are not.
+    pub(crate) fn give_buffer(&mut self, buf: Vec<u8>) {
+        if self.buf.capacity() == 0 && !self.overflowed {
+            self.buf = buf;
+        } else {
+            self.spare = Some(buf);
+        }
+    }
+
     fn seal(&mut self) {
         if self.pos == 0 {
             return;
         }
-        let seg: Arc<[u8]> = Arc::from(&self.buf[..self.pos]);
+        let mut seg = self.spare.take().unwrap_or_default();
+        seg.clear();
+        seg.extend_from_slice(&self.buf[..self.pos]);
         self.pos = 0;
-        if let Some(feed) = &mut self.feed {
-            feed.publish(Arc::clone(&seg), self.events - self.sealed_events);
-        }
-        self.sealed_events = self.events;
-        if !self.overflowed {
-            self.sealed_bytes += seg.len() as u64;
-            self.segments.push(seg);
-        }
+        self.sealed_bytes += seg.len() as u64;
+        self.segments.push(seg.into_boxed_slice());
     }
 
-    /// Abandon the capture: free what it kept and return its budget. A
-    /// feed's readers still need the segment being encoded.
-    fn overflow(&mut self) {
+    /// Abandon the capture: free what it kept and return its budget.
+    pub(crate) fn overflow(&mut self) {
         self.overflowed = true;
         self.segments = Vec::new();
-        if self.feed.is_none() {
-            self.buf = Vec::new();
-            self.pos = 0;
-        }
+        self.buf = Vec::new();
+        self.spare = None;
+        self.pos = 0;
         self.room = 0;
         self.sealed_bytes = 0;
         if let Some(budget) = &self.budget {
@@ -527,18 +523,16 @@ impl Recorder {
     }
 
     /// The fast path's `room` for the current state: 0 without a buffer
-    /// (before the first event, or once an abandoned capture without a
-    /// feed freed it), so those events take the slow path.
+    /// (before the first event, or once an abandoned capture freed it),
+    /// so those events take the slow path.
     fn room(&self) -> usize {
         if self.buf.is_empty() {
             return 0;
         }
-        let mut room = self.segment_bytes as u64 - 1;
-        if !self.overflowed {
-            room = room.min(self.limit.saturating_sub(self.sealed_bytes));
-            if self.budget.is_some() {
-                room = room.min(self.charged.saturating_sub(self.sealed_bytes));
-            }
+        let mut room =
+            (self.segment_bytes as u64 - 1).min(self.limit.saturating_sub(self.sealed_bytes));
+        if self.budget.is_some() {
+            room = room.min(self.charged.saturating_sub(self.sealed_bytes));
         }
         room as usize
     }
@@ -550,18 +544,17 @@ impl Recorder {
     #[cold]
     #[inline(never)]
     fn access_slow(&mut self, addr: u32, flags: u8, word: u64, len: usize) {
-        if self.overflowed && self.feed.is_none() {
+        if self.overflowed {
             return;
         }
         let n = len as u64;
-        if !self.overflowed && (self.bytes() + n > self.limit || !self.charge_for(n)) {
+        if self.bytes() + n > self.limit || !self.charge_for(n) {
             self.overflow();
-            if self.feed.is_none() {
-                return;
-            }
+            return;
         }
-        let size = self.segment_bytes + 8;
+        let size = self.buffer_bytes();
         if self.buf.len() < size {
+            self.buf.clear();
             self.buf.resize(size, 0);
         }
         self.buf[self.pos..self.pos + 8].copy_from_slice(&word.to_le_bytes());
@@ -575,14 +568,12 @@ impl Recorder {
     }
 
     /// Consume the recorder; `Some` holds the captured stream, `None`
-    /// means the byte limit was exceeded and nothing was kept. A feed
-    /// still attached is closed as by [`Recorder::close_feed`].
+    /// means the byte limit was exceeded and nothing was kept.
     ///
     /// With a budget attached, slack (charged − encoded) is released
     /// here; the final encoded size stays charged and its ownership
     /// passes to the caller with the trace.
     pub fn finish(mut self) -> Option<RecordedTrace> {
-        self.close_feed();
         if self.overflowed {
             return None;
         }
@@ -611,22 +602,43 @@ impl Drop for Recorder {
     }
 }
 
-impl TraceSink for Recorder {
+impl Recorder {
+    /// Record one event given as its address and packed flag byte.
     #[inline]
-    fn access(&mut self, a: Access) {
+    fn push(&mut self, addr: u32, flags: u8) {
         self.events += 1;
-        let flags = flag_bits(&a);
-        let delta = a.addr.wrapping_sub(self.prev_addr);
+        let delta = addr.wrapping_sub(self.prev_addr);
         let (word, len) = encode(delta, flags, flags != self.flags);
         let end = self.pos + len;
         if end > self.room {
-            self.access_slow(a.addr, flags, word, len);
+            self.access_slow(addr, flags, word, len);
             return;
         }
         self.buf[self.pos..self.pos + 8].copy_from_slice(&word.to_le_bytes());
         self.pos = end;
-        self.prev_addr = a.addr;
+        self.prev_addr = addr;
         self.flags = flags;
+    }
+
+    /// Record a batch of events. An abandoned capture only counts them.
+    pub(crate) fn record_batch(&mut self, batch: &EventBatch) {
+        if self.overflowed {
+            self.events += batch.len as u64;
+            return;
+        }
+        for (&addr, &flags) in batch.addrs[..batch.len]
+            .iter()
+            .zip(&batch.flags[..batch.len])
+        {
+            self.push(addr, flags);
+        }
+    }
+}
+
+impl TraceSink for Recorder {
+    #[inline]
+    fn access(&mut self, a: Access) {
+        self.push(a.addr, flag_bits(&a));
     }
 }
 
@@ -635,7 +647,7 @@ impl TraceSink for Recorder {
 /// of times.
 #[derive(Clone)]
 pub struct RecordedTrace {
-    segments: Arc<[Arc<[u8]>]>,
+    segments: Arc<[Box<[u8]>]>,
     events: u64,
     bytes: u64,
 }
@@ -658,7 +670,7 @@ impl RecordedTrace {
     /// boundaries. One bounds-checked walk over `payload` checks that it
     /// is a whole number of well-formed events, exactly `events` of them;
     /// `None` rejects it. A trace this returns replays without panicking.
-    pub fn from_payload(payload: Arc<[u8]>, events: u64) -> Option<RecordedTrace> {
+    pub fn from_payload(payload: Box<[u8]>, events: u64) -> Option<RecordedTrace> {
         if payload_events(&payload)? != events {
             return None;
         }
@@ -820,6 +832,32 @@ mod tests {
     }
 
     #[test]
+    fn given_buffers_of_any_shape_seal_the_same_segments() {
+        let events: Vec<Access> = (0..3_000u32)
+            .map(|i| Access::write(i.wrapping_mul(0x9e37_79b9), Context::Collector))
+            .collect();
+        let expected = roundtrip(&events, 64);
+        let mut rec = Recorder::new().with_segment_bytes(64);
+        let size = rec.buffer_bytes();
+        let mut given = [
+            Vec::new(),
+            vec![7; 3],
+            Vec::with_capacity(size),
+            vec![9; 2 * size],
+        ]
+        .into_iter()
+        .cycle();
+        for &a in &events {
+            if rec.wants_buffer() {
+                rec.give_buffer(given.next().unwrap());
+            }
+            rec.access(a);
+        }
+        let trace = rec.finish().unwrap();
+        assert!(trace.payload_chunks().eq(expected.payload_chunks()));
+    }
+
+    #[test]
     fn limit_overflow_drops_capture_and_stays_quiet() {
         let mut rec = Recorder::with_limit(8);
         for i in 0..100 {
@@ -934,7 +972,7 @@ mod tests {
         // Tiny segments: the concatenated payload spans many seals, so
         // this also proves decoder state survives chunk flattening.
         let trace = roundtrip(&events, 32);
-        let payload: Arc<[u8]> = trace.payload_chunks().flatten().copied().collect();
+        let payload: Box<[u8]> = trace.payload_chunks().flatten().copied().collect();
         let loaded = RecordedTrace::from_payload(payload.clone(), trace.events())
             .expect("a recorded payload is accepted");
         assert_eq!(loaded.bytes(), trace.bytes());
@@ -948,9 +986,9 @@ mod tests {
 
         // A wrong event count or a cut-off token is rejected.
         assert!(RecordedTrace::from_payload(payload.clone(), trace.events() + 1).is_none());
-        let cut: Arc<[u8]> = Arc::from(&payload[..payload.len() - 1]);
+        let cut: Box<[u8]> = Box::from(&payload[..payload.len() - 1]);
         assert!(RecordedTrace::from_payload(cut, trace.events()).is_none());
-        let empty = RecordedTrace::from_payload(Arc::from([]), 0).expect("empty payload");
+        let empty = RecordedTrace::from_payload(Box::new([]), 0).expect("empty payload");
         assert_eq!((empty.events(), empty.bytes()), (0, 0));
     }
 

@@ -10,7 +10,7 @@ use std::collections::HashMap;
 use cachegc::analysis::{
     ActivityTracker, BlockReport, BlockTracker, BusyBlock, Instrument, SweepPlot,
 };
-use cachegc::core::{EngineConfig, Runner};
+use cachegc::core::{Acquired, EngineConfig, Runner, TraceStore};
 use cachegc::gc::{
     CheneyCollector, Collector, GenerationalCollector, ImmixCollector, MarkSweepCollector,
     NoCollector, Roots,
@@ -18,12 +18,14 @@ use cachegc::gc::{
 use cachegc::heap::{Header, Heap, HeapConfig, ObjKind, Value};
 use cachegc::sim::{Cache, CacheConfig, GridCache, SetAssocCache, WriteHitPolicy, WriteMissPolicy};
 use cachegc::testkit::{check, Rng};
+use cachegc::trace::feed::feed;
 use cachegc::trace::{
-    feed, Access, AccessKind, Context, Counters, EventBatch, Fanout, NullSink, RecordBudget,
-    Recorder, Region, TraceSink, DYNAMIC_BASE, DYNAMIC_SECOND_BASE, EVENT_BATCH, STACK_BASE,
+    Access, AccessKind, Context, Counters, EventBatch, Fanout, NullSink, RecordBudget, Recorder,
+    Region, Segments, TraceSink, DYNAMIC_BASE, DYNAMIC_SECOND_BASE, EVENT_BATCH, STACK_BASE,
     STATIC_BASE,
 };
 use cachegc::vm::{read, Machine, Sexp};
+use cachegc::workloads::Workload;
 
 // ---------------------------------------------------------------------
 // Cache simulator vs an independent reference model
@@ -561,15 +563,15 @@ fn fanout<S: TraceSink>(sinks: Vec<S>, accesses: &[Access]) -> Vec<S> {
 }
 
 /// Drive `sinks` with `accesses` through `Runner::drive` on `jobs`
-/// workers: the stream is recorded into `segment_bytes`-byte segments,
-/// and the crew's readers replay them from the feed into their shards.
+/// workers: the stream goes out in raw blocks of `block_events` events,
+/// and the crew's readers read them from the feed into their shards.
 fn drive_feed<S: TraceSink + Send>(
     jobs: usize,
-    segment_bytes: usize,
+    block_events: usize,
     sinks: Vec<S>,
     accesses: &[Access],
 ) -> Vec<S> {
-    let runner = Runner::new(EngineConfig::jobs(jobs)).with_segment_bytes(segment_bytes);
+    let runner = Runner::new(EngineConfig::jobs(jobs)).with_block_events(block_events);
     let ((), out) = runner.drive(sinks, |fan| {
         for &a in accesses {
             fan.access(a);
@@ -578,16 +580,23 @@ fn drive_feed<S: TraceSink + Send>(
     out
 }
 
+/// A feed block size for a property case: one event, a non-multiple of
+/// the batch size on either side of it, or anything up to a few batches.
+fn block_events(rng: &mut Rng) -> usize {
+    let any = rng.range_usize(1, 300);
+    *rng.choose(&[1, EVENT_BATCH - 1, EVENT_BATCH + 1, any])
+}
+
 #[test]
 fn feed_driven_grid_matches_sequential_fanout() {
     check("feed_grid_equivalence", 48, |rng| {
-        // Random crew width and segment size, so segment boundaries and
-        // feed backpressure land everywhere relative to the stream.
+        // Random crew width and block size, so block boundaries and feed
+        // backpressure land everywhere relative to the stream.
         let jobs = rng.range_usize(1, 5);
-        let segment_bytes = rng.range_usize(16, 4097);
+        let block_events = block_events(rng);
         let n = rng.range_usize(0, 4000);
         let accesses = random_stream(rng, n, 1 << 16);
-        let par = drive_feed(jobs, segment_bytes, small_grid(), &accesses);
+        let par = drive_feed(jobs, block_events, small_grid(), &accesses);
         assert_cells_identical(fanout(small_grid(), &accesses), par);
     });
 }
@@ -595,14 +604,14 @@ fn feed_driven_grid_matches_sequential_fanout() {
 #[test]
 fn feed_segment_boundary_edges() {
     // Deterministic edges: an empty stream, streams shorter than one
-    // segment, and streams many segments long, at the smallest segment
-    // sizes.
+    // block, and streams many blocks long, at block sizes of one event
+    // and around one batch.
     for n in [0usize, 1, 2, 7, 63, 64, 65, 1000] {
         let accesses = stride_stream(n);
         let expected = fanout(small_grid(), &accesses);
         for jobs in [1usize, 2, 3, 4] {
-            for segment_bytes in [16usize, 17, 64] {
-                let par = drive_feed(jobs, segment_bytes, small_grid(), &accesses);
+            for block_events in [1usize, 63, 64, 65] {
+                let par = drive_feed(jobs, block_events, small_grid(), &accesses);
                 assert_cells_identical(expected.clone(), par);
             }
         }
@@ -615,14 +624,14 @@ fn feed_driven_instruments_match_sequential_fanout() {
         // Every instrument's final state must be bit-identical to the
         // sequential oracle, whichever reader its shard landed on.
         let jobs = rng.range_usize(1, 5);
-        let segment_bytes = rng.range_usize(16, 4097);
+        let block_events = block_events(rng);
         let n = rng.range_usize(0, 2500);
         let accesses = random_stream(rng, n, 1 << 14);
-        let par = drive_feed(jobs, segment_bytes, mixed_instruments(), &accesses);
+        let par = drive_feed(jobs, block_events, mixed_instruments(), &accesses);
         assert_eq!(
             fanout(mixed_instruments(), &accesses),
             par,
-            "mixed instruments bit-identical at jobs {jobs}, {segment_bytes}-byte segments"
+            "mixed instruments bit-identical at jobs {jobs}, {block_events}-event blocks"
         );
     });
 }
@@ -635,7 +644,7 @@ fn feed_edges_with_more_workers_than_instruments() {
         let accesses = stride_stream(n);
         let expected = fanout(mixed_instruments(), &accesses);
         for jobs in [1usize, 2, 6, 16] {
-            let par = drive_feed(jobs, 16, mixed_instruments(), &accesses);
+            let par = drive_feed(jobs, 1, mixed_instruments(), &accesses);
             assert_eq!(expected, par, "n={n} jobs={jobs}");
         }
     }
@@ -851,36 +860,119 @@ fn recorder_overflows_exactly_past_its_limit_or_budget() {
     });
 }
 
+/// A store miss's recorder is one more reader of the live feed. Fed any
+/// stream in blocks of any size beside one to four other readers, it
+/// writes exactly the bytes of a recorder fed the stream directly; with a
+/// budget that runs out anywhere mid-stream it abandons the capture and
+/// returns every charge, while the other readers still get every event.
 #[test]
-fn an_abandoned_recorder_still_feeds_its_readers_the_whole_stream() {
-    check("recorder_abandoned_feed", 32, |rng| {
+fn the_feed_recorder_writes_the_direct_recorders_bytes_or_abandons_cleanly() {
+    check("feed_recorder_oracle", 48, |rng| {
         let events = gen_codec_stream(rng);
-        let seg = rng.range_usize(16, 4096);
-        let expected = reference_segments(&events, seg);
-        let total: usize = expected.iter().map(Vec::len).sum();
-        // Abandoned at the first event or anywhere mid-stream.
-        let limit = rng.range_usize(0, total) as u64;
-        let (writer, readers) = feed(rng.range_usize(1, 3));
-        std::thread::scope(|s| {
-            let readers: Vec<_> = readers
-                .into_iter()
-                .map(|reader| s.spawn(move || reader.map(|seg| seg.to_vec()).collect::<Vec<_>>()))
-                .collect();
-            let mut rec = Recorder::with_limit(limit)
-                .with_segment_bytes(seg)
-                .with_feed(writer);
-            for &a in &events {
-                rec.access(a);
-            }
-            assert!(rec.overflowed(), "limit {limit} < encoded total {total}");
-            assert_eq!(rec.events(), events.len() as u64);
-            assert!(rec.finish().is_none(), "nothing was kept");
-            for reader in readers {
-                let received = reader.join().expect("reader finished");
-                assert_eq!(received, expected, "readers get every segment");
-            }
-        });
+        let block_events = block_events(rng);
+        let readers = rng.range_usize(1, 5);
+        let mut direct = Recorder::new();
+        events.iter().for_each(|&a| direct.access(a));
+        let direct = direct.finish().expect("unbounded recorder never overflows");
+        let cap = rng.range_usize(0, direct.bytes() as usize) as u64;
+        for budget in [None, Some(Ledger::new(cap))] {
+            let recorder = match &budget {
+                Some(budget) => Recorder::new().with_budget(budget.clone()),
+                None => Recorder::new(),
+            };
+            let (mut writer, feeds, recording) = feed(readers, block_events, Some(recorder));
+            let recording = recording.expect("a recorder was given");
+            std::thread::scope(|s| {
+                let got: Vec<_> = feeds
+                    .into_iter()
+                    .map(|reader| {
+                        s.spawn(move || {
+                            let mut out = Collect(Vec::new());
+                            Segments::Feed(reader).replay(&mut out);
+                            out.0
+                        })
+                    })
+                    .collect();
+                let recorder = s.spawn(move || recording.run());
+                events.iter().for_each(|&a| writer.access(a));
+                assert_eq!(writer.finish().events, events.len() as u64);
+                for reader in got {
+                    assert_eq!(reader.join().unwrap(), events, "a reader got every event");
+                }
+                let recorder = recorder.join().unwrap();
+                assert_eq!(recorder.events(), events.len() as u64, "every event counts");
+                match &budget {
+                    None => {
+                        let trace = recorder.finish().expect("unbounded");
+                        assert_eq!(
+                            trace.payload_chunks().collect::<Vec<_>>(),
+                            direct.payload_chunks().collect::<Vec<_>>(),
+                            "{block_events}-event blocks"
+                        );
+                    }
+                    Some(budget) => {
+                        assert!(recorder.overflowed(), "budget {cap} of {}", direct.bytes());
+                        assert!(recorder.finish().is_none());
+                        assert_eq!(budget.outstanding(), 0, "every charge returned");
+                    }
+                }
+            });
+        }
     });
+}
+
+/// An order-sensitive hash of a stream: FNV-1a over every event's
+/// address and flags.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct StreamHash(u64);
+
+impl TraceSink for StreamHash {
+    fn access(&mut self, a: Access) {
+        let flags = [
+            a.kind == AccessKind::Write,
+            a.ctx == Context::Collector,
+            a.alloc_init,
+        ];
+        for b in a.addr.to_le_bytes().into_iter().chain(flags.map(u8::from)) {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+}
+
+/// The store-miss path of a real run, on crews of one to four readers:
+/// the sinks equal the oracle's, and the store keeps exactly the bytes a
+/// recorder fed the run directly writes. A budget that runs out
+/// mid-stream keeps nothing and leaves nothing reserved, and the sinks
+/// still see every event.
+#[test]
+fn store_misses_keep_the_direct_recorders_bytes_or_nothing() {
+    let w = Workload::Prove.scaled(1);
+    let sinks = || vec![StreamHash(0xcbf2_9ce4_8422_2325); 4];
+    let oracle = w
+        .run(NoCollector::new(), (Fanout::new(sinks()), Recorder::new()))
+        .unwrap()
+        .sink;
+    let (expected, direct) = (oracle.0.into_sinks(), oracle.1.finish().unwrap());
+    for (jobs, block_events) in [(1, 1000), (2, 4099), (3, 32 * 1024), (4, 777)] {
+        let store = TraceStore::unbounded();
+        let runner = Runner::new(EngineConfig::jobs(jobs)).with_block_events(block_events);
+        let (_, got) = runner.with_store(&store).sinks(w, None, sinks()).unwrap();
+        assert_eq!(got, expected, "jobs {jobs}, {block_events}-event blocks");
+        let Acquired::Hit { trace, .. } = store.acquire(w, None) else {
+            panic!("the miss stored its capture");
+        };
+        assert_eq!(trace.trace.events(), direct.events());
+        assert!(
+            trace.trace.payload_chunks().eq(direct.payload_chunks()),
+            "jobs {jobs}: the stored payload is the direct recorder's"
+        );
+    }
+    let store = TraceStore::with_budget(direct.bytes() / 2);
+    let runner = Runner::new(EngineConfig::jobs(2)).with_block_events(1000);
+    let (_, got) = runner.with_store(&store).sinks(w, None, sinks()).unwrap();
+    assert_eq!(got, expected, "the readers got every event");
+    let s = store.stats();
+    assert_eq!((s.entries, s.over_budget, s.reserved), (0, 1, 0));
 }
 
 // ---------------------------------------------------------------------
