@@ -671,13 +671,15 @@ impl<'a> Runner<'a> {
     }
 
     /// Finished [`grid_shards`] back as cells in input order; counts the
-    /// simulated `(configuration, event)` cell updates.
+    /// simulated `(configuration, event)` cells and the lane steps the
+    /// kernel ran for them.
     fn grid_cells(&self, order: Vec<Vec<usize>>, grids: Vec<GridCache>) -> Vec<CacheCell> {
         let _shard = self.telemetry.map(|t| t.attach());
         let n = order.iter().map(Vec::len).sum();
         let mut cells = Vec::with_capacity(n);
         for (indices, grid) in order.into_iter().zip(grids) {
             probe!(Counter::GridCellsSimulated, grid.cells_simulated());
+            probe!(Counter::GridLaneSteps, grid.lane_steps());
             let shard = grid.into_cells().into_iter();
             cells.extend(
                 indices

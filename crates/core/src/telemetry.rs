@@ -8,7 +8,7 @@
 //! re-exports the primitives, so `cachegc_core::telemetry::Telemetry` is
 //! the one path experiment code needs, and adds:
 //!
-//! * [`Manifest`] — a versioned (`cachegc-manifest-v8`), machine-readable
+//! * [`Manifest`] — a versioned (`cachegc-manifest-v9`), machine-readable
 //!   record of one experiment run: configuration, merged counters, phase
 //!   timings with pause histograms, engine/worker totals, and trace-store
 //!   accounting. Serialized by [`Manifest::to_json`] (hand-rolled, like
@@ -46,8 +46,11 @@ use crate::store::{ScenarioGauges, StoreStats, TraceStore};
 /// removed `config.schedule`, the affinity counters (`affinity_pinned`,
 /// `affinity_fallbacks`) and the per-worker `chunks` with the knobs and
 /// the chunk broadcast behind them, and keys engine runs by crew kind
-/// (`engine.by_kind`, was `by_schedule`).
-pub const MANIFEST_SCHEMA: &str = "cachegc-manifest-v8";
+/// (`engine.by_kind`, was `by_schedule`); v8 removed the store's
+/// `mapped_bytes` and `duplicates`; v9 added `grid_lane_steps`, the lane
+/// steps the grid kernel ran after its repeat filter, which may not
+/// exceed `grid_cells_simulated`.
+pub const MANIFEST_SCHEMA: &str = "cachegc-manifest-v9";
 
 // ---------------------------------------------------------------------
 // Progress
@@ -441,7 +444,8 @@ impl JsonWriter {
 /// Validate a serialized manifest: schema identifier, required
 /// structure, non-negative integer counters, and the cross-field
 /// invariants the instrumentation guarantees (each phase's histogram
-/// sums to its span count; the GC pause-phase counts equal the GC
+/// sums to its span count; the grid kernel's lane steps do not exceed
+/// its simulated cells; the GC pause-phase counts equal the GC
 /// collection counters; per-kind engine runs sum to total runs).
 ///
 /// # Errors
@@ -540,6 +544,19 @@ pub fn validate_manifest(text: &str) -> Result<(), String> {
                 "manifest: phase '{name}' hist sums to {sum}, count is {count}"
             ));
         }
+    }
+
+    // A grid lane steps over at most every event: the repeat filter
+    // only ever removes steps.
+    let counter = |c: Counter| counters.get(c.name()).and_then(Json::as_u64).unwrap();
+    let (steps, cells) = (
+        counter(Counter::GridLaneSteps),
+        counter(Counter::GridCellsSimulated),
+    );
+    if steps > cells {
+        return Err(format!(
+            "manifest: grid_lane_steps {steps} exceeds grid_cells_simulated {cells}"
+        ));
     }
 
     // The GC probes count and time each pause at the same site, so the
@@ -823,7 +840,7 @@ mod tests {
         let m = Manifest::gather(sample_config(), &telemetry.snapshot(), None);
         let json = m.to_json();
         validate_manifest(&json).unwrap();
-        assert!(json.contains("\"schema\": \"cachegc-manifest-v8\""));
+        assert!(json.contains("\"schema\": \"cachegc-manifest-v9\""));
         assert!(json.contains("\"jobs_requested\": 2"));
         assert!(json.contains("\"store\": null"));
     }
@@ -894,7 +911,7 @@ mod tests {
         let err = validate_manifest(&good).unwrap_err();
         assert!(err.contains("gc_minor"), "{err}");
         // Wrong schema.
-        let bad = good.replace("cachegc-manifest-v8", "cachegc-manifest-v7");
+        let bad = good.replace("cachegc-manifest-v9", "cachegc-manifest-v8");
         assert!(validate_manifest(&bad).unwrap_err().contains("schema"));
         // Not JSON at all.
         assert!(validate_manifest("{nope").is_err());
@@ -909,6 +926,12 @@ mod tests {
         // A missing counter key.
         let bad = m2.to_json().replace("\"vm_runs\": 0,", "");
         assert!(validate_manifest(&bad).unwrap_err().contains("vm_runs"));
+        // More lane steps than cells: the filter can only remove steps.
+        let bad = m2
+            .to_json()
+            .replace("\"grid_lane_steps\": 0", "\"grid_lane_steps\": 1");
+        let err = validate_manifest(&bad).unwrap_err();
+        assert!(err.contains("grid_lane_steps 1 exceeds"), "{err}");
         // Counters v6 and v7 removed.
         for gone in ["replay_batches", "affinity_pinned"] {
             let bad = m2.to_json().replace(

@@ -29,7 +29,7 @@
 //! All collector memory traffic is emitted into the trace with
 //! [`Context::Collector`](cachegc_trace::Context), so a cache simulation
 //! attributes `M_gc` correctly, and collector work is charged to `I_gc`
-//! through [`Counters`](cachegc_trace::Counters).
+//! through [`Counters`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -26,7 +26,7 @@ pub struct Outcome {
 /// (sub-block placement), the cache organization the paper studies.
 ///
 /// Data contents are not modeled — only tags, valid bits, and dirty flags —
-/// because the simulated program's data lives in [`cachegc-heap`]'s memory;
+/// because the simulated program's data lives in `cachegc-heap`'s memory;
 /// the cache tracks exactly what a trace-driven simulator needs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Cache {

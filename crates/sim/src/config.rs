@@ -31,8 +31,9 @@ pub enum WriteHitPolicy {
 pub struct CacheConfig {
     /// Total capacity in bytes. Must be a power of two.
     pub size: u32,
-    /// Block (line) size in bytes: 16–256, a power of two. The fetch size
-    /// equals the block size (§4).
+    /// Block (line) size in bytes: 8–256, a power of two, so that one
+    /// `u64` valid bitmap covers a block's words. The fetch size equals
+    /// the block size (§4).
     pub block: u32,
     /// Associativity; 1 for the direct-mapped caches the paper studies.
     pub assoc: u32,
@@ -49,7 +50,7 @@ impl CacheConfig {
     /// # Panics
     ///
     /// Panics if `size` or `block` is not a power of two, if `block` is
-    /// outside 8..=1024 bytes, or if `block > size`.
+    /// outside 8..=256 bytes, or if `block > size`.
     pub fn direct_mapped(size: u32, block: u32) -> Self {
         let cfg = CacheConfig {
             size,
@@ -97,7 +98,8 @@ impl CacheConfig {
             self.block.is_power_of_two(),
             "block size must be a power of two"
         );
-        assert!((8..=1024).contains(&self.block), "block size out of range");
+        // The simulators keep one `u64` valid bitmap per block: 64 words.
+        assert!((8..=256).contains(&self.block), "block size out of range");
         assert!(self.block <= self.size, "block larger than cache");
     }
 
@@ -158,6 +160,14 @@ mod tests {
     #[should_panic(expected = "block size out of range")]
     fn rejects_tiny_blocks() {
         CacheConfig::direct_mapped(64 * 1024, 4);
+    }
+
+    /// A 512-byte block has 128 words, more than a `u64` valid bitmap
+    /// holds: word 64 would share word 0's bit.
+    #[test]
+    #[should_panic(expected = "block size out of range")]
+    fn rejects_blocks_wider_than_the_valid_bitmap() {
+        CacheConfig::direct_mapped(64 * 1024, 512);
     }
 
     #[test]

@@ -17,12 +17,20 @@
 //! so per lane and event the kernel only indexes, loads one block record,
 //! compares tags and tests a valid bit, and counts on a miss.
 //!
+//! Most events of a real trace change no lane at all: they re-read a word
+//! an earlier event left resident and valid in every lane, or re-write one
+//! an earlier write left dirty. A grid of [`FILTER_MIN_LANES`] lanes or more
+//! drops those events once per batch, before the lanes, through a private
+//! repeat filter built from its own geometry; the lanes step only over the
+//! events it keeps. The filter is exact (DESIGN.md §6f proves it), so no
+//! counter moves.
+//!
 //! Bit-identity is the bar: every lane's [`CacheTotals`] equal those of a
 //! [`Cache`] fed the same stream, which the differential tests below (and
 //! the batch-cut property test in `tests/properties.rs`) check for every
 //! write-hit × write-miss policy combination.
 
-use cachegc_trace::{Access, EventBatch};
+use cachegc_trace::{Access, Context, EventBatch, EVENT_BATCH};
 
 #[cfg(doc)]
 use crate::cache::Cache;
@@ -30,6 +38,21 @@ use crate::config::{CacheConfig, WriteHitPolicy, WriteMissPolicy};
 use crate::stats::CacheTotals;
 
 const EMPTY: u32 = u32::MAX;
+
+/// The narrowest grid that filters its events. The filter costs about one
+/// lane step per event, so a one-lane grid runs faster without it (the
+/// per-width costs are in DESIGN.md §6f).
+const FILTER_MIN_LANES: usize = 2;
+
+/// Entries in the filter's anchor table, one word per entry (32 KiB).
+const ANCHORS: usize = 1 << 12;
+
+/// Most entries in the filter's owner table (32 KiB).
+const MAX_OWNERS: usize = 1 << 12;
+
+/// Generations stay below this, so that the stamp `2 * gen + 1` fits a
+/// `u32`; the filter forgets everything when it gets there.
+const GEN_LIMIT: u32 = 1 << 31;
 
 /// One cache block's state, in one record so an access touches a single
 /// cache line. Both simulators only ever ask whether a block is dirty, so
@@ -60,17 +83,139 @@ struct Lane {
     totals: CacheTotals,
 }
 
+/// One owner slot of a [`RepeatFilter`]: the key `addr >> lo` of the last
+/// kept event whose field maps here, and the generation that began when
+/// that key took the slot over.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Owner {
+    key: u32,
+    gen: u32,
+}
+
+/// A fresh owner slot: no key (a key is at most `u32::MAX >> 3`) and a
+/// generation no anchor carries.
+const NO_OWNER: Owner = Owner { key: EMPTY, gen: 1 };
+
+/// The first generation a key can take a slot over with.
+const FIRST_GEN: u32 = 2;
+
+/// A grid's repeat filter: it drops an event when an earlier event left
+/// the event's word resident and valid in every lane (for a write: an
+/// earlier write, which also left its block dirty in every write-back
+/// lane) and no kept event since could have evicted that block from any
+/// lane. Such an event changes no lane's state or counters but the
+/// lane-invariant ones, which `consume` tallies over the whole batch.
+///
+/// With `Smin` the smallest lane size and `Bmax` the largest lane block,
+/// an event at `x` can evict the block of word `a` from some lane only if
+/// `x` lies in another `Smin`-aligned region and agrees with `a` on the
+/// field bits `[lo, log2 Smin)`, where `lo = min(log2 Bmax, log2 Smin)`.
+/// So an event's key is `addr >> lo` (region and field), its field picks
+/// an owner slot, and a kept event whose key is not its slot's owner
+/// starts a new generation there. An anchor is the last kept event at a
+/// word, with whether it wrote and the generation its slot had after it;
+/// while the slot keeps that generation, no kept event since came from
+/// another region with the same field. Dropped events change nothing, so
+/// only kept events are recorded. Both tables are bounded and indexed by
+/// low bits: a collision or a reset loses an anchor or starts a generation
+/// early, and generations are never reused until a reset clears every
+/// anchor, so no stale anchor can match.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct RepeatFilter {
+    lo: u32,
+    owners: Vec<Owner>,
+    /// Per word slot: `(2 * gen + wrote) << 32 | addr` of its anchor; 0
+    /// (generation 0) matches nothing.
+    anchors: Box<[u64; ANCHORS]>,
+    next_gen: u32,
+}
+
+impl RepeatFilter {
+    /// The filter over `lanes`, or `None` for a grid too narrow to gain
+    /// from one.
+    fn new(lanes: &[Lane]) -> Option<Self> {
+        if lanes.len() < FILTER_MIN_LANES {
+            return None;
+        }
+        let s_min = lanes.iter().map(|l| l.cfg.size).min()?;
+        let b_max = lanes.iter().map(|l| l.cfg.block).max()?;
+        let hi = s_min.trailing_zeros();
+        let lo = b_max.trailing_zeros().min(hi);
+        Some(RepeatFilter {
+            lo,
+            owners: vec![NO_OWNER; (1usize << (hi - lo)).min(MAX_OWNERS)],
+            anchors: Box::new([0; ANCHORS]),
+            next_gen: FIRST_GEN,
+        })
+    }
+
+    /// The events of `batch` that may change some lane, in stream order.
+    fn keep(&mut self, batch: &EventBatch) -> EventBatch {
+        let mut kept = EventBatch {
+            addrs: [0; EVENT_BATCH],
+            flags: [0; EVENT_BATCH],
+            len: 0,
+        };
+        for i in 0..batch.len() {
+            let addr = batch.addrs[i];
+            let wrote = u32::from(batch.get(i).is_write());
+            let key = addr >> self.lo;
+            let slot = key as usize & (self.owners.len() - 1);
+            let word = (addr >> 2) as usize & (ANCHORS - 1);
+            let owner = self.owners[slot];
+            // A read repeats an anchor of either kind, a write only a
+            // write's: setting the read's kind bit accepts both.
+            let anchor = self.anchors[word] | u64::from(wrote ^ 1) << 32;
+            if anchor == u64::from(2 * owner.gen + 1) << 32 | u64::from(addr) {
+                continue;
+            }
+            kept.addrs[kept.len] = addr;
+            kept.flags[kept.len] = batch.flags[i];
+            kept.len += 1;
+            let gen = if owner.key == key {
+                owner.gen
+            } else {
+                self.take_over(slot, key)
+            };
+            self.anchors[word] = u64::from(2 * gen + wrote) << 32 | u64::from(addr);
+        }
+        kept
+    }
+
+    /// Give `slot` to `key` under a new generation.
+    fn take_over(&mut self, slot: usize, key: u32) -> u32 {
+        if self.next_gen == GEN_LIMIT {
+            self.reset();
+        }
+        let gen = self.next_gen;
+        self.next_gen += 1;
+        self.owners[slot] = Owner { key, gen };
+        gen
+    }
+
+    /// Forget every anchor and owner, so generations can start over.
+    #[cold]
+    fn reset(&mut self) {
+        self.owners.fill(NO_OWNER);
+        self.anchors.fill(0);
+        self.next_gen = FIRST_GEN;
+    }
+}
+
 /// K direct-mapped caches simulated in lockstep over one event stream.
 ///
 /// Each lane's [`CacheTotals`] equal those of a [`Cache`] over the same
 /// configuration, but the grid consumes the stream once per *batch*
 /// instead of once per `(event, cache)` pair, with all lane state (tag,
-/// valid bitmap, dirty flag) in one shared flat arena of block records.
+/// valid bitmap, dirty flag) in one shared flat arena of block records,
+/// and steps its lanes only over the events its repeat filter keeps.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GridCache {
     lanes: Vec<Lane>,
     blocks: Vec<BlockState>,
+    filter: Option<RepeatFilter>,
     events: u64,
+    lane_steps: u64,
 }
 
 impl GridCache {
@@ -107,6 +252,7 @@ impl GridCache {
             total += cfg.num_blocks() as usize;
         }
         GridCache {
+            filter: RepeatFilter::new(&lanes),
             lanes,
             blocks: vec![
                 BlockState {
@@ -117,6 +263,7 @@ impl GridCache {
                 total
             ],
             events: 0,
+            lane_steps: 0,
         }
     }
 
@@ -135,10 +282,16 @@ impl GridCache {
         self.events
     }
 
-    /// `(config, event)` cell updates performed so far — the grid-kernel
-    /// work metric (`events × lanes`).
+    /// `(config, event)` cells simulated so far: `events × lanes`, the
+    /// grid's logical work, whether or not a lane stepped over the event.
     pub fn cells_simulated(&self) -> u64 {
         self.events * self.lanes.len() as u64
+    }
+
+    /// Lane steps the kernel ran so far: `lanes` per event the repeat
+    /// filter kept, at most [`GridCache::cells_simulated`].
+    pub fn lane_steps(&self) -> u64 {
+        self.lane_steps
     }
 
     /// The configurations, in lane order.
@@ -160,17 +313,26 @@ impl GridCache {
         self.lanes.into_iter().map(|l| (l.cfg, l.totals)).collect()
     }
 
-    /// Add the lane-invariant counters of a run of events, whose
-    /// references `refs` counts, to every lane: each lane sees every
-    /// reference, and a write-through lane writes every write through.
-    fn count_refs(lanes: &mut [Lane], refs: &CacheTotals) {
-        let writes = refs.writes();
+    /// Add the lane-invariant counters of `batch` to every lane: each
+    /// lane sees every reference, and a write-through lane writes every
+    /// write through. The tally adds flags rather than matching on them,
+    /// since reads and writes alternate unpredictably.
+    fn count_refs(lanes: &mut [Lane], batch: &EventBatch) {
+        let (mut writes, mut collector, mut collector_writes) = (0u64, 0u64, 0u64);
+        for a in batch.accesses() {
+            let w = u64::from(a.is_write());
+            let c = u64::from(a.ctx == Context::Collector);
+            writes += w;
+            collector += c;
+            collector_writes += w & c;
+        }
+        let reads = batch.len() as u64 - writes;
         for lane in lanes {
             let t = &mut lane.totals;
-            t.mutator_reads += refs.mutator_reads;
-            t.mutator_writes += refs.mutator_writes;
-            t.collector_reads += refs.collector_reads;
-            t.collector_writes += refs.collector_writes;
+            t.mutator_reads += reads - (collector - collector_writes);
+            t.mutator_writes += writes - collector_writes;
+            t.collector_reads += collector - collector_writes;
+            t.collector_writes += collector_writes;
             if !lane.write_back {
                 t.write_through_words += writes;
             }
@@ -234,28 +396,29 @@ impl GridCache {
     }
 
     /// Update every lane with one decoded batch. The lane-invariant
-    /// counters are tallied once for the batch; then lanes are the outer
-    /// loop so each lane's geometry and hot blocks stay cached across the
-    /// whole batch — this is the kernel one batched decode pass drives.
+    /// counters are tallied once over the whole batch; then lanes are the
+    /// outer loop over the events the repeat filter keeps, so each lane's
+    /// geometry and hot blocks stay cached across the batch — this is the
+    /// kernel one batched decode pass drives.
     pub fn consume(&mut self, batch: &EventBatch) {
-        let GridCache {
-            lanes,
-            blocks,
-            events,
-        } = self;
-        let mut refs = CacheTotals::default();
-        for a in batch.accesses() {
-            refs.count_ref(a.ctx, a.is_read());
-        }
-        Self::count_refs(lanes, &refs);
-        for lane in lanes.iter_mut() {
+        Self::count_refs(&mut self.lanes, batch);
+        self.events += batch.len() as u64;
+        let kept;
+        let batch = match &mut self.filter {
+            Some(filter) => {
+                kept = filter.keep(batch);
+                &kept
+            }
+            None => batch,
+        };
+        for lane in self.lanes.iter_mut() {
             let n = lane.index_mask as usize + 1;
-            let blocks = &mut blocks[lane.base..lane.base + n];
+            let blocks = &mut self.blocks[lane.base..lane.base + n];
             for a in batch.accesses() {
                 Self::step(lane, blocks, a);
             }
         }
-        *events += batch.len() as u64;
+        self.lane_steps += (batch.len() * self.lanes.len()) as u64;
     }
 }
 
@@ -263,7 +426,7 @@ impl GridCache {
 mod tests {
     use super::*;
     use crate::cache::Cache;
-    use cachegc_trace::{Context, Recorder, TraceSink};
+    use cachegc_trace::{Recorder, TraceSink};
 
     /// A `Vec<Cache>` built over the same configurations: the oracle the
     /// grid is differentially tested against.
@@ -370,6 +533,74 @@ mod tests {
                     "seed {seed:#x}: lane {i} ({cfg}) diverged from its Cache oracle"
                 );
             }
+        }
+    }
+
+    /// A hand-counted stream over a 4 KB/16 B and a 16 KB/64 B lane:
+    /// `Smin` is 4 KB and `Bmax` 64 B, so only an event 4 KB away with
+    /// the same bits 6..12 can evict. The filter must keep exactly the
+    /// events that can change a lane, and a one-lane grid, which builds
+    /// no filter, steps over every event.
+    #[test]
+    fn the_filter_keeps_exactly_the_events_that_can_change_a_lane() {
+        let m = Context::Mutator;
+        let base = 0x1000_0000u32;
+        let words = || (0..16).map(move |i| base + 4 * i);
+        let mut stream = Vec::new();
+        // 16 first touches, kept; their repeats, dropped.
+        stream.extend(words().map(|a| Access::read(a, m)));
+        stream.extend(words().map(|a| Access::read(a, m)));
+        // A write after a read, kept; a write and a read after it, dropped.
+        stream.push(Access::write(base, m));
+        stream.push(Access::write(base, m));
+        stream.push(Access::read(base, m));
+        // Same region, another field: kept, and evicts nothing.
+        stream.push(Access::read(base + 64, m));
+        stream.push(Access::read(base + 4, m));
+        // Another region, same field: kept, and every word is kept again.
+        stream.push(Access::read(base + 4096, m));
+        stream.extend(words().map(|a| Access::read(a, m)));
+        assert_eq!(stream.len(), 54);
+
+        let configs = vec![
+            CacheConfig::direct_mapped(4 << 10, 16),
+            CacheConfig::direct_mapped(16 << 10, 64),
+        ];
+        let grid = consume_all(configs.clone(), &stream);
+        assert_eq!(grid.cells_simulated(), 54 * 2);
+        assert_eq!(grid.lane_steps(), (16 + 1 + 1 + 1 + 16) * 2);
+        let mut oracle = grid_oracle(&configs);
+        for &a in &stream {
+            oracle.iter_mut().for_each(|c| c.access(a));
+        }
+        for (lane, cache) in oracle.iter().enumerate() {
+            assert_eq!(*grid.stats(lane), cache.stats().totals(), "lane {lane}");
+        }
+
+        let one = consume_all(configs[..1].to_vec(), &stream);
+        assert_eq!(one.lane_steps(), one.cells_simulated());
+    }
+
+    /// A filter that runs out of generations forgets every anchor and
+    /// starts over, and the lanes still equal their oracles.
+    #[test]
+    fn the_filter_resets_when_its_generations_run_out() {
+        let configs = policy_grid();
+        let stream = mixed_stream(7, 5_000);
+        let mut grid = GridCache::new(configs.clone());
+        grid.filter.as_mut().expect("a filtered grid").next_gen = GEN_LIMIT - 3;
+        let mut rec = Recorder::new();
+        stream.iter().for_each(|&a| rec.access(a));
+        rec.finish()
+            .expect("kept")
+            .replay_batched(|b| grid.consume(b));
+        assert!(grid.filter.as_ref().unwrap().next_gen < GEN_LIMIT - 3);
+        let mut oracle = grid_oracle(&configs);
+        for &a in &stream {
+            oracle.iter_mut().for_each(|c| c.access(a));
+        }
+        for (lane, cache) in oracle.iter().enumerate() {
+            assert_eq!(*grid.stats(lane), cache.stats().totals(), "lane {lane}");
         }
     }
 

@@ -3,8 +3,8 @@
 //!
 //! Modeled on mmtk-core's `EventCounter`/`PhaseTimer` statistics layer,
 //! but lock-free on the hot path: a thread that wants to emit events
-//! attaches a private [`Shard`]-per-thread via [`Telemetry::attach`], the
-//! [`probe!`] macro and [`probe`] functions write plain (non-atomic)
+//! attaches a private shard per thread via [`Telemetry::attach`], the
+//! [`probe!`] macro and [`probe`](mod@probe) functions write plain (non-atomic)
 //! integers into that shard, and the shard merges into the shared
 //! [`Telemetry`] totals exactly once, when the attach guard drops. A
 //! `--jobs N` run therefore never serializes its workers on a statistics
@@ -83,9 +83,12 @@ pub enum Counter {
     SchedPackets,
     /// `--jobs` requests clamped down to the machine's available parallelism.
     JobsClamped,
-    /// `(configuration, event)` cell updates performed by the grid
-    /// simulation kernel.
+    /// `(configuration, event)` cells the grid kernel simulated: every
+    /// event times every lane, the grids' logical work.
     GridCellsSimulated,
+    /// Lane steps the grid kernel ran: every lane times every event its
+    /// repeat filter kept, at most [`Counter::GridCellsSimulated`].
+    GridLaneSteps,
     /// Sample windows committed by timeline instruments.
     TimelineWindows,
     /// Collection markers committed by timeline instruments.
@@ -100,7 +103,7 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in manifest order.
-    pub const ALL: [Counter; 25] = [
+    pub const ALL: [Counter; 26] = [
         Counter::VmRuns,
         Counter::VmAllocs,
         Counter::VmGcTriggers,
@@ -121,6 +124,7 @@ impl Counter {
         Counter::SchedPackets,
         Counter::JobsClamped,
         Counter::GridCellsSimulated,
+        Counter::GridLaneSteps,
         Counter::TimelineWindows,
         Counter::TimelineCollections,
         Counter::TraceSpans,
@@ -151,6 +155,7 @@ impl Counter {
             Counter::SchedPackets => "sched_packets",
             Counter::JobsClamped => "jobs_clamped",
             Counter::GridCellsSimulated => "grid_cells_simulated",
+            Counter::GridLaneSteps => "grid_lane_steps",
             Counter::TimelineWindows => "timeline_windows",
             Counter::TimelineCollections => "timeline_collections",
             Counter::TraceSpans => "trace_spans",

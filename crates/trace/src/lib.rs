@@ -1,7 +1,7 @@
 //! Memory-reference trace infrastructure for the cachegc system.
 //!
-//! The simulated Scheme system ([`cachegc-vm`]) and the garbage collectors
-//! ([`cachegc-gc`]) emit a stream of data-reference [`Access`] events — one
+//! The simulated Scheme system (`cachegc-vm`) and the garbage collectors
+//! (`cachegc-gc`) emit a stream of data-reference [`Access`] events — one
 //! per load or store the simulated program performs — into a [`TraceSink`].
 //! Cache simulators and behavioral analyzers are sinks; they consume the
 //! stream online, so a multi-billion-reference run never needs to be stored.

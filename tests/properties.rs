@@ -305,6 +305,115 @@ fn grid_lanes_match_their_cache_oracles_under_any_batch_cuts() {
 }
 
 // ---------------------------------------------------------------------
+// The grid's repeat filter is exact on its edges
+// ---------------------------------------------------------------------
+
+/// A direct-mapped lane of any size from 256 B to 256 KB, any block from
+/// 8 B up to the size, and any write policy.
+fn edge_config(rng: &mut Rng) -> CacheConfig {
+    let size_bits = rng.range_u32(8, 19);
+    let block = 1u32 << rng.range_u32(3, size_bits.min(8) + 1);
+    let hit = if rng.bool() {
+        WriteHitPolicy::WriteBack
+    } else {
+        WriteHitPolicy::WriteThrough
+    };
+    let miss = if rng.bool() {
+        WriteMissPolicy::WriteValidate
+    } else {
+        WriteMissPolicy::FetchOnWrite
+    };
+    CacheConfig::direct_mapped(1 << size_bits, block)
+        .with_write_hit(hit)
+        .with_write_miss(miss)
+}
+
+/// The grid drops an event only when an earlier access left its word
+/// resident and valid in every lane (a write's, dirty too) and no kept
+/// event since could have evicted it: one from another region of the
+/// smallest lane size `Smin` whose bits between the largest block `Bmax`
+/// and `Smin` agree. So the streams here come from a few words on those
+/// edges — the same field in another region, the same region in another
+/// field, a smaller block's neighbour inside the largest block, a word
+/// that conflicts in every lane — and every lane must still equal its
+/// `Cache` oracle, whatever the batch cuts.
+#[test]
+fn grid_repeat_filter_is_exact_on_its_edges() {
+    check("grid_filter_edges", 128, |rng| {
+        let mut configs: Vec<CacheConfig> = (0..rng.range_usize(2, 6))
+            .map(|_| edge_config(rng))
+            .collect();
+        if rng.range_u32(0, 4) == 0 {
+            // A one-block lane beside a large one: Bmax >= Smin, so every
+            // region of Smin is its own field.
+            configs.push(CacheConfig::direct_mapped(256, 256));
+            configs.push(CacheConfig::direct_mapped(64 << 10, 16));
+        }
+        let s_min = configs.iter().map(|c| c.size).min().unwrap();
+        let s_max = configs.iter().map(|c| c.size).max().unwrap();
+        let b_min = configs.iter().map(|c| c.block).min().unwrap();
+        let b_max = configs.iter().map(|c| c.block).max().unwrap();
+        let edges = [
+            0,
+            4,
+            b_min,
+            b_max / 2,
+            b_max,
+            b_max - 4,
+            s_min,
+            s_min + 4,
+            s_min + b_min,
+            s_min + b_max / 2,
+            s_min + b_max,
+            2 * s_min,
+            s_max,
+            s_max + b_max,
+            3 * s_max + 4,
+            rng.range_u32(0, 1 << 18) * 4,
+        ];
+        let base = (DYNAMIC_BASE + rng.range_u32(0, 1 << 20) * 4) & !(s_max - 1);
+        let words: Vec<u32> = (0..rng.range_usize(2, 7))
+            .map(|_| base + rng.choose(&edges))
+            .collect();
+        let accesses: Vec<Access> = (0..rng.range_usize(1, 600))
+            .map(|_| {
+                let addr = *rng.choose(&words);
+                let ctx = if rng.range_u32(0, 4) == 0 {
+                    Context::Collector
+                } else {
+                    Context::Mutator
+                };
+                match rng.range_u32(0, 5) {
+                    0 | 1 => Access::read(addr, ctx),
+                    2 | 3 => Access::write(addr, ctx),
+                    _ => Access::alloc_write(addr, ctx),
+                }
+            })
+            .collect();
+        let mut grid = GridCache::new(configs.clone());
+        let mut rest = &accesses[..];
+        while !rest.is_empty() {
+            let (head, tail) = rest.split_at(rng.range_usize(1, EVENT_BATCH + 1).min(rest.len()));
+            grid.consume(&batch_of(rng, head));
+            rest = tail;
+        }
+        let mut oracles: Vec<Cache> = configs.iter().map(|&c| Cache::new(c)).collect();
+        for &a in &accesses {
+            oracles.iter_mut().for_each(|c| c.access(a));
+        }
+        assert!(grid.lane_steps() <= grid.cells_simulated());
+        for (lane, cache) in oracles.iter().enumerate() {
+            let cfg = configs[lane];
+            assert_eq!(
+                *grid.stats(lane),
+                cache.stats().totals(),
+                "lane {lane} ({cfg}) of {configs:?} over words {words:x?}"
+            );
+        }
+    });
+}
+
+// ---------------------------------------------------------------------
 // The paged block tracker equals a hash-map oracle
 // ---------------------------------------------------------------------
 
