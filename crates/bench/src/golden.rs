@@ -257,10 +257,11 @@ pub fn run_sweep(exp: &Experiment, scale: u32, runner: &Runner) -> Vec<Table> {
 /// sweep's manifest must meet — the VM executed at least once
 /// (`vm_execute` has spans) or the store warm-started from spill
 /// segments, a run on more than one worker reported crew runs with
-/// per-worker stats, every live pass (`counters.vm_runs`) ran a crew of
-/// replay readers (`replay_shard` or `grid_simulate` in
-/// `engine.by_kind`), a store that reports hits replayed, and every
-/// in-flight recording reservation was resolved by the end of the run.
+/// per-worker stats, every pass ran exactly one crew of feed readers
+/// (`replay_shard` plus `grid_simulate` in `engine.by_kind` equals the
+/// live passes, `counters.vm_runs`, plus the store's hits), a store that
+/// reports hits replayed, and every in-flight recording reservation was
+/// resolved by the end of the run.
 ///
 /// # Errors
 ///
@@ -310,8 +311,9 @@ pub fn check_manifest(text: &str) -> Result<(), String> {
     if engine_runs > 0 && workers == 0 {
         return Err("manifest: engine.workers is empty — no per-worker stats recorded".into());
     }
-    // Every live pass replays its own recording through a crew of
-    // readers, at one worker too; a store hit may add one more.
+    // Every pass, live or a store hit, runs exactly one crew of feed
+    // readers, at one worker too. The store counts spill loads and
+    // coalesced waits as hits.
     let vm_runs = doc
         .get("counters")
         .and_then(|c| c.get("vm_runs"))
@@ -325,13 +327,14 @@ pub fn check_manifest(text: &str) -> Result<(), String> {
             .unwrap_or(0)
     };
     let reader_crews = crews_of("replay_shard").saturating_add(crews_of("grid_simulate"));
-    if reader_crews < vm_runs {
+    let hits = store_field("hits");
+    let passes = vm_runs.saturating_add(hits);
+    if reader_crews != passes {
         return Err(format!(
             "manifest: {reader_crews} reader crews in engine.by_kind for {vm_runs} vm_runs \
-             — a live pass ran without replay readers"
+             + {hits} store hits — every pass runs exactly one reader crew"
         ));
     }
-    let hits = store_field("hits");
     if hits > 0 && phase_count("replay") == 0 {
         return Err(format!(
             "manifest: store reports {hits} hits but no replay spans"
@@ -454,7 +457,7 @@ mod tests {
     fn manifest_check_demands_vm_execute_and_replay() {
         use std::sync::Arc;
 
-        use cachegc_core::telemetry::{probe, EngineReport};
+        use cachegc_core::telemetry::{probe, Counter, EngineReport};
         use cachegc_core::{Manifest, ManifestConfig, Telemetry, TraceStore};
 
         let cfg = || ManifestConfig {
@@ -477,7 +480,7 @@ mod tests {
             let _span = probe::phase("vm_execute");
         }
         // A VM span alone is still rejected at two workers: no crew pass
-        // reported. At one worker a run that counted no live pass needs
+        // reported. At one worker a run that counted no pass needs
         // none.
         let no_engine = Manifest::gather(cfg(), &telemetry.snapshot(), None).to_json();
         let err = check_manifest(&no_engine).unwrap_err();
@@ -489,37 +492,47 @@ mod tests {
         };
         check_manifest(&Manifest::gather(one_worker, &telemetry.snapshot(), None).to_json())
             .unwrap();
-        telemetry.record_engine(&EngineReport {
-            kind: "grid_simulate",
-            jobs: 2,
-            sinks: 2,
-            chunks_published: 1,
-            events_published: 8,
-            backpressure_ns: 0,
-            queue_depth_hwm: 1,
-            workers: vec![Default::default(); 2],
-        });
+        let crew = || {
+            telemetry.record_engine(&EngineReport {
+                kind: "grid_simulate",
+                jobs: 2,
+                sinks: 2,
+                chunks_published: 1,
+                events_published: 8,
+                backpressure_ns: 0,
+                queue_depth_hwm: 1,
+                workers: vec![Default::default(); 2],
+            });
+        };
+        telemetry.count(Counter::VmRuns, 1);
+        crew();
         let store = TraceStore::unbounded();
         let ran = Manifest::gather(cfg(), &telemetry.snapshot(), Some(&store)).to_json();
         check_manifest(&ran).unwrap();
 
-        // A store that reports hits needs replay spans to back them.
+        // A store that reports hits needs replay spans to back them, as
+        // well as a reader crew each.
+        crew();
+        let ran = Manifest::gather(cfg(), &telemetry.snapshot(), Some(&store)).to_json();
         let hit = ran.replacen("\"hits\": 0", "\"hits\": 1", 1);
         assert_ne!(hit, ran, "the store block is present and editable");
         let err = check_manifest(&hit).unwrap_err();
-        assert!(err.contains("replay"), "{err}");
+        assert!(err.contains("replay spans"), "{err}");
 
         // Garbage is rejected by the generic layer first.
         assert!(check_manifest("{}").is_err());
         assert!(check_manifest("not json").is_err());
     }
 
+    /// Every pass runs exactly one reader crew: a live pass (`vm_runs`)
+    /// and a store hit (spill loads and coalesced waits count as hits)
+    /// alike. A manifest one crew short or one crew over fails.
     #[test]
-    fn manifest_check_demands_a_reader_crew_per_vm_run() {
+    fn manifest_check_demands_one_reader_crew_per_pass() {
         use std::sync::Arc;
 
         use cachegc_core::telemetry::{probe, Counter, EngineReport};
-        use cachegc_core::{Manifest, ManifestConfig, Telemetry};
+        use cachegc_core::{Manifest, ManifestConfig, Telemetry, TraceStore};
 
         let telemetry = Arc::new(Telemetry::new());
         let crew = |kind| {
@@ -537,9 +550,10 @@ mod tests {
         {
             let _shard = telemetry.attach();
             let _span = probe::phase("vm_execute");
+            let _replay = probe::phase("replay");
             probe::count(Counter::VmRuns, 2);
         }
-        let check = || {
+        let check = |hits: u64| {
             let cfg = ManifestConfig {
                 experiment: "e5_gc_overhead".into(),
                 scale: 1,
@@ -547,22 +561,32 @@ mod tests {
                 jobs_requested: 1,
                 trace_cache: "off".into(),
             };
-            check_manifest(&Manifest::gather(cfg, &telemetry.snapshot(), None).to_json())
+            let store = TraceStore::unbounded();
+            let text = Manifest::gather(cfg, &telemetry.snapshot(), Some(&store)).to_json();
+            let text = text.replacen("\"hits\": 0", &format!("\"hits\": {hits}"), 1);
+            check_manifest(&text)
         };
         // Two live passes at one worker, and one reader crew: a pass ran
         // its sinks some other way. A map worker is no reader.
         crew("grid_simulate");
         crew("task");
-        let err = check().unwrap_err();
+        let err = check(0).unwrap_err();
         assert!(
             err.contains("1 reader crews") && err.contains("2 vm_runs"),
             "{err}"
         );
         crew("replay_shard");
-        check().unwrap();
-        // A store hit's crew on top of the live ones is fine.
+        check(0).unwrap();
+        // One crew over: a live pass ran two crews, or a crew ran for
+        // no pass.
         crew("grid_simulate");
-        check().unwrap();
+        let err = check(0).unwrap_err();
+        assert!(err.contains("3 reader crews"), "{err}");
+        // A store hit's crew on top of the live ones is exact, and a
+        // hit without one is one crew short.
+        check(1).unwrap();
+        let err = check(2).unwrap_err();
+        assert!(err.contains("2 store hits"), "{err}");
     }
 
     #[test]

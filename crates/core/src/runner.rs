@@ -11,20 +11,21 @@
 //! into a [`GcComparison`](crate::GcComparison); a sweep over several
 //! collectors runs the control once.
 //!
-//! There is one way to run a pass. Its sinks are dealt over
-//! `min(jobs, sinks)` replay readers ([`PacketKind::ReplayShard`], or
+//! There is one way to run a pass: one producer writes a raw event feed
+//! (see [`cachegc_trace::feed`](mod@cachegc_trace::feed)) beside a crew
+//! of `min(jobs, sinks)` readers ([`PacketKind::ReplayShard`], or
 //! [`PacketKind::GridSimulate`] for grids), each driving its shard of the
-//! sinks: from the decoded stored trace on a store hit, otherwise from
-//! the raw event feed (see
-//! [`cachegc_trace::feed`](mod@cachegc_trace::feed)) that the VM, running
-//! on the calling thread, fills. On a store miss the store's recorder
-//! reads the same feed as one more crew job, so only a capture the store
-//! may keep is encoded. A live pass's readers are always a crew, at one
-//! worker too; a store hit with one reader reads on the calling thread.
-//! The only other crew is `map`'s workers ([`PacketKind::Task`]). Every
-//! crew is one scoped thread per job (`crate::sched`). Per-sink results
-//! are bit-identical to the oracles that drive the sinks from the VM
-//! directly ([`run_control`](crate::run_control),
+//! sinks from the feed's blocks. On a live pass the producer is the VM,
+//! on the calling thread, and every reader is a crew job; on a store miss
+//! the store's recorder reads the same feed as one more crew job, so only
+//! a capture the store may keep is encoded. On a store hit the producer
+//! is the stored trace's decoder, one more crew job, and reader 0 reads
+//! on the calling thread, so the trace is decoded once however many
+//! readers read it. The only other crew is `map`'s workers
+//! ([`PacketKind::Task`]). Every crew is one scoped thread per job
+//! (`crate::sched`). Per-sink results are bit-identical to the oracles
+//! that drive the sinks from the VM directly
+//! ([`run_control`](crate::run_control),
 //! [`run_collected`](crate::run_collected), or a [`Fanout`] under
 //! `WorkloadInstance::run`; property-tested in the workspace root).
 //!
@@ -40,6 +41,7 @@
 //! assert!(report.refs > 0);
 //! ```
 
+use std::iter;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -48,7 +50,7 @@ use cachegc_analysis::{Instrument, Timeline};
 use cachegc_sim::{CacheConfig, GridCache};
 use cachegc_telemetry::{probe, Counter, EngineReport, Telemetry, WorkerStats};
 use cachegc_trace::{
-    feed, Fanout, FeedStats, FeedWriter, RecordedTrace, Recorder, Recording, Segments, TraceSink,
+    feed, Fanout, FeedReader, FeedStats, FeedWriter, RecordedTrace, Recorder, Recording, TraceSink,
     FEED_BLOCK_EVENTS,
 };
 use cachegc_vm::{RunStats, VmError};
@@ -69,16 +71,18 @@ pub fn default_jobs() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
-/// The sink every live pass's producer drives: the optional timeline tap
+/// The sink a live pass's producer drives: the optional timeline tap
 /// beside the writer of the raw feed the pass's readers read. The VM is
-/// compiled once per collector for it, whatever the pass's sinks.
-type LiveSink = (Option<Timeline>, FeedWriter);
+/// compiled once per collector for it, whatever the pass's sinks; a
+/// store hit's decoder drives the same pair with its tap boxed, to keep
+/// the crew's job enum small.
+type FeedSink = (Option<Timeline>, FeedWriter);
 
 /// What a live pass runs on the calling thread: the VM over a workload,
 /// or a caller's own loop ([`Runner::drive`]).
 trait Producer {
     type Out;
-    fn run(self, sink: LiveSink) -> Result<(Self::Out, LiveSink), VmError>;
+    fn run(self, sink: FeedSink) -> Result<(Self::Out, FeedSink), VmError>;
 }
 
 /// The VM over one scenario.
@@ -86,7 +90,7 @@ struct Vm(WorkloadInstance, Option<CollectorSpec>);
 
 impl Producer for Vm {
     type Out = RunStats;
-    fn run(self, sink: LiveSink) -> Result<(RunStats, LiveSink), VmError> {
+    fn run(self, sink: FeedSink) -> Result<(RunStats, FeedSink), VmError> {
         run_spec_sink(self.0, self.1, sink)
     }
 }
@@ -96,21 +100,22 @@ struct Drive<F>(F);
 
 impl<T, F: FnOnce(&mut dyn TraceSink) -> T> Producer for Drive<F> {
     type Out = T;
-    fn run(self, mut sink: LiveSink) -> Result<(T, LiveSink), VmError> {
+    fn run(self, mut sink: FeedSink) -> Result<(T, FeedSink), VmError> {
         let out = (self.0)(&mut sink);
         Ok((out, sink))
     }
 }
 
-/// The reader of a plain sink set: one replay drives the whole shard.
-fn read_sinks<T: TraceSink>(segments: &mut Segments<'_>, shard: &mut Fanout<T>) {
-    segments.replay(shard);
+/// The reader of a plain sink set: every event of the feed drives the
+/// whole shard.
+fn read_sinks<T: TraceSink>(feed: &mut FeedReader, shard: &mut Fanout<T>) {
+    feed.replay(shard);
 }
 
-/// The reader of a grid: each batch, decoded from a stored trace or taken
-/// raw from the live feed, drives each [`GridCache`].
-fn read_grids(segments: &mut Segments<'_>, shard: &mut Fanout<GridCache>) {
-    segments.replay_batched(|batch| {
+/// The reader of a grid: each batch of the feed drives each
+/// [`GridCache`].
+fn read_grids(feed: &mut FeedReader, shard: &mut Fanout<GridCache>) {
+    feed.replay_batched(|batch| {
         for grid in shard.sinks_mut() {
             grid.consume(batch);
         }
@@ -188,18 +193,31 @@ struct Live<O, T> {
     tap: Option<Timeline>,
 }
 
-/// One crew job of a pass: a reader driving its shard of the sinks, or a
-/// store miss's recorder encoding the live feed.
-enum Job<'s, T> {
-    Read(Segments<'s>, Fanout<T>),
+/// One crew job of a pass: a reader driving its shard of the sinks, a
+/// store miss's recorder encoding the live feed, or a store hit's
+/// decoder writing the feed from the stored trace.
+enum Job<'t, T> {
+    Read(FeedReader, Fanout<T>),
     Record(Recording),
+    Decode(&'t RecordedTrace, (Option<Box<Timeline>>, FeedWriter)),
 }
 
 /// What a [`Job`] hands back: the events a reader read and its shard,
-/// or the recorder.
+/// the recorder, or the decoder's tap and what its writer observed.
 enum Done<T> {
     Read(u64, Fanout<T>),
     Recorded(Recorder),
+    Decoded(Option<Box<Timeline>>, FeedStats),
+}
+
+/// What a pass's crew hands back besides the calling thread's result:
+/// the crew readers' shards in job order, a miss's recorder, a hit's
+/// decoder, and each job's accounting.
+struct Joined<T> {
+    shards: Vec<Fanout<T>>,
+    recorder: Option<Recorder>,
+    decoded: Option<(Option<Box<Timeline>>, FeedStats)>,
+    workers: Vec<WorkerStats>,
 }
 
 /// The unified experiment driver: an engine configuration and the
@@ -219,7 +237,7 @@ pub struct Runner<'a> {
     progress: Option<&'a Progress>,
     /// Windowed cache/GC timeline every pass taps its stream into.
     timeline: Option<&'a TimelineRecorder>,
-    /// Events in each block of a live pass's feed.
+    /// Events in each block of a pass's feed.
     block_events: usize,
 }
 
@@ -236,8 +254,9 @@ impl<'a> Runner<'a> {
         }
     }
 
-    /// The one-worker runner, nothing attached: each live pass runs one
-    /// reader beside the VM, and a store hit reads on the calling thread.
+    /// The one-worker runner, nothing attached: each pass runs one reader
+    /// beside its producer, on a crew thread beside a live pass's VM and
+    /// on the calling thread beside a store hit's decoder.
     pub fn sequential() -> Runner<'static> {
         Runner::new(EngineConfig::default())
     }
@@ -262,8 +281,9 @@ impl<'a> Runner<'a> {
     /// Attach a timeline recorder: every pass additionally drives a
     /// fixed-geometry [`cachegc_analysis::Timeline`] tap and commits the
     /// windowed report under the pass's scenario label. The tap rides the
-    /// same access stream as the result sinks, so it never changes any
-    /// result bit; store hits replay the recorded trace into the tap.
+    /// same access stream as the result sinks, beside the feed's writer
+    /// (the VM's on a live pass, the decoder's on a store hit), so it
+    /// never changes any result bit.
     pub fn with_timeline(mut self, timeline: &'a TimelineRecorder) -> Runner<'a> {
         self.timeline = Some(timeline);
         self
@@ -281,8 +301,8 @@ impl<'a> Runner<'a> {
         self
     }
 
-    /// Cut this runner's live feeds into blocks of `events` events (at
-    /// least one) instead of [`FEED_BLOCK_EVENTS`]. No result depends on
+    /// Cut this runner's feeds into blocks of `events` events (at least
+    /// one) instead of [`FEED_BLOCK_EVENTS`]. No result depends on
     /// it; tests use tiny blocks to land block boundaries all over a
     /// short stream.
     pub fn with_block_events(mut self, events: usize) -> Runner<'a> {
@@ -299,15 +319,14 @@ impl<'a> Runner<'a> {
     }
 
     /// Fold a finished crew into the attached telemetry as one engine
-    /// run keyed by the `kind` of jobs it ran: `sinks` driven over
-    /// `events` events, plus what a live pass's feed observed (the
-    /// caller must hold a probe shard on this thread).
+    /// run keyed by the `kind` of jobs it ran: `sinks` driven over what
+    /// a pass's feed observed (the caller must hold a probe shard on this
+    /// thread).
     fn flush_crew(
         &self,
         kind: PacketKind,
         workers: Vec<WorkerStats>,
         sinks: usize,
-        events: u64,
         feed: FeedStats,
     ) {
         probe!(Counter::SchedPackets, workers.len() as u64);
@@ -317,7 +336,7 @@ impl<'a> Runner<'a> {
                 jobs: workers.len(),
                 sinks,
                 chunks_published: feed.blocks,
-                events_published: events,
+                events_published: feed.events,
                 backpressure_ns: feed.wait_ns,
                 queue_depth_hwm: feed.max_lag,
                 workers,
@@ -335,18 +354,21 @@ impl<'a> Runner<'a> {
     ///   and the capture is offered back to the store (which may decline
     ///   it on budget grounds).
     ///
-    /// A live pass runs the VM on the calling thread into a raw event
-    /// feed that `min(jobs, sinks)` reader threads read, each into its
-    /// shard of the sinks, as a hit's readers replay the stored trace.
-    /// Per-sink results are bit-identical on every path.
+    /// Every pass is one producer writing a raw event feed that
+    /// `min(jobs, sinks)` readers read, each into its shard of the sinks.
+    /// A live pass runs the VM on the calling thread and every reader on
+    /// a crew thread. A store hit decodes the stored trace once, on a
+    /// crew thread, and runs reader 0 on the calling thread and the rest
+    /// on crew threads. Per-sink results are bit-identical on every path.
     ///
     /// When the runner carries a [`Telemetry`] registry this terminal is
     /// also the instrumentation root: it attaches a probe shard on the
     /// calling thread, times the `vm_execute` / `record` / `replay` /
-    /// `sink_drain` phases (`record` wraps the live run on the miss path,
-    /// so those spans overlap `vm_execute` by design), counts live VM
-    /// runs, crew jobs, and store capture outcomes, and reports each crew
-    /// as an engine run. A runner carrying a [`Progress`] gets one tick
+    /// `sink_drain` phases (`record` wraps the live run on the miss path
+    /// and `replay` the whole hit, so those spans overlap `vm_execute`
+    /// and `sink_drain` by design), counts live VM runs, crew jobs, and
+    /// store capture outcomes, and reports each pass's crew as an engine
+    /// run. A runner carrying a [`Progress`] gets one tick
     /// per completed pass. Neither changes any result bit.
     ///
     /// # Errors
@@ -366,7 +388,7 @@ impl<'a> Runner<'a> {
     }
 
     /// The body of [`Runner::sinks`] and [`Runner::grid`]: `read` drives
-    /// one reader's shard of the sinks from a replayed trace.
+    /// one reader's shard of the sinks from the pass's feed.
     fn pass<T, R>(
         &self,
         instance: WorkloadInstance,
@@ -377,7 +399,7 @@ impl<'a> Runner<'a> {
     ) -> Result<(RunStats, Vec<T>), VmError>
     where
         T: Send,
-        R: Fn(&mut Segments<'_>, &mut Fanout<T>) + Sync,
+        R: Fn(&mut FeedReader, &mut Fanout<T>) + Sync,
     {
         let _shard = self.telemetry.map(|t| t.attach());
         let pass_start = Instant::now();
@@ -386,7 +408,7 @@ impl<'a> Runner<'a> {
         Ok((stats, sinks))
     }
 
-    /// Commit a live pass's timeline tap under `label` (no-op when the
+    /// Commit a pass's timeline tap under `label` (no-op when the
     /// runner carries no recorder, so taps thread through the drivers
     /// as plain `Option` tuple elements).
     fn commit_tap(&self, label: impl FnOnce() -> String, tap: Option<Timeline>) {
@@ -405,7 +427,7 @@ impl<'a> Runner<'a> {
     ) -> Result<(RunStats, Vec<T>, u64), VmError>
     where
         T: Send,
-        R: Fn(&mut Segments<'_>, &mut Fanout<T>) + Sync,
+        R: Fn(&mut FeedReader, &mut Fanout<T>) + Sync,
     {
         let label = || scenario_label(instance, spec);
         let Some(store) = self.store else {
@@ -421,18 +443,11 @@ impl<'a> Runner<'a> {
                     HitSource::SpillLoad => probe!(Counter::StoreSpillLoads),
                     HitSource::Coalesced => probe!(Counter::StoreCoalesced),
                 }
-                // The tap takes its own decode pass rather than riding a
-                // reader shard; its windows are bit-identical to a live
-                // pass's.
-                if let Some(recorder) = self.timeline {
-                    let mut tap = recorder.tap();
-                    trace.trace.replay(&mut tap);
-                    recorder.commit(&label(), tap);
-                }
-                let sinks = {
+                let (sinks, tap, _) = {
                     let _replay = probe::phase("replay");
                     self.replay(&trace.trace, kind, sinks, read)
                 };
+                self.commit_tap(label, tap.map(|tap| *tap));
                 return Ok((trace.stats, sinks, trace.trace.events()));
             }
             Acquired::Miss(ticket) => ticket,
@@ -498,12 +513,11 @@ impl<'a> Runner<'a> {
     }
 
     /// The one live pass: `producer` runs on the calling thread into a
-    /// raw event feed, which `min(jobs, sinks)` readers of `kind` `read`
-    /// into their shards of the sinks while it grows, exactly as a store
-    /// hit's readers read the stored trace. A store miss's `recorder`
-    /// reads the feed too, as one more crew job, and comes back having
-    /// encoded every event into buffers the calling thread supplied; a
-    /// pass without one encodes nothing.
+    /// raw event feed, which `min(jobs, sinks)` crew readers of `kind`
+    /// `read` into their shards of the sinks while it grows. A store
+    /// miss's `recorder` reads the feed too, as one more crew job, and
+    /// comes back having encoded every event into buffers the calling
+    /// thread supplied; a pass without one encodes nothing.
     fn live<P, T, R>(
         &self,
         producer: P,
@@ -515,116 +529,141 @@ impl<'a> Runner<'a> {
     where
         P: Producer,
         T: Send,
-        R: Fn(&mut Segments<'_>, &mut Fanout<T>) + Sync,
+        R: Fn(&mut FeedReader, &mut Fanout<T>) + Sync,
     {
         let tap = self.timeline.map(|t| t.tap());
         let n = sinks.len();
         let readers = self.engine.jobs.min(n).max(1);
         let (order, shards) = shard(sinks, readers);
         let (writer, feeds, recording) = feed(readers, self.block_events, recorder);
-        let sources = feeds.into_iter().map(Segments::Feed).collect();
-        let (produced, shards, recorder, workers) =
-            self.read_shards(kind, sources, shards, &read, recording, || {
-                let (out, (tap, writer)) = {
-                    let _vm = probe::phase_cpu("vm_execute");
-                    producer.run((tap, writer))?
-                };
-                Ok((out, tap, writer.finish()))
-            });
+        let jobs = feeds
+            .into_iter()
+            .zip(shards)
+            .map(|(feed, shard)| Job::Read(feed, shard))
+            .chain(recording.map(Job::Record))
+            .collect();
+        let (produced, joined) = self.run_crew(kind, jobs, &read, || {
+            let (out, (tap, writer)) = {
+                let _vm = probe::phase_cpu("vm_execute");
+                producer.run((tap, writer))?
+            };
+            Ok((out, tap, writer.finish()))
+        });
         let (out, tap, feed) = match produced {
             Ok(produced) => produced,
             Err(e) => {
-                self.flush_crew(kind, workers, n, 0, FeedStats::default());
+                self.flush_crew(kind, joined.workers, n, FeedStats::default());
                 return Err(e);
             }
         };
-        self.flush_crew(kind, workers, n, feed.events, feed);
+        self.flush_crew(kind, joined.workers, n, feed);
         Ok(Live {
             out,
-            sinks: unshard(order, shards),
+            sinks: unshard(order, joined.shards),
             events: feed.events,
-            recorder,
+            recorder: joined.recorder,
             tap,
         })
     }
 
-    /// A store hit: replay `trace` into the sinks, dealt over
-    /// `min(jobs, sinks)` readers of `kind` (in-thread for one).
+    /// A store hit: the stored trace's decoder, one more crew job, writes
+    /// `trace` into the feed exactly as a live pass's VM would, and
+    /// `min(jobs, sinks)` readers of `kind` `read` it into their shards:
+    /// reader 0 on the calling thread, the rest on crew threads. Every
+    /// block the feed will use is allocated here, before the crew starts,
+    /// so the decoder allocates nothing, and reader 0's shard grows on
+    /// the calling thread (see [`grid_shards`]). Returns the sinks in
+    /// input order, the tap, and what the decoder's writer observed.
     fn replay<T, R>(
         &self,
         trace: &RecordedTrace,
         kind: PacketKind,
         sinks: Vec<T>,
         read: R,
-    ) -> Vec<T>
+    ) -> (Vec<T>, Option<Box<Timeline>>, FeedStats)
     where
         T: Send,
-        R: Fn(&mut Segments<'_>, &mut Fanout<T>) + Sync,
+        R: Fn(&mut FeedReader, &mut Fanout<T>) + Sync,
     {
+        let tap = self.timeline.map(|t| Box::new(t.tap()));
         let n = sinks.len();
         let readers = self.engine.jobs.min(n).max(1);
-        let (order, mut shards) = shard(sinks, readers);
-        if readers <= 1 {
-            read(&mut Segments::Trace(trace), &mut shards[0]);
-        } else {
-            let sources = (0..readers).map(|_| Segments::Trace(trace)).collect();
-            let ((), read_back, _, workers) =
-                self.read_shards(kind, sources, shards, &read, None, || ());
-            self.flush_crew(kind, workers, n, trace.events(), FeedStats::default());
-            shards = read_back;
-        }
-        unshard(order, shards)
+        let (order, shards) = shard(sinks, readers);
+        let (writer, feeds, _) = feed(readers, self.block_events, None);
+        let writer = writer.for_stream(trace.events());
+        let mut readers = feeds.into_iter().zip(shards);
+        let (mut feed0, mut shard0) = readers.next().expect("a pass has a reader");
+        let jobs = readers
+            .map(|(feed, shard)| Job::Read(feed, shard))
+            .chain(iter::once(Job::Decode(trace, (tap, writer))))
+            .collect();
+        let read = &read;
+        // Reader 0 moves into the calling thread's part, so a panicking
+        // sink drops it while unwinding, which closes the feed.
+        let (shard0, mut joined) = self.run_crew(kind, jobs, read, move || {
+            read(&mut feed0, &mut shard0);
+            shard0
+        });
+        joined.shards.insert(0, shard0);
+        let (tap, feed) = joined.decoded.expect("a store hit's crew decodes");
+        self.flush_crew(kind, joined.workers, n, feed);
+        (unshard(order, joined.shards), tap, feed)
     }
 
-    /// The crew behind every replay: reader `j` of `kind` reads
-    /// `sources[j]` into `shards[j]` on its own thread, and a store
-    /// miss's `recording` encodes the feed on one more, while `produce`
-    /// runs on the calling thread. Waits for every job (the `sink_drain`
-    /// phase), then returns `produce`'s result, the shards in order, the
-    /// recorder, and each job's accounting (the recorder drives no sink).
-    fn read_shards<'s, T, P>(
+    /// The crew behind every pass: each of `jobs` of `kind` runs on its
+    /// own thread while `main` runs on the calling thread. Waits for
+    /// every job (the `sink_drain` phase), then returns `main`'s result
+    /// and what the jobs handed back (a recorder or decoder drives no
+    /// sink).
+    fn run_crew<T, P>(
         &self,
         kind: PacketKind,
-        sources: Vec<Segments<'s>>,
-        shards: Vec<Fanout<T>>,
-        read: &(impl Fn(&mut Segments<'_>, &mut Fanout<T>) + Sync),
-        recording: Option<Recording>,
-        produce: impl FnOnce() -> P,
-    ) -> (P, Vec<Fanout<T>>, Option<Recorder>, Vec<WorkerStats>)
+        jobs: Vec<Job<'_, T>>,
+        read: &(impl Fn(&mut FeedReader, &mut Fanout<T>) + Sync),
+        main: impl FnOnce() -> P,
+    ) -> (P, Joined<T>)
     where
         T: Send,
     {
-        let jobs = sources
+        let jobs = jobs
             .into_iter()
-            .zip(shards)
-            .map(|(source, shard)| Job::Read(source, shard))
-            .chain(recording.map(Job::Record))
             .map(|job| {
                 move || match job {
-                    Job::Read(mut source, mut shard) => {
-                        read(&mut source, &mut shard);
-                        Done::Read(source.events(), shard)
+                    Job::Read(mut feed, mut shard) => {
+                        read(&mut feed, &mut shard);
+                        Done::Read(feed.events(), shard)
                     }
                     Job::Record(recording) => Done::Recorded(recording.run()),
+                    Job::Decode(trace, mut sink) => {
+                        trace.replay(&mut sink);
+                        let (tap, writer) = sink;
+                        Done::Decoded(tap, writer.finish())
+                    }
                 }
             })
             .collect();
         let ((produced, drain), done, mut workers) = crew(self.telemetry, kind, jobs, || {
-            (produce(), probe::phase("sink_drain"))
+            (main(), probe::phase("sink_drain"))
         });
         drop(drain);
-        let mut shards = Vec::with_capacity(done.len());
-        let mut recorder = None;
+        let mut joined = Joined {
+            shards: Vec::with_capacity(done.len()),
+            recorder: None,
+            decoded: None,
+            workers: Vec::new(),
+        };
         for (done, stats) in done.into_iter().zip(&mut workers) {
             match done {
                 Done::Read(events, shard) => {
                     stats.events = events * shard.sinks().len() as u64;
-                    shards.push(shard);
+                    joined.shards.push(shard);
                 }
-                Done::Recorded(rec) => recorder = Some(rec),
+                Done::Recorded(recorder) => joined.recorder = Some(recorder),
+                Done::Decoded(tap, feed) => joined.decoded = Some((tap, feed)),
             }
         }
-        (produced, shards, recorder, workers)
+        joined.workers = workers;
+        (produced, joined)
     }
 
     /// [`Runner::sinks`] for the closed heterogeneous [`Instrument`] set —
@@ -649,11 +688,11 @@ impl<'a> Runner<'a> {
     ///
     /// The grid rides the pass as [`GridCache`] shards, one per worker,
     /// allocated on the calling thread. Each [`PacketKind::GridSimulate`]
-    /// reader drives its shard a batch at a time, decoded from the stored
-    /// trace on a hit and taken raw from the live feed otherwise (see
-    /// [`Runner::sinks`]). Cells come back in input order, each
-    /// bit-identical to an independent [`Cache`](cachegc_sim::Cache) over
-    /// the same stream.
+    /// reader drives its shard a batch at a time, taken raw from the
+    /// pass's feed, which the VM writes on a live pass and the stored
+    /// trace's decoder on a hit (see [`Runner::sinks`]). Cells come back
+    /// in input order, each bit-identical to an independent
+    /// [`Cache`](cachegc_sim::Cache) over the same stream.
     ///
     /// # Errors
     ///
@@ -779,7 +818,7 @@ impl<'a> Runner<'a> {
             vec![&worker; outer],
             || (),
         );
-        self.flush_crew(PacketKind::Task, workers, 0, 0, FeedStats::default());
+        self.flush_crew(PacketKind::Task, workers, 0, FeedStats::default());
         undeal(claimed.into_iter().flatten(), items.len())
     }
 
@@ -822,7 +861,7 @@ impl<'a> Runner<'a> {
     where
         S: Send,
         F: FnOnce(&mut dyn TraceSink) -> T,
-        R: Fn(&mut Segments<'_>, &mut Fanout<S>) + Sync,
+        R: Fn(&mut FeedReader, &mut Fanout<S>) + Sync,
     {
         let _shard = self.telemetry.map(|t| t.attach());
         let pass_start = Instant::now();
@@ -843,6 +882,7 @@ mod tests {
     use crate::experiment::{run_collected, run_control};
     use cachegc_analysis::{ActivityTracker, BlockTracker, SweepPlot};
     use cachegc_sim::{Cache, CacheConfig, SetAssocCache};
+    use cachegc_trace::FEED_WINDOW;
     use cachegc_workloads::Workload;
 
     fn grids_equal(a: &[crate::CacheCell], b: &[crate::CacheCell]) {
@@ -1151,24 +1191,106 @@ mod tests {
         assert_eq!(store.stats().reserved, 0);
     }
 
-    /// A panicking sink on a reader packet reaches the caller and does
-    /// not leave the VM waiting on a reader that is gone.
+    /// A panicking sink on a reader reaches the caller and does not
+    /// leave the producer waiting on a reader that is gone: the VM of a
+    /// live pass, or a store hit's decoder, whether the reader that
+    /// panics is a crew job or a hit's reader 0 on the calling thread.
     #[test]
     fn a_panicking_reader_propagates_instead_of_wedging_the_pass() {
-        struct Bomb(u64);
+        /// Gives out at its 1000th event, unless it is a dud.
+        struct Bomb(u64, bool);
         impl TraceSink for Bomb {
             fn access(&mut self, _: cachegc_trace::Access) {
                 self.0 += 1;
-                assert!(self.0 < 1000, "sink gives out");
+                assert!(self.1 || self.0 < 1000, "sink gives out");
             }
         }
+        let w = Workload::Rewrite.scaled(1);
+        let store = crate::TraceStore::unbounded();
+        Runner::sequential()
+            .with_store(&store)
+            .sinks(w, None, vec![Bomb(0, true)])
+            .unwrap();
         for jobs in [1, 2] {
             let outcome = std::panic::catch_unwind(|| {
                 let runner = Runner::new(EngineConfig::jobs(jobs)).with_block_events(100);
-                let sinks = vec![Bomb(0), Bomb(0)];
-                runner.sinks(Workload::Rewrite.scaled(1), None, sinks)
+                let sinks = vec![Bomb(0, false), Bomb(0, false)];
+                runner.sinks(w, None, sinks)
             });
             assert!(outcome.is_err(), "jobs {jobs}: the reader's panic surfaced");
+            // On a hit at two jobs, sink 0 is reader 0's, on the calling
+            // thread, and sink 1 a crew reader's.
+            for live in [0, 1] {
+                let outcome = std::panic::catch_unwind(|| {
+                    let runner = Runner::new(EngineConfig::jobs(jobs))
+                        .with_block_events(100)
+                        .with_store(&store);
+                    let sinks = vec![Bomb(0, live == 0), Bomb(0, live == 1)];
+                    runner.sinks(w, None, sinks)
+                });
+                assert!(
+                    outcome.is_err(),
+                    "hit at jobs {jobs}: sink {} panicked",
+                    1 - live
+                );
+            }
+        }
+        assert_eq!(store.stats().hits, 4, "every hit replayed");
+    }
+
+    /// A store hit decodes its trace once, into one feed, however many
+    /// readers read it: the crew's one engine run published every event
+    /// once, in one block per `block_events` events, and the feed
+    /// allocated every block it used when it was made.
+    #[test]
+    fn a_hit_publishes_its_trace_once() {
+        let w = Workload::Rewrite.scaled(1);
+        let store = crate::TraceStore::unbounded();
+        let counters = || vec![cachegc_trace::RefCounter::new(); 3];
+        let (_, recorded) = Runner::sequential()
+            .with_store(&store)
+            .sinks(w, None, counters())
+            .unwrap();
+        let events = recorded[0].total();
+        let block_events = 4096;
+        let blocks = events.div_ceil(block_events as u64);
+        assert!(blocks > FEED_WINDOW as u64 + 1, "the feed recycles blocks");
+
+        let telemetry = Arc::new(Telemetry::new());
+        let runner = Runner::new(EngineConfig::jobs(3))
+            .with_block_events(block_events)
+            .with_store(&store)
+            .with_telemetry(&telemetry);
+        let (_, replayed) = runner.sinks(w, None, counters()).unwrap();
+        assert!(replayed.iter().all(|c| c.total() == events));
+        let snap = telemetry.snapshot();
+        assert_eq!(snap.counter(Counter::VmRuns), 0, "a hit runs no VM");
+        assert_eq!(snap.engine.runs, 1, "one crew");
+        assert_eq!(snap.engine.events_published, events);
+        assert_eq!(snap.engine.chunks_published, blocks);
+        // Readers 1 and 2 are crew jobs; reader 0 reads on the calling
+        // thread, which has no worker row, and the decoder applies none.
+        assert_eq!(snap.engine.events_applied(), events * 2);
+
+        let Acquired::Hit { trace, .. } = store.acquire(w, None) else {
+            panic!("the scenario is stored");
+        };
+        for (jobs, block_events) in [(3, 4096), (2, 63), (1, 65), (3, 1 << 30)] {
+            let runner = Runner::new(EngineConfig::jobs(jobs)).with_block_events(block_events);
+            let (sinks, _, feed) = runner.replay(
+                &trace.trace,
+                PacketKind::ReplayShard,
+                counters(),
+                read_sinks,
+            );
+            assert!(sinks.iter().all(|c| c.total() == events));
+            let blocks = events.div_ceil(block_events as u64);
+            assert_eq!((feed.events, feed.blocks), (events, blocks));
+            assert_eq!(
+                feed.allocated,
+                blocks.min(FEED_WINDOW as u64 + 1),
+                "jobs {jobs}, {block_events}-event blocks: no block allocated after the feed was made"
+            );
         }
     }
 

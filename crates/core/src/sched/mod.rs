@@ -1,7 +1,8 @@
 //! Crews: every job on its own scoped thread.
 //!
 //! Every crew the engine starts is a handful of jobs known up front: the
-//! replay readers of one trace, or the workers of a `Runner::map` (see
+//! readers of one pass's feed, with a store miss's recorder or a store
+//! hit's decoder beside them, or the workers of a `Runner::map` (see
 //! [`crate::Runner`]). `crew` runs each job on its own scoped thread
 //! while the caller runs its own part of the operation, then hands the
 //! results back in job order. The only knob is the worker count,
@@ -38,8 +39,10 @@ pub enum Schedule {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EngineConfig {
     /// Worker threads: the readers of a pass (at most one per sink), or
-    /// the workers of a `Runner::map`. A live pass runs its VM on the
-    /// calling thread beside its readers, at one worker too.
+    /// the workers of a `Runner::map`. A pass's producer runs beside its
+    /// readers, at one worker too: a live pass's VM on the calling thread,
+    /// with every reader on a crew thread; a store hit's decoder on a
+    /// crew thread of its own, with reader 0 on the calling thread.
     pub jobs: usize,
 }
 
@@ -66,13 +69,15 @@ impl EngineConfig {
 /// trace and keys the crew's engine run in the manifest.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PacketKind {
-    /// One reader decoding a trace — stored, or a live pass's feed —
-    /// into its shard of sinks.
+    /// One reader of a pass's raw feed, handing its events to its shard
+    /// of sinks; a recorder or decoder in the same crew runs under the
+    /// same kind.
     ReplayShard,
     /// A generic driver task (one worker of a `Runner::map`).
     Task,
-    /// One reader's batched decode of a trace — stored, or a live pass's
-    /// feed — driving a `GridCache` shard of a direct-mapped grid.
+    /// One reader of a pass's raw feed, handing its batches to a
+    /// `GridCache` shard of a direct-mapped grid; a recorder or decoder in
+    /// the same crew runs under the same kind.
     GridSimulate,
 }
 

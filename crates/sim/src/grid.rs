@@ -5,10 +5,10 @@
 //! grid as K independent [`Cache`] sinks pays the stream-dispatch cost K
 //! times per event; [`GridCache`] instead holds all K configurations as
 //! lanes over one shared flat block-state arena and updates every lane
-//! per event — so a single decode pass (see
-//! [`cachegc_trace::RecordedTrace::replay_batched`]) drives the entire
-//! grid, and each lane's precomputed geometry stays in registers across a
-//! whole [`EventBatch`].
+//! per event — so one stream of batches (a pass's raw feed, see
+//! [`cachegc_trace::feed`]) drives the entire grid, and each lane's
+//! precomputed geometry stays in registers across a whole
+//! [`EventBatch`].
 //!
 //! A lane counts only the scalar [`CacheTotals`] the §5 tables read; the
 //! per-block counters of the §7 analyses live in [`Cache`]. The counters
@@ -395,11 +395,11 @@ impl GridCache {
         }
     }
 
-    /// Update every lane with one decoded batch. The lane-invariant
+    /// Update every lane with one batch of the stream. The lane-invariant
     /// counters are tallied once over the whole batch; then lanes are the
     /// outer loop over the events the repeat filter keeps, so each lane's
     /// geometry and hot blocks stay cached across the batch — this is the
-    /// kernel one batched decode pass drives.
+    /// kernel every grid reader drives.
     pub fn consume(&mut self, batch: &EventBatch) {
         Self::count_refs(&mut self.lanes, batch);
         self.events += batch.len() as u64;

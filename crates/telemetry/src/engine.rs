@@ -38,18 +38,19 @@ pub struct EngineReport {
     /// What the crew ran: its jobs' kind (`replay_shard`, `task`, ...).
     pub kind: &'static str,
     /// Crew threads in the run, one per job; the calling thread, which
-    /// runs its own part alongside (a live pass's VM), is not counted.
+    /// runs its own part alongside (a live pass's VM, or a store hit's
+    /// reader 0), is not counted.
     pub jobs: usize,
     /// Sinks the run drove (0 for crews of whole tasks).
     pub sinks: usize,
-    /// Raw event blocks a live pass's feed published to its readers.
+    /// Raw event blocks a pass's feed published to its readers.
     pub chunks_published: u64,
     /// Events the readers read (per stream, not per sink).
     pub events_published: u64,
-    /// Time a live pass's producer waited for its slowest reader.
+    /// Time a pass's producer (a live pass's VM, a store hit's decoder)
+    /// waited for its slowest reader.
     pub backpressure_ns: u64,
-    /// Most published blocks a live pass's slowest reader had yet to
-    /// read.
+    /// Most published blocks a pass's slowest reader had yet to read.
     pub queue_depth_hwm: u64,
     /// Per-worker counters, indexed by worker id.
     pub workers: Vec<WorkerStats>,

@@ -1,28 +1,30 @@
 //! The live feed: a run's raw events, read while the run goes on.
 //!
-//! A live pass's producer drives a [`FeedWriter`], a [`TraceSink`] that
-//! appends each event's address and flag byte to a [`FeedBlock`] of
-//! [`EventBatch`]es and publishes every block once it holds
-//! [`FEED_BLOCK_EVENTS`] events. Each of the feed's [`FeedReader`]s
+//! Every pass has one producer, which drives a [`FeedWriter`]: the VM on
+//! a live pass, a stored trace's decoder on a store hit. The writer is a
+//! [`TraceSink`] that appends each event's address and flag byte to a
+//! [`FeedBlock`] of [`EventBatch`]es and publishes every block once it
+//! holds [`FEED_BLOCK_EVENTS`] events. Each of the feed's [`FeedReader`]s
 //! receives every block, in publish order, and hands its batches to a
 //! batch consumer or its events to per-event sinks: nothing is encoded or
-//! decoded on the way. A store miss's recorder is one more reader (a
-//! [`Recording`]), so only a capture the store may keep is encoded, and
-//! off the producer's thread; the producer still allocates the capture's
-//! segment buffers. A crew pass is therefore always a replay: of a stored
-//! trace, decoded, on a store hit ([`Segments::Trace`]); of the feed
-//! otherwise ([`Segments::Feed`]).
+//! decoded on the readers' side, and a stored trace is decoded once,
+//! however many readers read it. A store miss's recorder is one more
+//! reader (a [`Recording`]), so only a capture the store may keep is
+//! encoded, and off the producer's thread; the producer still allocates
+//! the capture's segment buffers.
 //!
-//! The producer allocates the blocks and recycles them. The feed holds a
-//! published block until every reader has read it, and at most
+//! The writer's side allocates the blocks and recycles them. The feed
+//! holds a published block until every reader has read it, and at most
 //! [`FEED_WINDOW`] such blocks: when the slowest reader lags that far
 //! behind, the producer waits (counted in [`FeedStats::wait_ns`] and
 //! recorded as a `backpressure` span). A block every reader is done with
 //! goes back to the producer to be filled again, so a feed allocates at
-//! most `FEED_WINDOW + 1` blocks. A dropped writer, or a reader dropped
-//! before the end of the stream (a panicking reader), closes the feed
-//! early: waiting readers see the end of the stream, a waiting producer
-//! stops waiting, and nothing blocks forever.
+//! most `FEED_WINDOW + 1` blocks. A writer sized for a stream of known
+//! length ([`FeedWriter::for_stream`]) allocates all of its blocks when it
+//! is sized, so its producer allocates nothing. A dropped writer, or a
+//! reader dropped before the end of the stream (a panicking reader),
+//! closes the feed early: waiting readers see the end of the stream, a
+//! waiting producer stops waiting, and nothing blocks forever.
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -31,7 +33,7 @@ use std::time::Instant;
 use cachegc_telemetry::probe;
 
 use crate::event::Access;
-use crate::recorded::{access_from, flag_bits, EventBatch, RecordedTrace, Recorder, EVENT_BATCH};
+use crate::recorded::{access_from, flag_bits, EventBatch, Recorder, EVENT_BATCH};
 use crate::sink::TraceSink;
 
 /// Published blocks a feed holds for its readers before the producer
@@ -45,7 +47,7 @@ pub const FEED_BLOCK_EVENTS: usize = 512 * EVENT_BATCH;
 /// A new feed with `readers` readers, in reader order, whose blocks hold
 /// `block_events` events (at least one), and, given a store miss's
 /// `recorder`, the [`Recording`] that encodes the stream as one more
-/// reader. Live passes use [`FEED_BLOCK_EVENTS`]; tests use small blocks
+/// reader. Passes use [`FEED_BLOCK_EVENTS`]; tests use small blocks
 /// to land block boundaries all over a short stream. The writer allocates
 /// its first block here, on the calling thread, and the recording's first
 /// segment buffer.
@@ -88,6 +90,7 @@ pub fn feed(
             allocated: 1,
             ..FeedStats::default()
         },
+        last: None,
         closed: false,
     };
     (writer, readers, recording)
@@ -142,8 +145,9 @@ pub struct FeedStats {
     /// Events published.
     pub events: u64,
     /// Blocks allocated: at most [`FEED_WINDOW`] + 1 while every reader
-    /// lets go of a block before asking for the next; every other
-    /// published block was a recycled one.
+    /// lets go of a block before asking for the next, and for a sized
+    /// writer all of them when it was sized; every other published block
+    /// was a recycled one.
     pub allocated: u64,
     /// Time the producer waited for the slowest reader, nanoseconds.
     pub wait_ns: u64,
@@ -166,7 +170,8 @@ struct State {
     /// Per reader: blocks it has finished reading; `None` once the
     /// reader is gone.
     released: Vec<Option<u64>>,
-    /// Blocks every reader is done with, for the producer to refill.
+    /// Blocks every reader is done with, and the blocks of a sized
+    /// writer not yet published, for the producer to fill.
     spare: Vec<Arc<FeedBlock>>,
     /// An empty segment buffer for the feed's [`Recording`].
     segment_buffer: Option<Vec<u8>>,
@@ -245,6 +250,9 @@ pub struct FeedWriter {
     /// on another.
     buffer_bytes: Option<usize>,
     stats: FeedStats,
+    /// A sized writer's stream length, and the empty block its last
+    /// block is published in (see [`FeedWriter::for_stream`]).
+    last: Option<(u64, Arc<FeedBlock>)>,
     closed: bool,
 }
 
@@ -258,10 +266,38 @@ impl std::fmt::Debug for FeedWriter {
 }
 
 impl FeedWriter {
+    /// Size this writer for a stream of exactly `events` events, as a
+    /// stored trace's decoder knows its length: every block the stream
+    /// will fill, at most [`FEED_WINDOW`] + 1 of them, is allocated now,
+    /// on the calling thread, so that writing the stream allocates
+    /// nothing. Call it before the first event.
+    ///
+    /// # Panics
+    ///
+    /// An event past the `events`th panics.
+    pub fn for_stream(mut self, events: u64) -> FeedWriter {
+        let block_events = self.block_events as u64;
+        let blocks = events
+            .div_ceil(block_events)
+            .clamp(1, FEED_WINDOW as u64 + 1);
+        let mut state = self.shared.lock();
+        for _ in self.stats.allocated..blocks {
+            state
+                .spare
+                .push(Arc::new(FeedBlock::new(self.block_events)));
+        }
+        drop(state);
+        self.stats.allocated = self.stats.allocated.max(blocks);
+        self.last = Some((events, Arc::new(FeedBlock::new(0))));
+        self
+    }
+
     /// Publish the block being filled and take the next one to fill: a
-    /// block every reader is done with, or a new one. Waits while the
-    /// slowest reader is [`FEED_WINDOW`] blocks behind; on a feed closed
-    /// early the block's events are dropped unread.
+    /// block every reader is done with, or a new one. A sized writer's
+    /// last block is published in its empty block instead, and nothing
+    /// is taken. Waits while the slowest reader is [`FEED_WINDOW`]
+    /// blocks behind; on a feed closed early the block's events are
+    /// dropped unread.
     #[cold]
     #[inline(never)]
     fn publish(&mut self) {
@@ -280,25 +316,32 @@ impl FeedWriter {
             self.block.events = 0;
             return;
         }
-        let next = match state.spare.pop().map(Arc::try_unwrap) {
-            Some(Ok(mut block)) => {
-                block.events = 0;
-                block
-            }
-            // A reader still holds the block (or none is spare yet).
-            _ => {
-                self.stats.allocated += 1;
-                FeedBlock::new(self.block_events)
+        let events = self.stats.events + self.block.events as u64;
+        let mut published = match self.last.take() {
+            Some((length, last)) if length == events => last,
+            sized => {
+                self.last = sized;
+                // Every reader let go of a spare block before releasing
+                // it, unless it kept a clone: then it stays the reader's.
+                match state.spare.pop().filter(|b| Arc::strong_count(b) == 1) {
+                    Some(spare) => spare,
+                    None => {
+                        self.stats.allocated += 1;
+                        Arc::new(FeedBlock::new(self.block_events))
+                    }
+                }
             }
         };
         if let (Some(bytes), None) = (self.buffer_bytes, &state.segment_buffer) {
             state.segment_buffer = Some(Vec::with_capacity(bytes));
         }
-        let mut full = std::mem::replace(&mut self.block, next);
+        let full = Arc::get_mut(&mut published).expect("a block to publish is unshared");
+        std::mem::swap(full, &mut self.block);
+        self.block.events = 0;
         full.seal();
         self.stats.blocks += 1;
         self.stats.events += full.events as u64;
-        state.window.push_back(Arc::new(full));
+        state.window.push_back(published);
         self.stats.max_lag = self.stats.max_lag.max(state.window.len() as u64);
         // With no reader left the block goes back at once.
         state.trim();
@@ -363,6 +406,33 @@ impl std::fmt::Debug for FeedReader {
             .field("taken", &self.taken)
             .field("events", &self.events)
             .finish_non_exhaustive()
+    }
+}
+
+impl FeedReader {
+    /// Deliver the rest of the stream to `sink` event by event.
+    pub fn replay<S: TraceSink + ?Sized>(&mut self, sink: &mut S) {
+        for block in self {
+            for batch in block.batches() {
+                let (addrs, flags) = (&batch.addrs[..batch.len], &batch.flags[..batch.len]);
+                for (&addr, &flags) in addrs.iter().zip(flags) {
+                    sink.access(access_from(addr, flags));
+                }
+            }
+        }
+    }
+
+    /// Deliver the rest of the stream in batches: every batch of a block
+    /// but its last is full.
+    pub fn replay_batched<F: FnMut(&EventBatch)>(&mut self, mut consume: F) {
+        for block in self {
+            block.batches().iter().for_each(&mut consume);
+        }
+    }
+
+    /// Events in the blocks read so far.
+    pub fn events(&self) -> u64 {
+        self.events
     }
 }
 
@@ -442,57 +512,6 @@ impl Recording {
             self.recorder.overflow();
         }
         self.recorder
-    }
-}
-
-/// Where a replay reader's events come from: a finished capture, decoded,
-/// or a live feed's raw blocks. A reader is the same code either way.
-#[derive(Debug)]
-pub enum Segments<'a> {
-    /// A finished capture, replayed as many times as asked.
-    Trace(&'a RecordedTrace),
-    /// A live feed; its blocks are delivered once.
-    Feed(FeedReader),
-}
-
-impl Segments<'_> {
-    /// Deliver the stream to `sink` event by event, as
-    /// [`RecordedTrace::replay`].
-    pub fn replay<S: TraceSink + ?Sized>(&mut self, sink: &mut S) {
-        match self {
-            Segments::Trace(trace) => trace.replay(sink),
-            Segments::Feed(reader) => {
-                for block in reader {
-                    for batch in block.batches() {
-                        let (addrs, flags) = (&batch.addrs[..batch.len], &batch.flags[..batch.len]);
-                        for (&addr, &flags) in addrs.iter().zip(flags) {
-                            sink.access(access_from(addr, flags));
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Deliver the stream in batches, as [`RecordedTrace::replay_batched`].
-    pub fn replay_batched<F: FnMut(&EventBatch)>(&mut self, mut consume: F) {
-        match self {
-            Segments::Trace(trace) => trace.replay_batched(consume),
-            Segments::Feed(reader) => {
-                for block in reader {
-                    block.batches().iter().for_each(&mut consume);
-                }
-            }
-        }
-    }
-
-    /// Events delivered: a trace's whole stream, or the events in the
-    /// feed blocks read so far.
-    pub fn events(&self) -> u64 {
-        match self {
-            Segments::Trace(trace) => trace.events(),
-            Segments::Feed(reader) => reader.events,
-        }
     }
 }
 

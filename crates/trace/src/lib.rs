@@ -36,8 +36,7 @@ mod sink;
 pub use counters::{Counters, InstrClass};
 pub use event::{Access, AccessKind, Context};
 pub use feed::{
-    feed, FeedBlock, FeedReader, FeedStats, FeedWriter, Recording, Segments, FEED_BLOCK_EVENTS,
-    FEED_WINDOW,
+    feed, FeedBlock, FeedReader, FeedStats, FeedWriter, Recording, FEED_BLOCK_EVENTS, FEED_WINDOW,
 };
 pub use recorded::{
     EventBatch, RecordBudget, RecordedTrace, Recorder, CHARGE_CHUNK_BYTES, DEFAULT_SEGMENT_BYTES,

@@ -28,11 +28,12 @@
 //! makes flags bytes common: the golden scenarios average 2.7–3.0 bytes
 //! per event, versus the 8-byte in-memory [`Access`]. The encoded stream
 //! is sealed into ~1 MiB segments at event boundaries; a clone of a
-//! [`RecordedTrace`] shares the segments, so concurrent replay workers
-//! decode the same bytes without copying. A live pass encodes only a
-//! capture the store may keep: its recorder is one more reader of the
-//! pass's raw feed, on a thread of its own
-//! ([`feed::Recording`](crate::feed::Recording)).
+//! [`RecordedTrace`] shares the segments without copying. A live pass
+//! encodes only a capture the store may keep: its recorder is one more
+//! reader of the pass's raw feed, on a thread of its own
+//! ([`feed::Recording`](crate::feed::Recording)). A store hit decodes
+//! its trace once, with [`RecordedTrace::replay`], into the same kind of
+//! feed, which all of the pass's readers read.
 //!
 //! # Recording cost
 //!
@@ -717,7 +718,11 @@ impl RecordedTrace {
     /// [`EVENT_BATCH`] events — the same events, in the same order, as
     /// [`RecordedTrace::replay`], through the same decoder — so a batch
     /// consumer such as a grid kernel can run its per-lane loop over a
-    /// whole batch instead of being called once per event.
+    /// whole batch instead of being called once per event. No pass
+    /// decodes this way: a store hit decodes into its feed with
+    /// [`RecordedTrace::replay`], and its readers take the feed's batches.
+    /// Tests and benchmark probes use it to drive a batch consumer from a
+    /// trace directly.
     pub fn replay_batched<F: FnMut(&EventBatch)>(&self, consume: F) {
         replay_chunks_batched(self.payload_chunks(), consume);
     }

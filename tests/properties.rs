@@ -21,8 +21,7 @@ use cachegc::testkit::{check, Rng};
 use cachegc::trace::feed::feed;
 use cachegc::trace::{
     Access, AccessKind, Context, Counters, EventBatch, Fanout, NullSink, RecordBudget, Recorder,
-    Region, Segments, TraceSink, DYNAMIC_BASE, DYNAMIC_SECOND_BASE, EVENT_BATCH, STACK_BASE,
-    STATIC_BASE,
+    Region, TraceSink, DYNAMIC_BASE, DYNAMIC_SECOND_BASE, EVENT_BATCH, STACK_BASE, STATIC_BASE,
 };
 use cachegc::vm::{read, Machine, Sexp};
 use cachegc::workloads::Workload;
@@ -759,6 +758,87 @@ fn feed_edges_with_more_workers_than_instruments() {
     }
 }
 
+/// Store `accesses` in `store` as the uncollected trace of `w`, through
+/// the recorder of the store's miss.
+fn seed_store(store: &TraceStore, w: cachegc::workloads::WorkloadInstance, accesses: &[Access]) {
+    let Acquired::Miss(ticket) = store.acquire(w, None) else {
+        panic!("an empty store misses");
+    };
+    let mut rec = ticket.recorder();
+    for &a in accesses {
+        rec.access(a);
+    }
+    ticket.offer(rec, Default::default(), std::time::Duration::ZERO);
+}
+
+/// Replay `w`'s stored trace as two store hits on `jobs` workers, with
+/// `block_events`-event feed blocks: into `small_grid`'s configurations
+/// as one grid, and into the mixed instrument set. Each must equal its
+/// sequential oracle over `accesses`.
+fn assert_hits_match(store: &TraceStore, jobs: usize, block_events: usize, accesses: &[Access]) {
+    let w = Workload::Rewrite.scaled(1);
+    let tag = format!("jobs {jobs}, {block_events}-event blocks");
+    let runner = Runner::new(EngineConfig::jobs(jobs))
+        .with_block_events(block_events)
+        .with_store(store);
+    let configs = small_grid().iter().map(|c| *c.config()).collect();
+    let (_, cells) = runner.grid(w, None, configs).unwrap();
+    let oracle = fanout(small_grid(), accesses);
+    assert_eq!(cells.len(), oracle.len());
+    for (cell, cache) in cells.iter().zip(&oracle) {
+        assert_eq!(&cell.config, cache.config(), "{tag}: grid order");
+        assert_eq!(cell.stats, cache.stats().totals(), "{tag}: {}", cell.config);
+    }
+    let (_, instruments) = runner.instruments(w, None, mixed_instruments()).unwrap();
+    assert_eq!(
+        fanout(mixed_instruments(), accesses),
+        instruments,
+        "{tag}: mixed instruments"
+    );
+}
+
+#[test]
+fn store_hits_match_sequential_fanout() {
+    check("store_hit_equivalence", 32, |rng| {
+        // The stored trace's decoder writes the feed that every reader
+        // reads, at random crew widths and block sizes.
+        let jobs = rng.range_usize(1, 5);
+        let block_events = block_events(rng);
+        let n = rng.range_usize(0, 3000);
+        let accesses = random_stream(rng, n, 1 << 14);
+        let store = TraceStore::unbounded();
+        seed_store(&store, Workload::Rewrite.scaled(1), &accesses);
+        assert_hits_match(&store, jobs, block_events, &accesses);
+        assert_eq!(store.stats().hits, 2, "both passes replayed");
+    });
+}
+
+#[test]
+fn store_hit_edges_and_spill_loads() {
+    // Edge streams, written through to a spill file, each replayed by a
+    // restarted store whose first hit loads the file.
+    let dir = std::env::temp_dir().join(format!("cachegc_hit_prop_{}", std::process::id()));
+    let w = Workload::Rewrite.scaled(1);
+    for n in [1usize, 63, 64, 65, 1000] {
+        let _ = std::fs::remove_dir_all(&dir);
+        let accesses = stride_stream(n);
+        seed_store(
+            &TraceStore::unbounded().with_spill(dir.clone()),
+            w,
+            &accesses,
+        );
+        for jobs in [1usize, 2, 3, 4] {
+            for block_events in [1usize, 63, 65] {
+                let store = TraceStore::unbounded().with_spill(dir.clone());
+                assert_hits_match(&store, jobs, block_events, &accesses);
+                let s = store.stats();
+                assert_eq!((s.spill_loads, s.hits, s.misses), (1, 2, 0), "n={n}");
+            }
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 // ---------------------------------------------------------------------
 // Trace codec: record then replay is the identity
 // ---------------------------------------------------------------------
@@ -994,10 +1074,10 @@ fn the_feed_recorder_writes_the_direct_recorders_bytes_or_abandons_cleanly() {
             std::thread::scope(|s| {
                 let got: Vec<_> = feeds
                     .into_iter()
-                    .map(|reader| {
+                    .map(|mut reader| {
                         s.spawn(move || {
                             let mut out = Collect(Vec::new());
-                            Segments::Feed(reader).replay(&mut out);
+                            reader.replay(&mut out);
                             out.0
                         })
                     })

@@ -74,12 +74,10 @@ fn telemetry_is_invisible_to_results() {
         // the engine determinism property at once.
         assert_eq!(with, oracle, "telemetry perturbed results at jobs {jobs}");
         // The instrumented run actually observed something: one crew per
-        // live pass (live, record) at every worker count, plus the
-        // replay's when it has more than one reader.
+        // pass (live, record, replay) at every worker count.
         let snap = telemetry.snapshot();
         assert_eq!(snap.counter(Counter::VmRuns), 2, "live + record");
-        let crews = if jobs > 1 { 3 } else { 2 };
-        assert_eq!(snap.engine.runs, crews, "one engine run per crew");
+        assert_eq!(snap.engine.runs, 3, "one engine run per pass");
     }
 }
 
@@ -133,21 +131,23 @@ fn merged_counters_match_the_run_stats_oracle() {
         store.stats().bytes
     );
 
-    // Engine totals: the record pass's crew drove 3 sinks with every
-    // event, and `(event, sink)` pairs sum exactly. The one-sink replay
-    // ran in-thread, which reports no engine run.
-    assert_eq!(snap.engine.runs, 1);
+    // Engine totals: each pass's feed published the trace once, and the
+    // record pass's crew drove 3 sinks with every event. The one-sink
+    // replay's reader reads on the calling thread, which has no worker
+    // row, beside its decoder, which applies no `(event, sink)` pair.
+    assert_eq!(snap.engine.runs, 2);
     assert_eq!(snap.engine.events_applied(), events * 3);
-    assert_eq!(snap.engine.events_published, events);
+    assert_eq!(snap.engine.events_published, events * 2);
     assert!(
-        snap.engine.chunks_published >= 1,
-        "the feed carried segments"
+        snap.engine.chunks_published >= 2,
+        "each feed carried blocks"
     );
 
-    // Phases: one of each driver span.
-    for phase in ["vm_execute", "record", "replay", "sink_drain"] {
+    // Phases: one of each driver span, and a crew drain per pass.
+    for phase in ["vm_execute", "record", "replay"] {
         assert_eq!(snap.phase(phase).unwrap().count, 1, "{phase}");
     }
+    assert_eq!(snap.phase("sink_drain").unwrap().count, 2);
 }
 
 /// A `Write` handle into a shared buffer, so a [`Progress`] sink can be
